@@ -11,9 +11,8 @@ below decide exactly.
 
 from bicoh import RingSpec, Window, quotient_by_polys
 from bicoh.checks import build_spectral_grid, check_euler
-from bicoh.cohomology import ext_presentation
 from bicoh.fixtures import random_quotients
-from bicoh.resolution import profile
+from bicoh.resolution import ext_presentation, profile
 from bicoh.tame import limit_profile_check, reg_scan, tame_scan
 
 ring = RingSpec(2, 2)

@@ -8,13 +8,14 @@ relating the three theories on concrete modules.
 """
 
 from .errors import BicohError
-from .linalg import DEFAULT_PRIME, DenseMatrix, FieldElement, homology_dim, kernel_basis, rank
-from .poly import Bidegree, Polynomial, RingSpec, bidegree_of, monomial_basis, parse_poly
+from .linalg import DEFAULT_PRIME, homology_dim
+from .poly import Bidegree, Polynomial, RingSpec, monomial_basis, parse_poly
 from .groebner import FreeModule, GroebnerBasis, ModuleElement, buchberger, normal_form, syzygies
 from .resolution import (
     FreeResolution,
     ModuleProfile,
     Presentation,
+    ext_presentation,
     free_presentation,
     hilbert_table,
     kernel_presentation,
@@ -29,7 +30,6 @@ from .strands import x_strand, y_strand
 from .cohomology import (
     cd_estimate,
     cech_oracle,
-    ext_presentation,
     ext_table,
     local_coh_table,
 )
@@ -43,9 +43,7 @@ __all__ = [
     "Bidegree",
     "CohomologyTable",
     "DEFAULT_PRIME",
-    "DenseMatrix",
     "DimTable",
-    "FieldElement",
     "FreeModule",
     "FreeResolution",
     "GroebnerBasis",
@@ -55,7 +53,6 @@ __all__ = [
     "Presentation",
     "RingSpec",
     "Window",
-    "bidegree_of",
     "buchberger",
     "cd_estimate",
     "cech_oracle",
@@ -64,7 +61,6 @@ __all__ = [
     "free_presentation",
     "hilbert_table",
     "homology_dim",
-    "kernel_basis",
     "kernel_presentation",
     "limit_profile_check",
     "local_coh_table",
@@ -76,7 +72,6 @@ __all__ = [
     "profile",
     "quotient_by_polys",
     "quotient_presentation",
-    "rank",
     "reg_scan",
     "resolve",
     "strand_nonvanishing",

@@ -14,12 +14,7 @@ the abutment H^(i+j-m)_Q(M) dual is filtered by j.
 
 from dataclasses import dataclass, field
 
-from .cohomology import (
-    _strand_ext_dim,
-    ext_presentation,
-    ext_table,
-    local_coh_table,
-)
+from .cohomology import _strand_ext_dim, ext_table, local_coh_table
 from .errors import (
     BadModuleError,
     BadProfileError,
@@ -30,7 +25,7 @@ from .groebner import FreeModule
 from .poly import Bidegree, block_dim
 from .resolution import (
     Presentation,
-    ext_presentation_raw,
+    ext_presentation,
     free_presentation,
     krull_dim,
     profile,
@@ -387,7 +382,7 @@ def check_structure1(M: Presentation, window: Window) -> CheckReport:
                     yield ((i, j), lhs == rhs, lhs, rhs,
                            f"k={k}, strand j={j}: Ext over K[x] vs "
                            "Q-table row -j")
-                ext = ext_presentation_raw(strand, ring.m - k)
+                ext = ext_presentation(strand, ring.m - k)
                 dim = krull_dim(ext)
                 yield ((0, j), dim <= k, dim, k,
                        f"k={k}, strand j={j}: Krull dim bound")

@@ -19,7 +19,6 @@ from .resolution import (
     profile,
     resolve,
 )
-from .runtime import parallel_map
 from .tables import DimTable, Window, write_csv
 from .tame import reg_scan, tame_scan
 
@@ -117,13 +116,22 @@ def _emit_table(table, label, csv_path):
         print(f"csv written to {csv_path}")
 
 
+def _ring_from_flags(args):
+    """The ring given by -m/-n/-p; a missing flag or an invalid ring is
+    malformed input."""
+    if args.m is None or args.n is None:
+        raise FormatError(f"suite {args.suite} needs -m and -n")
+    try:
+        return RingSpec(args.m, args.n, args.p)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
 def _run_check(args):
     suite = args.suite
     window = Window.parse(args.window)
     if suite == "simple":
-        if args.m is None or args.n is None:
-            raise FormatError("suite simple needs -m and -n")
-        ring = RingSpec(args.m, args.n, args.p)
+        ring = _ring_from_flags(args)
         report = checks.check_lemma_simple(ring, window)
         p = ring.p
     elif suite == "free":
@@ -131,10 +139,10 @@ def _run_check(args):
             M = load_module(args.module)
             ring, shifts = M.ring, M.gens
         else:
-            if args.m is None or args.n is None or not args.shifts:
+            if not args.shifts:
                 raise FormatError(
                     "suite free needs --module or -m/-n/--shifts")
-            ring = RingSpec(args.m, args.n, args.p)
+            ring = _ring_from_flags(args)
             shifts = []
             for part in args.shifts.split(";"):
                 try:
@@ -234,14 +242,9 @@ def _dispatch(args) -> int:
     if args.command == "oracle":
         M = load_module(args.module)
         window = Window.parse(args.window)
-        cells_list = list(window.cells())
-        values = parallel_map(
-            lambda d: cech_oracle(M, args.theory, args.index, d),
-            cells_list)
-        table = DimTable(window=window,
-                         cells={tuple(d): v for d, v in
-                                zip(cells_list, values)},
-                         p=M.ring.p)
+        cells = {tuple(d): cech_oracle(M, args.theory, args.index, d)
+                 for d in window.cells()}
+        table = DimTable(window=window, cells=cells, p=M.ring.p)
         label = (f"oracle H^{args.index} for theory {args.theory} "
                  f"(p={M.ring.p})")
         _emit_table(table, label, args.csv)

@@ -25,19 +25,9 @@ import numpy as np
 
 from .errors import BadTheoryError, StabilizationError
 from .groebner import GroebnerBasis, ModuleElement, buchberger, normal_form
-from .linalg import (
-    DenseMatrix,
-    homology_dim,
-    kernel_of_array,
-    rank_of_array,
-)
+from .linalg import homology_dim, kernel_of_array, rank_of_array
 from .poly import Bidegree, Polynomial, mono_divides, mono_mul
-from .resolution import (
-    Presentation,
-    ext_dim_raw,
-    ext_presentation_raw,
-    resolve,
-)
+from .resolution import Presentation, ext_dim_raw, resolve
 from .strands import x_strand, y_strand
 from .tables import CohomologyTable, DimTable, Window
 
@@ -54,19 +44,13 @@ def _check_theory(ring, theory):
 
 
 # ---------------------------------------------------------------------------
-# Ext tables and presentations against the canonical module
+# Ext tables against the canonical module
 
 
 def ext_table(M: Presentation, j: int, window: Window) -> DimTable:
     """Graded dimensions of Ext^j(M, omega) over the window."""
     cells = {tuple(d): ext_dim_raw(M, j, d) for d in window.cells()}
     return DimTable(window=window, cells=cells, p=M.ring.p)
-
-
-def ext_presentation(M: Presentation, j: int) -> Presentation:
-    """Ext^j(M, omega) as a module: the Matlis dual of H^(m+n-j) at the
-    maximal ideal, which is finitely generated."""
-    return ext_presentation_raw(M, j)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +219,6 @@ def _hom_spot(W, module, d):
 
 def _hom_map(W, res, i, d):
     """Degree-d piece of Hom(F_(i-1), W) -> Hom(F_i, W)."""
-    ring = W.ring
     d = Bidegree(*d)
     L = res.length
     tgt_dims, tgt_off = _hom_spot(W, res.modules[i], d) \
@@ -244,7 +227,7 @@ def _hom_map(W, res, i, d):
         if 0 <= i - 1 <= L else ([], [0])
     arr = np.zeros((tgt_off[-1], src_off[-1]), dtype=np.int64)
     if i < 1 or i > L or arr.size == 0:
-        return DenseMatrix(arr, ring.p)
+        return arr
     matrix = res.maps[i - 1]
     for l, s_l in enumerate(res.modules[i].shifts):
         for k, s_k in enumerate(res.modules[i - 1].shifts):
@@ -253,7 +236,7 @@ def _hom_map(W, res, i, d):
                 continue
             block = _poly_action_matrix(W, entry, d + s_k)
             arr[tgt_off[l]:tgt_off[l + 1], src_off[k]:src_off[k + 1]] = block
-    return DenseMatrix(arr, ring.p)
+    return arr
 
 
 def ext_into_dim(M: Presentation, W: Presentation, j: int, d) -> int:
@@ -266,7 +249,7 @@ def ext_into_dim(M: Presentation, W: Presentation, j: int, d) -> int:
         return 0
     A = _hom_map(W, res, j, d)
     B = _hom_map(W, res, j + 1, d)
-    return homology_dim(A, B)
+    return homology_dim(A, B, W.ring.p)
 
 
 def _koszul_spot(M, variables, t, p_spot, d):
@@ -368,7 +351,7 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
         B = _koszul_differential(M, variables, t, i, d)
         if A is None:
             A = np.zeros((B.shape[1], 0), dtype=np.int64)
-        h = homology_dim(DenseMatrix(A, p), DenseMatrix(B, p))
+        h = homology_dim(A, B, p)
         kernel = kernel_of_array(B, p)
         return h, A, kernel
 

@@ -147,13 +147,6 @@ class ModuleElement:
                     f"coordinates of bidegrees {deg} and {d}")
         return deg  # None for the zero element
 
-    def is_bihomogeneous(self):
-        try:
-            self.bidegree()
-            return True
-        except NotBihomogeneousError:
-            return False
-
     def __eq__(self, other):
         if not isinstance(other, ModuleElement):
             return NotImplemented
@@ -471,11 +464,3 @@ class SpanSolver:
         if any(not c.is_zero() for c in rem.coords[:rt]):
             return None
         return [-c for c in rem.coords[rt:]]
-
-
-def graph_kernel(columns, src: FreeModule):
-    return SpanSolver(columns, src).kernel()
-
-
-def express_in_span(v: ModuleElement, columns, src: FreeModule):
-    return SpanSolver(columns, src).express(v)

@@ -1,12 +1,13 @@
 """Dense exact linear algebra over a prime field F_p.
 
 Every degreewise computation in the package bottoms out here: ranks and
-kernels of integer matrices reduced mod p.  Entries are kept as int64
-numpy arrays; with p < 2^20 a pivot elimination step stays far below the
-int64 overflow bound, so no modular lifting is needed.
+kernels of integer matrices reduced mod p.  Matrices are plain int64
+numpy arrays and the modulus is passed alongside; with p < 2^20 a pivot
+elimination step stays far below the int64 overflow bound, so no modular
+lifting is needed.
 """
 
-from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -15,140 +16,11 @@ from .errors import ComposeError
 DEFAULT_PRIME = 32003
 
 
-@lru_cache(maxsize=None)
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _check_prime(p):
-    if not is_prime(p):
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError(f"modulus {p} is not prime")
     if p >= 1 << 20:
         raise ValueError(f"modulus {p} too large for int64 elimination")
-
-
-class FieldElement:
-    """A residue in F_p.  Immutable; arithmetic returns new elements."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p=DEFAULT_PRIME):
-        _check_prime(p)
-        object.__setattr__(self, "value", int(value) % p)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.p != self.p:
-                raise ValueError("mixed moduli")
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return FieldElement(self.value + self._coerce(other), self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.value - self._coerce(other), self.p)
-
-    def __rsub__(self, other):
-        return FieldElement(self._coerce(other) - self.value, self.p)
-
-    def __mul__(self, other):
-        return FieldElement(self.value * self._coerce(other), self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.p)
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return FieldElement(pow(self.value, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = FieldElement(self._coerce(other), self.p)
-        return self * o.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.p == other.p
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"FieldElement({self.value}, p={self.p})"
-
-
-class DenseMatrix:
-    """Matrix over F_p backed by an int64 numpy array, entries in [0, p)."""
-
-    __slots__ = ("array", "p")
-
-    def __init__(self, entries, p=DEFAULT_PRIME, shape=None):
-        _check_prime(p)
-        if shape is not None:
-            arr = np.zeros(shape, dtype=np.int64)
-            if entries:
-                arr[:] = np.asarray(entries, dtype=np.int64)
-        else:
-            arr = np.asarray(entries, dtype=np.int64)
-            if arr.ndim != 2:
-                raise ValueError("matrix entries must be two-dimensional")
-        self.array = arr % p
-        self.p = p
-
-    @classmethod
-    def zeros(cls, rows, cols, p=DEFAULT_PRIME):
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @classmethod
-    def identity(cls, size, p=DEFAULT_PRIME):
-        return cls(np.eye(size, dtype=np.int64), p)
-
-    @property
-    def rows(self):
-        return self.array.shape[0]
-
-    @property
-    def cols(self):
-        return self.array.shape[1]
-
-    def __getitem__(self, key):
-        return FieldElement(int(self.array[key]), self.p)
-
-    def __matmul__(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-        return DenseMatrix(self.array @ other.array, self.p)
-
-    def __eq__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self.p == other.p and self.array.shape == other.array.shape \
-            and bool(np.all(self.array == other.array))
-
-    def __repr__(self):
-        return f"DenseMatrix({self.array.tolist()}, p={self.p})"
 
 
 def _echelon(arr, p, reduced=False):
@@ -199,7 +71,8 @@ def kernel_of_array(arr, p):
     if rows == 0:
         return np.eye(cols, dtype=np.int64)
     ech, pivots = _echelon(arr, p, reduced=True)
-    free = [c for c in range(cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((cols, len(free)), dtype=np.int64)
     for idx, f in enumerate(free):
         basis[f, idx] = 1
@@ -208,29 +81,19 @@ def kernel_of_array(arr, p):
     return basis
 
 
-def rank(M: DenseMatrix) -> int:
-    return rank_of_array(M.array, M.p)
-
-
-def kernel_basis(M: DenseMatrix) -> DenseMatrix:
-    return DenseMatrix(kernel_of_array(M.array, M.p), M.p)
-
-
-def homology_dim(A: DenseMatrix, B: DenseMatrix) -> int:
-    """dim(ker B / im A) for one graded piece of a complex  A --> . --> B.
+def homology_dim(A, B, p) -> int:
+    """dim(ker B / im A) over F_p for one graded piece of a complex
+    A --> . --> B.
 
     A maps into the middle space (its columns are cycles), B maps out of it.
     Raises ComposeError unless B @ A = 0.
     """
-    if isinstance(A, np.ndarray):
-        A = DenseMatrix(A)
-    if A.p != B.p:
-        raise ValueError("mixed moduli")
-    if B.cols != A.rows:
+    if B.shape[1] != A.shape[0]:
         raise ComposeError(
-            f"shape mismatch: B has {B.cols} columns, A has {A.rows} rows")
-    if A.cols and B.rows:
-        if np.any((B.array @ A.array) % A.p):
+            f"shape mismatch: B has {B.shape[1]} columns, A has "
+            f"{A.shape[0]} rows")
+    if A.shape[1] and B.shape[0]:
+        if np.any((B @ A) % p):
             raise ComposeError("B*A is not zero; not a complex at this spot")
-    ker_b = B.cols - rank(B)
-    return ker_b - rank(A)
+    ker_b = B.shape[1] - rank_of_array(B, p)
+    return ker_b - rank_of_array(A, p)

@@ -285,12 +285,6 @@ class Polynomial:
             raise ZeroPolynomialError("zero polynomial has no leading term")
         return self.terms[0]
 
-    def is_bihomogeneous(self):
-        if not self.terms:
-            return True
-        degs = {mono_bidegree(self.ring, e) for e, _ in self.terms}
-        return len(degs) == 1
-
     def bidegree(self):
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no bidegree")
@@ -342,11 +336,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self} over {self.ring}>"
-
-
-def bidegree_of(f: Polynomial) -> Bidegree:
-    """Common bidegree of a nonzero bihomogeneous polynomial."""
-    return f.bidegree()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .groebner import (
     buchberger,
     syzygies,
 )
-from .linalg import DenseMatrix, homology_dim, rank_of_array
+from .linalg import homology_dim, rank_of_array
 from .poly import Bidegree, mono_mul
 from .tables import DimTable, Window
 
@@ -99,14 +99,6 @@ def quotient_by_polys(ring, polys) -> Presentation:
     return Presentation(ring, (Bidegree(0, 0),), rels, (tuple(polys),))
 
 
-def presentation_from_columns(target: FreeModule, columns) -> Presentation:
-    columns = list(columns)
-    rels = tuple(c.bidegree() for c in columns)
-    matrix = tuple(tuple(c.coords[k] for c in columns)
-                   for k in range(target.rank))
-    return Presentation(target.ring, target.shifts, rels, matrix)
-
-
 # ---------------------------------------------------------------------------
 # degree restriction
 
@@ -178,11 +170,6 @@ class FreeResolution:
     def map_data(self, i):
         """(source module, target module, matrix) of d_i : F_i -> F_{i-1}."""
         return self.modules[i], self.modules[i - 1], self.maps[i - 1]
-
-
-def _matrix_from_elements(target: FreeModule, elements):
-    return tuple(tuple(e.coords[k] for e in elements)
-                 for k in range(target.rank))
 
 
 def _unit_entry(matrix):
@@ -326,21 +313,12 @@ def resolve(P: Presentation, minimize: bool = True) -> FreeResolution:
 def minimal_presentation(P: Presentation) -> Presentation:
     """Minimalize just the presentation matrix (unit elimination plus
     removal of zero columns).  Nonzero iff the result has a generator."""
-    shift_chain = [list(P.target.shifts), list(P.source.shifts)]
-    mats = [[list(row) for row in P.matrix]] if P.rels else []
-    if not mats:
+    if not P.rels:
         return P
-    changed = True
-    while changed:
-        changed = False
-        hit = _unit_entry(mats[0])
-        if hit is not None:
-            _eliminate_unit(mats, shift_chain, 0, *hit)
-            changed = True
-            if not mats[0] or not shift_chain[1]:
-                break
+    shift_chain = [list(P.target.shifts), list(P.source.shifts)]
+    matrix = [list(row) for row in P.matrix]
+    _sweep_units([matrix], shift_chain)
     gens = tuple(shift_chain[0])
-    matrix = mats[0]
     keep = [l for l in range(len(shift_chain[1]))
             if any(not matrix[k][l].is_zero() for k in range(len(gens)))]
     rels = tuple(shift_chain[1][l] for l in keep)
@@ -428,7 +406,7 @@ def profile(P: Presentation) -> ModuleProfile:
     is_cm = depth == dim
     is_gencm = True
     for i in range(depth, dim):
-        ext = ext_presentation_raw(P, nvars - i)
+        ext = ext_presentation(P, nvars - i)
         if not is_zero_module(ext) and krull_dim(ext) > 0:
             is_gencm = False
             break
@@ -437,14 +415,15 @@ def profile(P: Presentation) -> ModuleProfile:
 
 
 # ---------------------------------------------------------------------------
-# duals against a canonical twist, homology presentations
+# duals against the canonical module, homology presentations
 #
-# Hom_S(S(-s), S(-c)) = S(s - c): dualizing a resolution transposes each
-# matrix and replaces each generator degree s by c - s.
+# Hom_S(S(-s), S(-c)) = S(s - c) for the canonical twist c = (m, n):
+# dualizing a resolution transposes each matrix and replaces each generator
+# degree s by c - s.
 
 
-def dual_module(ring, module: FreeModule, c=None) -> FreeModule:
-    c = Bidegree(*(c or ring.canonical_degree))
+def dual_module(ring, module: FreeModule) -> FreeModule:
+    c = ring.canonical_degree
     return FreeModule(ring, tuple(c - s for s in module.shifts))
 
 
@@ -453,12 +432,11 @@ def _transpose(matrix, rows, cols):
                  for l in range(cols))
 
 
-def dual_complex(res: FreeResolution, c=None):
+def dual_complex(res: FreeResolution):
     """Hom(F_., omega): modules[j] is the dual of F_j and maps[j] (for
     j >= 1) is the transposed differential dmod[j-1] -> dmod[j]."""
     ring = res.ring
-    c = Bidegree(*(c or ring.canonical_degree))
-    dmods = [dual_module(ring, mod, c) for mod in res.modules]
+    dmods = [dual_module(ring, mod) for mod in res.modules]
     dmaps = [None]
     for j in range(1, len(res.modules)):
         rows = res.modules[j - 1].rank
@@ -468,27 +446,25 @@ def dual_complex(res: FreeResolution, c=None):
 
 
 def _restricted_map(ring, dmods, dmaps, j, d):
-    """Degree-d piece of the map into dual spot j, as a DenseMatrix."""
+    """Degree-d piece of the map into dual spot j, as an int64 array."""
     L = len(dmods) - 1
     d = Bidegree(*d)
     tgt_dim = dmods[j].dim_at(d) if 0 <= j <= L else 0
     if j < 1 or j > L:
         src_dim = dmods[j - 1].dim_at(d) if 0 <= j - 1 <= L else 0
-        return DenseMatrix(np.zeros((tgt_dim, src_dim), dtype=np.int64),
-                           ring.p)
-    arr = restrict_matrix(ring, dmods[j], dmods[j - 1], dmaps[j], d)
-    return DenseMatrix(arr, ring.p)
+        return np.zeros((tgt_dim, src_dim), dtype=np.int64)
+    return restrict_matrix(ring, dmods[j], dmods[j - 1], dmaps[j], d)
 
 
-def ext_dim_raw(P: Presentation, j: int, d, c=None) -> int:
-    """dim_K Ext^j(M, S(-c))_d via the dualized minimal resolution."""
+def ext_dim_raw(P: Presentation, j: int, d) -> int:
+    """dim_K Ext^j(M, omega)_d via the dualized minimal resolution."""
     res = resolve(P)
     if j < 0 or j > res.length:
         return 0
-    dmods, dmaps = dual_complex(res, c)
+    dmods, dmaps = dual_complex(res)
     A = _restricted_map(P.ring, dmods, dmaps, j, d)
     B = _restricted_map(P.ring, dmods, dmaps, j + 1, d)
-    return homology_dim(A, B)
+    return homology_dim(A, B, P.ring.p)
 
 
 def quotient_presentation(sub_elements, span_elements,
@@ -541,16 +517,16 @@ def homology_presentation(ring, mid: FreeModule, a_columns,
 
 
 @lru_cache(maxsize=None)
-def ext_presentation_raw(P: Presentation, j: int, c=None) -> Presentation:
-    """Ext^j(M, S(-c)) as a minimal presentation (default c: the canonical
-    twist of the ring)."""
+def ext_presentation(P: Presentation, j: int) -> Presentation:
+    """Ext^j(M, omega) as a minimal presentation: the Matlis dual of
+    H^(m+n-j) at the maximal ideal, which is finitely generated."""
     ring = P.ring
     res = resolve(P)
     if j < 0:
         raise ValueError("negative cohomological spot")
     if j > res.length:
         return zero_presentation(ring)
-    dmods, dmaps = dual_complex(res, c)
+    dmods, dmaps = dual_complex(res)
     mid = dmods[j]
     a_columns = []
     if j >= 1:

@@ -33,10 +33,6 @@ class Window:
                               "aMin:aMax,bMin:bMax") from exc
         return cls(amin, amax, bmin, bmax)
 
-    @classmethod
-    def square(cls, radius):
-        return cls(-radius, radius, -radius, radius)
-
     def cells(self):
         for a in range(self.amin, self.amax + 1):
             for b in range(self.bmin, self.bmax + 1):

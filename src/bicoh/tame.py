@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import CellFailure, CheckReport
-from .cohomology import ext_into_dim, ext_presentation
+from .cohomology import ext_into_dim
 from .errors import NotCohenMacaulayError, UnsupportedIndexError
 from .poly import Bidegree
 from .resolution import (
     Presentation,
-    ext_presentation_raw,
+    ext_presentation,
     is_zero_module,
     krull_dim,
     profile,
@@ -40,7 +40,7 @@ def strand_nonvanishing(N: Presentation, k: int, j: int) -> bool:
     if k < 0 or k > m:
         return False
     strand = x_strand(N, j)
-    ext = ext_presentation_raw(strand, m - k)
+    ext = ext_presentation(strand, m - k)
     return len(ext.gens) > 0
 
 

@@ -19,11 +19,12 @@ from bicoh.checks import (
     check_structure1,
     closed_form_canonical,
 )
-from bicoh.cohomology import cech_oracle, ext_presentation, local_coh_table
+from bicoh.cohomology import cech_oracle, local_coh_table
 from bicoh.fixtures import gencm_fixture, named_fixtures, random_quotients
 from bicoh.groebner import FreeModule
 from bicoh.poly import RingSpec
 from bicoh.resolution import (
+    ext_presentation,
     free_presentation,
     hilbert_table,
     profile,

@@ -116,9 +116,8 @@ def test_gencm_with_nonvacuous_low_range(ring):
 def test_structure_row_convention_is_forced(ring, hypersurface):
     # the strand index negates under the dual: comparing the strand Ext
     # dims against row +j instead of row -j must break somewhere
-    from bicoh.cohomology import (_strand_ext_dim, ext_presentation,
-                                  local_coh_table)
-    from bicoh.resolution import profile
+    from bicoh.cohomology import _strand_ext_dim, local_coh_table
+    from bicoh.resolution import ext_presentation, profile
     from bicoh.strands import x_strand
     s = profile(hypersurface).dim
     dual = ext_presentation(hypersurface, ring.nvars - s)

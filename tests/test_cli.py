@@ -149,6 +149,12 @@ def test_cli_precondition_violation_exit_2(two_path, capsys):
     code = main(["check", "--suite", "cm", "--module", two_path,
                  "--window", "-2:2,-2:2"])
     assert code == 2
+    # a composite modulus and a ring without variables are input errors too
+    for ring_flags in (["-m", "2", "-n", "2", "-p", "4"],
+                       ["-m", "0", "-n", "0"]):
+        code = main(["check", "--suite", "simple", *ring_flags,
+                     "--window", "0:0,0:0"])
+        assert code == 2
 
 
 def test_cli_counterexample_exit_1(two_path, capsys, monkeypatch):
@@ -205,13 +211,3 @@ def test_cli_profile(hyper_path, capsys):
                  "--window", "-4:4,-4:4"]) == 0
     out = capsys.readouterr().out
     assert "dim 3" in out and "CM" in out and "cd<=2" in out
-
-
-def test_cli_threads_env(hyper_path, capsys, monkeypatch):
-    monkeypatch.setenv("BICOH_THREADS", "2")
-    assert main(["oracle", "--module", hyper_path, "--theory", "Q",
-                 "-i", "2", "--window", "-1:0,-2:-1"]) == 0
-    monkeypatch.setenv("BICOH_THREADS", "zzz")
-    from bicoh.runtime import thread_count
-    with pytest.raises(ValueError):
-        thread_count()

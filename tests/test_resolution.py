@@ -123,7 +123,9 @@ def test_resolution_degreewise_exactness_random(ring):
     # ker(d_i) = im(d_(i+1)) at every bidegree, including ker d_last = 0;
     # this exercises the unit-elimination surgery on awkward chains
     from bicoh.fixtures import random_quotients
-    from bicoh.linalg import DenseMatrix, homology_dim
+    import numpy as np
+
+    from bicoh.linalg import homology_dim
     from bicoh.resolution import restrict_matrix
 
     for M in random_quotients(ring, 4, seed=913):
@@ -131,16 +133,13 @@ def test_resolution_degreewise_exactness_random(ring):
         for i in range(1, res.length + 1):
             src, tgt, matrix = res.map_data(i)
             for d in Window(-1, 3, -1, 3).cells():
-                B = DenseMatrix(
-                    restrict_matrix(ring, tgt, src, matrix, d), ring.p)
+                B = restrict_matrix(ring, tgt, src, matrix, d)
                 if i < res.length:
                     up_src, up_tgt, up_matrix = res.map_data(i + 1)
-                    A = DenseMatrix(
-                        restrict_matrix(ring, up_tgt, up_src, up_matrix, d),
-                        ring.p)
+                    A = restrict_matrix(ring, up_tgt, up_src, up_matrix, d)
                 else:
-                    A = DenseMatrix.zeros(B.cols, 0, ring.p)
-                assert homology_dim(A, B) == 0, (i, tuple(d))
+                    A = np.zeros((B.shape[1], 0), dtype=np.int64)
+                assert homology_dim(A, B, ring.p) == 0, (i, tuple(d))
 
 
 def test_profile_of_ring(S):

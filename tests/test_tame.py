@@ -1,9 +1,14 @@
 import pytest
 
-from bicoh.cohomology import ext_presentation, local_coh_table
+from bicoh.cohomology import local_coh_table
 from bicoh.errors import NotCohenMacaulayError, UnsupportedIndexError
 from bicoh.fixtures import named_fixtures
-from bicoh.resolution import free_presentation, profile, quotient_by_polys
+from bicoh.resolution import (
+    ext_presentation,
+    free_presentation,
+    profile,
+    quotient_by_polys,
+)
 from bicoh.strands import x_strand
 from bicoh.tables import Window
 from bicoh.tame import (
