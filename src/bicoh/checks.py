@@ -14,7 +14,7 @@ the abutment H^(i+j-m)_Q(M) dual is filtered by j.
 
 from dataclasses import dataclass, field
 
-from .cohomology import _strand_ext_dim, ext_table, local_coh_table
+from .cohomology import ext_table, local_coh_table
 from .errors import (
     BadModuleError,
     BadProfileError,
@@ -25,13 +25,15 @@ from .groebner import FreeModule
 from .poly import Bidegree, block_dim
 from .resolution import (
     Presentation,
+    ext_dims,
     ext_presentation,
     free_presentation,
     krull_dim,
     profile,
+    resolve,
 )
 from .strands import x_strand
-from .tables import CohomologyTable, Window, matlis_flip
+from .tables import Window, matlis_flip
 
 
 @dataclass(frozen=True)
@@ -85,32 +87,9 @@ def _report(suite, window, rows, notes=()):
                        verdicts=verdicts)
 
 
-def _zero_table(ring, window, theory, index):
-    return CohomologyTable(window=window,
-                           cells={tuple(d): 0 for d in window.cells()},
-                           p=ring.p, theory=theory, index=index)
-
-
-def _p_table(N, index, window):
-    """H^index_P(N), zero by definition outside 0 <= index <= m."""
-    if 0 <= index <= N.ring.m:
-        return local_coh_table(N, "P", index, window)
-    return _zero_table(N.ring, window, "P", index)
-
-
 def _q_dual_table(M, u, window):
     """Table of the Matlis dual of H^u_Q(M) over the window."""
-    if u < 0:
-        return _zero_table(M.ring, window, "Q", u)
     return matlis_flip(local_coh_table(M, "Q", u, -window))
-
-
-def _max_dual_table(M, u, window):
-    """Table of the dual of H^u at the maximal ideal: the dual is the
-    finitely generated module Ext^(nvars-u)(M, omega), so no flip."""
-    if u < 0 or u > M.ring.nvars:
-        return _zero_table(M.ring, window, "R+", u)
-    return ext_table(M, M.ring.nvars - u, window)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +180,7 @@ def build_spectral_grid(M: Presentation, window: Window,
     for i in range(i_range[0], i_range[1] + 1):
         dual = ext_presentation(M, ring.nvars - i)
         for j in range(j_range[0], j_range[1] + 1):
-            tables[(i, j)] = _p_table(dual, ring.m - j, window)
+            tables[(i, j)] = local_coh_table(dual, "P", ring.m - j, window)
     abutment = {}
     for u in range(prof.depth - ring.m, ring.n + 1):
         abutment[u] = _q_dual_table(M, u, window)
@@ -250,7 +229,7 @@ def check_cm_degeneration(M: Presentation, window: Window) -> CheckReport:
 
     def rows():
         for k in range(-1, ring.m + 2):
-            lhs = _p_table(dual, k, window)
+            lhs = local_coh_table(dual, "P", k, window)
             rhs = _q_dual_table(M, s - k, window)
             for d in window.cells():
                 yield (d, lhs[d] == rhs[d], lhs[d], rhs[d],
@@ -269,9 +248,9 @@ def check_corner(M: Presentation, window: Window) -> CheckReport:
     n_s = ext_presentation(M, ring.nvars - s)
 
     def rows():
-        lhs1 = _p_table(n_t, ring.m, window)
+        lhs1 = local_coh_table(n_t, "P", ring.m, window)
         rhs1 = _q_dual_table(M, t - ring.m, window)
-        lhs2 = _p_table(n_s, 0, window)
+        lhs2 = local_coh_table(n_s, "P", 0, window)
         rhs2 = _q_dual_table(M, s, window)
         for d in window.cells():
             yield (d, lhs1[d] == rhs1[d], lhs1[d], rhs1[d],
@@ -303,9 +282,9 @@ def check_gencm_les(M: Presentation, window: Window) -> CheckReport:
     dual_top = ext_presentation(M, ring.nvars - s)
     terms = []
     for r in range(1, ring.m + 1):
-        terms.append(_p_table(dual_top, r, window))
+        terms.append(local_coh_table(dual_top, "P", r, window))
         terms.append(_q_dual_table(M, s - r, window))
-        terms.append(_max_dual_table(M, s - r, window))
+        terms.append(ext_table(M, ring.nvars - (s - r), window))
 
     def rows():
         for d in window.cells():
@@ -341,12 +320,10 @@ def check_dim_r0_le1(M: Presentation, window: Window) -> CheckReport:
         top = max(ring.n, ring.nvars)
         for i in range(0, top + 1):
             q = _q_dual_table(M, i, window)
-            upper = ext_presentation(M, ring.nvars - (i + 1)) \
-                if i + 1 <= ring.nvars else None
+            upper = ext_presentation(M, ring.nvars - (i + 1))
             lower = ext_presentation(M, ring.nvars - i)
-            h1 = _p_table(upper, 1, window) if upper is not None \
-                else _zero_table(ring, window, "P", 1)
-            h0 = _p_table(lower, 0, window)
+            h1 = local_coh_table(upper, "P", 1, window)
+            h0 = local_coh_table(lower, "P", 0, window)
             for d in window.cells():
                 total = h1[d] + h0[d]
                 yield (d, q[d] == total, q[d], total,
@@ -376,8 +353,9 @@ def check_structure1(M: Presentation, window: Window) -> CheckReport:
             qtab = local_coh_table(M, "Q", s - k, qwin)
             for j in jrange:
                 strand = x_strand(dual_top, j)
-                for i in irange:
-                    lhs = _strand_ext_dim(strand, ring.m - k, i)
+                dims = ext_dims(resolve(strand), ring.m - k,
+                                [(i, 0) for i in irange])
+                for i, lhs in zip(irange, dims):
                     rhs = qtab[(i, -j)]
                     yield ((i, j), lhs == rhs, lhs, rhs,
                            f"k={k}, strand j={j}: Ext over K[x] vs "
@@ -418,31 +396,20 @@ def check_five_term(M: Presentation, window: Window) -> CheckReport:
     prof = profile(M)
     t, s = prof.depth, prof.dim
 
-    def dual(u):
-        return ext_presentation(M, ring.nvars - u) if 0 <= u <= ring.nvars \
-            else None
-
-    def p_tab(pres, idx):
-        if pres is None:
-            return _zero_table(ring, window, "P", idx)
-        return _p_table(pres, idx, window)
-
-    d_t, d_t1 = dual(t), dual(t + 1)
-    d_s, d_s1 = dual(s), dual(s - 1)
+    d_t, d_t1, d_s, d_s1 = (ext_presentation(M, ring.nvars - u)
+                            for u in (t, t + 1, s, s - 1))
     seq1 = [
         ("dual H^(t+2-m)_Q", _q_dual_table(M, t + 2 - ring.m, window)),
-        ("H^(m-2)_P(D_t)", p_tab(d_t, ring.m - 2)),
-        ("H^m_P(D_(t+1))", p_tab(d_t1, ring.m)),
+        ("H^(m-2)_P(D_t)", local_coh_table(d_t, "P", ring.m - 2, window)),
+        ("H^m_P(D_(t+1))", local_coh_table(d_t1, "P", ring.m, window)),
         ("dual H^(t+1-m)_Q", _q_dual_table(M, t + 1 - ring.m, window)),
-        ("H^(m-1)_P(D_t)", p_tab(d_t, ring.m - 1)),
+        ("H^(m-1)_P(D_t)", local_coh_table(d_t, "P", ring.m - 1, window)),
     ]
-    zero = _zero_table(ring, window, "P", -1)
     seq2 = [
-        ("leading zero", zero),
-        ("H^1_P(D_s)", p_tab(d_s, 1)),
+        ("H^1_P(D_s)", local_coh_table(d_s, "P", 1, window)),
         ("dual H^(s-1)_Q", _q_dual_table(M, s - 1, window)),
-        ("H^0_P(D_(s-1))", p_tab(d_s1, 0)),
-        ("H^2_P(D_s)", p_tab(d_s, 2)),
+        ("H^0_P(D_(s-1))", local_coh_table(d_s1, "P", 0, window)),
+        ("H^2_P(D_s)", local_coh_table(d_s, "P", 2, window)),
         ("dual H^(s-2)_Q", _q_dual_table(M, s - 2, window)),
     ]
 
@@ -451,7 +418,7 @@ def check_five_term(M: Presentation, window: Window) -> CheckReport:
         yield from _exactness_rows(seq1, window, [1, 2, 3, 4],
                                    "corner (t,0)")
         # seq2 is exact up to its last arrow (no claim at the final term)
-        yield from _exactness_rows(seq2, window, [1, 2, 3, 4],
+        yield from _exactness_rows(seq2, window, [0, 1, 2, 3],
                                    "corner (s,m)")
 
     return _report("fiveterm", window, rows())
@@ -470,9 +437,9 @@ def check_depth_sminus1_les(M: Presentation, window: Window) -> CheckReport:
     d_s1 = ext_presentation(M, ring.nvars - (s - 1))
     terms = []
     for jj in range(ring.m, -2, -1):
-        terms.append(_p_table(d_s, ring.m - jj, window))
+        terms.append(local_coh_table(d_s, "P", ring.m - jj, window))
         terms.append(_q_dual_table(M, s - ring.m + jj, window))
-        terms.append(_p_table(d_s1, ring.m - jj - 1, window))
+        terms.append(local_coh_table(d_s1, "P", ring.m - jj - 1, window))
 
     def rows():
         for d in window.cells():

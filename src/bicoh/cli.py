@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success / all checks pass, 1 a check found a counterexample
-(printed with both sides), 2 malformed input.
+(printed with both sides), 2 malformed input or an unmet precondition.
 """
 
 import argparse

@@ -27,7 +27,7 @@ from .errors import BadTheoryError, StabilizationError
 from .groebner import GroebnerBasis, ModuleElement, buchberger, normal_form
 from .linalg import homology_dim, kernel_of_array, rank_of_array
 from .poly import Bidegree, Polynomial, mono_divides, mono_mul
-from .resolution import Presentation, ext_dim_raw, resolve
+from .resolution import Presentation, ext_dims, resolve
 from .strands import x_strand, y_strand
 from .tables import CohomologyTable, DimTable, Window
 
@@ -49,47 +49,41 @@ def _check_theory(ring, theory):
 
 def ext_table(M: Presentation, j: int, window: Window) -> DimTable:
     """Graded dimensions of Ext^j(M, omega) over the window."""
-    cells = {tuple(d): ext_dim_raw(M, j, d) for d in window.cells()}
-    return DimTable(window=window, cells=cells, p=M.ring.p)
+    degrees = list(window.cells())
+    dims = ext_dims(resolve(M), j, degrees)
+    return DimTable(window=window, cells=dict(zip(map(tuple, degrees), dims)),
+                    p=M.ring.p)
 
 
 # ---------------------------------------------------------------------------
 # strand-duality path
 
 
-@lru_cache(maxsize=None)
-def _strand_ext_dim(strand: Presentation, spot: int, degree: int) -> int:
-    """dim Ext^spot(strand, omega) in single degree `degree`; the strand
-    ring has one empty variable block, so the bidegree is one-sided."""
-    ring = strand.ring
-    d = Bidegree(degree, 0) if ring.n == 0 else Bidegree(0, degree)
-    return ext_dim_raw(strand, spot, d)
-
-
 def local_coh_table(M: Presentation, theory: str, i: int,
                     window: Window) -> CohomologyTable:
-    """Exact dimensions of H^i_theory(M) over the window."""
+    """Exact dimensions of H^i_theory(M) over the window, zero for i
+    outside 0..(variables of the ideal).  For P and Q one Ext call per
+    strand; a strand ring has one empty variable block, so its degrees are
+    one-sided."""
     ring = M.ring
     _check_theory(ring, theory)
-    if i < 0:
-        raise ValueError("cohomological index must be a natural number")
     cells = {}
     if theory == "Q":
         spot = ring.n - i
         for a in window.a_range:
-            strand = y_strand(M, a)
-            for b in window.b_range:
-                cells[(a, b)] = _strand_ext_dim(strand, spot, -b)
+            dims = ext_dims(resolve(y_strand(M, a)), spot,
+                            [(0, -b) for b in window.b_range])
+            cells.update(((a, b), v) for b, v in zip(window.b_range, dims))
     elif theory == "P":
         spot = ring.m - i
         for b in window.b_range:
-            strand = x_strand(M, b)
-            for a in window.a_range:
-                cells[(a, b)] = _strand_ext_dim(strand, spot, -a)
+            dims = ext_dims(resolve(x_strand(M, b)), spot,
+                            [(-a, 0) for a in window.a_range])
+            cells.update(((a, b), v) for a, v in zip(window.a_range, dims))
     else:
-        spot = ring.nvars - i
-        for d in window.cells():
-            cells[tuple(d)] = ext_dim_raw(M, spot, -d)
+        degrees = list(window.cells())
+        dims = ext_dims(resolve(M), ring.nvars - i, [-d for d in degrees])
+        cells = dict(zip(map(tuple, degrees), dims))
     return CohomologyTable(window=window, cells=cells, p=ring.p,
                            theory=theory, index=i,
                            dual_flipped=(theory == "R+"))

@@ -158,10 +158,10 @@ class FreeResolution:
         return len(self.modules) - 1
 
     def betti(self, i):
-        return self.modules[i].rank if i <= self.length else 0
+        return self.modules[i].rank if 0 <= i <= self.length else 0
 
     def shifts(self, i):
-        return self.modules[i].shifts if i <= self.length else ()
+        return self.modules[i].shifts if 0 <= i <= self.length else ()
 
     def alternating_dim(self, d):
         return sum((-1) ** i * mod.dim_at(d)
@@ -415,16 +415,11 @@ def profile(P: Presentation) -> ModuleProfile:
 
 
 # ---------------------------------------------------------------------------
-# duals against the canonical module, homology presentations
+# Ext against the canonical module, homology presentations
 #
 # Hom_S(S(-s), S(-c)) = S(s - c) for the canonical twist c = (m, n):
 # dualizing a resolution transposes each matrix and replaces each generator
 # degree s by c - s.
-
-
-def dual_module(ring, module: FreeModule) -> FreeModule:
-    c = ring.canonical_degree
-    return FreeModule(ring, tuple(c - s for s in module.shifts))
 
 
 def _transpose(matrix, rows, cols):
@@ -432,39 +427,22 @@ def _transpose(matrix, rows, cols):
                  for l in range(cols))
 
 
-def dual_complex(res: FreeResolution):
-    """Hom(F_., omega): modules[j] is the dual of F_j and maps[j] (for
-    j >= 1) is the transposed differential dmod[j-1] -> dmod[j]."""
-    ring = res.ring
-    dmods = [dual_module(ring, mod) for mod in res.modules]
-    dmaps = [None]
-    for j in range(1, len(res.modules)):
-        rows = res.modules[j - 1].rank
-        cols = res.modules[j].rank
-        dmaps.append(_transpose(res.maps[j - 1], rows, cols))
-    return dmods, dmaps
-
-
-def _restricted_map(ring, dmods, dmaps, j, d):
-    """Degree-d piece of the map into dual spot j, as an int64 array."""
-    L = len(dmods) - 1
-    d = Bidegree(*d)
-    tgt_dim = dmods[j].dim_at(d) if 0 <= j <= L else 0
-    if j < 1 or j > L:
-        src_dim = dmods[j - 1].dim_at(d) if 0 <= j - 1 <= L else 0
-        return np.zeros((tgt_dim, src_dim), dtype=np.int64)
-    return restrict_matrix(ring, dmods[j], dmods[j - 1], dmaps[j], d)
-
-
-def ext_dim_raw(P: Presentation, j: int, d) -> int:
-    """dim_K Ext^j(M, omega)_d via the dualized minimal resolution."""
-    res = resolve(P)
+def ext_dims(res: FreeResolution, j: int, degrees) -> list:
+    """dim_K Ext^j(M, omega)_d for each d in degrees, where res resolves M:
+    the homology at spot j of the dualized resolution.  Zero for j outside
+    0..res.length."""
     if j < 0 or j > res.length:
-        return 0
-    dmods, dmaps = dual_complex(res)
-    A = _restricted_map(P.ring, dmods, dmaps, j, d)
-    B = _restricted_map(P.ring, dmods, dmaps, j + 1, d)
-    return homology_dim(A, B, P.ring.p)
+        return [0 for _ in degrees]
+    ring = res.ring
+    c = ring.canonical_degree
+    before, mid, after = (FreeModule(ring, tuple(c - s for s in res.shifts(i)))
+                          for i in (j - 1, j, j + 1))
+    into = _transpose(res.maps[j - 1], before.rank, mid.rank) if j else ()
+    out = _transpose(res.maps[j], mid.rank, after.rank) \
+        if j < res.length else ()
+    return [homology_dim(restrict_matrix(ring, mid, before, into, d),
+                         restrict_matrix(ring, after, mid, out, d), ring.p)
+            for d in degrees]
 
 
 def quotient_presentation(sub_elements, span_elements,
@@ -519,25 +497,18 @@ def homology_presentation(ring, mid: FreeModule, a_columns,
 @lru_cache(maxsize=None)
 def ext_presentation(P: Presentation, j: int) -> Presentation:
     """Ext^j(M, omega) as a minimal presentation: the Matlis dual of
-    H^(m+n-j) at the maximal ideal, which is finitely generated."""
+    H^(m+n-j) at the maximal ideal, which is finitely generated.  The zero
+    presentation for j outside 0..pd."""
     ring = P.ring
     res = resolve(P)
-    if j < 0:
-        raise ValueError("negative cohomological spot")
-    if j > res.length:
+    if j < 0 or j > res.length:
         return zero_presentation(ring)
-    dmods, dmaps = dual_complex(res)
-    mid = dmods[j]
-    a_columns = []
-    if j >= 1:
-        src = dmods[j - 1]
-        a_columns = [ModuleElement(mid, tuple(dmaps[j][k][l]
-                                              for k in range(mid.rank)))
-                     for l in range(src.rank)]
-    b_columns = []
-    if j + 1 <= res.length:
-        out = dmods[j + 1]
-        b_columns = [ModuleElement(out, tuple(dmaps[j + 1][k][l]
-                                              for k in range(out.rank)))
-                     for l in range(mid.rank)]
+    c = ring.canonical_degree
+    mid, after = (FreeModule(ring, tuple(c - s for s in res.shifts(i)))
+                  for i in (j, j + 1))
+    # column l of a transposed differential is row l of the differential
+    a_columns = [ModuleElement(mid, row) for row in res.maps[j - 1]] \
+        if j else []
+    b_columns = [ModuleElement(after, row) for row in res.maps[j]] \
+        if j < res.length else []
     return homology_presentation(ring, mid, a_columns, b_columns)

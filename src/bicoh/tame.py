@@ -36,11 +36,8 @@ def strand_nonvanishing(N: Presentation, k: int, j: int) -> bool:
     """Whether the local cohomology H^k at the maximal ideal of K[x] of
     the strand N_j is nonzero, decided by the minimal presentation of the
     dual Ext (no degree window involved)."""
-    m = N.ring.m
-    if k < 0 or k > m:
-        return False
     strand = x_strand(N, j)
-    ext = ext_presentation(strand, m - k)
+    ext = ext_presentation(strand, N.ring.m - k)
     return len(ext.gens) > 0
 
 

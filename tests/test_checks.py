@@ -116,8 +116,8 @@ def test_gencm_with_nonvacuous_low_range(ring):
 def test_structure_row_convention_is_forced(ring, hypersurface):
     # the strand index negates under the dual: comparing the strand Ext
     # dims against row +j instead of row -j must break somewhere
-    from bicoh.cohomology import _strand_ext_dim, local_coh_table
-    from bicoh.resolution import ext_presentation, profile
+    from bicoh.cohomology import local_coh_table
+    from bicoh.resolution import ext_dims, ext_presentation, profile, resolve
     from bicoh.strands import x_strand
     s = profile(hypersurface).dim
     dual = ext_presentation(hypersurface, ring.nvars - s)
@@ -125,8 +125,9 @@ def test_structure_row_convention_is_forced(ring, hypersurface):
     right = wrong = 0
     for j in range(-4, 5):
         strand = x_strand(dual, j)
-        for i in range(-6, 7):
-            lhs = _strand_ext_dim(strand, ring.m - 1, i)
+        dims = ext_dims(resolve(strand), ring.m - 1,
+                        [(i, 0) for i in range(-6, 7)])
+        for i, lhs in zip(range(-6, 7), dims):
             right += lhs != qtab[(i, -j)]
             wrong += lhs != qtab[(i, j)]
     assert right == 0
@@ -157,6 +158,10 @@ def test_dimle1_rejects_big_x_block(S):
 def test_structure_suite(hypersurface, S):
     assert check_structure1(hypersurface, Window(-5, 5, -3, 3)).passed
     assert check_structure1(S, Window(-4, 4, -2, 2)).passed
+    # dim 1 < m: the Q-index s - k runs below 0, where H^i is zero
+    x1, x2, y1, _ = S.ring.gens()
+    line = quotient_by_polys(S.ring, [x1, x2, y1])
+    assert check_structure1(line, Window(-4, 4, -2, 2)).passed
 
 
 def test_structure_rejects_non_cm(two_relations):

@@ -188,13 +188,15 @@ def test_cli_free_suite_with_shifts(capsys):
 
 
 def test_cli_locoh_and_oracle_agree(hyper_path, capsys):
-    assert main(["locoh", "--module", hyper_path, "--theory", "Q",
-                 "-i", "2", "--window", "-2:0,-3:-1"]) == 0
-    locoh_out = capsys.readouterr().out
-    assert main(["oracle", "--module", hyper_path, "--theory", "Q",
-                 "-i", "2", "--window", "-2:0,-3:-1"]) == 0
-    oracle_out = capsys.readouterr().out
-    assert locoh_out.splitlines()[-3:] == oracle_out.splitlines()[-3:]
+    # -i -1: H^i vanishes below 0 as above the variable count
+    for index in ("2", "-1"):
+        assert main(["locoh", "--module", hyper_path, "--theory", "Q",
+                     "-i", index, "--window", "-2:0,-3:-1"]) == 0
+        locoh_out = capsys.readouterr().out
+        assert main(["oracle", "--module", hyper_path, "--theory", "Q",
+                     "-i", index, "--window", "-2:0,-3:-1"]) == 0
+        oracle_out = capsys.readouterr().out
+        assert locoh_out.splitlines()[-3:] == oracle_out.splitlines()[-3:]
 
 
 def test_cli_tame_and_regscan(hyper_path, capsys):
