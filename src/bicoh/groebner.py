@@ -118,20 +118,15 @@ class ModuleElement:
                                    for a in self.coords))
 
     def lead(self):
-        """Largest term (position k, monomial, coefficient) under POT."""
-        best = None
-        best_key = None
+        """Largest term (position k, monomial, coefficient) under POT: the
+        first term of the first nonzero coordinate.  Position over term
+        puts every term of a lower position above every term of a higher
+        one, and each coordinate keeps its terms in descending order."""
         for k, poly in enumerate(self.coords):
-            if poly.is_zero():
-                continue
-            mono, coeff = poly.lead()
-            key = (-k, mono_key(mono))
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (k, mono, coeff)
-        if best is None:
-            raise ValueError("zero element has no lead term")
-        return best
+            if poly.terms:
+                mono, coeff = poly.terms[0]
+                return k, mono, coeff
+        raise ValueError("zero element has no lead term")
 
     def bidegree(self):
         """Common bidegree d: coordinate k is bihomogeneous of d - shift_k."""
@@ -193,9 +188,10 @@ def _divide(v, elements):
     """Full division of v by a list of monic elements.
 
     Returns (quotients, remainder): v = sum q_i * elements[i] + remainder,
-    no remainder term divisible by any lead term of the divisors.  Works on
-    a flat {(position, monomial): coeff} dict with a lazy-deletion heap, so
-    each reduction step costs O(divisor size), not a full renormalization.
+    each q_i a {monomial: coeff} dict, no remainder term divisible by any
+    lead term of the divisors.  Works on a flat {(position, monomial):
+    coeff} dict with a lazy-deletion heap, so each reduction step costs
+    O(divisor size), not a full renormalization.
     """
     module = v.module
     ring = module.ring
@@ -240,13 +236,12 @@ def _divide(v, elements):
                 work[tkey] = new
             else:
                 work.pop(tkey, None)
-    quot_polys = [Polynomial.from_dict(ring, qd) for qd in quotients]
     rem_coords = [dict() for _ in range(module.rank)]
     for (k, mono), coeff in remainder.items():
         rem_coords[k][mono] = coeff
     rem = ModuleElement(module, tuple(Polynomial.from_dict(ring, d)
                                       for d in rem_coords))
-    return quot_polys, rem
+    return quotients, rem
 
 
 def normal_form(v: ModuleElement, G) -> ModuleElement:
@@ -266,28 +261,18 @@ def _make_monic(g):
 
 
 def _spair_data(f, g):
-    """For lead terms in the same position: the monomial multipliers
-    (uf, ug) with uf*lt(f) = ug*lt(g) = lcm."""
+    """For lead terms in the same position: (lcm, uf, ug) with
+    uf*lt(f) = ug*lt(g) = lcm; None when the lead positions differ."""
     fk, fm, _ = f.lead()
     gk, gm, _ = g.lead()
     if fk != gk:
         return None
     w = mono_lcm(fm, gm)
-    return mono_div(w, fm), mono_div(w, gm)
+    return w, mono_div(w, fm), mono_div(w, gm)
 
 
 def _single_position(g):
     return sum(1 for c in g.coords if not c.is_zero()) == 1
-
-
-def _pair_entry(basis, i, j):
-    """Heap entry for the normal selection strategy: S-pairs in ascending
-    lcm degree.  None when the lead positions differ (no S-pair)."""
-    fk, fm, _ = basis[i].lead()
-    gk, gm, _ = basis[j].lead()
-    if fk != gk:
-        return None
-    return (sum(mono_lcm(fm, gm)), i, j)
 
 
 def buchberger(gens, module=None) -> GroebnerBasis:
@@ -299,32 +284,33 @@ def buchberger(gens, module=None) -> GroebnerBasis:
         module = gens[0].module
     for g in gens:
         g.bidegree()  # raises NotBihomogeneousError if mixed
-    basis = [_make_monic(g) for g in gens]
+    basis = []
+    # normal selection strategy: S-pairs (lcm degree, i, j, ui, uj) pop in
+    # ascending lcm degree
     pairs = []
-    for i in range(len(basis)):
-        for j in range(i):
-            entry = _pair_entry(basis, i, j)
-            if entry is not None:
-                pairs.append(entry)
-    heapq.heapify(pairs)
+
+    def append(f):
+        f = _make_monic(f)
+        for t, g in enumerate(basis):
+            data = _spair_data(f, g)
+            if data is None:
+                continue
+            w, uf, ug = data
+            # product criterion, valid for single-position elements
+            if (mono_coprime(f.lead()[1], g.lead()[1])
+                    and _single_position(f) and _single_position(g)):
+                continue
+            heapq.heappush(pairs, (sum(w), len(basis), t, uf, ug))
+        basis.append(f)
+
+    for g in gens:
+        append(g)
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        f, g = basis[i], basis[j]
-        uf, ug = _spair_data(f, g)
-        _, fm, _ = f.lead()
-        _, gm, _ = g.lead()
-        if mono_coprime(fm, gm) and _single_position(f) and _single_position(g):
-            continue  # product criterion, valid for single-position elements
-        spair = f.term_mul(1, uf) - g.term_mul(1, ug)
+        _, i, j, ui, uj = heapq.heappop(pairs)
+        spair = basis[i].term_mul(1, ui) - basis[j].term_mul(1, uj)
         nf = normal_form(spair, basis)
         if nf:
-            nf = _make_monic(nf)
-            basis.append(nf)
-            new = len(basis) - 1
-            for t in range(new):
-                entry = _pair_entry(basis, new, t)
-                if entry is not None:
-                    heapq.heappush(pairs, entry)
+            append(nf)
     return _reduce_basis(module, basis)
 
 
@@ -339,29 +325,16 @@ def _reduce_basis(module, basis):
         for j, (k2, m2, _) in enumerate(leads):
             if i == j or not mono_divides(m2, m) or k2 != k:
                 continue
-            if m2 == m and k2 == k and j > i:
+            if m2 == m and j > i:
                 continue  # identical leads: keep the earlier one
             redundant = True
             break
         if not redundant:
             kept.append(g)
-    # tail-reduce each against the others until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            if not others:
-                continue
-            r = normal_form(kept[i], others)
-            if r.is_zero():
-                kept.pop(i)
-                changed = True
-                break
-            r = _make_monic(r)
-            if r != kept[i]:
-                kept[i] = r
-                changed = True
+    # The leads of a minimal basis divide no other lead, so tail reduction
+    # keeps each monic lead and one pass against the others is final.
+    for i in range(len(kept)):
+        kept[i] = normal_form(kept[i], kept[:i] + kept[i + 1:])
     kept.sort(key=_element_sort_key, reverse=True)
     return GroebnerBasis(module, tuple(kept))
 
@@ -389,12 +362,12 @@ def syzygies(G: GroebnerBasis):
             data = _spair_data(elems[i], elems[j])
             if data is None:
                 continue
-            ui, uj = data
+            _, ui, uj = data
             spair = elems[i].term_mul(1, ui) - elems[j].term_mul(1, uj)
             quotients, rem = _divide(spair, list(elems))
             if not rem.is_zero():
                 raise ValueError("S-pair of a Groebner basis did not reduce")
-            coords = [-q for q in quotients]
+            coords = [-Polynomial.from_dict(ring, q) for q in quotients]
             coords[i] = coords[i] + Polynomial(ring, ((ui, 1),))
             coords[j] = coords[j] - Polynomial(ring, ((uj, 1),))
             s = ModuleElement(syz_module, tuple(coords))

@@ -107,6 +107,8 @@ def restrict_matrix(ring, tgt: FreeModule, src: FreeModule, matrix, d):
     """The matrix of the degree-d piece of the map, over the ordered
     monomial bases of source and target (numpy int64 array)."""
     d = Bidegree(*d)
+    if not tgt.rank or not src.rank:
+        return np.zeros((tgt.dim_at(d), src.dim_at(d)), dtype=np.int64)
     tgt_basis = tgt.basis_at(d)
     src_basis = src.basis_at(d)
     index = {key: i for i, key in enumerate(tgt_basis)}

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,15 @@ from bicoh.groebner import (
     syzygies,
 )
 from bicoh.linalg import rank_of_array
-from bicoh.poly import Bidegree, RingSpec, mono_mul, monomial_basis, parse_poly
+from bicoh.poly import (
+    Bidegree,
+    Polynomial,
+    RingSpec,
+    mono_divides,
+    mono_mul,
+    monomial_basis,
+    parse_poly,
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +68,53 @@ def submodule_dim_groebner(gb, d):
     return total - std
 
 
+def random_element(rng, module, d):
+    """A nonzero element of bidegree d with random coefficients."""
+    ring = module.ring
+    terms = [(k, mono) for k, s in enumerate(module.shifts)
+             for mono in monomial_basis(ring, Bidegree(*d) - s)]
+    chosen = rng.sample(terms, rng.randint(1, len(terms)))
+    coords = [{} for _ in module.shifts]
+    for k, mono in chosen:
+        coords[k][mono] = rng.randrange(1, ring.p)
+    return ModuleElement(module, tuple(Polynomial.from_dict(ring, c)
+                                       for c in coords))
+
+
+def test_lead_is_position_over_term(r22):
+    # x1^5 is the larger monomial, but position 0 wins
+    F = FreeModule(r22, ((4, 0), (0, 0)))
+    x2 = parse_poly("x2", r22).terms[0][0]
+    assert elem(F, "x2", "x1^5").lead() == (0, x2, 1)
+    with pytest.raises(ValueError):
+        F.zero_element().lead()
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_random_bases_are_reduced_and_order_free(p):
+    rng = random.Random(p)
+    ring = RingSpec(2, 2, p=p)
+    for rank in (1, 1, 2, 2, 2):
+        F = FreeModule(ring, tuple((rng.randint(0, 1), rng.randint(0, 1))
+                                   for _ in range(rank)))
+        gens = [random_element(rng, F, (rng.randint(1, 2), rng.randint(1, 2)))
+                for _ in range(3)]
+        gb = buchberger(gens)
+        for g in gb.elements:
+            assert g.lead()[2] == 1
+            for h in gb.elements:
+                if h is g:
+                    continue
+                hk, hm, _ = h.lead()
+                assert not any(mono_divides(hm, mono)
+                               for mono, _ in g.coords[hk].terms)
+        assert buchberger(list(reversed(gens))).elements == gb.elements
+        for a in range(4):
+            for b in range(4):
+                assert submodule_dim_groebner(gb, (a, b)) == \
+                    submodule_dim_bruteforce(gens, (a, b))
+
+
 def test_gb_of_linear_forms(r22):
     F = FreeModule(r22, ((0, 0),))
     gb = buchberger([elem(F, "x1"), elem(F, "y1")])
@@ -101,8 +158,9 @@ def test_membership_through_normal_form(r22):
     F = FreeModule(r22, ((0, 0),))
     gb = buchberger([elem(F, "x1"), elem(F, "y1")])
     assert normal_form(elem(F, "x1*y1 + x2"), gb) == elem(F, "x2")
-    for g in gb.elements:
-        assert normal_form(g, gb.elements[:1] + gb.elements[1:]) is not None
+    for i, g in enumerate(gb.elements):
+        others = gb.elements[:i] + gb.elements[i + 1:]
+        assert normal_form(g, others) == g
         assert gb.contains(g)
 
 
