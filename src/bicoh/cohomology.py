@@ -15,17 +15,25 @@ Three computation paths, all exact per bidegree:
   genuine Cech localization can be infinite dimensional, so the limit
   Koszul system *is* the degreewise representation of the localizations;
   the limit is detected by two successive transition isomorphisms past a
-  degree floor, with a hard iteration cap.
+  degree floor, with a hard iteration cap.  Every Koszul map is built from
+  one standard-monomial layer per module (the relation Groebner basis, the
+  floor, and per-degree bases and variable steps, in one process-wide
+  cache), and each level eliminates each of its two maps once, after
+  checking that they compose to zero.
 """
 
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .errors import BadTheoryError, StabilizationError
 from .groebner import GroebnerBasis, ModuleElement, buchberger, normal_form
-from .linalg import homology_dim, kernel_of_array, rank_of_array
+from .linalg import (
+    check_complex,
+    homology_dim,
+    kernel_of_array,
+    rank_of_array,
+)
 from .poly import Bidegree, Polynomial, mono_divides, mono_mul
 from .resolution import Presentation, ext_dims, resolve
 from .strands import x_strand, y_strand
@@ -102,122 +110,119 @@ def cd_estimate(M: Presentation, window: Window) -> int:
 # the Koszul-limit oracle
 
 
-@lru_cache(maxsize=None)
-def _relation_gb(M: Presentation):
-    cols = [c for c in M.columns() if c]
-    if not cols:
-        return GroebnerBasis(M.target, ())
-    return buchberger(cols, module=M.target)
+class _StandardLayer:
+    """M in standard monomials: the monomials of the free cover that no lead
+    term of the relation Groebner basis divides are a K-basis of each piece
+    M_d.  Bases and single-variable steps are filled in on first use."""
+
+    def __init__(self, M: Presentation):
+        self.M = M
+        cols = [c for c in M.columns() if c]
+        self.gb = (buchberger(cols, module=M.target) if cols
+                   else GroebnerBasis(M.target, ()))
+        self.leads = self.gb.lead_terms()
+        # powers below the floor can miss torsion killed only by high
+        # powers: it clears every relation and basis lead degree
+        degrees = [sum(mono) for row in M.matrix for entry in row
+                   for mono, _ in entry.terms]
+        degrees += [sum(mono) for _, mono, _ in self.leads]
+        self.floor = max(degrees, default=0) + 1
+        self.bases = {}     # d -> ((generator, monomial), ...)
+        self.steps = {}     # (var, d) -> matrix of var from M_d
+
+    def basis(self, d):
+        """The standard monomials (generator, monomial) of M_d."""
+        basis = self.bases.get(d)
+        if basis is None:
+            basis = self.bases[d] = tuple(
+                (k, mono) for k, mono in self.M.target.basis_at(d)
+                if not any(gk == k and mono_divides(gm, mono)
+                           for gk, gm, _ in self.leads))
+        return basis
+
+    def step(self, var, d: Bidegree):
+        """Matrix of multiplication by the variable from M_d to the next
+        piece."""
+        arr = self.steps.get((var, d))
+        if arr is not None:
+            return arr
+        M, ring = self.M, self.M.ring
+        src = self.basis(d)
+        index = {key: i for i, key in
+                 enumerate(self.basis(d + ring.variable_degree(var)))}
+        arr = np.zeros((len(index), len(src)), dtype=np.int64)
+        unit = tuple(1 if t == var else 0 for t in range(ring.nvars))
+        for col, (k, mono) in enumerate(src):
+            shifted = mono_mul(mono, unit)
+            if (k, shifted) in index:
+                arr[index[(k, shifted)], col] = 1
+                continue
+            coords = [ring.zero()] * M.target.rank
+            coords[k] = Polynomial(ring, ((shifted, 1),))
+            nf = normal_form(ModuleElement(M.target, tuple(coords)), self.gb)
+            for kk, poly in enumerate(nf.coords):
+                for mm, coeff in poly.terms:
+                    arr[index[(kk, mm)], col] = coeff
+        self.steps[(var, d)] = arr
+        return arr
+
+    def mult(self, mono, d):
+        """Matrix of multiplication by the monomial from M_d up: the
+        composite of single-variable steps."""
+        ring = self.M.ring
+        cur = Bidegree(*d)
+        arr = None
+        for var, e in enumerate(mono):
+            for _ in range(e):
+                step = self.step(var, cur)
+                arr = step if arr is None else (step @ arr) % ring.p
+                cur = cur + ring.variable_degree(var)
+        if arr is None:
+            return np.eye(len(self.basis(cur)), dtype=np.int64)
+        return arr
 
 
-@lru_cache(maxsize=None)
-def _std_basis(M: Presentation, d):
-    """Monomials of the free cover not divisible by a lead term of the
-    relation basis: a K-basis of M_d."""
-    d = Bidegree(*d)
-    leads = _relation_gb(M).lead_terms()
-    basis = []
-    for k, mono in M.target.basis_at(d):
-        if any(gk == k and mono_divides(gm, mono) for gk, gm, _ in leads):
-            continue
-        basis.append((k, mono))
-    return tuple(basis)
+_LAYERS = {}    # Presentation -> _StandardLayer, for the life of the process
 
 
-@lru_cache(maxsize=None)
-def _var_mult_matrix(M: Presentation, var: int, d):
-    """Matrix of multiplication by the variable `var` from M_d to the next
-    piece, in the standard-monomial bases."""
-    ring = M.ring
-    d = Bidegree(*d)
-    d2 = d + ring.variable_degree(var)
-    src = _std_basis(M, d)
-    tgt = _std_basis(M, d2)
-    index = {key: i for i, key in enumerate(tgt)}
-    gb = _relation_gb(M)
-    arr = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    step = tuple(1 if t == var else 0 for t in range(ring.nvars))
-    for col, (k, mono) in enumerate(src):
-        shifted = mono_mul(mono, step)
-        if (k, shifted) in index:
-            arr[index[(k, shifted)], col] = 1
-            continue
-        coords = [ring.zero()] * M.target.rank
-        coords[k] = Polynomial(ring, ((shifted, 1),))
-        nf = normal_form(ModuleElement(M.target, tuple(coords)), gb)
-        for kk, poly in enumerate(nf.coords):
-            for mm, coeff in poly.terms:
-                arr[index[(kk, mm)], col] = coeff
-    return arr
+def _layer(M: Presentation) -> _StandardLayer:
+    layer = _LAYERS.get(M)
+    if layer is None:
+        layer = _LAYERS[M] = _StandardLayer(M)
+    return layer
 
 
-def _power_mult(M, var, d, power):
-    """Multiplication by var^power starting at degree d (composite of the
-    cached single steps)."""
-    ring = M.ring
-    step = ring.variable_degree(var)
-    arr = None
-    cur = Bidegree(*d)
-    for _ in range(power):
-        nxt = _var_mult_matrix(M, var, cur)
-        arr = nxt if arr is None else (nxt @ arr) % ring.p
-        cur = cur + step
-    if arr is None:
-        n = len(_std_basis(M, d))
-        arr = np.eye(n, dtype=np.int64)
-    return arr
+def _monomial(nvars, powers):
+    """Exponent tuple with powers[var] at each var, zero elsewhere."""
+    return tuple(powers.get(var, 0) for var in range(nvars))
 
 
-def _mono_mult_matrix(M, mono, d):
-    """Multiplication by the monomial on the graded pieces of M, starting
-    at degree d."""
-    ring = M.ring
-    arr = None
-    cur = Bidegree(*d)
-    for var, e in enumerate(mono):
-        if not e:
-            continue
-        step = _power_mult(M, var, cur, e)
-        arr = step if arr is None else (step @ arr) % ring.p
-        cur = cur + Bidegree(ring.variable_degree(var).a * e,
-                             ring.variable_degree(var).b * e)
-    if arr is None:
-        n = len(_std_basis(M, d))
-        arr = np.eye(n, dtype=np.int64)
-    return arr
-
-
-def _poly_action_matrix(W, entry, d):
+def _poly_action_matrix(layer, entry, d):
     """Matrix of multiplication by the polynomial on W, from W_d to the
     piece one entry-degree up."""
-    ring = W.ring
-    d = Bidegree(*d)
-    d2 = d + entry.bidegree()
-    rows = len(_std_basis(W, d2))
-    cols = len(_std_basis(W, d))
-    arr = np.zeros((rows, cols), dtype=np.int64)
+    p = layer.M.ring.p
+    arr = np.zeros((len(layer.basis(d + entry.bidegree())),
+                    len(layer.basis(d))), dtype=np.int64)
     for mono, coeff in entry.terms:
-        arr = (arr + coeff * _mono_mult_matrix(W, mono, d)) % ring.p
+        arr = (arr + coeff * layer.mult(mono, d)) % p
     return arr
 
 
-def _hom_spot(W, module, d):
+def _hom_spot(layer, module, d):
     """Dimensions and offsets of Hom(F, W)_d = (+)_k W_(d + shift_k)."""
-    d = Bidegree(*d)
-    dims = [len(_std_basis(W, d + s)) for s in module.shifts]
+    dims = [len(layer.basis(d + s)) for s in module.shifts]
     offsets = [0]
     for v in dims:
         offsets.append(offsets[-1] + v)
     return dims, offsets
 
 
-def _hom_map(W, res, i, d):
+def _hom_map(layer, res, i, d):
     """Degree-d piece of Hom(F_(i-1), W) -> Hom(F_i, W)."""
-    d = Bidegree(*d)
     L = res.length
-    tgt_dims, tgt_off = _hom_spot(W, res.modules[i], d) \
+    tgt_dims, tgt_off = _hom_spot(layer, res.modules[i], d) \
         if 0 <= i <= L else ([], [0])
-    src_dims, src_off = _hom_spot(W, res.modules[i - 1], d) \
+    src_dims, src_off = _hom_spot(layer, res.modules[i - 1], d) \
         if 0 <= i - 1 <= L else ([], [0])
     arr = np.zeros((tgt_off[-1], src_off[-1]), dtype=np.int64)
     if i < 1 or i > L or arr.size == 0:
@@ -228,7 +233,7 @@ def _hom_map(W, res, i, d):
             entry = matrix[k][l]
             if entry.is_zero() or src_dims[k] == 0 or tgt_dims[l] == 0:
                 continue
-            block = _poly_action_matrix(W, entry, d + s_k)
+            block = _poly_action_matrix(layer, entry, d + s_k)
             arr[tgt_off[l]:tgt_off[l + 1], src_off[k]:src_off[k + 1]] = block
     return arr
 
@@ -241,81 +246,67 @@ def ext_into_dim(M: Presentation, W: Presentation, j: int, d) -> int:
     res = resolve(M)
     if j < 0 or j > res.length:
         return 0
-    A = _hom_map(W, res, j, d)
-    B = _hom_map(W, res, j + 1, d)
+    layer, d = _layer(W), Bidegree(*d)
+    A = _hom_map(layer, res, j, d)
+    B = _hom_map(layer, res, j + 1, d)
     return homology_dim(A, B, W.ring.p)
 
 
-def _koszul_spot(M, variables, t, p_spot, d):
+def _koszul_spot(layer, variables, t, p_spot, d):
     """Degree-d piece of the Koszul cochain spot p_spot for the powers
-    (v^t : v in variables): returns (slot list, block dimension)."""
-    ring = M.ring
-    step = sum((ring.variable_degree(v) for v in variables[:1]),
-               Bidegree(0, 0))
+    (v^t : v in variables): one copy of M_piece per p_spot-subset of the
+    variables.  Returns (slot list, piece, piece dimension)."""
     # all variables in one block have the same degree
-    piece = Bidegree(*d) + Bidegree(step.a * t * p_spot, step.b * t * p_spot)
+    step = layer.M.ring.variable_degree(variables[0])
+    piece = d + Bidegree(step.a * t * p_spot, step.b * t * p_spot)
     slots = list(combinations(range(len(variables)), p_spot))
-    dim = len(_std_basis(M, piece))
-    return slots, piece, dim
+    return slots, piece, len(layer.basis(piece))
 
 
-def _koszul_differential(M, variables, t, p_spot, d):
-    """Matrix of K^p -> K^(p+1) at bidegree d."""
-    ring = M.ring
-    nv = len(variables)
-    src_slots, src_deg, src_dim = _koszul_spot(M, variables, t, p_spot, d)
-    tgt_slots, _, tgt_dim = _koszul_spot(M, variables, t, p_spot + 1, d)
-    tgt_index = {s: i for i, s in enumerate(tgt_slots)}
+def _block_matrix(tgt, src, blocks):
+    """Matrix between two Koszul spots from (target slot index, source slot
+    index, block) triples; blocks are drawn only if both pieces are
+    nonzero."""
+    tgt_slots, _, tgt_dim = tgt
+    src_slots, _, src_dim = src
     A = np.zeros((tgt_dim * len(tgt_slots), src_dim * len(src_slots)),
                  dtype=np.int64)
-    if src_dim == 0 or tgt_dim == 0:
-        return A
-    for si, T in enumerate(src_slots):
-        for j in range(nv):
-            if j in T:
-                continue
-            sign = (-1) ** sum(1 for u in T if u < j)
-            block = _power_mult(M, variables[j], src_deg, t)
-            ti = tgt_index[tuple(sorted(T + (j,)))]
+    if src_dim and tgt_dim:
+        for ti, si, block in blocks:
             A[ti * tgt_dim:(ti + 1) * tgt_dim,
-              si * src_dim:(si + 1) * src_dim] = (sign * block) % ring.p
+              si * src_dim:(si + 1) * src_dim] = block
     return A
 
 
-def _koszul_transition(M, variables, t, p_spot, d):
+def _koszul_differential(layer, variables, t, p_spot, d):
+    """Matrix of K^p -> K^(p+1) at bidegree d."""
+    ring = layer.M.ring
+    src = _koszul_spot(layer, variables, t, p_spot, d)
+    tgt = _koszul_spot(layer, variables, t, p_spot + 1, d)
+    tgt_index = {s: i for i, s in enumerate(tgt[0])}
+
+    def blocks():
+        for si, T in enumerate(src[0]):
+            for j, v in enumerate(variables):
+                if j in T:
+                    continue
+                sign = (-1) ** sum(1 for u in T if u < j)
+                block = layer.mult(_monomial(ring.nvars, {v: t}), src[1])
+                yield (tgt_index[tuple(sorted(T + (j,)))], si,
+                       (sign * block) % ring.p)
+
+    return _block_matrix(tgt, src, blocks())
+
+
+def _koszul_transition(layer, variables, t, p_spot, d):
     """Comparison K^p(t) -> K^p(t+1): on slot T multiply by prod_T v."""
-    ring = M.ring
-    slots, src_deg, src_dim = _koszul_spot(M, variables, t, p_spot, d)
-    _, tgt_deg, tgt_dim = _koszul_spot(M, variables, t + 1, p_spot, d)
-    A = np.zeros((tgt_dim * len(slots), src_dim * len(slots)),
-                 dtype=np.int64)
-    if src_dim == 0 or tgt_dim == 0:
-        return A
-    for si, T in enumerate(slots):
-        block = None
-        cur = src_deg
-        for j in T:
-            step = _power_mult(M, variables[j], cur, 1)
-            block = step if block is None else (step @ block) % ring.p
-            cur = cur + ring.variable_degree(variables[j])
-        if block is None:
-            block = np.eye(src_dim, dtype=np.int64)
-        A[si * tgt_dim:(si + 1) * tgt_dim,
-          si * src_dim:(si + 1) * src_dim] = block
-    return A
-
-
-def _oracle_floor(M):
-    """Powers below this can miss torsion killed only by high powers: the
-    floor clears every relation and basis lead degree."""
-    top = 0
-    for row in M.matrix:
-        for entry in row:
-            for mono, _ in entry.terms:
-                top = max(top, sum(mono))
-    for _, mono, _ in _relation_gb(M).lead_terms():
-        top = max(top, sum(mono))
-    return top + 1
+    nvars = layer.M.ring.nvars
+    src = _koszul_spot(layer, variables, t, p_spot, d)
+    tgt = _koszul_spot(layer, variables, t + 1, p_spot, d)
+    blocks = ((si, si, layer.mult(
+                  _monomial(nvars, {variables[j]: 1 for j in T}), src[1]))
+              for si, T in enumerate(src[0]))
+    return _block_matrix(tgt, src, blocks)
 
 
 def cech_oracle(M: Presentation, theory: str, i: int, d,
@@ -334,31 +325,33 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
                  else list(range(ring.m, ring.nvars)))
     if i < 0 or i > len(variables):
         return 0
-    floor = _oracle_floor(M)
+    layer = _layer(M)
+    floor = layer.floor
     if cap is None:
         radius = max(abs(d.a), abs(d.b))
         cap = max(4 + floor - 1 + radius, floor + 3)
     p = ring.p
 
     def level(t):
-        A = _koszul_differential(M, variables, t, i - 1, d) if i > 0 else None
-        B = _koszul_differential(M, variables, t, i, d)
-        if A is None:
-            A = np.zeros((B.shape[1], 0), dtype=np.int64)
-        h = homology_dim(A, B, p)
+        """H^i of K(t) at d, from one elimination of each map: the kernel
+        of B (its width is dim ker B) and the rank of A."""
+        B = _koszul_differential(layer, variables, t, i, d)
+        A = (_koszul_differential(layer, variables, t, i - 1, d) if i > 0
+             else np.zeros((B.shape[1], 0), dtype=np.int64))
+        check_complex(A, B, p)
         kernel = kernel_of_array(B, p)
-        return h, A, kernel
+        rank_a = rank_of_array(A, p)
+        return kernel.shape[1] - rank_a, A, rank_a, kernel
 
     prev = None
     consecutive = 0
     for t in range(max(1, floor), cap + 1):
-        h, A, kernel = level(t)
+        h, A, rank_a, kernel = level(t)
         if prev is not None:
             ph, pkernel = prev
-            chi = _koszul_transition(M, variables, t - 1, i, d)
+            chi = _koszul_transition(layer, variables, t - 1, i, d)
             mapped = (chi @ pkernel) % p
-            stacked = np.hstack([mapped, A])
-            induced = rank_of_array(stacked, p) - rank_of_array(A, p)
+            induced = rank_of_array(np.hstack([mapped, A]), p) - rank_a
             if ph == h and induced == h:
                 consecutive += 1
                 if consecutive >= 2:

@@ -81,13 +81,9 @@ def kernel_of_array(arr, p):
     return basis
 
 
-def homology_dim(A, B, p) -> int:
-    """dim(ker B / im A) over F_p for one graded piece of a complex
-    A --> . --> B.
-
-    A maps into the middle space (its columns are cycles), B maps out of it.
-    Raises ComposeError unless B @ A = 0.
-    """
+def check_complex(A, B, p):
+    """Raise ComposeError unless A --> . --> B is a complex at the middle
+    space: the shapes chain and B @ A = 0 mod p."""
     if B.shape[1] != A.shape[0]:
         raise ComposeError(
             f"shape mismatch: B has {B.shape[1]} columns, A has "
@@ -95,5 +91,15 @@ def homology_dim(A, B, p) -> int:
     if A.shape[1] and B.shape[0]:
         if np.any((B @ A) % p):
             raise ComposeError("B*A is not zero; not a complex at this spot")
+
+
+def homology_dim(A, B, p) -> int:
+    """dim(ker B / im A) over F_p for one graded piece of a complex
+    A --> . --> B.
+
+    A maps into the middle space (its columns are cycles), B maps out of it.
+    Raises ComposeError unless B @ A = 0.
+    """
+    check_complex(A, B, p)
     ker_b = B.shape[1] - rank_of_array(B, p)
     return ker_b - rank_of_array(A, p)

@@ -57,22 +57,6 @@ class RingSpec:
             raise ValueError("need m >= 0, n >= 0 and at least one variable")
         _check_prime(self.p)
 
-    @classmethod
-    def x_only(cls, m, p=DEFAULT_PRIME):
-        return cls(m, 0, p)
-
-    @classmethod
-    def y_only(cls, n, p=DEFAULT_PRIME):
-        return cls(0, n, p)
-
-    @property
-    def flavor(self):
-        if self.n == 0:
-            return "x"
-        if self.m == 0:
-            return "y"
-        return "bigraded"
-
     @property
     def nvars(self):
         return self.m + self.n

@@ -346,7 +346,6 @@ def _series_numerator(res: FreeResolution):
     return {k: v for k, v in coeffs.items() if v}
 
 
-@lru_cache(maxsize=None)
 def krull_dim(P: Presentation) -> int:
     """Krull dimension: nvars minus the order of vanishing at t = 1 of the
     numerator of the total-degree Hilbert series.  Returns -1 for the zero
@@ -392,7 +391,6 @@ class ModuleProfile:
                 f"{extra}{cd}")
 
 
-@lru_cache(maxsize=None)
 def profile(P: Presentation) -> ModuleProfile:
     """dim, depth (via Auslander-Buchsbaum), pd, CM and generalized-CM
     flags.  Rejects the zero module."""

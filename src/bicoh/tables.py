@@ -38,10 +38,6 @@ class Window:
             for b in range(self.bmin, self.bmax + 1):
                 yield Bidegree(a, b)
 
-    def __contains__(self, d):
-        a, b = d
-        return self.amin <= a <= self.amax and self.bmin <= b <= self.bmax
-
     def __neg__(self):
         return Window(-self.amax, -self.amin, -self.bmax, -self.bmin)
 

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from bicoh import cohomology
 from bicoh.cohomology import (
     cd_estimate,
     cech_oracle,
@@ -7,10 +9,11 @@ from bicoh.cohomology import (
     ext_table,
     local_coh_table,
 )
-from bicoh.errors import BadTheoryError
+from bicoh.errors import BadTheoryError, ComposeError
 from bicoh.fixtures import gencm_fixture
-from bicoh.poly import block_dim
+from bicoh.poly import RingSpec, block_dim
 from bicoh.resolution import (
+    Presentation,
     ext_dims,
     ext_presentation,
     free_presentation,
@@ -130,15 +133,39 @@ def test_oracle_examples(ring, S, q_torsion):
     assert cech_oracle(q_torsion, "Q", 0, (1, 0)) == 2
 
 
+def _two_generators(p):
+    """A non-cyclic module over F_p[x1,x2,y1,y2]: generators in (0,0) and
+    (1,0), relations in (1,1), (2,1) and (1,2)."""
+    ring = RingSpec(2, 2, p)
+    x1, x2, y1, y2 = ring.gens()
+    return Presentation(
+        ring, ((0, 0), (1, 0)), ((1, 1), (2, 1), (1, 2)),
+        ((x1 * y1, x1 * x2 * y2, x2 * y1 * y2),
+         (y2, x1 * y1 + x2 * y2, ring.zero())))
+
+
 def test_oracle_equals_duality_path(ring, hypersurface, two_relations):
     window = Window(-3, 3, -3, 3)
-    for M in (hypersurface, two_relations):
+    modules = [hypersurface, two_relations]
+    modules += [_two_generators(p) for p in (2, 3, 32003)]
+    for M in modules:
         for theory in ("P", "Q"):
             for i in range(0, 3):
                 table = local_coh_table(M, theory, i, window)
                 for d in window.cells():
                     assert cech_oracle(M, theory, i, d) == table[d], \
-                        (theory, i, tuple(d))
+                        (M.ring.p, theory, i, tuple(d))
+
+
+def test_oracle_checks_that_its_maps_compose(S, monkeypatch):
+    # maps of the right shapes that are not a complex: every level must
+    # reject them, whatever its kernel and rank would say
+    build = cohomology._koszul_differential
+    monkeypatch.setattr(
+        cohomology, "_koszul_differential",
+        lambda *args: np.ones_like(build(*args)))
+    with pytest.raises(ComposeError, match="B\\*A is not zero"):
+        cech_oracle(S, "Q", 1, (0, 0))
 
 
 def test_grothendieck_vanishing_per_strand(ring, two_relations):

@@ -32,9 +32,9 @@ def test_ring_validation():
         RingSpec(2, 2, p=10)
     with pytest.raises(ValueError):
         RingSpec(2, 2, p=1048583)   # smallest prime above 2^20
-    assert RingSpec.x_only(3).flavor == "x"
-    assert RingSpec.y_only(2).flavor == "y"
-    assert RingSpec(1, 1).flavor == "bigraded"
+    assert RingSpec(3, 0) == RingSpec(3, 0, 32003)
+    assert RingSpec(0, 2) == RingSpec(0, 2, 32003)
+    assert RingSpec(1, 1).nvars == 2
 
 
 def test_bidegree_arithmetic():
@@ -159,7 +159,7 @@ def test_parse_print_roundtrip(r22):
 
 
 def test_single_block_rings():
-    kx = RingSpec.x_only(2)
+    kx = RingSpec(2, 0)
     assert len(monomial_basis(kx, (3, 0))) == 4
     assert monomial_basis(kx, (0, 1)) == []
     f = parse_poly("x1^2 + x2^2", kx)

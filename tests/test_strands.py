@@ -1,4 +1,4 @@
-from bicoh.poly import block_dim
+from bicoh.poly import RingSpec, block_dim
 from bicoh.resolution import (
     Presentation,
     free_presentation,
@@ -14,7 +14,7 @@ def test_x_strand_of_ring_is_free(S):
     assert len(st0.gens) == 1 and not st0.rels
     st1 = x_strand(S, 1)
     assert len(st1.gens) == 2 and not st1.rels
-    assert st1.ring.flavor == "x"
+    assert st1.ring == RingSpec(2, 0)
 
 
 def test_x_strand_of_hypersurface(hypersurface):
@@ -40,7 +40,7 @@ def test_strand_hilbert_compatibility(ring, hypersurface, two_relations):
 def test_y_strand_of_ring(S):
     st = y_strand(S, 1)
     assert len(st.gens) == 2 and not st.rels
-    assert st.ring.flavor == "y"
+    assert st.ring == RingSpec(0, 2)
 
 
 def test_y_strand_of_hypersurface(hypersurface):
