@@ -25,12 +25,10 @@ from .groebner import FreeModule
 from .poly import Bidegree, block_dim
 from .resolution import (
     Presentation,
-    ext_dims,
     ext_presentation,
     free_presentation,
     krull_dim,
     profile,
-    resolve,
 )
 from .strands import x_strand
 from .tables import Window, matlis_flip
@@ -344,24 +342,21 @@ def check_structure1(M: Presentation, window: Window) -> CheckReport:
         raise NotCohenMacaulayError("structure suite needs a CM module")
     s = prof.dim
     dual_top = ext_presentation(M, ring.nvars - s)
-    jrange = list(window.b_range)
-    irange = list(window.a_range)
     qwin = Window(window.amin, window.amax, -window.bmax, -window.bmin)
+    row_win = Window(window.amin, window.amax, 0, 0)
 
     def rows():
         for k in range(0, ring.m + 1):
             qtab = local_coh_table(M, "Q", s - k, qwin)
-            for j in jrange:
+            for j in window.b_range:
                 strand = x_strand(dual_top, j)
-                dims = ext_dims(resolve(strand), ring.m - k,
-                                [(i, 0) for i in irange])
-                for i, lhs in zip(irange, dims):
-                    rhs = qtab[(i, -j)]
+                row = ext_table(strand, ring.m - k, row_win)
+                for i in window.a_range:
+                    lhs, rhs = row[(i, 0)], qtab[(i, -j)]
                     yield ((i, j), lhs == rhs, lhs, rhs,
                            f"k={k}, strand j={j}: Ext over K[x] vs "
                            "Q-table row -j")
-                ext = ext_presentation(strand, ring.m - k)
-                dim = krull_dim(ext)
+                dim = krull_dim(ext_presentation(strand, ring.m - k))
                 yield ((0, j), dim <= k, dim, k,
                        f"k={k}, strand j={j}: Krull dim bound")
 

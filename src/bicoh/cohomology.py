@@ -2,9 +2,11 @@
 
 Three computation paths, all exact per bidegree:
 
-* Ext against the canonical twist on the dualized minimal resolution
-  (graded local duality).  For R_+ this gives the whole table after a
-  Matlis flip; omega_S = S(-m,-n), omega_{K[x]} = K[x](-m),
+* Ext against the canonical twist (graded local duality): Ext^j(M, omega)
+  is a finitely generated module, presented from the dualized minimal
+  resolution, and each graded dimension is read off the alternating sum
+  of its own minimal resolution.  For R_+ this gives the whole table
+  after a Matlis flip; omega_S = S(-m,-n), omega_{K[x]} = K[x](-m),
   omega_{K[y]} = K[y](-n).
 * Strand reduction: H^i_Q(M)_(a,b) is the degree-b piece of the local
   cohomology of the K[y]-module strand M_(a,*) at its maximal ideal,
@@ -35,7 +37,7 @@ from .linalg import (
     rank_of_array,
 )
 from .poly import Bidegree, Polynomial, mono_divides, mono_mul
-from .resolution import Presentation, ext_dims, resolve
+from .resolution import Presentation, ext_presentation, resolve
 from .strands import x_strand, y_strand
 from .tables import CohomologyTable, DimTable, Window
 
@@ -55,10 +57,18 @@ def _check_theory(ring, theory):
 # Ext tables against the canonical module
 
 
+def _ext_hilbert(N: Presentation, j: int, degrees) -> list:
+    """dim_K Ext^j(N, omega)_d for each d in degrees: the alternating sum
+    over the minimal resolution of the Ext module.  Zero for j outside
+    0..pd, where the Ext module is zero."""
+    res = resolve(ext_presentation(N, j))
+    return [res.alternating_dim(d) for d in degrees]
+
+
 def ext_table(M: Presentation, j: int, window: Window) -> DimTable:
     """Graded dimensions of Ext^j(M, omega) over the window."""
     degrees = list(window.cells())
-    dims = ext_dims(resolve(M), j, degrees)
+    dims = _ext_hilbert(M, j, degrees)
     return DimTable(window=window, cells=dict(zip(map(tuple, degrees), dims)),
                     p=M.ring.p)
 
@@ -70,7 +80,7 @@ def ext_table(M: Presentation, j: int, window: Window) -> DimTable:
 def local_coh_table(M: Presentation, theory: str, i: int,
                     window: Window) -> CohomologyTable:
     """Exact dimensions of H^i_theory(M) over the window, zero for i
-    outside 0..(variables of the ideal).  For P and Q one Ext call per
+    outside 0..(variables of the ideal).  For P and Q one Ext module per
     strand; a strand ring has one empty variable block, so its degrees are
     one-sided."""
     ring = M.ring
@@ -79,18 +89,18 @@ def local_coh_table(M: Presentation, theory: str, i: int,
     if theory == "Q":
         spot = ring.n - i
         for a in window.a_range:
-            dims = ext_dims(resolve(y_strand(M, a)), spot,
-                            [(0, -b) for b in window.b_range])
+            dims = _ext_hilbert(y_strand(M, a), spot,
+                                [(0, -b) for b in window.b_range])
             cells.update(((a, b), v) for b, v in zip(window.b_range, dims))
     elif theory == "P":
         spot = ring.m - i
         for b in window.b_range:
-            dims = ext_dims(resolve(x_strand(M, b)), spot,
-                            [(-a, 0) for a in window.a_range])
+            dims = _ext_hilbert(x_strand(M, b), spot,
+                                [(-a, 0) for a in window.a_range])
             cells.update(((a, b), v) for a, v in zip(window.a_range, dims))
     else:
         degrees = list(window.cells())
-        dims = ext_dims(resolve(M), ring.nvars - i, [-d for d in degrees])
+        dims = _ext_hilbert(M, ring.nvars - i, [-d for d in degrees])
         cells = dict(zip(map(tuple, degrees), dims))
     return CohomologyTable(window=window, cells=cells, p=ring.p,
                            theory=theory, index=i,

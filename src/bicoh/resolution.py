@@ -4,9 +4,11 @@ A module M is always carried as the cokernel of a shift-decorated matrix
 between free modules.  From the minimal resolution we read off graded Betti
 numbers, projective dimension, depth (Auslander-Buchsbaum), and the Krull
 dimension (order of vanishing of the numerator of the Hilbert series at
-t = 1).  Hilbert tables are computed per bidegree by rank of the
-degree-restricted relation matrix, independently of any resolution, so the
-two paths cross-check each other.
+t = 1).  Graded dimensions have two independent paths: hilbert_dim ranks
+the degree-restricted relation matrix with no resolution, and
+FreeResolution.alternating_dim sums the free ranks of a resolution.  The
+Ext and local-cohomology tables take the second path on the Ext module, so
+hilbert_dim of an Ext presentation cross-checks them.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from .groebner import (
     buchberger,
     syzygies,
 )
-from .linalg import homology_dim, rank_of_array
+from .linalg import rank_of_array
 from .poly import Bidegree, mono_mul
 from .tables import DimTable, Window
 
@@ -107,8 +109,6 @@ def restrict_matrix(ring, tgt: FreeModule, src: FreeModule, matrix, d):
     """The matrix of the degree-d piece of the map, over the ordered
     monomial bases of source and target (numpy int64 array)."""
     d = Bidegree(*d)
-    if not tgt.rank or not src.rank:
-        return np.zeros((tgt.dim_at(d), src.dim_at(d)), dtype=np.int64)
     tgt_basis = tgt.basis_at(d)
     src_basis = src.basis_at(d)
     index = {key: i for i, key in enumerate(tgt_basis)}
@@ -420,29 +420,6 @@ def profile(P: Presentation) -> ModuleProfile:
 # Hom_S(S(-s), S(-c)) = S(s - c) for the canonical twist c = (m, n):
 # dualizing a resolution transposes each matrix and replaces each generator
 # degree s by c - s.
-
-
-def _transpose(matrix, rows, cols):
-    return tuple(tuple(matrix[k][l] for k in range(rows))
-                 for l in range(cols))
-
-
-def ext_dims(res: FreeResolution, j: int, degrees) -> list:
-    """dim_K Ext^j(M, omega)_d for each d in degrees, where res resolves M:
-    the homology at spot j of the dualized resolution.  Zero for j outside
-    0..res.length."""
-    if j < 0 or j > res.length:
-        return [0 for _ in degrees]
-    ring = res.ring
-    c = ring.canonical_degree
-    before, mid, after = (FreeModule(ring, tuple(c - s for s in res.shifts(i)))
-                          for i in (j - 1, j, j + 1))
-    into = _transpose(res.maps[j - 1], before.rank, mid.rank) if j else ()
-    out = _transpose(res.maps[j], mid.rank, after.rank) \
-        if j < res.length else ()
-    return [homology_dim(restrict_matrix(ring, mid, before, into, d),
-                         restrict_matrix(ring, after, mid, out, d), ring.p)
-            for d in degrees]
 
 
 def quotient_presentation(sub_elements, span_elements,

@@ -116,8 +116,8 @@ def test_gencm_with_nonvacuous_low_range(ring):
 def test_structure_row_convention_is_forced(ring, hypersurface):
     # the strand index negates under the dual: comparing the strand Ext
     # dims against row +j instead of row -j must break somewhere
-    from bicoh.cohomology import local_coh_table
-    from bicoh.resolution import ext_dims, ext_presentation, profile, resolve
+    from bicoh.cohomology import ext_table, local_coh_table
+    from bicoh.resolution import ext_presentation, profile
     from bicoh.strands import x_strand
     s = profile(hypersurface).dim
     dual = ext_presentation(hypersurface, ring.nvars - s)
@@ -125,9 +125,9 @@ def test_structure_row_convention_is_forced(ring, hypersurface):
     right = wrong = 0
     for j in range(-4, 5):
         strand = x_strand(dual, j)
-        dims = ext_dims(resolve(strand), ring.m - 1,
-                        [(i, 0) for i in range(-6, 7)])
-        for i, lhs in zip(range(-6, 7), dims):
+        row = ext_table(strand, ring.m - 1, Window(-6, 6, 0, 0))
+        for i in range(-6, 7):
+            lhs = row[(i, 0)]
             right += lhs != qtab[(i, -j)]
             wrong += lhs != qtab[(i, j)]
     assert right == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bicoh import cohomology
+from bicoh import cohomology, linalg
 from bicoh.cohomology import (
     cd_estimate,
     cech_oracle,
@@ -11,10 +11,11 @@ from bicoh.cohomology import (
 )
 from bicoh.errors import BadTheoryError, ComposeError
 from bicoh.fixtures import gencm_fixture
+from bicoh.groebner import FreeModule
+from bicoh.linalg import homology_dim
 from bicoh.poly import RingSpec, block_dim
 from bicoh.resolution import (
     Presentation,
-    ext_dims,
     ext_presentation,
     free_presentation,
     hilbert_dim,
@@ -22,6 +23,7 @@ from bicoh.resolution import (
     is_zero_module,
     profile,
     resolve,
+    restrict_matrix,
 )
 from bicoh.strands import x_strand
 from bicoh.tables import Window, matlis_flip
@@ -63,8 +65,10 @@ def test_ext_presentation_examples(ring, S, hypersurface):
 
 
 def test_ext_presentation_table_agreement(ring, two_relations):
-    # both Ext routes agree, including the zeros on either side of 0..pd;
-    # the gencm fixture's Ext modules have several generators
+    # hilbert_dim of the Ext presentation (rank of its restricted relation
+    # matrix) agrees with ext_table (alternating sum over its resolution),
+    # including the zeros on either side of 0..pd; the gencm fixture's Ext
+    # modules have several generators
     window = Window(-3, 3, -3, 3)
     for M in (two_relations, gencm_fixture(ring)):
         for j in range(-1, resolve(M).length + 2):
@@ -190,13 +194,43 @@ def test_q_vanishing_outside_depth_range(ring, two_relations):
         assert local_coh_table(two_relations, "Q", i, window).is_zero()
 
 
+def _restricted_ext_dim(res, j, d):
+    """dim Ext^j(M, omega)_d from any resolution of M, minimal or not: the
+    homology at spot j of the dualized resolution, restricted to degree d
+    and ranked."""
+    ring = res.ring
+    c = ring.canonical_degree
+    before, mid, after = (FreeModule(ring, tuple(c - s for s in res.shifts(i)))
+                          for i in (j - 1, j, j + 1))
+    # the dual of a map is its transpose
+    into = tuple(zip(*res.maps[j - 1])) if j else ()
+    out = tuple(zip(*res.maps[j])) if j < res.length else ()
+    return homology_dim(restrict_matrix(ring, mid, before, into, d),
+                        restrict_matrix(ring, after, mid, out, d), ring.p)
+
+
 def test_ext_table_resolution_independent(two_relations):
     window = Window(-2, 2, -2, 2)
     raw = resolve(two_relations, minimize=False)
-    cells = list(window.cells())
+    assert not raw.minimal
     for j in range(0, raw.length + 1):
         table = ext_table(two_relations, j, window)
-        assert ext_dims(raw, j, cells) == [table[d] for d in cells]
+        for d in window.cells():
+            assert _restricted_ext_dim(raw, j, d) == table[d], (j, tuple(d))
+
+
+def test_second_q_table_reuses_strand_ext_modules(two_relations,
+                                                  monkeypatch):
+    # a second Q table over the same strands (same a range, new b range)
+    # builds no Ext module and eliminates no matrix: it reads the strand
+    # Ext modules cached by the first
+    local_coh_table(two_relations, "Q", 2, Window(-2, 2, -2, 2))
+    misses = ext_presentation.cache_info().misses
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda *args, **kw: pytest.fail("eliminated"))
+    table = local_coh_table(two_relations, "Q", 2, Window(-2, 2, -5, 4))
+    assert ext_presentation.cache_info().misses == misses
+    assert not table.is_zero()
 
 
 def test_cd_estimate_examples(ring, S, q_torsion, hypersurface):
@@ -206,10 +240,27 @@ def test_cd_estimate_examples(ring, S, q_torsion, hypersurface):
     assert cd_estimate(hypersurface, window) == 2
 
 
-def test_ext_into_free_matches_canonical_route(ring, hypersurface):
-    omega = free_presentation(ring, [ring.canonical_degree])
-    window = Window(-2, 2, -2, 2)
-    for j in (0, 1):
-        table = ext_table(hypersurface, j, window)
-        for d in window.cells():
-            assert ext_into_dim(hypersurface, omega, j, d) == table[d]
+def test_ext_into_free_matches_canonical_route(ring, hypersurface,
+                                               two_relations):
+    # ext_into_dim works on the Hom complex into omega's standard
+    # monomials and never builds an Ext module, so it referees both the
+    # Ext tables and the R+ tables read from them
+    window = Window(-3, 3, -3, 3)
+    modules = [hypersurface, two_relations, gencm_fixture(ring)]
+    modules += [_two_generators(p) for p in (2, 3, 32003)]
+    nonzero = 0
+    for M in modules:
+        R = M.ring
+        omega = free_presentation(R, [R.canonical_degree])
+        for j in range(-1, resolve(M).length + 2):
+            table = ext_table(M, j, window)
+            for d in window.cells():
+                assert ext_into_dim(M, omega, j, d) == table[d], \
+                    (R.p, j, tuple(d))
+        for i in range(0, R.nvars + 1):
+            table = local_coh_table(M, "R+", i, window)
+            for d in window.cells():
+                assert ext_into_dim(M, omega, R.nvars - i, -d) == table[d], \
+                    (R.p, i, tuple(d))
+            nonzero += not table.is_zero()
+    assert nonzero >= len(modules)
