@@ -31,7 +31,13 @@ def gencm_fixture(ring=None):
 
 def random_bihomogeneous(ring, rng, max_degree=(2, 2)):
     """A random nonzero bihomogeneous polynomial of bidegree <= max_degree
-    (componentwise), with at least one term."""
+    (componentwise), with at least one term.  The entry of an empty
+    variable block is taken as 0."""
+    max_degree = (max_degree[0] if ring.m else 0,
+                  max_degree[1] if ring.n else 0)
+    if not any(max_degree):
+        raise ValueError(f"max_degree {max_degree} leaves no positive "
+                         "bidegree")
     while True:
         da = rng.randint(0, max_degree[0])
         db = rng.randint(0, max_degree[1])

@@ -2,13 +2,13 @@
 
 A module M is always carried as the cokernel of a shift-decorated matrix
 between free modules.  From the minimal resolution we read off graded Betti
-numbers, projective dimension, depth (Auslander-Buchsbaum), and the Krull
-dimension (order of vanishing of the numerator of the Hilbert series at
-t = 1).  Graded dimensions have two independent paths: hilbert_dim ranks
-the degree-restricted relation matrix with no resolution, and
-FreeResolution.alternating_dim sums the free ranks of a resolution.  The
-Ext and local-cohomology tables take the second path on the Ext module, so
-hilbert_dim of an Ext presentation cross-checks them.
+numbers, projective dimension and depth (Auslander-Buchsbaum).  The Krull
+dimension needs no resolution: it is read off the lead terms of one
+Groebner basis of the relations.  Graded dimensions have two independent
+paths: hilbert_dim ranks the degree-restricted relation matrix with no
+resolution, and FreeResolution.alternating_dim sums the free ranks of a
+resolution.  The Ext and local-cohomology tables take the second path on
+the Ext module, so hilbert_dim of an Ext presentation cross-checks them.
 """
 
 from dataclasses import dataclass
@@ -336,38 +336,19 @@ def is_zero_module(P: Presentation) -> bool:
 # numerical invariants
 
 
-def _series_numerator(res: FreeResolution):
-    """Coefficients of sum_i (-1)^i sum_shifts t^(total degree)."""
-    coeffs = {}
-    for i, mod in enumerate(res.modules):
-        for s in mod.shifts:
-            t = s.total
-            coeffs[t] = coeffs.get(t, 0) + (-1) ** i
-    return {k: v for k, v in coeffs.items() if v}
-
-
 def krull_dim(P: Presentation) -> int:
-    """Krull dimension: nvars minus the order of vanishing at t = 1 of the
-    numerator of the total-degree Hilbert series.  Returns -1 for the zero
-    module."""
-    res = resolve(P)
-    coeffs = _series_numerator(res)
-    if not coeffs:
-        return -1
-    order = 0
-    while sum(coeffs.values()) == 0:
-        order += 1
-        lo, hi = min(coeffs), max(coeffs)
-        acc = 0
-        quotient = {}
-        for k in range(lo, hi + 1):
-            acc += coeffs.get(k, 0)
-            if acc:
-                quotient[k] = acc
-        coeffs = quotient
-        if not coeffs:
-            raise RuntimeError("Hilbert numerator vanished identically")
-    return P.ring.nvars - order
+    """Krull dimension, read off the lead terms of one Groebner basis of
+    the relations: F/U and F/in(U) share their Hilbert function, and
+    F/in(U) is the sum over positions k of S/J_k with J_k the monomial
+    ideal of the lead terms in position k.  dim S/J_k is the largest number
+    of variables whose set contains the support of no lead term of J_k.
+    Returns -1 for the zero module."""
+    supports = [set() for _ in P.gens]
+    for k, mono, _ in buchberger(P.columns(), module=P.target).lead_terms():
+        supports[k].add(sum(1 << v for v, e in enumerate(mono) if e))
+    return max((free.bit_count() for free in range(1 << P.ring.nvars)
+                for leads in supports
+                if not any(s & free == s for s in leads)), default=-1)
 
 
 @dataclass(frozen=True)
@@ -407,7 +388,7 @@ def profile(P: Presentation) -> ModuleProfile:
     is_gencm = True
     for i in range(depth, dim):
         ext = ext_presentation(P, nvars - i)
-        if not is_zero_module(ext) and krull_dim(ext) > 0:
+        if krull_dim(ext) > 0:
             is_gencm = False
             break
     return ModuleProfile(dim=dim, depth=depth, pd=pd, is_cm=is_cm,
