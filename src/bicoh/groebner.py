@@ -5,14 +5,38 @@ Elements live in F = (+)_k S(-shift_k); the order is position-over-term
 bihomogeneous, so every S-pair and normal form stays bihomogeneous and the
 shift bookkeeping for Schreyer syzygies is automatic.
 
-The classical coprimality (product) criterion is only valid here when both
-elements are supported in their common lead position: with cross-position
-tails the S-pair of coprime leads need not reduce to zero, e.g.
-f = x1*e1 + y1*e2, g = y1*e1 + x1*e2 leaves the syzygy (y1^2 - x1^2)*e2.
+Only elements whose leads share a position form S-pairs.  `buchberger`
+puts each new element h through the pair update of Gebauer & Moeller
+(1988, "On an installation of Buchberger's algorithm"), which runs within
+that position:
+
+- criterion B_k deletes a queued pair (i, j) when lt(h) divides its lcm
+  and neither lcm(i, h) nor lcm(j, h) equals it;
+- criteria M and F keep a new pair (h, g) only when no other new pair
+  still in play has an lcm dividing its own (of equal lcms, one stays);
+- the product criterion then drops the new pairs with coprime leads, where
+  it is valid (below).  Up to that point such a pair stays in play, so it
+  can dominate others;
+- an element whose lead lt(h) divides makes no further pairs.
+
+The product criterion is only valid here when both elements are supported
+in their common lead position: with cross-position tails the S-pair of
+coprime leads need not reduce to zero, e.g. f = x1*e0 + x2*e1,
+g = y1*e0 + y2*e1 leaves the remainder (x2*y1 - x1*y2)*e1.  Every other
+pair with coprime leads is treated like any pair.
+
+The queue is a heap of (lcm degree, i, j, ui, uj), which pops in ascending
+lcm degree (the normal selection strategy).  B_k deletes lazily: one dict
+holds the pairs still live, and a popped pair missing from it is skipped.
+
+Division reads a `_Divisors` table, each divisor's lead and term list,
+built once per basis: `buchberger` extends its table as elements are
+appended, and a `GroebnerBasis` builds its own on first use.
 """
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotBihomogeneousError, RingMismatchError
 from .poly import (
@@ -173,6 +197,10 @@ class GroebnerBasis:
     def contains(self, v):
         return normal_form(v, self).is_zero()
 
+    @cached_property
+    def _divisors(self):
+        return _Divisors(self.elements)
+
 
 def _element_sort_key(g):
     k, mono, _ = g.lead()
@@ -184,21 +212,46 @@ def _pot_heap_key(k, mono):
     return (k, -sum(mono), tuple(reversed(mono)))
 
 
-def _divide(v, elements):
-    """Full division of v by a list of monic elements.
+class _Divisors:
+    """Division table of monic elements, extended in place: each element's
+    lead and term list, and per lead position the (index, lead monomial)
+    of the elements leading there, in ascending index."""
+
+    __slots__ = ("elements", "leads", "terms", "by_position")
+
+    def __init__(self, elements=()):
+        self.elements = []
+        self.leads = []
+        self.terms = []
+        self.by_position = {}
+        for g in elements:
+            self.append(g)
+
+    def append(self, g):
+        lead = g.lead()
+        self.by_position.setdefault(lead[0], []).append(
+            (len(self.elements), lead[1]))
+        self.elements.append(g)
+        self.leads.append(lead)
+        self.terms.append([(k, mono, coeff) for k, poly in enumerate(g.coords)
+                           for mono, coeff in poly.terms])
+
+
+def _divide(v, table):
+    """Full division of v by the elements of a `_Divisors` table.
 
     Returns (quotients, remainder): v = sum q_i * elements[i] + remainder,
     each q_i a {monomial: coeff} dict, no remainder term divisible by any
-    lead term of the divisors.  Works on a flat {(position, monomial):
-    coeff} dict with a lazy-deletion heap, so each reduction step costs
-    O(divisor size), not a full renormalization.
+    lead term of the divisors; each term goes to the first divisor whose
+    lead divides it.  Works on a flat {(position, monomial): coeff} dict
+    with a lazy-deletion heap, so each reduction step costs O(divisor
+    size), not a full renormalization.
     """
     module = v.module
     ring = module.ring
     p = ring.p
-    leads = [g.lead() for g in elements]
-    gterms = [[(k, mono, coeff) for k, poly in enumerate(g.coords)
-               for mono, coeff in poly.terms] for g in elements]
+    by_position = table.by_position
+    gterms = table.terms
     work = {}
     heap = []
     for k, poly in enumerate(v.coords):
@@ -206,7 +259,7 @@ def _divide(v, elements):
             work[(k, mono)] = coeff
             heap.append(_pot_heap_key(k, mono) + ((k, mono),))
     heapq.heapify(heap)
-    quotients = [dict() for _ in elements]
+    quotients = [dict() for _ in table.elements]
     remainder = {}
     while heap:
         entry = heapq.heappop(heap)
@@ -216,15 +269,15 @@ def _divide(v, elements):
             continue
         k, mono = key
         hit = None
-        for i, (gk, gmono, _) in enumerate(leads):
-            if gk == k and mono_divides(gmono, mono):
+        for i, gmono in by_position.get(k, ()):
+            if mono_divides(gmono, mono):
                 hit = i
                 break
         if hit is None:
             remainder[key] = coeff
             del work[key]
             continue
-        u = mono_div(mono, leads[hit][1])
+        u = mono_div(mono, gmono)
         qd = quotients[hit]
         qd[u] = (qd.get(u, 0) + coeff) % p
         for gk, gmono, gc in gterms[hit]:
@@ -245,13 +298,17 @@ def _divide(v, elements):
 
 
 def normal_form(v: ModuleElement, G) -> ModuleElement:
-    """Remainder of v on division by G; no term divisible by a lead of G."""
-    elements = G.elements if isinstance(G, GroebnerBasis) else tuple(G)
-    if not elements:
+    """Remainder of v on division by G (a GroebnerBasis, monic elements or
+    a `_Divisors` table); no term divisible by a lead of G."""
+    if isinstance(G, GroebnerBasis):
+        G = G._divisors
+    elif not isinstance(G, _Divisors):
+        G = _Divisors(G)
+    if not G.elements:
         return v
-    if elements[0].module != v.module:
+    if G.elements[0].module != v.module:
         raise RingMismatchError("element and basis in different modules")
-    return _divide(v, elements)[1]
+    return _divide(v, G)[1]
 
 
 def _make_monic(g):
@@ -284,31 +341,53 @@ def buchberger(gens, module=None) -> GroebnerBasis:
         module = gens[0].module
     for g in gens:
         g.bidegree()  # raises NotBihomogeneousError if mixed
-    basis = []
-    # normal selection strategy: S-pairs (lcm degree, i, j, ui, uj) pop in
-    # ascending lcm degree
-    pairs = []
+    table = _Divisors()
+    basis, leads = table.elements, table.leads
+    single = []   # single[i]: basis[i] lives in its lead position alone
+    active = []   # indices whose lead no later lead divides
+    pairs = []    # heap of S-pairs (lcm degree, i, j, ui, uj)
+    live = {}     # (i, j) -> (lead position, lcm) of the pairs not deleted
 
     def append(f):
         f = _make_monic(f)
-        for t, g in enumerate(basis):
-            data = _spair_data(f, g)
-            if data is None:
-                continue
-            w, uf, ug = data
-            # product criterion, valid for single-position elements
-            if (mono_coprime(f.lead()[1], g.lead()[1])
-                    and _single_position(f) and _single_position(g)):
-                continue
-            heapq.heappush(pairs, (sum(w), len(basis), t, uf, ug))
-        basis.append(f)
+        h = len(basis)
+        hk, hm, _ = f.lead()
+        for (i, j), (k, w) in list(live.items()):   # criterion B_k
+            if (k == hk and mono_divides(hm, w)
+                    and mono_lcm(leads[i][1], hm) != w
+                    and mono_lcm(leads[j][1], hm) != w):
+                del live[(i, j)]
+        h_single = _single_position(f)
+        new = []
+        for g in active:
+            gk, gm, _ = leads[g]
+            if gk == hk:
+                product = mono_coprime(hm, gm) and h_single and single[g]
+                new.append((mono_lcm(hm, gm), g, product))
+        kept = []     # criteria M and F, then the product criterion
+        for t, (w, g, product) in enumerate(new):
+            if product or not any(mono_divides(v, w)
+                                  for v, _, _ in new[t + 1:] + kept):
+                kept.append((w, g, product))
+        for w, g, product in kept:
+            if not product:
+                live[(h, g)] = (hk, w)
+                heapq.heappush(pairs, (sum(w), h, g, mono_div(w, hm),
+                                       mono_div(w, leads[g][1])))
+        active[:] = [g for g in active if leads[g][0] != hk
+                     or not mono_divides(hm, leads[g][1])]
+        active.append(h)
+        single.append(h_single)
+        table.append(f)
 
     for g in gens:
         append(g)
     while pairs:
         _, i, j, ui, uj = heapq.heappop(pairs)
+        if live.pop((i, j), None) is None:
+            continue
         spair = basis[i].term_mul(1, ui) - basis[j].term_mul(1, uj)
-        nf = normal_form(spair, basis)
+        nf = normal_form(spair, table)
         if nf:
             append(nf)
     return _reduce_basis(module, basis)
@@ -364,7 +443,7 @@ def syzygies(G: GroebnerBasis):
                 continue
             _, ui, uj = data
             spair = elems[i].term_mul(1, ui) - elems[j].term_mul(1, uj)
-            quotients, rem = _divide(spair, list(elems))
+            quotients, rem = _divide(spair, G._divisors)
             if not rem.is_zero():
                 raise ValueError("S-pair of a Groebner basis did not reduce")
             coords = [-Polynomial.from_dict(ring, q) for q in quotients]

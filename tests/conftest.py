@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from bicoh import RingSpec, free_presentation, quotient_by_polys
+
+# Property tests draw the same examples on every run and store none.
+settings.register_profile("bicoh", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("bicoh")
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,16 @@
+import heapq
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import bicoh.groebner as groebner
+from bicoh.fixtures import random_quotients
 from bicoh.groebner import (
     FreeModule,
+    GroebnerBasis,
     ModuleElement,
     SpanSolver,
     buchberger,
@@ -16,6 +22,7 @@ from bicoh.poly import (
     Bidegree,
     Polynomial,
     RingSpec,
+    mono_coprime,
     mono_divides,
     mono_mul,
     monomial_basis,
@@ -81,6 +88,52 @@ def random_element(rng, module, d):
                                        for c in coords))
 
 
+def _all_pairs_buchberger(gens, module=None):
+    """Referee: Buchberger with every same-position S-pair queued, pruned
+    by the product criterion alone (for single-position elements)."""
+    gens = [g for g in gens if g]
+    module = module or gens[0].module
+    basis, pairs = [], []
+
+    def append(f):
+        f = groebner._make_monic(f)
+        for t, g in enumerate(basis):
+            data = groebner._spair_data(f, g)
+            if data is None:
+                continue
+            w, uf, ug = data
+            if (mono_coprime(f.lead()[1], g.lead()[1])
+                    and groebner._single_position(f)
+                    and groebner._single_position(g)):
+                continue
+            heapq.heappush(pairs, (sum(w), len(basis), t, uf, ug))
+        basis.append(f)
+
+    for g in gens:
+        append(g)
+    while pairs:
+        _, i, j, ui, uj = heapq.heappop(pairs)
+        nf = normal_form(basis[i].term_mul(1, ui) - basis[j].term_mul(1, uj),
+                         basis)
+        if nf:
+            append(nf)
+    return groebner._reduce_basis(module, basis)
+
+
+def _cross_position_pair(ring):
+    """Coprime leads x1*e0 and y1*e0 whose S-pair leaves the remainder
+    (x2*y1 - x1*y2)*e1: the product criterion must not drop it."""
+    F = FreeModule(ring, ((0, 0), (0, 0)))
+    return F, [elem(F, "x1", "x2"), elem(F, "y1", "y2")]
+
+
+def _rung_relations():
+    """The relations of the (3,3) rung of the scale ladder."""
+    (P,) = random_quotients(RingSpec(3, 3), 1, 7, max_rels=4,
+                            max_degree=(3, 2))
+    return P.columns(), P.target
+
+
 def test_lead_is_position_over_term(r22):
     # x1^5 is the larger monomial, but position 0 wins
     F = FreeModule(r22, ((4, 0), (0, 0)))
@@ -115,6 +168,69 @@ def test_random_bases_are_reduced_and_order_free(p):
                     submodule_dim_bruteforce(gens, (a, b))
 
 
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1)])
+def test_pair_criteria_match_all_pairs_random(p, shape):
+    rng = random.Random(100 * p + shape[0])
+    ring = RingSpec(*shape, p=p)
+    for rank in (1, 1, 2, 2, 3, 3):
+        F = FreeModule(ring, tuple((rng.randint(0, 1), rng.randint(0, 1))
+                                   for _ in range(rank)))
+        gens = [random_element(rng, F, (rng.randint(1, 2), rng.randint(1, 2)))
+                for _ in range(rng.randint(2, 4))]
+        assert buchberger(gens).elements == \
+            _all_pairs_buchberger(gens).elements
+
+
+def test_pair_criteria_keep_cross_position_pair(r22):
+    F, gens = _cross_position_pair(r22)
+    gb = buchberger(gens)
+    assert gb.elements == _all_pairs_buchberger(gens).elements
+    assert gb.contains(elem(F, "0", "x2*y1 - x1*y2"))
+
+
+def test_pair_criteria_on_the_rung_divide_less(monkeypatch):
+    columns, target = _rung_relations()
+    calls = []
+    divide = groebner._divide
+
+    def counted(v, table):
+        calls.append(1)
+        return divide(v, table)
+
+    monkeypatch.setattr(groebner, "_divide", counted)
+    gb = buchberger(columns, module=target)
+    fewer = len(calls)
+    calls.clear()
+    referee = _all_pairs_buchberger(columns, module=target)
+    assert len(gb.elements) == 15
+    assert gb.elements == referee.elements
+    assert fewer < len(calls)
+
+
+@given(st.data())
+def test_buchberger_order_free_and_equal_to_all_pairs(data):
+    p = data.draw(st.sampled_from([2, 3, 32003]))
+    m, n = data.draw(st.sampled_from(
+        [(m, n) for m in range(3) for n in range(3) if m + n]))
+    ring = RingSpec(m, n, p=p)
+    rank = data.draw(st.integers(1, 2))
+    F = FreeModule(ring, tuple(data.draw(st.tuples(st.integers(0, 1),
+                                                   st.integers(0, 1)))
+                               for _ in range(rank)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, rank - 1))
+        a = data.draw(st.integers(0, 2)) if m else 0
+        b = data.draw(st.integers(0, 2)) if n else 0
+        gens.append(random_element(rng, F, F.shifts[k] + Bidegree(a, b)))
+    gb = buchberger(gens)
+    assert buchberger(data.draw(st.permutations(gens))).elements == \
+        gb.elements
+    assert _all_pairs_buchberger(gens).elements == gb.elements
+
+
 def test_gb_of_linear_forms(r22):
     F = FreeModule(r22, ((0, 0),))
     gb = buchberger([elem(F, "x1"), elem(F, "y1")])
@@ -139,11 +255,7 @@ def test_gb_matches_bruteforce_span(r22):
 
 
 def test_gb_mixed_positions_matches_bruteforce(r22):
-    # coprime leads in the same position with cross-position tails: the
-    # product criterion would wrongly drop this S-pair
-    F = FreeModule(r22, ((0, 0), (0, 0)))
-    f = elem(F, "x1", "x2")
-    g = elem(F, "y1", "y2")
+    F, (f, g) = _cross_position_pair(r22)
     gb = buchberger([f, g])
     assert len(gb.elements) >= 3
     witness = elem(F, "0", "x2*y1 - x1*y2")
@@ -219,6 +331,12 @@ def test_syzygies_compose_to_zero_generally(r22):
         for coeff, g in zip(s.coords, gb.elements):
             acc = acc + g.poly_mul(coeff)
         assert acc.is_zero()
+
+
+def test_syzygies_reject_a_basis_missing_an_s_pair_remainder(r22):
+    F, gens = _cross_position_pair(r22)
+    with pytest.raises(ValueError, match="S-pair of a Groebner basis"):
+        syzygies(GroebnerBasis(F, tuple(gens)))
 
 
 def test_span_solver_kernel_of_injective_map(r22):
