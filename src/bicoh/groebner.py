@@ -456,63 +456,28 @@ def syzygies(G: GroebnerBasis):
 
 
 # ---------------------------------------------------------------------------
-# kernels and membership via the graph construction
+# kernels via the graph construction
 #
 # For a map phi: F_src -> F_tgt with columns c_l, run Buchberger on the
 # elements (c_l, e_l) of F_tgt (+) F_src.  Positions of F_tgt dominate, so
-# the basis elements with vanishing F_tgt block generate ker phi, and normal
-# forms of (v, 0) express membership of v in the column span.
+# the basis elements with vanishing F_tgt block are a Groebner basis of
+# ker phi, already reduced, monic and sorted under the order of F_src.
 
 
-class SpanSolver:
-    """Kernel and membership queries against a fixed list of columns,
-    sharing one Groebner basis of the graph module."""
-
-    def __init__(self, columns, src: FreeModule):
-        self.columns = list(columns)
-        self.src = src
-        self.ring = src.ring
-        self.tgt = self.columns[0].module if self.columns else None
-        self._gb = None
-
-    def _basis(self):
-        if self._gb is None:
-            rt = self.tgt.rank
-            big = FreeModule(self.ring, self.tgt.shifts + self.src.shifts)
-            graph = []
-            for l, col in enumerate(self.columns):
-                coords = list(col.coords) + [self.ring.zero()] * self.src.rank
-                coords[rt + l] = self.ring.one()
-                graph.append(ModuleElement(big, tuple(coords)))
-            self._gb = buchberger(graph, module=big)
-        return self._gb
-
-    def kernel(self):
-        """Generators of ker(phi) in F_src."""
-        if not self.columns:
-            return []
-        if all(c.is_zero() for c in self.columns):
-            return [self.src.unit_element(l) for l in range(self.src.rank)]
-        rt = self.tgt.rank
-        kernel = []
-        for g in self._basis().elements:
-            if all(c.is_zero() for c in g.coords[:rt]):
-                kernel.append(ModuleElement(self.src, g.coords[rt:]))
-        kernel.sort(key=_element_sort_key, reverse=True)
-        return kernel
-
-    def express(self, v: ModuleElement):
-        """Coefficients q with v = sum q_l * columns[l]; None if v is
-        outside the span."""
-        if v.is_zero():
-            return [self.ring.zero()] * len(self.columns)
-        if not self.columns:
-            return None
-        gb = self._basis()
-        rt = self.tgt.rank
-        lifted = ModuleElement(
-            gb.module, tuple(v.coords) + (self.ring.zero(),) * self.src.rank)
-        rem = normal_form(lifted, gb)
-        if any(not c.is_zero() for c in rem.coords[:rt]):
-            return None
-        return [-c for c in rem.coords[rt:]]
+def kernel_basis(columns, src: FreeModule) -> GroebnerBasis:
+    """Reduced Groebner basis of the kernel of the map F_src -> F_tgt whose
+    l-th column is columns[l]."""
+    if not columns:
+        return GroebnerBasis(src, ())
+    ring = src.ring
+    rt = columns[0].module.rank
+    big = FreeModule(ring, columns[0].module.shifts + src.shifts)
+    graph = []
+    for l, col in enumerate(columns):
+        coords = list(col.coords) + [ring.zero()] * src.rank
+        coords[rt + l] = ring.one()
+        graph.append(ModuleElement(big, tuple(coords)))
+    return GroebnerBasis(src, tuple(
+        ModuleElement(src, g.coords[rt:])
+        for g in buchberger(graph, module=big).elements
+        if all(c.is_zero() for c in g.coords[:rt])))

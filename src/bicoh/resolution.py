@@ -19,13 +19,15 @@ import numpy as np
 from .errors import DegreeMismatchError, ZeroModuleError
 from .groebner import (
     FreeModule,
+    GroebnerBasis,
     ModuleElement,
-    SpanSolver,
+    _divide,
     buchberger,
+    kernel_basis,
     syzygies,
 )
 from .linalg import rank_of_array
-from .poly import Bidegree, mono_mul
+from .poly import Bidegree, Polynomial, mono_mul
 from .tables import DimTable, Window
 
 _RESOLUTION_LENGTH_SLACK = 8
@@ -396,38 +398,38 @@ def profile(P: Presentation) -> ModuleProfile:
 
 
 # ---------------------------------------------------------------------------
-# Ext against the canonical module, homology presentations
+# Ext against the canonical module, subquotient presentations
 #
 # Hom_S(S(-s), S(-c)) = S(s - c) for the canonical twist c = (m, n):
 # dualizing a resolution transposes each matrix and replaces each generator
-# degree s by c - s.
+# degree s by c - s.  Ext^j is then ker(B)/im(A) at the dual of F_j.  The
+# kernel comes as one reduced Groebner basis G (the unit basis when j = pd,
+# where no map leaves), and the subquotient is presented on the elements of
+# G: by Schreyer's theorem the S-pair syzygies of G generate all relations
+# among them, and the division quotients of each column of A by G express
+# the image.
 
 
-def quotient_presentation(sub_elements, span_elements,
-                          ambient: FreeModule) -> Presentation:
-    """Presentation of span(span_elements) / span(sub_elements), both inside
-    the ambient free module; sub must lie in the span."""
-    gens = [g for g in span_elements if g]
-    if not gens:
-        return zero_presentation(ambient.ring)
-    shifts = tuple(g.bidegree() for g in gens)
-    src = FreeModule(ambient.ring, shifts)
-    solver = SpanSolver(gens, src)
+def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:
+    """Presentation of span / span(sub_elements), the span given by its
+    Groebner basis; sub must lie in the span."""
+    ring = span.module.ring
+    shifts = tuple(g.bidegree() for g in span.elements)
+    src = FreeModule(ring, shifts)
     columns = []
     for s in sub_elements:
         if not s:
             continue
-        coeffs = solver.express(s)
-        if coeffs is None:
+        quotients, rem = _divide(s, span._divisors)
+        if rem:
             raise ValueError("submodule generator outside the ambient span")
-        columns.append(ModuleElement(src, tuple(coeffs)))
-    columns.extend(solver.kernel())
-    columns = [c for c in columns if c]
+        columns.append(ModuleElement(src, tuple(
+            Polynomial.from_dict(ring, q) for q in quotients)))
+    columns.extend(syzygies(span))
     rels = tuple(c.bidegree() for c in columns)
     matrix = tuple(tuple(c.coords[k] for c in columns)
-                   for k in range(len(gens)))
-    return minimal_presentation(
-        Presentation(ambient.ring, shifts, rels, matrix))
+                   for k in range(len(shifts)))
+    return minimal_presentation(Presentation(ring, shifts, rels, matrix))
 
 
 def kernel_presentation(src: FreeModule, tgt: FreeModule,
@@ -436,20 +438,7 @@ def kernel_presentation(src: FreeModule, tgt: FreeModule,
     columns = [ModuleElement(tgt, tuple(matrix[k][l]
                                         for k in range(tgt.rank)))
                for l in range(src.rank)]
-    kernel = SpanSolver(columns, src).kernel()
-    return quotient_presentation([], kernel, src)
-
-
-def homology_presentation(ring, mid: FreeModule, a_columns,
-                          b_columns) -> Presentation:
-    """Presentation of ker(B)/im(A) where A lands in mid (columns given as
-    elements of mid) and B leaves mid (columns indexed by mid generators,
-    given as elements of the outer module)."""
-    if b_columns:
-        kernel = SpanSolver(b_columns, mid).kernel()
-    else:
-        kernel = [mid.unit_element(k) for k in range(mid.rank)]
-    return quotient_presentation([a for a in a_columns if a], kernel, mid)
+    return quotient_presentation([], kernel_basis(columns, src))
 
 
 @lru_cache(maxsize=None)
@@ -465,8 +454,11 @@ def ext_presentation(P: Presentation, j: int) -> Presentation:
     mid, after = (FreeModule(ring, tuple(c - s for s in res.shifts(i)))
                   for i in (j, j + 1))
     # column l of a transposed differential is row l of the differential
-    a_columns = [ModuleElement(mid, row) for row in res.maps[j - 1]] \
-        if j else []
-    b_columns = [ModuleElement(after, row) for row in res.maps[j]] \
-        if j < res.length else []
-    return homology_presentation(ring, mid, a_columns, b_columns)
+    if j < res.length:
+        kernel = kernel_basis([ModuleElement(after, row)
+                               for row in res.maps[j]], mid)
+    else:
+        kernel = GroebnerBasis(mid, tuple(mid.unit_element(k)
+                                          for k in range(mid.rank)))
+    image = [ModuleElement(mid, row) for row in res.maps[j - 1]] if j else []
+    return quotient_presentation(image, kernel)

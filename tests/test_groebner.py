@@ -12,8 +12,8 @@ from bicoh.groebner import (
     FreeModule,
     GroebnerBasis,
     ModuleElement,
-    SpanSolver,
     buchberger,
+    kernel_basis,
     normal_form,
     syzygies,
 )
@@ -28,6 +28,7 @@ from bicoh.poly import (
     monomial_basis,
     parse_poly,
 )
+from bicoh.resolution import hilbert_dim, kernel_presentation, restrict_matrix
 
 
 @pytest.fixture(scope="module")
@@ -339,30 +340,49 @@ def test_syzygies_reject_a_basis_missing_an_s_pair_remainder(r22):
         syzygies(GroebnerBasis(F, tuple(gens)))
 
 
-def test_span_solver_kernel_of_injective_map(r22):
+def test_kernel_basis_of_injective_map(r22):
     # multiplication by x1 on the free module is injective
     F = FreeModule(r22, ((0, 0),))
     src = FreeModule(r22, ((1, 0),))
-    assert SpanSolver([elem(F, "x1")], src).kernel() == []
+    assert kernel_basis([elem(F, "x1")], src).elements == ()
 
 
-def test_span_solver_kernel_finds_koszul_relation(r22):
+def test_kernel_basis_finds_koszul_relation(r22):
     F = FreeModule(r22, ((0, 0),))
     src = FreeModule(r22, ((1, 0), (0, 1)))
-    kernel = SpanSolver([elem(F, "x1"), elem(F, "y1")], src).kernel()
-    assert len(kernel) == 1
-    assert kernel[0].bidegree() == Bidegree(1, 1)
+    kernel = kernel_basis([elem(F, "x1"), elem(F, "y1")], src)
+    assert kernel.module == src
+    assert kernel.elements == (elem(src, "y1", "-x1"),)
+    assert kernel.elements[0].bidegree() == Bidegree(1, 1)
 
 
-def test_span_solver_expresses_members(r22):
-    F = FreeModule(r22, ((0, 0),))
-    cols = [elem(F, "x1"), elem(F, "y1")]
-    src = FreeModule(r22, ((1, 0), (0, 1)))
-    solver = SpanSolver(cols, src)
-    coeffs = solver.express(elem(F, "x1*y1 + y1*x2"))
-    assert coeffs is not None
-    acc = F.zero_element()
-    for c, col in zip(coeffs, cols):
-        acc = acc + col.poly_mul(c)
-    assert acc == elem(F, "x1*y1 + y1*x2")
-    assert solver.express(elem(F, "x2")) is None
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_kernel_basis_random_maps(p):
+    rng = random.Random(7 * p)
+    ring = RingSpec(2, 2, p=p)
+    for _ in range(6):
+        tgt = FreeModule(ring, tuple((rng.randint(0, 1), rng.randint(0, 1))
+                                     for _ in range(rng.randint(1, 2))))
+        columns = []
+        for _ in range(rng.randint(1, 3)):
+            shift = tgt.shifts[rng.randrange(tgt.rank)]
+            columns.append(random_element(
+                rng, tgt, shift + Bidegree(rng.randint(0, 1),
+                                           rng.randint(0, 1))))
+        src = FreeModule(ring, tuple(c.bidegree() for c in columns))
+        kernel = kernel_basis(columns, src)
+        for v in kernel.elements:
+            image = tgt.zero_element()
+            for coeff, col in zip(v.coords, columns):
+                image = image + col.poly_mul(coeff)
+            assert image.is_zero()
+        if kernel.elements:
+            assert buchberger(kernel.elements, module=src) == kernel
+        matrix = tuple(tuple(c.coords[k] for c in columns)
+                       for k in range(tgt.rank))
+        P = kernel_presentation(src, tgt, matrix)
+        for a in range(4):
+            for b in range(4):
+                arr = restrict_matrix(ring, tgt, src, matrix, (a, b))
+                assert hilbert_dim(P, (a, b)) == \
+                    src.dim_at((a, b)) - rank_of_array(arr, p)

@@ -2,9 +2,17 @@ from itertools import accumulate
 
 import pytest
 
+import bicoh.groebner as groebner
+import bicoh.resolution as resolution
 from bicoh.errors import DegreeMismatchError, ZeroModuleError
-from bicoh.fixtures import random_quotients
-from bicoh.groebner import FreeModule, ModuleElement
+from bicoh.fixtures import gencm_fixture, random_quotients, standard_ring
+from bicoh.groebner import (
+    FreeModule,
+    GroebnerBasis,
+    ModuleElement,
+    buchberger,
+)
+from bicoh.linalg import rank_of_array
 from bicoh.poly import Bidegree, RingSpec, parse_poly
 from bicoh.resolution import (
     Presentation,
@@ -20,6 +28,7 @@ from bicoh.resolution import (
     quotient_by_polys,
     quotient_presentation,
     resolve,
+    restrict_matrix,
     zero_presentation,
 )
 from bicoh.strands import x_strand, y_strand
@@ -290,14 +299,47 @@ def test_kernel_of_koszul_pair(ring):
     assert not P.rels
 
 
+def _span_rank(ambient, elements, d):
+    """dim of the degree-d piece of span(elements), by restrict and rank."""
+    ring = ambient.ring
+    src = FreeModule(ring, tuple(e.bidegree() for e in elements))
+    matrix = tuple(tuple(e.coords[k] for e in elements)
+                   for k in range(ambient.rank))
+    return rank_of_array(restrict_matrix(ring, ambient, src, matrix, d),
+                         ring.p)
+
+
 def test_quotient_presentation_dims(ring, hypersurface):
     tgt = FreeModule(ring, ((0, 0),))
     sub = [ModuleElement(tgt, (parse_poly("x1*y1", ring),))]
-    full = [tgt.unit_element(0)]
-    P = quotient_presentation(sub, full, tgt)
+    full = buchberger([tgt.unit_element(0)])
+    P = quotient_presentation(sub, full)
     assert hilbert_dim(P, (1, 1)) == 3
     for d in Window(0, 3, 0, 3).cells():
         assert hilbert_dim(P, d) == hilbert_dim(hypersurface, d)
+    # a span over two positions whose generators are no Groebner basis:
+    # the S-pair of x1*e0 and y1*e0 leaves (x2*y1 - x1*y2)*e1
+    F = FreeModule(ring, ((0, 0), (0, 0)))
+
+    def elem(*texts):
+        return ModuleElement(F, tuple(parse_poly(t, ring) for t in texts))
+
+    gens = [elem("x1", "x2"), elem("y1", "y2")]
+    span = buchberger(gens)
+    assert len(span.elements) > len(gens)
+    # x1*(y2*f - x2*g) lies above every basis element, so its division
+    # quotients are not constant
+    sub = [elem("x1^2*y2 - x1*x2*y1", "0"), elem("x1*y1", "x2*y1")]
+    assert all(sub[0].bidegree() != g.bidegree() for g in span.elements)
+    P = quotient_presentation(sub, span)
+    assert any(hilbert_dim(P, d) for d in Window(0, 3, 0, 3).cells())
+    for d in Window(-1, 4, -1, 4).cells():
+        assert hilbert_dim(P, d) == \
+            _span_rank(F, gens, d) - _span_rank(F, sub, d)
+    for outside, basis in (([elem("0", "x1")], span),
+                           (gens, GroebnerBasis(F, ()))):
+        with pytest.raises(ValueError, match="outside the ambient span"):
+            quotient_presentation(outside, basis)
 
 
 def test_minimal_presentation_drops_units(ring):
@@ -310,3 +352,23 @@ def test_minimal_presentation_drops_units(ring):
     assert len(minimal.gens) == 1
     for d in Window(0, 2, 0, 2).cells():
         assert hilbert_dim(minimal, d) == hilbert_dim(P, d)
+
+
+def test_each_ext_module_runs_one_buchberger(monkeypatch):
+    # the kernel of the outgoing map is the only Groebner basis: the
+    # subquotient reads its relations off that basis, and at j = pd, where
+    # no map leaves, the kernel is the unit basis
+    M = gencm_fixture(standard_ring(7))
+    assert resolve(M).length == 3
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    monkeypatch.setattr(resolution, "buchberger", counted)
+    for j, (runs, gens) in enumerate([(1, 0), (1, 0), (1, 2), (0, 1)]):
+        calls.clear()
+        E = ext_presentation.__wrapped__(M, j)
+        assert (len(calls), len(E.gens)) == (runs, gens)
