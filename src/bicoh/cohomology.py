@@ -26,11 +26,10 @@ Three computation paths, all exact per bidegree:
 
 from itertools import combinations
 
-import numpy as np
-
 from .errors import BadTheoryError, StabilizationError
 from .groebner import GroebnerBasis, ModuleElement, buchberger, normal_form
 from .linalg import (
+    Matrix,
     check_complex,
     homology_dim,
     kernel_of_array,
@@ -153,43 +152,44 @@ class _StandardLayer:
     def step(self, var, d: Bidegree):
         """Matrix of multiplication by the variable from M_d to the next
         piece."""
-        arr = self.steps.get((var, d))
-        if arr is not None:
-            return arr
+        mat = self.steps.get((var, d))
+        if mat is not None:
+            return mat
         M, ring = self.M, self.M.ring
         src = self.basis(d)
         index = {key: i for i, key in
                  enumerate(self.basis(d + ring.variable_degree(var)))}
-        arr = np.zeros((len(index), len(src)), dtype=np.int64)
         unit = tuple(1 if t == var else 0 for t in range(ring.nvars))
-        for col, (k, mono) in enumerate(src):
+        cols = []
+        for k, mono in src:
             shifted = mono_mul(mono, unit)
-            if (k, shifted) in index:
-                arr[index[(k, shifted)], col] = 1
+            row = index.get((k, shifted))
+            if row is not None:
+                cols.append({row: 1})
                 continue
             coords = [ring.zero()] * M.target.rank
             coords[k] = Polynomial(ring, ((shifted, 1),))
             nf = normal_form(ModuleElement(M.target, tuple(coords)), self.gb)
-            for kk, poly in enumerate(nf.coords):
-                for mm, coeff in poly.terms:
-                    arr[index[(kk, mm)], col] = coeff
-        self.steps[(var, d)] = arr
-        return arr
+            cols.append({index[(kk, mm)]: coeff
+                         for kk, poly in enumerate(nf.coords)
+                         for mm, coeff in poly.terms})
+        mat = self.steps[(var, d)] = Matrix((len(index), len(src)), cols)
+        return mat
 
     def mult(self, mono, d):
         """Matrix of multiplication by the monomial from M_d up: the
         composite of single-variable steps."""
         ring = self.M.ring
         cur = Bidegree(*d)
-        arr = None
+        mat = None
         for var, e in enumerate(mono):
             for _ in range(e):
                 step = self.step(var, cur)
-                arr = step if arr is None else (step @ arr) % ring.p
+                mat = step if mat is None else step.compose(mat, ring.p)
                 cur = cur + ring.variable_degree(var)
-        if arr is None:
-            return np.eye(len(self.basis(cur)), dtype=np.int64)
-        return arr
+        if mat is None:
+            return Matrix.identity(len(self.basis(cur)))
+        return mat
 
 
 _LAYERS = {}    # Presentation -> _StandardLayer, for the life of the process
@@ -211,11 +211,23 @@ def _poly_action_matrix(layer, entry, d):
     """Matrix of multiplication by the polynomial on W, from W_d to the
     piece one entry-degree up."""
     p = layer.M.ring.p
-    arr = np.zeros((len(layer.basis(d + entry.bidegree())),
-                    len(layer.basis(d))), dtype=np.int64)
+    cols = [{} for _ in layer.basis(d)]
     for mono, coeff in entry.terms:
-        arr = (arr + coeff * layer.mult(mono, d)) % p
-    return arr
+        for acc, col in zip(cols, layer.mult(mono, d).cols):
+            for i, x in col.items():
+                acc[i] = acc.get(i, 0) + coeff * x
+    return Matrix((len(layer.basis(d + entry.bidegree())), len(cols)),
+                  [{i: r for i, v in acc.items() if (r := v % p)}
+                   for acc in cols])
+
+
+def _place(mat, row, col, block):
+    """Write block into mat with its top left corner at (row, col); the
+    rows it covers are still empty in its columns."""
+    for j, c in enumerate(block.cols, col):
+        target = mat.cols[j]
+        for i, v in c.items():
+            target[row + i] = v
 
 
 def _hom_spot(layer, module, d):
@@ -234,9 +246,9 @@ def _hom_map(layer, res, i, d):
         if 0 <= i <= L else ([], [0])
     src_dims, src_off = _hom_spot(layer, res.modules[i - 1], d) \
         if 0 <= i - 1 <= L else ([], [0])
-    arr = np.zeros((tgt_off[-1], src_off[-1]), dtype=np.int64)
-    if i < 1 or i > L or arr.size == 0:
-        return arr
+    mat = Matrix.zeros(tgt_off[-1], src_off[-1])
+    if i < 1 or i > L or not (tgt_off[-1] and src_off[-1]):
+        return mat
     matrix = res.maps[i - 1]
     for l, s_l in enumerate(res.modules[i].shifts):
         for k, s_k in enumerate(res.modules[i - 1].shifts):
@@ -244,8 +256,8 @@ def _hom_map(layer, res, i, d):
             if entry.is_zero() or src_dims[k] == 0 or tgt_dims[l] == 0:
                 continue
             block = _poly_action_matrix(layer, entry, d + s_k)
-            arr[tgt_off[l]:tgt_off[l + 1], src_off[k]:src_off[k + 1]] = block
-    return arr
+            _place(mat, tgt_off[l], src_off[k], block)
+    return mat
 
 
 def ext_into_dim(M: Presentation, W: Presentation, j: int, d) -> int:
@@ -279,18 +291,17 @@ def _block_matrix(tgt, src, blocks):
     nonzero."""
     tgt_slots, _, tgt_dim = tgt
     src_slots, _, src_dim = src
-    A = np.zeros((tgt_dim * len(tgt_slots), src_dim * len(src_slots)),
-                 dtype=np.int64)
+    mat = Matrix.zeros(tgt_dim * len(tgt_slots), src_dim * len(src_slots))
     if src_dim and tgt_dim:
         for ti, si, block in blocks:
-            A[ti * tgt_dim:(ti + 1) * tgt_dim,
-              si * src_dim:(si + 1) * src_dim] = block
-    return A
+            _place(mat, ti * tgt_dim, si * src_dim, block)
+    return mat
 
 
 def _koszul_differential(layer, variables, t, p_spot, d):
     """Matrix of K^p -> K^(p+1) at bidegree d."""
     ring = layer.M.ring
+    p = ring.p
     src = _koszul_spot(layer, variables, t, p_spot, d)
     tgt = _koszul_spot(layer, variables, t, p_spot + 1, d)
     tgt_index = {s: i for i, s in enumerate(tgt[0])}
@@ -300,10 +311,11 @@ def _koszul_differential(layer, variables, t, p_spot, d):
             for j, v in enumerate(variables):
                 if j in T:
                     continue
-                sign = (-1) ** sum(1 for u in T if u < j)
                 block = layer.mult(_monomial(ring.nvars, {v: t}), src[1])
-                yield (tgt_index[tuple(sorted(T + (j,)))], si,
-                       (sign * block) % ring.p)
+                if sum(1 for u in T if u < j) % 2:
+                    block = Matrix(block.shape, [
+                        {r: p - x for r, x in c.items()} for c in block.cols])
+                yield tgt_index[tuple(sorted(T + (j,)))], si, block
 
     return _block_matrix(tgt, src, blocks())
 
@@ -347,7 +359,7 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
         of B (its width is dim ker B) and the rank of A."""
         B = _koszul_differential(layer, variables, t, i, d)
         A = (_koszul_differential(layer, variables, t, i - 1, d) if i > 0
-             else np.zeros((B.shape[1], 0), dtype=np.int64))
+             else Matrix.zeros(B.shape[1], 0))
         check_complex(A, B, p)
         kernel = kernel_of_array(B, p)
         rank_a = rank_of_array(A, p)
@@ -360,8 +372,10 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
         if prev is not None:
             ph, pkernel = prev
             chi = _koszul_transition(layer, variables, t - 1, i, d)
-            mapped = (chi @ pkernel) % p
-            induced = rank_of_array(np.hstack([mapped, A]), p) - rank_a
+            mapped = chi.compose(pkernel, p)
+            both = Matrix((A.shape[0], mapped.shape[1] + A.shape[1]),
+                          mapped.cols + A.cols)
+            induced = rank_of_array(both, p) - rank_a
             if ph == h and induced == h:
                 consecutive += 1
                 if consecutive >= 2:

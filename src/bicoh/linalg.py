@@ -1,15 +1,14 @@
-"""Dense exact linear algebra over a prime field F_p.
+"""Sparse exact linear algebra over a prime field F_p.
 
 Every degreewise computation in the package bottoms out here: ranks and
-kernels of integer matrices reduced mod p.  Matrices are plain int64
-numpy arrays and the modulus is passed alongside; with p < 2^20 a pivot
-elimination step stays far below the int64 overflow bound, so no modular
-lifting is needed.
+kernels of matrices over F_p.  A Matrix is stored by columns, each a
+{row: value} dict of its nonzero entries, Python ints reduced mod p; the
+modulus is passed alongside.  The degree pieces of Koszul and relation
+maps are mostly zero, so elimination touches nonzero entries only
+(Dumas & Villard 2002, sparse elimination over finite fields).
 """
 
 from math import isqrt
-
-import numpy as np
 
 from .errors import ComposeError
 
@@ -20,86 +19,150 @@ def _check_prime(p):
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError(f"modulus {p} is not prime")
     if p >= 1 << 20:
-        raise ValueError(f"modulus {p} too large for int64 elimination")
+        raise ValueError(f"modulus {p} too large: primes below 2^20 "
+                         f"are supported")
 
 
-def _echelon(arr, p, reduced=False):
-    """Row echelon form mod p with first-nonzero pivoting.
+class Matrix:
+    """A rows x cols matrix over F_p: cols[j] is the {row: value} dict of
+    the nonzero entries of column j, reduced mod p.  A column is not
+    modified once its matrix is built, so matrices may share columns."""
 
-    Returns (echelon array, list of pivot columns).  With reduced=True the
-    pivot columns are cleared above the pivots as well (RREF).
-    """
-    a = np.array(arr, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        if r + 1 < rows:
-            below = a[r + 1:, c]
-            if np.any(below):
-                a[r + 1:] = (a[r + 1:] - np.outer(below, a[r])) % p
-        if reduced and r > 0:
-            above = a[:r, c]
-            if np.any(above):
-                a[:r] = (a[:r] - np.outer(above, a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    __slots__ = ("shape", "cols")
+
+    def __init__(self, shape, cols):
+        self.shape = shape
+        self.cols = cols
+
+    @classmethod
+    def zeros(cls, rows, cols):
+        return cls((rows, cols), [{} for _ in range(cols)])
+
+    @classmethod
+    def identity(cls, size):
+        return cls((size, size), [{i: 1} for i in range(size)])
+
+    def apply(self, column, p):
+        """self * column mod p, for a {row: value} column.  The result may
+        be one of self's own columns, so it must not be modified."""
+        cols = self.cols
+        if len(column) == 1:
+            # a multiple of one column, where nothing cancels
+            (j, x), = column.items()
+            if x == 1:
+                return cols[j]
+            return {i: y * x % p for i, y in cols[j].items()}
+        out = {}
+        for j, x in column.items():
+            for i, y in cols[j].items():
+                out[i] = out.get(i, 0) + x * y
+        return {i: r for i, v in out.items() if (r := v % p)}
+
+    def compose(self, other, p):
+        """The product self * other mod p."""
+        return Matrix((self.shape[0], other.shape[1]),
+                      [self.apply(c, p) for c in other.cols])
+
+
+def _as_matrix(arr, p):
+    """arr itself if it is a Matrix, else the Matrix of a dense 2-D array
+    (anything with .shape whose rows iterate), reduced mod p."""
+    if isinstance(arr, Matrix):
+        return arr
+    rows, cols = arr.shape
+    out = Matrix.zeros(rows, cols)
+    for i, row in enumerate(arr):
+        for j, v in enumerate(row):
+            v = int(v) % p
+            if v:
+                out.cols[j][i] = v
+    return out
+
+
+def _subtract(v, f, w, p):
+    """v -= f * w mod p in place, dropping the entries that become zero."""
+    for i, x in w.items():
+        y = (v.get(i, 0) - f * x) % p
+        if y:
+            v[i] = y
+        else:
+            v.pop(i, None)
+
+
+def _echelon(mat, p, track=False):
+    """Eliminate the columns of mat from left to right against a table
+    {pivot row: monic column}.
+
+    A column is reduced at its smallest row while that row holds a pivot;
+    if anything is left, it is scaled to 1 there and becomes the pivot of
+    that row.  Returns (table, kernel).  With track=True each column also
+    carries its combination of the original columns ({column: coefficient}),
+    and kernel lists the combinations of the columns that reduce to zero;
+    otherwise kernel is empty."""
+    table = {}      # pivot row -> (column without its pivot, combination)
+    kernel = []
+    for j, col in enumerate(mat.cols):
+        v = dict(col)
+        comb = {j: 1} if track else None
+        while v:
+            r = min(v)
+            pivot = table.get(r)
+            if pivot is None:
+                break
+            f = v.pop(r)
+            _subtract(v, f, pivot[0], p)
+            if track:
+                _subtract(comb, f, pivot[1], p)
+        if v:
+            inv = pow(v.pop(r), -1, p)
+            if inv != 1:
+                v = {i: x * inv % p for i, x in v.items()}
+                if track:
+                    comb = {i: x * inv % p for i, x in comb.items()}
+            table[r] = (v, comb)
+        elif track:
+            kernel.append(comb)
+    return table, kernel
 
 
 def rank_of_array(arr, p):
+    """Rank over F_p of a Matrix (or a dense 2-D array)."""
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         return 0
-    return len(_echelon(arr, p)[1])
+    return len(_echelon(_as_matrix(arr, p), p)[0])
 
 
 def kernel_of_array(arr, p):
-    """Basis of the right kernel as columns of an int64 array."""
+    """Basis of the right kernel, as the columns of a Matrix: one
+    combination of the columns of arr per column that reduces to zero."""
     rows, cols = arr.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
     if rows == 0:
-        return np.eye(cols, dtype=np.int64)
-    ech, pivots = _echelon(arr, p, reduced=True)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for idx, f in enumerate(free):
-        basis[f, idx] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, idx] = (-int(ech[r, f])) % p
-    return basis
+        return Matrix.identity(cols)
+    kernel = _echelon(_as_matrix(arr, p), p, track=True)[1]
+    return Matrix((cols, len(kernel)), kernel)
 
 
 def check_complex(A, B, p):
     """Raise ComposeError unless A --> . --> B is a complex at the middle
-    space: the shapes chain and B @ A = 0 mod p."""
+    space: the shapes chain and B * A = 0 mod p."""
     if B.shape[1] != A.shape[0]:
         raise ComposeError(
             f"shape mismatch: B has {B.shape[1]} columns, A has "
             f"{A.shape[0]} rows")
     if A.shape[1] and B.shape[0]:
-        if np.any((B @ A) % p):
+        A, B = _as_matrix(A, p), _as_matrix(B, p)
+        if any(B.apply(col, p) for col in A.cols):
             raise ComposeError("B*A is not zero; not a complex at this spot")
 
 
 def homology_dim(A, B, p) -> int:
     """dim(ker B / im A) over F_p for one graded piece of a complex
-    A --> . --> B.
+    A --> . --> B of Matrix (or dense 2-D) maps.
 
     A maps into the middle space (its columns are cycles), B maps out of it.
-    Raises ComposeError unless B @ A = 0.
+    Raises ComposeError unless B * A = 0.
     """
+    A, B = _as_matrix(A, p), _as_matrix(B, p)
     check_complex(A, B, p)
     ker_b = B.shape[1] - rank_of_array(B, p)
     return ker_b - rank_of_array(A, p)

@@ -14,8 +14,6 @@ the Ext module, so hilbert_dim of an Ext presentation cross-checks them.
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DegreeMismatchError, ZeroModuleError
 from .groebner import (
     FreeModule,
@@ -26,7 +24,7 @@ from .groebner import (
     kernel_basis,
     syzygies,
 )
-from .linalg import rank_of_array
+from .linalg import Matrix, rank_of_array
 from .poly import Bidegree, Polynomial, mono_mul
 from .tables import DimTable, Window
 
@@ -108,20 +106,17 @@ def quotient_by_polys(ring, polys) -> Presentation:
 
 
 def restrict_matrix(ring, tgt: FreeModule, src: FreeModule, matrix, d):
-    """The matrix of the degree-d piece of the map, over the ordered
-    monomial bases of source and target (numpy int64 array)."""
+    """The linalg.Matrix of the degree-d piece of the map, over the ordered
+    monomial bases of source and target."""
     d = Bidegree(*d)
-    tgt_basis = tgt.basis_at(d)
+    index = {key: i for i, key in enumerate(tgt.basis_at(d))}
     src_basis = src.basis_at(d)
-    index = {key: i for i, key in enumerate(tgt_basis)}
-    arr = np.zeros((len(tgt_basis), len(src_basis)), dtype=np.int64)
-    for col, (l, u) in enumerate(src_basis):
-        for k in range(tgt.rank):
-            entry = matrix[k][l]
-            for mono, coeff in entry.terms:
-                row = index[(k, mono_mul(mono, u))]
-                arr[row, col] = (arr[row, col] + coeff) % ring.p
-    return arr
+    # distinct terms of one entry land on distinct rows, and entries of
+    # one column on distinct generators, so no two terms share a row
+    cols = [{index[(k, mono_mul(mono, u))]: coeff
+             for k in range(tgt.rank) for mono, coeff in matrix[k][l].terms}
+            for l, u in src_basis]
+    return Matrix((len(index), len(src_basis)), cols)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from bicoh.cli import main
 from bicoh.errors import DegreeMismatchError, FormatError
+from bicoh.fixtures import named_fixtures
 from bicoh.modfile import load_module, save_module
 from bicoh.resolution import minimal_presentation
 
@@ -197,6 +203,24 @@ def test_cli_locoh_and_oracle_agree(hyper_path, capsys):
                      "-i", index, "--window", "-2:0,-3:-1"]) == 0
         oracle_out = capsys.readouterr().out
         assert locoh_out.splitlines()[-3:] == oracle_out.splitlines()[-3:]
+
+
+def test_cli_oracle_runs_without_numpy(tmp_path):
+    # the F_p layer is pure Python: a whole oracle run never imports numpy
+    path = tmp_path / "two.mod"
+    save_module(str(path), named_fixtures()["S/(x1y1,x1y2)"])
+    script = ("import sys; from bicoh.cli import main; "
+              f"code = main(['oracle', '--module', {str(path)!r}, "
+              "'--theory', 'Q', '-i', '2', '--window', '-2:0,-2:0']); "
+              "print(code, 'numpy' in sys.modules)")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_cli_tame_and_regscan(hyper_path, capsys):

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from bicoh import cohomology, linalg
@@ -12,7 +11,7 @@ from bicoh.cohomology import (
 from bicoh.errors import BadTheoryError, ComposeError
 from bicoh.fixtures import gencm_fixture
 from bicoh.groebner import FreeModule
-from bicoh.linalg import homology_dim
+from bicoh.linalg import Matrix, homology_dim
 from bicoh.poly import RingSpec, block_dim
 from bicoh.resolution import (
     Presentation,
@@ -165,9 +164,13 @@ def test_oracle_checks_that_its_maps_compose(S, monkeypatch):
     # maps of the right shapes that are not a complex: every level must
     # reject them, whatever its kernel and rank would say
     build = cohomology._koszul_differential
-    monkeypatch.setattr(
-        cohomology, "_koszul_differential",
-        lambda *args: np.ones_like(build(*args)))
+
+    def ones(*args):
+        rows, cols = build(*args).shape
+        return Matrix((rows, cols), [dict.fromkeys(range(rows), 1)
+                                     for _ in range(cols)])
+
+    monkeypatch.setattr(cohomology, "_koszul_differential", ones)
     with pytest.raises(ComposeError, match="B\\*A is not zero"):
         cech_oracle(S, "Q", 1, (0, 0))
 

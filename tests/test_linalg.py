@@ -2,9 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bicoh.errors import ComposeError
-from bicoh.linalg import homology_dim, kernel_of_array, rank_of_array
+from bicoh.linalg import Matrix, homology_dim, kernel_of_array, rank_of_array
 
 P = 32003
 
@@ -19,6 +21,77 @@ def eye(size):
 
 def array(entries):
     return np.array(entries, dtype=np.int64)
+
+
+def matrix(entries):
+    """Matrix of a nonempty list of rows."""
+    cols = len(entries[0])
+    return Matrix((len(entries), cols),
+                  [{i: row[j] % P for i, row in enumerate(entries)
+                    if row[j] % P} for j in range(cols)])
+
+
+def _dense_echelon(arr, p):
+    """Referee: dense row echelon form mod p with first-nonzero pivoting on
+    an int64 array.  Returns (echelon array, list of pivot columns)."""
+    a = np.array(arr, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = (a[r] * inv) % p
+        if r + 1 < rows:
+            below = a[r + 1:, c]
+            if np.any(below):
+                a[r + 1:] = (a[r + 1:] - np.outer(below, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _dense(mat):
+    """The int64 array of a Matrix."""
+    out = np.zeros(mat.shape, dtype=np.int64)
+    for j, col in enumerate(mat.cols):
+        for i, v in col.items():
+            out[i, j] = v
+    return out
+
+
+def _sparse(arr, p):
+    """The Matrix of an int64 array, entries reduced mod p."""
+    rows, cols = arr.shape
+    return Matrix((rows, cols), [{i: int(arr[i, j]) % p for i in range(rows)
+                                  if arr[i, j] % p} for j in range(cols)])
+
+
+def _random_array(rng, rows, cols, p, density):
+    return np.array([[rng.randrange(1, p) if rng.random() < density else 0
+                      for _ in range(cols)] for _ in range(rows)],
+                    dtype=np.int64).reshape(rows, cols)
+
+
+def _agrees_with_dense_referee(arr, p):
+    """Rank, kernel dimension and B * K = 0 against the dense referee."""
+    rows, cols = arr.shape
+    dense_rank = len(_dense_echelon(arr, p)[1]) if rows and cols else 0
+    assert rank_of_array(arr, p) == dense_rank
+    kernel = kernel_of_array(arr, p)
+    assert kernel.shape == (cols, cols - dense_rank)
+    dense_kernel = _dense(kernel)
+    assert not np.any((arr @ dense_kernel) % p)
+    # the kernel columns are independent, so they span the whole kernel
+    if kernel.shape[1]:
+        assert len(_dense_echelon(dense_kernel, p)[1]) == kernel.shape[1]
 
 
 def test_rank_identity():
@@ -43,10 +116,10 @@ def test_kernel_of_zero_map():
 
 
 def test_kernel_single_relation():
-    k = kernel_of_array(array([[1, 1]]), P)
+    k = kernel_of_array(matrix([[1, 1]]), P)
     assert k.shape[1] == 1
-    v = k[:, 0]
-    assert (v[0] + v[1]) % P == 0 and v.any()
+    v = k.cols[0]
+    assert (v.get(0, 0) + v.get(1, 0)) % P == 0 and v
 
 
 def test_homology_of_zero_complex():
@@ -80,14 +153,61 @@ def test_rank_nullity_on_random_matrices():
 
 def test_kernel_columns_are_killed():
     rng = random.Random(5)
-    m = array([[rng.randrange(7) for _ in range(6)] for _ in range(4)])
+    m = matrix([[rng.randrange(7) for _ in range(6)] for _ in range(4)])
     k = kernel_of_array(m, P)
-    assert not np.any((m @ k) % P)
+    assert not any(m.compose(k, P).cols)
 
 
 def test_determinism():
     rng = random.Random(3)
-    m = array([[rng.randrange(P) for _ in range(5)] for _ in range(5)])
+    m = matrix([[rng.randrange(P) for _ in range(5)] for _ in range(5)])
     first = kernel_of_array(m, P)
     second = kernel_of_array(m, P)
-    assert np.array_equal(first, second)
+    assert (first.shape, first.cols) == (second.shape, second.cols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@pytest.mark.parametrize("density", [1.0, 0.05])
+def test_sparse_elimination_matches_dense_referee(p, density):
+    rng = random.Random(f"{p}:{density}")
+    shapes = [(rows, cols) for rows in range(13) for cols in range(13)]
+    shapes += [(72, 168), (168, 72), (40, 40), (1, 168)]
+    for rows, cols in shapes:
+        _agrees_with_dense_referee(
+            _random_array(rng, rows, cols, p, density), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_compose_matches_dense_product(p):
+    # sparse columns with one entry other than 1 take the scaled-column
+    # path of Matrix.apply; every stored entry stays nonzero mod p
+    rng = random.Random(p)
+    for density in (1.0, 0.3, 0.05):
+        for _ in range(60):
+            rows, mid, cols = (rng.randint(0, 12) for _ in range(3))
+            B = _random_array(rng, rows, mid, p, density)
+            A = _random_array(rng, mid, cols, p, density)
+            product = _sparse(B, p).compose(_sparse(A, p), p)
+            assert product.shape == (rows, cols)
+            assert all(0 < v < p for col in product.cols
+                       for v in col.values())
+            assert np.array_equal(_dense(product), (B @ A) % p)
+
+
+def test_dense_input_reads_as_the_same_matrix():
+    # rank and kernel read int64 arrays (entries reduced mod p) just as
+    # the Matrix built from the same rows
+    rows = [[P + 1, 2 * P], [-1, 5]]
+    assert rank_of_array(array(rows), P) == rank_of_array(matrix(rows), P)
+    assert kernel_of_array(array([[1, -1]]), P).cols == \
+        kernel_of_array(matrix([[1, -1]]), P).cols
+
+
+@given(st.data())
+def test_sparse_elimination_matches_dense_referee_property(data):
+    p = data.draw(st.sampled_from([2, 3, 32003]))
+    rows = data.draw(st.integers(0, 12))
+    cols = data.draw(st.integers(0, 12))
+    density = data.draw(st.sampled_from([1.0, 0.3, 0.05]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    _agrees_with_dense_referee(_random_array(rng, rows, cols, p, density), p)
