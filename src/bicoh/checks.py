@@ -27,7 +27,7 @@ from .resolution import (
     Presentation,
     ext_presentation,
     free_presentation,
-    krull_dim,
+    initial_module,
     profile,
 )
 from .strands import x_strand
@@ -356,7 +356,8 @@ def check_structure1(M: Presentation, window: Window) -> CheckReport:
                     yield ((i, j), lhs == rhs, lhs, rhs,
                            f"k={k}, strand j={j}: Ext over K[x] vs "
                            "Q-table row -j")
-                dim = krull_dim(ext_presentation(strand, ring.m - k))
+                ext = ext_presentation(strand, ring.m - k)
+                dim = initial_module(ext).krull_dim()
                 yield ((0, j), dim <= k, dim, k,
                        f"k={k}, strand j={j}: Krull dim bound")
 

@@ -4,10 +4,10 @@ Three computation paths, all exact per bidegree:
 
 * Ext against the canonical twist (graded local duality): Ext^j(M, omega)
   is a finitely generated module, presented from the dualized minimal
-  resolution, and each graded dimension is read off the alternating sum
-  of its own minimal resolution.  For R_+ this gives the whole table
-  after a Matlis flip; omega_S = S(-m,-n), omega_{K[x]} = K[x](-m),
-  omega_{K[y]} = K[y](-n).
+  resolution, and each graded dimension is read off the Hilbert-series
+  numerator of its initial module; no Ext module is resolved.  For R_+
+  this gives the whole table after a Matlis flip; omega_S = S(-m,-n),
+  omega_{K[x]} = K[x](-m), omega_{K[y]} = K[y](-n).
 * Strand reduction: H^i_Q(M)_(a,b) is the degree-b piece of the local
   cohomology of the K[y]-module strand M_(a,*) at its maximal ideal,
   which local duality turns into an Ext dimension over K[y]; P is the
@@ -18,16 +18,14 @@ Three computation paths, all exact per bidegree:
   Koszul system *is* the degreewise representation of the localizations;
   the limit is detected by two successive transition isomorphisms past a
   degree floor, with a hard iteration cap.  Every Koszul map is built from
-  one standard-monomial layer per module (the relation Groebner basis, the
-  floor, and per-degree bases and variable steps, in one process-wide
-  cache), and each level eliminates each of its two maps once, after
-  checking that they compose to zero.
+  the standard monomials of the module's initial module (per-degree bases
+  and variable steps), and each level eliminates each of its two maps
+  once, after checking that they compose to zero.
 """
 
 from itertools import combinations
 
 from .errors import BadTheoryError, StabilizationError
-from .groebner import GroebnerBasis, ModuleElement, buchberger, normal_form
 from .linalg import (
     Matrix,
     check_complex,
@@ -35,8 +33,13 @@ from .linalg import (
     kernel_of_array,
     rank_of_array,
 )
-from .poly import Bidegree, Polynomial, mono_divides, mono_mul
-from .resolution import Presentation, ext_presentation, resolve
+from .poly import Bidegree
+from .resolution import (
+    Presentation,
+    ext_presentation,
+    initial_module,
+    resolve,
+)
 from .strands import x_strand, y_strand
 from .tables import CohomologyTable, DimTable, Window
 
@@ -57,11 +60,11 @@ def _check_theory(ring, theory):
 
 
 def _ext_hilbert(N: Presentation, j: int, degrees) -> list:
-    """dim_K Ext^j(N, omega)_d for each d in degrees: the alternating sum
-    over the minimal resolution of the Ext module.  Zero for j outside
-    0..pd, where the Ext module is zero."""
-    res = resolve(ext_presentation(N, j))
-    return [res.alternating_dim(d) for d in degrees]
+    """dim_K Ext^j(N, omega)_d for each d in degrees, read off the initial
+    module of the Ext presentation.  Zero for j outside 0..pd, where the
+    Ext module is zero."""
+    module = initial_module(ext_presentation(N, j))
+    return [module.dim_at(d) for d in degrees]
 
 
 def ext_table(M: Presentation, j: int, window: Window) -> DimTable:
@@ -119,89 +122,6 @@ def cd_estimate(M: Presentation, window: Window) -> int:
 # the Koszul-limit oracle
 
 
-class _StandardLayer:
-    """M in standard monomials: the monomials of the free cover that no lead
-    term of the relation Groebner basis divides are a K-basis of each piece
-    M_d.  Bases and single-variable steps are filled in on first use."""
-
-    def __init__(self, M: Presentation):
-        self.M = M
-        cols = [c for c in M.columns() if c]
-        self.gb = (buchberger(cols, module=M.target) if cols
-                   else GroebnerBasis(M.target, ()))
-        self.leads = self.gb.lead_terms()
-        # powers below the floor can miss torsion killed only by high
-        # powers: it clears every relation and basis lead degree
-        degrees = [sum(mono) for row in M.matrix for entry in row
-                   for mono, _ in entry.terms]
-        degrees += [sum(mono) for _, mono, _ in self.leads]
-        self.floor = max(degrees, default=0) + 1
-        self.bases = {}     # d -> ((generator, monomial), ...)
-        self.steps = {}     # (var, d) -> matrix of var from M_d
-
-    def basis(self, d):
-        """The standard monomials (generator, monomial) of M_d."""
-        basis = self.bases.get(d)
-        if basis is None:
-            basis = self.bases[d] = tuple(
-                (k, mono) for k, mono in self.M.target.basis_at(d)
-                if not any(gk == k and mono_divides(gm, mono)
-                           for gk, gm, _ in self.leads))
-        return basis
-
-    def step(self, var, d: Bidegree):
-        """Matrix of multiplication by the variable from M_d to the next
-        piece."""
-        mat = self.steps.get((var, d))
-        if mat is not None:
-            return mat
-        M, ring = self.M, self.M.ring
-        src = self.basis(d)
-        index = {key: i for i, key in
-                 enumerate(self.basis(d + ring.variable_degree(var)))}
-        unit = tuple(1 if t == var else 0 for t in range(ring.nvars))
-        cols = []
-        for k, mono in src:
-            shifted = mono_mul(mono, unit)
-            row = index.get((k, shifted))
-            if row is not None:
-                cols.append({row: 1})
-                continue
-            coords = [ring.zero()] * M.target.rank
-            coords[k] = Polynomial(ring, ((shifted, 1),))
-            nf = normal_form(ModuleElement(M.target, tuple(coords)), self.gb)
-            cols.append({index[(kk, mm)]: coeff
-                         for kk, poly in enumerate(nf.coords)
-                         for mm, coeff in poly.terms})
-        mat = self.steps[(var, d)] = Matrix((len(index), len(src)), cols)
-        return mat
-
-    def mult(self, mono, d):
-        """Matrix of multiplication by the monomial from M_d up: the
-        composite of single-variable steps."""
-        ring = self.M.ring
-        cur = Bidegree(*d)
-        mat = None
-        for var, e in enumerate(mono):
-            for _ in range(e):
-                step = self.step(var, cur)
-                mat = step if mat is None else step.compose(mat, ring.p)
-                cur = cur + ring.variable_degree(var)
-        if mat is None:
-            return Matrix.identity(len(self.basis(cur)))
-        return mat
-
-
-_LAYERS = {}    # Presentation -> _StandardLayer, for the life of the process
-
-
-def _layer(M: Presentation) -> _StandardLayer:
-    layer = _LAYERS.get(M)
-    if layer is None:
-        layer = _LAYERS[M] = _StandardLayer(M)
-    return layer
-
-
 def _monomial(nvars, powers):
     """Exponent tuple with powers[var] at each var, zero elsewhere."""
     return tuple(powers.get(var, 0) for var in range(nvars))
@@ -210,7 +130,7 @@ def _monomial(nvars, powers):
 def _poly_action_matrix(layer, entry, d):
     """Matrix of multiplication by the polynomial on W, from W_d to the
     piece one entry-degree up."""
-    p = layer.M.ring.p
+    p = layer.ring.p
     cols = [{} for _ in layer.basis(d)]
     for mono, coeff in entry.terms:
         for acc, col in zip(cols, layer.mult(mono, d).cols):
@@ -268,7 +188,7 @@ def ext_into_dim(M: Presentation, W: Presentation, j: int, d) -> int:
     res = resolve(M)
     if j < 0 or j > res.length:
         return 0
-    layer, d = _layer(W), Bidegree(*d)
+    layer, d = initial_module(W), Bidegree(*d)
     A = _hom_map(layer, res, j, d)
     B = _hom_map(layer, res, j + 1, d)
     return homology_dim(A, B, W.ring.p)
@@ -279,7 +199,7 @@ def _koszul_spot(layer, variables, t, p_spot, d):
     (v^t : v in variables): one copy of M_piece per p_spot-subset of the
     variables.  Returns (slot list, piece, piece dimension)."""
     # all variables in one block have the same degree
-    step = layer.M.ring.variable_degree(variables[0])
+    step = layer.ring.variable_degree(variables[0])
     piece = d + Bidegree(step.a * t * p_spot, step.b * t * p_spot)
     slots = list(combinations(range(len(variables)), p_spot))
     return slots, piece, len(layer.basis(piece))
@@ -300,29 +220,35 @@ def _block_matrix(tgt, src, blocks):
 
 def _koszul_differential(layer, variables, t, p_spot, d):
     """Matrix of K^p -> K^(p+1) at bidegree d."""
-    ring = layer.M.ring
+    ring = layer.ring
     p = ring.p
     src = _koszul_spot(layer, variables, t, p_spot, d)
     tgt = _koszul_spot(layer, variables, t, p_spot + 1, d)
     tgt_index = {s: i for i, s in enumerate(tgt[0])}
+
+    built = {}      # (variable index, sign) -> block, shared by the slots
 
     def blocks():
         for si, T in enumerate(src[0]):
             for j, v in enumerate(variables):
                 if j in T:
                     continue
-                block = layer.mult(_monomial(ring.nvars, {v: t}), src[1])
-                if sum(1 for u in T if u < j) % 2:
-                    block = Matrix(block.shape, [
-                        {r: p - x for r, x in c.items()} for c in block.cols])
-                yield tgt_index[tuple(sorted(T + (j,)))], si, block
+                sign = sum(1 for u in T if u < j) % 2
+                if (j, 0) not in built:
+                    built[j, 0] = layer.mult(
+                        _monomial(ring.nvars, {v: t}), src[1])
+                if (j, sign) not in built:
+                    pos = built[j, 0]
+                    built[j, 1] = Matrix(pos.shape, [
+                        {r: p - x for r, x in c.items()} for c in pos.cols])
+                yield tgt_index[tuple(sorted(T + (j,)))], si, built[j, sign]
 
     return _block_matrix(tgt, src, blocks())
 
 
 def _koszul_transition(layer, variables, t, p_spot, d):
     """Comparison K^p(t) -> K^p(t+1): on slot T multiply by prod_T v."""
-    nvars = layer.M.ring.nvars
+    nvars = layer.ring.nvars
     src = _koszul_spot(layer, variables, t, p_spot, d)
     tgt = _koszul_spot(layer, variables, t + 1, p_spot, d)
     blocks = ((si, si, layer.mult(
@@ -347,8 +273,13 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
                  else list(range(ring.m, ring.nvars)))
     if i < 0 or i > len(variables):
         return 0
-    layer = _layer(M)
-    floor = layer.floor
+    layer = initial_module(M)
+    # powers below the floor can miss torsion killed only by high powers:
+    # it clears every relation and basis lead degree
+    degrees = [sum(mono) for row in M.matrix for entry in row
+               for mono, _ in entry.terms]
+    degrees += [sum(mono) for _, mono, _ in layer.leads]
+    floor = max(degrees, default=0) + 1
     if cap is None:
         radius = max(abs(d.a), abs(d.b))
         cap = max(4 + floor - 1 + radius, floor + 3)

@@ -1,18 +1,20 @@
-"""Presentations, minimal bigraded free resolutions, and derived invariants.
+"""Presentations, initial modules, minimal bigraded free resolutions, and
+derived invariants.
 
 A module M is always carried as the cokernel of a shift-decorated matrix
-between free modules.  From the minimal resolution we read off graded Betti
-numbers, projective dimension and depth (Auslander-Buchsbaum).  The Krull
-dimension needs no resolution: it is read off the lead terms of one
-Groebner basis of the relations.  Graded dimensions have two independent
-paths: hilbert_dim ranks the degree-restricted relation matrix with no
-resolution, and FreeResolution.alternating_dim sums the free ranks of a
-resolution.  The Ext and local-cohomology tables take the second path on
-the Ext module, so hilbert_dim of an Ext presentation cross-checks them.
+between free modules.  Its graded dimensions, Krull dimension and standard
+monomials come from one object per presentation, initial_module(P): F/U
+and F/in(U) share their Hilbert function (Macaulay), so the lead terms of
+one Groebner basis of the relations decide all three.  Every table of
+graded dimensions, Ext and local-cohomology tables included, reads it.
+From the minimal resolution we read off graded Betti numbers, projective
+dimension and depth (Auslander-Buchsbaum), and the Ext presentations.
+hilbert_dim, which ranks the degree-restricted relation matrix, is kept as
+an independent referee of the initial-module dimensions; no table reads it.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DegreeMismatchError, ZeroModuleError
 from .groebner import (
@@ -22,10 +24,20 @@ from .groebner import (
     _divide,
     buchberger,
     kernel_basis,
+    normal_form,
     syzygies,
 )
 from .linalg import Matrix, rank_of_array
-from .poly import Bidegree, Polynomial, mono_mul
+from .poly import (
+    Bidegree,
+    Polynomial,
+    mono_bidegree,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    piece_dim,
+)
 from .tables import DimTable, Window
 
 _RESOLUTION_LENGTH_SLACK = 8
@@ -122,7 +134,8 @@ def restrict_matrix(ring, tgt: FreeModule, src: FreeModule, matrix, d):
 @lru_cache(maxsize=None)
 def hilbert_dim(P: Presentation, d) -> int:
     """Exact dim_K M_d: dim of the free piece minus the rank of the
-    degree-restricted relation matrix.  No truncation, no resolution."""
+    degree-restricted relation matrix.  No Groebner basis, no resolution:
+    the referee of InitialModule.dim_at, which the tables read."""
     d = Bidegree(*d)
     free_dim = P.target.dim_at(d)
     if free_dim == 0:
@@ -134,8 +147,135 @@ def hilbert_dim(P: Presentation, d) -> int:
 
 
 def hilbert_table(P: Presentation, window: Window) -> DimTable:
-    cells = {tuple(d): hilbert_dim(P, d) for d in window.cells()}
+    module = initial_module(P)
+    cells = {tuple(d): module.dim_at(d) for d in window.cells()}
     return DimTable(window=window, cells=cells, p=P.ring.p)
+
+
+# ---------------------------------------------------------------------------
+# initial modules
+
+
+def _numerator(ring, monos):
+    """Hilbert-series numerator {bidegree: coefficient} of S/J for the
+    monomial ideal J = (monos).  Adding the minimal generators one at a
+    time, N(J + (m)) = N(J) - t^deg(m) N(J : m) (Bigatti 1997), where J : m
+    is generated by the lcm(g, m) / m."""
+    gens, out = [], {Bidegree(0, 0): 1}
+    for m in sorted(set(monos), key=sum):
+        if any(mono_divides(g, m) for g in gens):
+            continue
+        deg = mono_bidegree(ring, m)
+        colon = [mono_div(mono_lcm(g, m), m) for g in gens]
+        for s, c in _numerator(ring, colon).items():
+            out[s + deg] = out.get(s + deg, 0) - c
+        gens.append(m)
+    return out
+
+
+class InitialModule:
+    """F/in(U) for a presentation F/U: the reduced Groebner basis of the
+    relations and its lead terms.  F/U and F/in(U) share their Hilbert
+    function (Macaulay), and the monomials of F that no lead term divides,
+    the standard monomials, are a K-basis of each piece of F/U.  Bases and
+    single-variable steps are filled in on first use."""
+
+    def __init__(self, P: Presentation):
+        self.P = P
+        self.ring = P.ring
+        cols = [c for c in P.columns() if c]
+        self.gb = (buchberger(cols, module=P.target) if cols
+                   else GroebnerBasis(P.target, ()))
+        self.leads = self.gb.lead_terms()
+        self._bases = {}    # d -> ((generator, monomial), ...)
+        self._steps = {}    # (var, d) -> matrix of var from M_d
+
+    @cached_property
+    def numerator(self):
+        """{s: c} with dim M_d = sum c * dim S_(d - s): F/in(U) is the sum
+        over positions k of S(-shift_k)/J_k, J_k the monomial ideal of the
+        lead terms in position k."""
+        out = {}
+        for k, shift in enumerate(self.P.gens):
+            ideal = [mono for kk, mono, _ in self.leads if kk == k]
+            for s, c in _numerator(self.ring, ideal).items():
+                out[shift + s] = out.get(shift + s, 0) + c
+        return {s: c for s, c in out.items() if c}
+
+    def dim_at(self, d) -> int:
+        """dim_K M_d, from the numerator: no basis is enumerated."""
+        d = Bidegree(*d)
+        return sum(c * piece_dim(self.ring, d - s)
+                   for s, c in self.numerator.items())
+
+    def krull_dim(self) -> int:
+        """dim S/J_k is the largest number of variables whose set contains
+        the support of no lead term of J_k; the module's is the largest
+        over the positions.  -1 for the zero module."""
+        supports = [set() for _ in self.P.gens]
+        for k, mono, _ in self.leads:
+            supports[k].add(sum(1 << v for v, e in enumerate(mono) if e))
+        return max((free.bit_count() for free in range(1 << self.ring.nvars)
+                    for leads in supports
+                    if not any(s & free == s for s in leads)), default=-1)
+
+    def basis(self, d):
+        """The standard monomials (generator, monomial) of M_d."""
+        basis = self._bases.get(d)
+        if basis is None:
+            basis = self._bases[d] = tuple(
+                (k, mono) for k, mono in self.P.target.basis_at(d)
+                if not any(gk == k and mono_divides(gm, mono)
+                           for gk, gm, _ in self.leads))
+        return basis
+
+    def step(self, var, d: Bidegree):
+        """Matrix of multiplication by the variable from M_d to the next
+        piece."""
+        mat = self._steps.get((var, d))
+        if mat is not None:
+            return mat
+        ring, target = self.ring, self.P.target
+        src = self.basis(d)
+        index = {key: i for i, key in
+                 enumerate(self.basis(d + ring.variable_degree(var)))}
+        unit = tuple(1 if t == var else 0 for t in range(ring.nvars))
+        cols = []
+        for k, mono in src:
+            shifted = mono_mul(mono, unit)
+            row = index.get((k, shifted))
+            if row is not None:
+                cols.append({row: 1})
+                continue
+            coords = [ring.zero()] * target.rank
+            coords[k] = Polynomial(ring, ((shifted, 1),))
+            nf = normal_form(ModuleElement(target, tuple(coords)), self.gb)
+            cols.append({index[(kk, mm)]: coeff
+                         for kk, poly in enumerate(nf.coords)
+                         for mm, coeff in poly.terms})
+        mat = self._steps[(var, d)] = Matrix((len(index), len(src)), cols)
+        return mat
+
+    def mult(self, mono, d):
+        """Matrix of multiplication by the monomial from M_d up: the
+        composite of single-variable steps."""
+        ring = self.ring
+        cur = Bidegree(*d)
+        mat = None
+        for var, e in enumerate(mono):
+            for _ in range(e):
+                step = self.step(var, cur)
+                mat = step if mat is None else step.compose(mat, ring.p)
+                cur = cur + ring.variable_degree(var)
+        if mat is None:
+            return Matrix.identity(len(self.basis(cur)))
+        return mat
+
+
+@lru_cache(maxsize=None)
+def initial_module(P: Presentation) -> InitialModule:
+    """The initial module of P, built once per presentation."""
+    return InitialModule(P)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +296,11 @@ class FreeResolution:
     def length(self):
         return len(self.modules) - 1
 
-    def betti(self, i):
-        return self.modules[i].rank if 0 <= i <= self.length else 0
-
     def shifts(self, i):
         return self.modules[i].shifts if 0 <= i <= self.length else ()
+
+    def betti(self, i):
+        return self.modules[i].rank if 0 <= i <= self.length else 0
 
     def alternating_dim(self, d):
         return sum((-1) ** i * mod.dim_at(d)
@@ -333,21 +473,6 @@ def is_zero_module(P: Presentation) -> bool:
 # numerical invariants
 
 
-def krull_dim(P: Presentation) -> int:
-    """Krull dimension, read off the lead terms of one Groebner basis of
-    the relations: F/U and F/in(U) share their Hilbert function, and
-    F/in(U) is the sum over positions k of S/J_k with J_k the monomial
-    ideal of the lead terms in position k.  dim S/J_k is the largest number
-    of variables whose set contains the support of no lead term of J_k.
-    Returns -1 for the zero module."""
-    supports = [set() for _ in P.gens]
-    for k, mono, _ in buchberger(P.columns(), module=P.target).lead_terms():
-        supports[k].add(sum(1 << v for v, e in enumerate(mono) if e))
-    return max((free.bit_count() for free in range(1 << P.ring.nvars)
-                for leads in supports
-                if not any(s & free == s for s in leads)), default=-1)
-
-
 @dataclass(frozen=True)
 class ModuleProfile:
     dim: int
@@ -377,7 +502,7 @@ def profile(P: Presentation) -> ModuleProfile:
     nvars = P.ring.nvars
     pd = resolve(P).length
     depth = nvars - pd
-    dim = krull_dim(P)
+    dim = initial_module(P).krull_dim()
     if depth > dim:
         raise RuntimeError(f"depth {depth} exceeds dim {dim}; "
                            "inconsistent invariants")
@@ -385,7 +510,7 @@ def profile(P: Presentation) -> ModuleProfile:
     is_gencm = True
     for i in range(depth, dim):
         ext = ext_presentation(P, nvars - i)
-        if krull_dim(ext) > 0:
+        if initial_module(ext).krull_dim() > 0:
             is_gencm = False
             break
     return ModuleProfile(dim=dim, depth=depth, pd=pd, is_cm=is_cm,

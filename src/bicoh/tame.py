@@ -19,8 +19,8 @@ from .poly import Bidegree
 from .resolution import (
     Presentation,
     ext_presentation,
+    initial_module,
     is_zero_module,
-    krull_dim,
     profile,
     resolve,
 )
@@ -47,7 +47,7 @@ def _strand_profile(N, j):
     if is_zero_module(strand):
         return None
     pd = resolve(strand).length
-    return (strand.ring.nvars - pd, krull_dim(strand))
+    return (strand.ring.nvars - pd, initial_module(strand).krull_dim())
 
 
 def _trailing(values, toward_min):
@@ -193,7 +193,8 @@ def limit_profile_check(N: Presentation, jwindow) -> CheckReport:
             notes.append(f"stable strand profile: depth {depth_limit}, "
                          f"dim {dim_limit}")
             if profile(N).is_cm:
-                expected = krull_dim(N) - krull_dim(_mod_by_irrelevant(N))
+                expected = (initial_module(N).krull_dim() - initial_module(
+                    _mod_by_irrelevant(N)).krull_dim())
                 if depth_limit != expected:
                     failure = CellFailure(
                         (0, hi), depth_limit, expected,

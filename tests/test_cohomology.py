@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bicoh import cohomology, linalg
@@ -9,16 +11,17 @@ from bicoh.cohomology import (
     local_coh_table,
 )
 from bicoh.errors import BadTheoryError, ComposeError
-from bicoh.fixtures import gencm_fixture
+from bicoh.fixtures import gencm_fixture, named_fixtures, standard_ring
 from bicoh.groebner import FreeModule
-from bicoh.linalg import Matrix, homology_dim
-from bicoh.poly import RingSpec, block_dim
+from bicoh.linalg import Matrix, homology_dim, rank_of_array
+from bicoh.poly import Polynomial, RingSpec, block_dim, monomial_basis
 from bicoh.resolution import (
     Presentation,
     ext_presentation,
     free_presentation,
     hilbert_dim,
     hilbert_table,
+    initial_module,
     is_zero_module,
     profile,
     resolve,
@@ -63,17 +66,63 @@ def test_ext_presentation_examples(ring, S, hypersurface):
         ext_table(hypersurface, 1, window).cells
 
 
+def _random_presentation(rng, ring):
+    """1-3 generators in bidegrees (0..1, 0..1) and 1-3 relations of random
+    forms, each relation at or one step above the generators' largest
+    degree in each block."""
+    gens = [(rng.randint(0, 1), rng.randint(0, 1))
+            for _ in range(rng.randint(1, 3))]
+    top = (max(a for a, _ in gens), max(b for _, b in gens))
+    rels, columns = [], []
+    for _ in range(rng.randint(1, 3)):
+        rel = (top[0] + rng.randint(0, 1), top[1] + rng.randint(0, 1))
+        column = []
+        for a, b in gens:
+            basis = monomial_basis(ring, (rel[0] - a, rel[1] - b))
+            terms = {mono: rng.randrange(ring.p) for mono in basis
+                     if rng.random() < 0.5}
+            column.append(Polynomial.from_dict(ring, terms))
+        rels.append(rel)
+        columns.append(column)
+    return Presentation(ring, tuple(gens), tuple(rels),
+                        tuple(zip(*columns)))
+
+
 def test_ext_presentation_table_agreement(ring, two_relations):
     # hilbert_dim of the Ext presentation (rank of its restricted relation
-    # matrix) agrees with ext_table (alternating sum over its resolution),
-    # including the zeros on either side of 0..pd; the gencm fixture's Ext
-    # modules have several generators
+    # matrix) and the alternating sum over its resolution agree with
+    # ext_table (the initial module of the Ext presentation), including
+    # the zeros on either side of 0..pd; the gencm fixture's Ext modules
+    # have several generators
     window = Window(-3, 3, -3, 3)
     for M in (two_relations, gencm_fixture(ring)):
         for j in range(-1, resolve(M).length + 2):
             pres = ext_presentation(M, j)
-            assert hilbert_table(pres, window).cells == \
-                ext_table(M, j, window).cells, j
+            table = ext_table(M, j, window)
+            res = resolve(pres)
+            for d in window.cells():
+                assert hilbert_dim(pres, d) == table[d], (j, tuple(d))
+                assert res.alternating_dim(d) == table[d], (j, tuple(d))
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_initial_module_dims_match_restrict_and_rank_random(p):
+    # random presentations with several generators over rings with m, n
+    # at most 2, single-block rings included; the initial module's
+    # numerator must give every cell that restrict+rank gives
+    rng = random.Random(11 * p)
+    window = Window(-1, 4, -1, 4)
+    several = 0
+    for m, n in ((1, 1), (2, 1), (1, 2), (2, 2), (2, 0), (0, 2)):
+        ring = RingSpec(m, n, p)
+        for _ in range(3):
+            P = _random_presentation(rng, ring)
+            several += len(P.gens) > 1
+            module = initial_module(P)
+            for d in window.cells():
+                assert module.dim_at(d) == hilbert_dim(P, d), (str(P), d)
+                assert module.dim_at(d) == len(module.basis(d))
+    assert several
 
 
 def test_top_q_cohomology_closed_form(ring, S):
@@ -160,6 +209,57 @@ def test_oracle_equals_duality_path(ring, hypersurface, two_relations):
                         (M.ring.p, theory, i, tuple(d))
 
 
+def _block_change(P, seed):
+    """P after a seeded invertible linear change of coordinates within each
+    variable block, so its relations get generic coefficients."""
+    ring = P.ring
+    rng = random.Random(seed)
+    images = []
+    for block in (range(ring.m), range(ring.m, ring.nvars)):
+        while True:
+            rows = [[rng.randrange(ring.p) for _ in block] for _ in block]
+            cols = [{i: row[j] for i, row in enumerate(rows) if row[j]}
+                    for j in range(len(block))]
+            if rank_of_array(Matrix((len(block),) * 2, cols),
+                             ring.p) == len(block):
+                break
+        images += [sum((ring.variable(v).scale(a) for v, a in zip(block, row)),
+                       ring.zero()) for row in rows]
+
+    def substitute(f):
+        out = ring.zero()
+        for mono, coeff in f.terms:
+            term = ring.one().scale(coeff)
+            for v, e in enumerate(mono):
+                for _ in range(e):
+                    term = term * images[v]
+            out = out + term
+        return out
+
+    return Presentation(ring, P.gens, P.rels, tuple(
+        tuple(substitute(f) for f in row) for row in P.matrix))
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_oracle_equals_duality_path_generic_coefficients(p):
+    # the named fixtures have coefficients +-1; after a change of
+    # coordinates a Koszul step can send a standard monomial to a
+    # non-unit multiple of another, which the oracle must scale right
+    window = Window(-2, 2, -2, 2)
+    generic = 0
+    for k, (name, P) in enumerate(named_fixtures(standard_ring(p)).items()):
+        M = _block_change(P, seed=p + k)
+        generic += any(c not in (1, p - 1) for row in M.matrix
+                       for f in row for _, c in f.terms)
+        for theory in ("P", "Q"):
+            for i in range(0, 3):
+                table = local_coh_table(M, theory, i, window)
+                for d in window.cells():
+                    assert cech_oracle(M, theory, i, d) == table[d], \
+                        (name, theory, i, tuple(d))
+    assert generic or p < 5
+
+
 def test_oracle_checks_that_its_maps_compose(S, monkeypatch):
     # maps of the right shapes that are not a complex: every level must
     # reject them, whatever its kernel and rank would say
@@ -178,10 +278,9 @@ def test_oracle_checks_that_its_maps_compose(S, monkeypatch):
 def test_grothendieck_vanishing_per_strand(ring, two_relations):
     # H^i_P cells vanish when i exceeds the strand dimension
     window = Window(-4, 4, -4, 4)
-    from bicoh.resolution import krull_dim
     for b in window.b_range:
         strand = x_strand(two_relations, b)
-        bound = krull_dim(strand)
+        bound = initial_module(strand).krull_dim()
         for i in range(max(0, bound + 1), ring.m + 1):
             row = local_coh_table(two_relations, "P", i,
                                   Window(-4, 4, b, b))

@@ -1,9 +1,11 @@
+import random
 from itertools import accumulate
 
 import pytest
 
 import bicoh.groebner as groebner
 import bicoh.resolution as resolution
+from bicoh.cohomology import ext_table
 from bicoh.errors import DegreeMismatchError, ZeroModuleError
 from bicoh.fixtures import gencm_fixture, random_quotients, standard_ring
 from bicoh.groebner import (
@@ -13,16 +15,17 @@ from bicoh.groebner import (
     buchberger,
 )
 from bicoh.linalg import rank_of_array
-from bicoh.poly import Bidegree, RingSpec, parse_poly
+from bicoh.poly import Bidegree, RingSpec, monomial_basis, parse_poly
 from bicoh.resolution import (
     Presentation,
+    _numerator,
     ext_presentation,
     free_presentation,
     hilbert_dim,
     hilbert_table,
+    initial_module,
     is_zero_module,
     kernel_presentation,
-    krull_dim,
     minimal_presentation,
     profile,
     quotient_by_polys,
@@ -203,10 +206,11 @@ def test_zero_module_rejected():
 
 def test_krull_dim_examples(ring, xy, S, q_torsion):
     x1, x2, y1, y2 = xy
-    assert krull_dim(S) == 4
-    assert krull_dim(q_torsion) == 2
-    assert krull_dim(quotient_by_polys(ring, [x1, x2, y1, y2])) == 0
-    assert krull_dim(zero_presentation(ring)) == -1
+    assert initial_module(S).krull_dim() == 4
+    assert initial_module(q_torsion).krull_dim() == 2
+    maximal = quotient_by_polys(ring, [x1, x2, y1, y2])
+    assert initial_module(maximal).krull_dim() == 0
+    assert initial_module(zero_presentation(ring)).krull_dim() == -1
 
 
 def _numerator_krull_dim(P):
@@ -232,7 +236,8 @@ def _numerator_krull_dim(P):
 
 def test_krull_dim_matches_hilbert_numerator_random():
     # seeded quotients over two-block and single-block rings, their Ext
-    # modules and their strands (the last two have several generators)
+    # modules and their strands (the last two have several generators);
+    # their graded dimensions are refereed by restrict+rank on the way
     shapes = [((2, 2), 5, (2, 2)), ((2, 1), 3, (2, 2)), ((1, 2), 3, (2, 2)),
               ((3, 0), 3, (2, 0)), ((0, 3), 3, (0, 2))]
     several = 0
@@ -248,7 +253,11 @@ def test_krull_dim_matches_hilbert_numerator_random():
                                 for d in (1, 2)]
                 for N in modules:
                     several += len(N.gens) > 1
-                    assert krull_dim(N) == _numerator_krull_dim(N), (p, str(N))
+                    assert initial_module(N).krull_dim() == \
+                        _numerator_krull_dim(N), (p, str(N))
+                    for d in Window(-2, 2, -2, 2).cells():
+                        assert initial_module(N).dim_at(d) == \
+                            hilbert_dim(N, d), (p, str(N), tuple(d))
     assert several
 
 
@@ -262,7 +271,54 @@ def test_krull_dim_reads_each_position_on_its_own(ring, xy):
     M = Presentation(ring, ((0, 1), (1, 0)), ((1, 1), (1, 1)),
                      ((x1, x2), (y1, ring.zero())))
     assert _numerator_krull_dim(M) == 3
-    assert krull_dim(M) == 3
+    assert initial_module(M).krull_dim() == 3
+
+
+def _count_standard(ring, ideal, d):
+    """Brute force: the monomials of bidegree d outside the ideal."""
+    return sum(1 for mono in monomial_basis(ring, d)
+               if not any(all(a <= b for a, b in zip(g, mono))
+                          for g in ideal))
+
+
+def _numerator_dim(ring, ideal, d):
+    return sum(c * len(monomial_basis(ring, d - s))
+               for s, c in _numerator(ring, ideal).items())
+
+
+def test_numerator_counts_standard_monomials():
+    # random monomial ideals (generators need not be minimal), the empty
+    # ideal (a free module), the unit ideal, and a generator that already
+    # lies in the ideal, whose colon is the unit ideal
+    window = Window(-1, 5, -1, 5)
+    rng = random.Random(3)
+    for m, n in ((2, 2), (1, 2), (3, 0)):
+        ring = RingSpec(m, n)
+        unit, x1 = (0,) * ring.nvars, (1,) + (0,) * (ring.nvars - 1)
+        last = (0,) * (ring.nvars - 1) + (1,)
+        ideals = [[], [unit], [unit, x1], [x1, tuple(a + b for a, b in
+                                                    zip(x1, last))]]
+        for _ in range(8):
+            ideals.append([tuple(rng.randint(0, 3) for _ in range(ring.nvars))
+                           for _ in range(rng.randint(1, 6))])
+        for ideal in ideals:
+            for d in window.cells():
+                assert _numerator_dim(ring, ideal, d) == \
+                    _count_standard(ring, ideal, d), (ideal, tuple(d))
+        assert _numerator(ring, []) == {(0, 0): 1}
+        assert not any(_numerator(ring, [unit]).values())
+
+
+def test_initial_module_of_zero_free_and_killed_modules(ring):
+    one = parse_poly("1", ring)
+    killed = Presentation(ring, ((0, 0),), ((0, 0),), ((one,),))
+    free = free_presentation(ring, [(1, 0), (0, 2)])
+    assert initial_module(zero_presentation(ring)).numerator == {}
+    assert initial_module(killed).numerator == {}
+    assert initial_module(free).numerator == {(1, 0): 1, (0, 2): 1}
+    for d in Window(-1, 3, -1, 3).cells():
+        assert initial_module(killed).dim_at(d) == 0
+        assert initial_module(free).dim_at(d) == free.target.dim_at(d)
 
 
 def test_profile_of_fresh_gencm_module_resolves_only_the_module():
@@ -372,3 +428,16 @@ def test_each_ext_module_runs_one_buchberger(monkeypatch):
         calls.clear()
         E = ext_presentation.__wrapped__(M, j)
         assert (len(calls), len(E.gens)) == (runs, gens)
+
+
+def test_ext_tables_resolve_no_ext_module():
+    # every Ext table reads the initial module of the Ext presentation, so
+    # the only resolution an Ext table builds is that of M itself; the
+    # prime, which no other test uses, keeps M out of the session caches
+    M = gencm_fixture(standard_ring(17))
+    misses = resolve.cache_info().misses
+    for j in range(-1, 5):
+        ext_table(M, j, Window(-3, 3, -3, 3))
+    assert resolve.cache_info().misses - misses == 1
+    resolve(M)
+    assert resolve.cache_info().misses - misses == 1
