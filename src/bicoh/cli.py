@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success / all checks pass, 1 a check found a counterexample
-(printed with both sides), 2 malformed input or an unmet precondition.
+(printed with both sides), 2 malformed input or an unmet precondition,
+4 an internal invariant broke (InvariantError: a fault in bicoh).
 """
 
 import argparse
@@ -9,7 +10,7 @@ import sys
 
 from . import checks
 from .cohomology import cd_estimate, cech_oracle, local_coh_table
-from .errors import BicohError, FormatError
+from .errors import BicohError, FormatError, InvariantError
 from .groebner import FreeModule
 from .modfile import load_module, save_module
 from .poly import Bidegree, RingSpec
@@ -192,7 +193,7 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except BicohError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, InvariantError) else 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

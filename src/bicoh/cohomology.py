@@ -194,14 +194,12 @@ def ext_into_dim(M: Presentation, W: Presentation, j: int, d) -> int:
     return homology_dim(A, B, W.ring.p)
 
 
-def _koszul_spot(layer, variables, t, p_spot, d):
+def _koszul_spot(layer, step, slots, p_spot, t, d):
     """Degree-d piece of the Koszul cochain spot p_spot for the powers
-    (v^t : v in variables): one copy of M_piece per p_spot-subset of the
-    variables.  Returns (slot list, piece, piece dimension)."""
-    # all variables in one block have the same degree
-    step = layer.ring.variable_degree(variables[0])
+    (v^t : v in variables), each variable of degree step: one copy of
+    M_piece per p_spot-subset of the variables, listed in slots.  Returns
+    (slot list, piece, piece dimension)."""
     piece = d + Bidegree(step.a * t * p_spot, step.b * t * p_spot)
-    slots = list(combinations(range(len(variables)), p_spot))
     return slots, piece, len(layer.basis(piece))
 
 
@@ -218,12 +216,11 @@ def _block_matrix(tgt, src, blocks):
     return mat
 
 
-def _koszul_differential(layer, variables, t, p_spot, d):
-    """Matrix of K^p -> K^(p+1) at bidegree d."""
+def _koszul_differential(layer, variables, t, src, tgt):
+    """Matrix of K^p -> K^(p+1) between the spots src (K^p) and tgt
+    (K^(p+1)) of the powers v^t."""
     ring = layer.ring
     p = ring.p
-    src = _koszul_spot(layer, variables, t, p_spot, d)
-    tgt = _koszul_spot(layer, variables, t, p_spot + 1, d)
     tgt_index = {s: i for i, s in enumerate(tgt[0])}
 
     built = {}      # (variable index, sign) -> block, shared by the slots
@@ -246,11 +243,10 @@ def _koszul_differential(layer, variables, t, p_spot, d):
     return _block_matrix(tgt, src, blocks())
 
 
-def _koszul_transition(layer, variables, t, p_spot, d):
-    """Comparison K^p(t) -> K^p(t+1): on slot T multiply by prod_T v."""
+def _koszul_transition(layer, variables, src, tgt):
+    """Comparison K^p(t) -> K^p(t+1) between the spots src and tgt: on
+    slot T multiply by prod_T v."""
     nvars = layer.ring.nvars
-    src = _koszul_spot(layer, variables, t, p_spot, d)
-    tgt = _koszul_spot(layer, variables, t + 1, p_spot, d)
     blocks = ((si, si, layer.mult(
                   _monomial(nvars, {variables[j]: 1 for j in T}), src[1]))
               for si, T in enumerate(src[0]))
@@ -284,25 +280,32 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
         radius = max(abs(d.a), abs(d.b))
         cap = max(4 + floor - 1 + radius, floor + 3)
     p = ring.p
+    # all variables in one block have the same degree
+    step = ring.variable_degree(variables[0])
+    slots = {q: list(combinations(range(len(variables)), q))
+             for q in (i - 1, i, i + 1) if q >= 0}
 
     def level(t):
         """H^i of K(t) at d, from one elimination of each map: the kernel
-        of B (its width is dim ker B) and the rank of A."""
-        B = _koszul_differential(layer, variables, t, i, d)
-        A = (_koszul_differential(layer, variables, t, i - 1, d) if i > 0
-             else Matrix.zeros(B.shape[1], 0))
+        of B (its width is dim ker B) and the rank of A, and the spot
+        K^i(t)."""
+        spots = {q: _koszul_spot(layer, step, qslots, q, t, d)
+                 for q, qslots in slots.items()}
+        B = _koszul_differential(layer, variables, t, spots[i], spots[i + 1])
+        A = (_koszul_differential(layer, variables, t, spots[i - 1], spots[i])
+             if i > 0 else Matrix.zeros(B.shape[1], 0))
         check_complex(A, B, p)
         kernel = kernel_of_array(B, p)
         rank_a = rank_of_array(A, p)
-        return kernel.shape[1] - rank_a, A, rank_a, kernel
+        return kernel.shape[1] - rank_a, A, rank_a, kernel, spots[i]
 
     prev = None
     consecutive = 0
     for t in range(max(1, floor), cap + 1):
-        h, A, rank_a, kernel = level(t)
+        h, A, rank_a, kernel, spot = level(t)
         if prev is not None:
-            ph, pkernel = prev
-            chi = _koszul_transition(layer, variables, t - 1, i, d)
+            ph, pkernel, pspot = prev
+            chi = _koszul_transition(layer, variables, pspot, spot)
             mapped = chi.compose(pkernel, p)
             both = Matrix((A.shape[0], mapped.shape[1] + A.shape[1]),
                           mapped.cols + A.cols)
@@ -313,7 +316,7 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
                     return h
             else:
                 consecutive = 0
-        prev = (h, kernel)
+        prev = (h, kernel, spot)
     raise StabilizationError(
         f"Koszul limit for H^{i}_{theory} at {d} not stable within "
         f"{cap} steps")

@@ -71,3 +71,7 @@ class FormatError(BicohError):
 
 class DegreeMismatchError(BicohError):
     """A matrix entry is not bihomogeneous of the bidegree forced by the shifts."""
+
+
+class InvariantError(BicohError):
+    """An internal invariant broke (a fault in bicoh, not in the input)."""

@@ -32,6 +32,12 @@ holds the pairs still live, and a popped pair missing from it is skipped.
 Division reads a `_Divisors` table, each divisor's lead and term list,
 built once per basis: `buchberger` extends its table as elements are
 appended, and a `GroebnerBasis` builds its own on first use.
+
+`syzygies` returns Schreyer's frame: of the same-position pairs (i, j),
+j < i, only those whose multiplier u_ij = lcm(lt g_i, lt g_j)/lt g_i
+minimally generates (u_ij : j < i), one per equal u_ij.  Their syzygies
+are a Groebner basis of the syzygy module under the Schreyer order, so
+they generate it, and their S-pairs alone still certify the basis.
 """
 
 import heapq
@@ -317,17 +323,6 @@ def _make_monic(g):
     return g.scale(inv)
 
 
-def _spair_data(f, g):
-    """For lead terms in the same position: (lcm, uf, ug) with
-    uf*lt(f) = ug*lt(g) = lcm; None when the lead positions differ."""
-    fk, fm, _ = f.lead()
-    gk, gm, _ = g.lead()
-    if fk != gk:
-        return None
-    w = mono_lcm(fm, gm)
-    return w, mono_div(w, fm), mono_div(w, gm)
-
-
 def _single_position(g):
     return sum(1 for c in g.coords if not c.is_zero()) == 1
 
@@ -418,11 +413,43 @@ def _reduce_basis(module, basis):
     return GroebnerBasis(module, tuple(kept))
 
 
+def _frame_pairs(table, i):
+    """The j < i of the Schreyer frame at i: those whose multiplier
+    u_ij = lcm(lt g_i, lt g_j) / lt g_i is a minimal generator of the
+    monomial ideal (u_ij : j < i, same lead position), the smallest j
+    among equal ones.  Returns (j, u_ij, u_ji) in ascending j."""
+    k, mi, _ = table.leads[i]
+    cands = []
+    for j, mj in table.by_position[k]:
+        if j >= i:
+            break
+        w = mono_lcm(mi, mj)
+        ui = mono_div(w, mi)
+        cands.append((sum(ui), j, ui, mono_div(w, mj)))
+    # a divisor of u has no larger degree, so it comes first in this order
+    kept = []
+    for _, j, ui, uj in sorted(cands):
+        if not any(mono_divides(u, ui) for _, u, _ in kept):
+            kept.append((j, ui, uj))
+    return sorted(kept)
+
+
 def syzygies(G: GroebnerBasis):
-    """Schreyer generators of the syzygy module of G.
+    """Schreyer frame of the syzygy module of G.
 
     Returns elements of a fresh free module with one generator per basis
     element, shifted by its bidegree, so every syzygy is bihomogeneous.
+
+    The syzygy S_ij (j < i, same lead position) comes from the division of
+    the S-pair u_ij*g_i - u_ji*g_j by G.  Under the Schreyer order on the
+    syzygy module, with ties going to the larger index, its lead is
+    u_ij*e_i, so the S_ij whose u_ij minimally generate (u_ij : j < i) form
+    a Groebner basis of the syzygies (Schreyer 1980; Eisenbud, Thm 15.10;
+    La Scala & Stillman 1998): only those are built, one per equal u_ij.
+    Their lead-term syzygies also generate the syzygies of the lead terms
+    of G, so by Buchberger's criterion on that generating set, each of
+    their S-pairs reducing to zero proves that G is a Groebner basis; a
+    remainder raises ValueError.
     """
     elems = G.elements
     if not elems:
@@ -437,11 +464,7 @@ def syzygies(G: GroebnerBasis):
     syz_module = FreeModule(ring, tuple(shifts))
     out = []
     for i in range(len(elems)):
-        for j in range(i):
-            data = _spair_data(elems[i], elems[j])
-            if data is None:
-                continue
-            _, ui, uj = data
+        for j, ui, uj in _frame_pairs(G._divisors, i):
             spair = elems[i].term_mul(1, ui) - elems[j].term_mul(1, uj)
             quotients, rem = _divide(spair, G._divisors)
             if not rem.is_zero():

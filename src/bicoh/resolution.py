@@ -16,7 +16,7 @@ an independent referee of the initial-module dimensions; no table reads it.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import DegreeMismatchError, ZeroModuleError
+from .errors import DegreeMismatchError, InvariantError, ZeroModuleError
 from .groebner import (
     FreeModule,
     GroebnerBasis,
@@ -323,43 +323,22 @@ def _unit_entry(matrix):
 
 def _eliminate_unit(mats, shifts, i, k, l):
     """Remove the split summand witnessed by the constant entry (k, l) of
-    mats[i], adjusting the neighbouring matrices.  All lists are mutated."""
-    A = mats[i]
-    p = A[k][l].ring.p
-    c = A[k][l].terms[0][1]
-    cinv = pow(c, -1, p)
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
+    mats[i], adjusting the neighbouring matrices.  All lists are mutated.
 
-    lams = {lp: A[k][lp].scale(cinv) for lp in range(cols)
-            if lp != l and not A[k][lp].is_zero()}
-    # column ops on A: col_lp -= lam_lp * col_l
-    for lp, lam in lams.items():
-        for r in range(rows):
-            A[r][lp] = A[r][lp] - lam * A[r][l]
-    # basis change of F_{i+1} hits the rows of the next matrix
-    if i + 1 < len(mats) and mats[i + 1]:
-        nxt = mats[i + 1]
-        ncols = len(nxt[0])
-        for cc in range(ncols):
-            acc = nxt[l][cc]
+    Clearing row k by column ops (col_lp -= lam_lp * col_l) and then
+    column l by row ops changes mats[i + 1] only in row l and mats[i - 1]
+    only in column k, and the row ops change mats[i] only in column l: all
+    of these are deleted with the summand.  What stays is the Schur
+    complement A[kp][lp] - A[kp][l] * A[k][lp] / A[k][l] on the other rows
+    and columns, computed only where A[kp][l] and A[k][lp] are nonzero."""
+    A = mats[i]
+    cinv = pow(A[k][l].terms[0][1], -1, A[k][l].ring.p)
+    lams = {lp: entry.scale(cinv) for lp, entry in enumerate(A[k])
+            if lp != l and not entry.is_zero()}
+    for kp, row in enumerate(A):
+        if kp != k and not row[l].is_zero():
             for lp, lam in lams.items():
-                acc = acc + lam * nxt[lp][cc]
-            nxt[l][cc] = acc
-    # row ops on A: clear column l (only row k is nonzero there now)
-    mus = {kp: A[kp][l].scale(cinv) for kp in range(rows)
-           if kp != k and not A[kp][l].is_zero()}
-    for kp, mu in mus.items():
-        for cc in range(cols):
-            A[kp][cc] = A[kp][cc] - mu * A[k][cc]
-    # basis change of F_i hits the columns of the previous matrix
-    if i - 1 >= 0 and mats[i - 1]:
-        prev = mats[i - 1]
-        for r in range(len(prev)):
-            acc = prev[r][k]
-            for kp, mu in mus.items():
-                acc = acc + mu * prev[r][kp]
-            prev[r][k] = acc
+                row[lp] = row[lp] - lam * row[l]
     # delete row k / column l of A, row l of next, column k of previous
     del A[k]
     for row in A:
@@ -420,8 +399,8 @@ def resolve(P: Presentation, minimize: bool = True) -> FreeResolution:
     while elements:
         level += 1
         if level > ring.nvars + _RESOLUTION_LENGTH_SLACK:
-            raise RuntimeError("resolution did not terminate; "
-                               "syzygy chain exceeded the variable bound")
+            raise InvariantError("resolution did not terminate; "
+                                 "syzygy chain exceeded the variable bound")
         ambient = FreeModule(ring, tuple(shift_chain[-1]))
         gb = buchberger(elements, module=ambient)
         mats.append(_mutable_matrix(gb.elements, ambient.rank))
@@ -504,8 +483,8 @@ def profile(P: Presentation) -> ModuleProfile:
     depth = nvars - pd
     dim = initial_module(P).krull_dim()
     if depth > dim:
-        raise RuntimeError(f"depth {depth} exceeds dim {dim}; "
-                           "inconsistent invariants")
+        raise InvariantError(f"depth {depth} exceeds dim {dim}; "
+                             "inconsistent invariants")
     is_cm = depth == dim
     is_gencm = True
     for i in range(depth, dim):
@@ -525,9 +504,9 @@ def profile(P: Presentation) -> ModuleProfile:
 # degree s by c - s.  Ext^j is then ker(B)/im(A) at the dual of F_j.  The
 # kernel comes as one reduced Groebner basis G (the unit basis when j = pd,
 # where no map leaves), and the subquotient is presented on the elements of
-# G: by Schreyer's theorem the S-pair syzygies of G generate all relations
-# among them, and the division quotients of each column of A by G express
-# the image.
+# G: by Schreyer's theorem the syzygies of the Schreyer frame of G (see
+# groebner.syzygies) generate all relations among them, and the division
+# quotients of each column of A by G express the image.
 
 
 def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from bicoh.cli import main
-from bicoh.errors import DegreeMismatchError, FormatError
+from bicoh.errors import DegreeMismatchError, FormatError, InvariantError
 from bicoh.fixtures import named_fixtures
 from bicoh.modfile import load_module, save_module
 from bicoh.resolution import minimal_presentation
@@ -179,6 +179,21 @@ def test_cli_counterexample_exit_1(two_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "counterexample" in out and "lhs=1" in out
+
+
+def test_cli_broken_invariant_exit_4(two_path, capsys, monkeypatch):
+    # an internal fault is neither a failed check (1) nor bad input (2)
+    import bicoh.cli as cli
+
+    def broken(M):
+        raise InvariantError("resolution did not terminate")
+
+    monkeypatch.setattr(cli, "resolve", broken)
+    code = main(["resolve", "--module", two_path])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: resolution did not terminate")
+    assert "Traceback" not in err
 
 
 def test_cli_corner_suite_passes(two_path, capsys):

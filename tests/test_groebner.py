@@ -23,7 +23,9 @@ from bicoh.poly import (
     Polynomial,
     RingSpec,
     mono_coprime,
+    mono_div,
     mono_divides,
+    mono_lcm,
     mono_mul,
     monomial_basis,
     parse_poly,
@@ -89,6 +91,17 @@ def random_element(rng, module, d):
                                        for c in coords))
 
 
+def _spair_data(f, g):
+    """For lead terms in the same position: (lcm, uf, ug) with
+    uf*lt(f) = ug*lt(g) = lcm; None when the lead positions differ."""
+    fk, fm, _ = f.lead()
+    gk, gm, _ = g.lead()
+    if fk != gk:
+        return None
+    w = mono_lcm(fm, gm)
+    return w, mono_div(w, fm), mono_div(w, gm)
+
+
 def _all_pairs_buchberger(gens, module=None):
     """Referee: Buchberger with every same-position S-pair queued, pruned
     by the product criterion alone (for single-position elements)."""
@@ -99,7 +112,7 @@ def _all_pairs_buchberger(gens, module=None):
     def append(f):
         f = groebner._make_monic(f)
         for t, g in enumerate(basis):
-            data = groebner._spair_data(f, g)
+            data = _spair_data(f, g)
             if data is None:
                 continue
             w, uf, ug = data
@@ -119,6 +132,48 @@ def _all_pairs_buchberger(gens, module=None):
         if nf:
             append(nf)
     return groebner._reduce_basis(module, basis)
+
+
+def _all_pairs_syzygies(G):
+    """Referee: one Schreyer syzygy for every same-position S-pair of G,
+    the generators of Schreyer's theorem before the frame rule."""
+    elems = G.elements
+    if not elems:
+        return []
+    ring = G.module.ring
+    syz_module = FreeModule(ring, tuple(g.bidegree() for g in elems))
+    out = []
+    for i in range(len(elems)):
+        for j in range(i):
+            data = _spair_data(elems[i], elems[j])
+            if data is None:
+                continue
+            _, ui, uj = data
+            spair = elems[i].term_mul(1, ui) - elems[j].term_mul(1, uj)
+            quotients, rem = groebner._divide(spair, G._divisors)
+            assert rem.is_zero()
+            coords = [-Polynomial.from_dict(ring, q) for q in quotients]
+            coords[i] = coords[i] + Polynomial(ring, ((ui, 1),))
+            coords[j] = coords[j] - Polynomial(ring, ((uj, 1),))
+            s = ModuleElement(syz_module, tuple(coords))
+            if s:
+                out.append(s)
+    return out
+
+
+def _frame_against_referee(G):
+    """(frame syzygies, referee syzygies) of G, after checking that the
+    frame is a subset of the referee's syzygies and generates all of them:
+    each one it drops reduces to zero modulo a Groebner basis of the
+    frame."""
+    kept, referee = syzygies(G), _all_pairs_syzygies(G)
+    frame = set(kept)
+    assert frame <= set(referee)
+    dropped = [s for s in referee if s not in frame]
+    if dropped:
+        span = buchberger(kept, module=referee[0].module)
+        assert all(span.contains(s) for s in dropped)
+    return kept, referee
 
 
 def _cross_position_pair(ring):
@@ -332,6 +387,33 @@ def test_syzygies_compose_to_zero_generally(r22):
         for coeff, g in zip(s.coords, gb.elements):
             acc = acc + g.poly_mul(coeff)
         assert acc.is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_frame_syzygies_generate_all_pair_syzygies_random(p):
+    rng = random.Random(7 * p)
+    ring = RingSpec(2, 2, p=p)
+    for rank in (1, 1, 2, 2, 3, 3):
+        F = FreeModule(ring, tuple((rng.randint(0, 1), rng.randint(0, 1))
+                                   for _ in range(rank)))
+        gens = [random_element(rng, F, (rng.randint(1, 2), rng.randint(1, 2)))
+                for _ in range(rng.randint(2, 5))]
+        _frame_against_referee(buchberger(gens))
+
+
+def test_frame_keeps_one_pair_per_equal_multiplier(r22):
+    # leads x1*y1 > x1*y2 > y1*y2: at y1*y2 both earlier pairs have the
+    # multiplier x1, so the frame keeps two syzygies, the minimal number
+    F = FreeModule(r22, ((0, 0),))
+    gb = buchberger([elem(F, "x1*y1"), elem(F, "x1*y2"), elem(F, "y1*y2")])
+    kept, referee = _frame_against_referee(gb)
+    assert (len(kept), len(referee)) == (2, 3)
+
+
+def test_frame_syzygies_on_the_rung():
+    columns, target = _rung_relations()
+    kept, referee = _frame_against_referee(buchberger(columns, module=target))
+    assert (len(kept), len(referee)) == (61, 105)
 
 
 def test_syzygies_reject_a_basis_missing_an_s_pair_remainder(r22):

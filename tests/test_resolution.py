@@ -1,5 +1,5 @@
 import random
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 
@@ -15,7 +15,13 @@ from bicoh.groebner import (
     buchberger,
 )
 from bicoh.linalg import rank_of_array
-from bicoh.poly import Bidegree, RingSpec, monomial_basis, parse_poly
+from bicoh.poly import (
+    Bidegree,
+    Polynomial,
+    RingSpec,
+    monomial_basis,
+    parse_poly,
+)
 from bicoh.resolution import (
     Presentation,
     _numerator,
@@ -36,6 +42,7 @@ from bicoh.resolution import (
 )
 from bicoh.strands import x_strand, y_strand
 from bicoh.tables import Window
+from test_groebner import _all_pairs_syzygies
 
 
 def test_presentation_validates_degrees(ring):
@@ -145,8 +152,9 @@ def test_resolution_degreewise_exactness_random(ring):
     from bicoh.linalg import homology_dim
     from bicoh.resolution import restrict_matrix
 
-    for M in random_quotients(ring, 4, seed=913):
-        res = resolve(M)
+    for M, minimize in product(random_quotients(ring, 4, seed=913),
+                               (True, False)):
+        res = resolve(M, minimize)
         for i in range(1, res.length + 1):
             src, tgt, matrix = res.map_data(i)
             for d in Window(-1, 3, -1, 3).cells():
@@ -157,6 +165,120 @@ def test_resolution_degreewise_exactness_random(ring):
                 else:
                     A = np.zeros((B.shape[1], 0), dtype=np.int64)
                 assert homology_dim(A, B, ring.p) == 0, (i, tuple(d))
+
+
+def _random_modules(p, count=6):
+    """Seeded presentations with 1-3 generators in bidegrees (0..1, 0..1)
+    and 2-3 relations of random forms, each one step above the generators'
+    largest degree in one block or both, over F_p[x1, x2, y1, y2]."""
+    rng = random.Random(p)
+    ring = RingSpec(2, 2, p=p)
+    out = []
+    for _ in range(count):
+        gens = [(rng.randint(0, 1), rng.randint(0, 1))
+                for _ in range(rng.randint(1, 3))]
+        top = (max(a for a, _ in gens), max(b for _, b in gens))
+        rels, columns = [], []
+        for _ in range(rng.randint(2, 3)):
+            up = rng.choice([(1, 0), (0, 1), (1, 1)])
+            rel = (top[0] + up[0], top[1] + up[1])
+            column = []
+            for a, b in gens:
+                basis = monomial_basis(ring, (rel[0] - a, rel[1] - b))
+                terms = {mono: rng.randrange(1, p) for mono in basis
+                         if rng.random() < 0.6}
+                column.append(Polynomial.from_dict(ring, terms))
+            rels.append(rel)
+            columns.append(column)
+        out.append(Presentation(ring, tuple(gens), tuple(rels),
+                                tuple(zip(*columns))))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_frame_syzygies_keep_betti_shifts_random(p, monkeypatch):
+    # the Schreyer frame and every same-position S-pair syzygy span the
+    # same module, so the minimal resolutions share their graded Betti
+    # numbers
+    modules = _random_modules(p)
+    frame = [resolve.__wrapped__(M) for M in modules]
+    assert max(res.length for res in frame) >= 2
+    monkeypatch.setattr(resolution, "syzygies", _all_pairs_syzygies)
+    for M, res in zip(modules, frame):
+        referee = resolve.__wrapped__(M)
+        assert [sorted(res.shifts(i)) for i in range(res.length + 1)] == \
+            [sorted(referee.shifts(i)) for i in range(referee.length + 1)]
+
+
+def _eliminate_unit_every_entry(mats, shifts, i, k, l):
+    """Referee: unit elimination with every update run in full, over every
+    entry of its four update loops (x - lam*0 included), the row ops on
+    mats[i] whose results are deleted too."""
+    A = mats[i]
+    p = A[k][l].ring.p
+    cinv = pow(A[k][l].terms[0][1], -1, p)
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    lams = {lp: A[k][lp].scale(cinv) for lp in range(cols)
+            if lp != l and not A[k][lp].is_zero()}
+    for lp, lam in lams.items():
+        for r in range(rows):
+            A[r][lp] = A[r][lp] - lam * A[r][l]
+    if i + 1 < len(mats) and mats[i + 1]:
+        nxt = mats[i + 1]
+        for cc in range(len(nxt[0])):
+            acc = nxt[l][cc]
+            for lp, lam in lams.items():
+                acc = acc + lam * nxt[lp][cc]
+            nxt[l][cc] = acc
+    mus = {kp: A[kp][l].scale(cinv) for kp in range(rows)
+           if kp != k and not A[kp][l].is_zero()}
+    for kp, mu in mus.items():
+        for cc in range(cols):
+            A[kp][cc] = A[kp][cc] - mu * A[k][cc]
+    if i - 1 >= 0 and mats[i - 1]:
+        prev = mats[i - 1]
+        for r in range(len(prev)):
+            acc = prev[r][k]
+            for kp, mu in mus.items():
+                acc = acc + mu * prev[r][kp]
+            prev[r][k] = acc
+    del A[k]
+    for row in A:
+        del row[l]
+    if i + 1 < len(mats):
+        del mats[i + 1][l]
+    if i - 1 >= 0:
+        for row in mats[i - 1]:
+            del row[k]
+    del shifts[i][k]
+    del shifts[i + 1][l]
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_unit_elimination_matches_every_entry_referee(p, monkeypatch):
+    # every elimination of the resolutions, and of sweeps over the raw
+    # Schreyer chains (units at every level, so all four update loops
+    # run), replayed on a copy of the chain by the referee, leaves the same
+    # matrices and shifts
+    eliminate = resolution._eliminate_unit
+    steps = []
+
+    def compared(mats, shifts, i, k, l):
+        ref_mats = [[list(row) for row in A] for A in mats]
+        ref_shifts = [list(s) for s in shifts]
+        _eliminate_unit_every_entry(ref_mats, ref_shifts, i, k, l)
+        eliminate(mats, shifts, i, k, l)
+        assert (mats, shifts) == (ref_mats, ref_shifts)
+        steps.append((i, k, l))
+
+    monkeypatch.setattr(resolution, "_eliminate_unit", compared)
+    for M in _random_modules(p):
+        resolve.__wrapped__(M)
+        raw = resolve.__wrapped__(M, minimize=False)
+        resolution._sweep_units([[list(row) for row in A] for A in raw.maps],
+                                [list(mod.shifts) for mod in raw.modules])
+    assert steps
 
 
 def test_profile_of_ring(S):
