@@ -33,7 +33,7 @@ from .linalg import (
     kernel_of_array,
     rank_of_array,
 )
-from .poly import Bidegree
+from .poly import Bidegree, mono_degree
 from .resolution import (
     Presentation,
     ext_presentation,
@@ -122,9 +122,10 @@ def cd_estimate(M: Presentation, window: Window) -> int:
 # the Koszul-limit oracle
 
 
-def _monomial(nvars, powers):
-    """Exponent tuple with powers[var] at each var, zero elsewhere."""
-    return tuple(powers.get(var, 0) for var in range(nvars))
+def _monomial(ring, powers):
+    """The monomial with powers[var] at each var, zero elsewhere."""
+    return ring.monomial(tuple(powers.get(var, 0)
+                               for var in range(ring.nvars)))
 
 
 def _poly_action_matrix(layer, entry, d):
@@ -233,7 +234,7 @@ def _koszul_differential(layer, variables, t, src, tgt):
                 sign = sum(1 for u in T if u < j) % 2
                 if (j, 0) not in built:
                     built[j, 0] = layer.mult(
-                        _monomial(ring.nvars, {v: t}), src[1])
+                        _monomial(ring, {v: t}), src[1])
                 if (j, sign) not in built:
                     pos = built[j, 0]
                     built[j, 1] = Matrix(pos.shape, [
@@ -246,9 +247,9 @@ def _koszul_differential(layer, variables, t, src, tgt):
 def _koszul_transition(layer, variables, src, tgt):
     """Comparison K^p(t) -> K^p(t+1) between the spots src and tgt: on
     slot T multiply by prod_T v."""
-    nvars = layer.ring.nvars
+    ring = layer.ring
     blocks = ((si, si, layer.mult(
-                  _monomial(nvars, {variables[j]: 1 for j in T}), src[1]))
+                  _monomial(ring, {variables[j]: 1 for j in T}), src[1]))
               for si, T in enumerate(src[0]))
     return _block_matrix(tgt, src, blocks)
 
@@ -272,9 +273,9 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
     layer = initial_module(M)
     # powers below the floor can miss torsion killed only by high powers:
     # it clears every relation and basis lead degree
-    degrees = [sum(mono) for row in M.matrix for entry in row
+    degrees = [mono_degree(ring, mono) for row in M.matrix for entry in row
                for mono, _ in entry.terms]
-    degrees += [sum(mono) for _, mono, _ in layer.leads]
+    degrees += [mono_degree(ring, mono) for _, mono, _ in layer.leads]
     floor = max(degrees, default=0) + 1
     if cap is None:
         radius = max(abs(d.a), abs(d.b))

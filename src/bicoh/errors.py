@@ -75,3 +75,7 @@ class DegreeMismatchError(BicohError):
 
 class InvariantError(BicohError):
     """An internal invariant broke (a fault in bicoh, not in the input)."""
+
+
+class DegreeOverflowError(BicohError):
+    """A monomial reaches total degree 2^31, beyond its packed fields."""

@@ -29,9 +29,13 @@ The queue is a heap of (lcm degree, i, j, ui, uj), which pops in ascending
 lcm degree (the normal selection strategy).  B_k deletes lazily: one dict
 holds the pairs still live, and a popped pair missing from it is skipped.
 
-Division reads a `_Divisors` table, each divisor's lead and term list,
-built once per basis: `buchberger` extends its table as elements are
-appended, and a `GroebnerBasis` builds its own on first use.
+Division reads a `_Divisors` table, each divisor's lead and tail, built
+once per basis: `buchberger` extends its table as elements are appended,
+and a `GroebnerBasis` builds its own on first use.  Interreduction reuses
+one table of the minimal basis for every element's tail: no lead divides a
+monomial smaller than itself, so an element is never reduced by itself.
+Division pops terms in descending order, so its remainders and quotients
+are term lists sorted by construction.
 
 `syzygies` returns Schreyer's frame: of the same-position pairs (i, j),
 j < i, only those whose multiplier u_ij = lcm(lt g_i, lt g_j)/lt g_i
@@ -44,16 +48,16 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NotBihomogeneousError, RingMismatchError
+from .errors import InvariantError, NotBihomogeneousError, RingMismatchError
 from .poly import (
+    GUARDS,
     Bidegree,
     Polynomial,
     mono_coprime,
+    mono_degree,
     mono_div,
     mono_divides,
-    mono_key,
     mono_lcm,
-    mono_mul,
     monomial_basis,
     piece_dim,
 )
@@ -210,97 +214,141 @@ class GroebnerBasis:
 
 def _element_sort_key(g):
     k, mono, _ = g.lead()
-    return (-k, mono_key(mono))
+    return (-k, mono)
 
 
-def _pot_heap_key(k, mono):
-    """Min-heap entry ordering that pops terms in descending POT order."""
-    return (k, -sum(mono), tuple(reversed(mono)))
+# Division works on terms keyed by one int, position << width | monomial
+# (width: the bits of a packed monomial of the ring).  Keys order by
+# position, then monomial, and adding a monomial u multiplies the term by
+# x^u.  POT descends by ascending position and descending monomial, so the
+# min-heap holds key ^ (2^width - 1), which flips the monomial bits only.
 
 
 class _Divisors:
     """Division table of monic elements, extended in place: each element's
-    lead and term list, and per lead position the (index, lead monomial)
-    of the elements leading there, in ascending index."""
+    lead and tail, and per lead position the (index, lead key) of the
+    elements leading there, in ascending index.  A tail is its terms after
+    the lead, as (position << width, term tuple) per nonzero position; the
+    term tuples are the element's own, so a table costs no term copies."""
 
-    __slots__ = ("elements", "leads", "terms", "by_position")
+    __slots__ = ("elements", "leads", "tails", "by_position")
 
     def __init__(self, elements=()):
         self.elements = []
         self.leads = []
-        self.terms = []
+        self.tails = []
         self.by_position = {}
         for g in elements:
             self.append(g)
 
     def append(self, g):
+        width = g.module.ring.width
         lead = g.lead()
         self.by_position.setdefault(lead[0], []).append(
-            (len(self.elements), lead[1]))
+            (len(self.elements), lead[0] << width | lead[1]))
         self.elements.append(g)
         self.leads.append(lead)
-        self.terms.append([(k, mono, coeff) for k, poly in enumerate(g.coords)
-                           for mono, coeff in poly.terms])
+        tail = [(k << width, poly.terms) for k, poly in enumerate(g.coords)
+                if poly.terms]
+        tail[0] = (tail[0][0], tail[0][1][1:])
+        self.tails.append([(off, terms) for off, terms in tail if terms])
 
 
-def _divide(v, table):
+def _divide(v, table, with_quotients=False):
     """Full division of v by the elements of a `_Divisors` table.
 
     Returns (quotients, remainder): v = sum q_i * elements[i] + remainder,
-    each q_i a {monomial: coeff} dict, no remainder term divisible by any
-    lead term of the divisors; each term goes to the first divisor whose
-    lead divides it.  Works on a flat {(position, monomial): coeff} dict
-    with a lazy-deletion heap, so each reduction step costs O(divisor
-    size), not a full renormalization.
+    no remainder term divisible by any lead term of the divisors; each
+    term goes to the first divisor whose lead divides it.  The quotients
+    (Polynomials) are built only on request, else None.  Works on a flat
+    {key: coeff} dict with a lazy-deletion heap, so each reduction step
+    costs O(divisor size), not a full renormalization.  Terms pop in
+    strictly descending order, and each divisor's multipliers with them,
+    so remainder and quotients need no sort.
     """
     module = v.module
     ring = module.ring
-    p = ring.p
+    p, width = ring.p, ring.width
+    flip = (1 << width) - 1
     by_position = table.by_position
-    gterms = table.terms
-    work = {}
-    heap = []
-    for k, poly in enumerate(v.coords):
-        for mono, coeff in poly.terms:
-            work[(k, mono)] = coeff
-            heap.append(_pot_heap_key(k, mono) + ((k, mono),))
+    tails = table.tails
+    work = {k << width | mono: coeff
+            for k, poly in enumerate(v.coords) for mono, coeff in poly.terms}
+    heap = [key ^ flip for key in work]
     heapq.heapify(heap)
-    quotients = [dict() for _ in table.elements]
-    remainder = {}
+    pop, push = heapq.heappop, heapq.heappush
+    quotients = [[] for _ in tails] if with_quotients else None
+    remainder = [[] for _ in v.coords]
     while heap:
-        entry = heapq.heappop(heap)
-        key = entry[-1]
-        coeff = work.get(key)
+        key = pop(heap) ^ flip
+        coeff = work.pop(key, 0)
         if not coeff:
             continue
-        k, mono = key
-        hit = None
-        for i, gmono in by_position.get(k, ()):
-            if mono_divides(gmono, mono):
-                hit = i
+        k = key >> width
+        for i, lead in by_position.get(k, ()):
+            if not (key - lead) & GUARDS:
                 break
-        if hit is None:
-            remainder[key] = coeff
-            del work[key]
+        else:
+            remainder[k].append((key & flip, coeff))
             continue
-        u = mono_div(mono, gmono)
-        qd = quotients[hit]
-        qd[u] = (qd.get(u, 0) + coeff) % p
-        for gk, gmono, gc in gterms[hit]:
-            tkey = (gk, mono_mul(gmono, u))
-            new = (work.get(tkey, 0) - coeff * gc) % p
+        u = key - lead
+        if quotients is not None:
+            quotients[i].append((u, coeff))
+        for off, terms in tails[i]:
+            off += u
+            for t, gc in terms:
+                t += off
+                old = work.get(t)
+                if old is None:
+                    work[t] = -coeff * gc % p
+                    push(heap, t ^ flip)
+                else:
+                    new = (old - coeff * gc) % p
+                    if new:
+                        work[t] = new
+                    else:
+                        del work[t]
+    if quotients is not None:
+        quotients = [Polynomial(ring, tuple(q)) for q in quotients]
+    return quotients, _from_positions(module, remainder)
+
+
+def _from_positions(module, positions):
+    """The element whose coordinate k has the term list positions[k],
+    already descending."""
+    ring = module.ring
+    zero = ring.zero()
+    return ModuleElement(module, tuple(Polynomial(ring, tuple(terms))
+                                       if terms else zero
+                                       for terms in positions))
+
+
+def _spair(table, i, j, ui, uj):
+    """The S-pair ui*g_i - uj*g_j of two monic table elements, whose leads
+    cancel: their shifted tails merged in one dict and sorted once, with
+    no intermediate elements."""
+    module = table.elements[i].module
+    ring = module.ring
+    p, width = ring.p, ring.width
+    work = {}
+    for off, terms in table.tails[i]:
+        off += ui
+        for t, c in terms:
+            work[t + off] = c
+    for off, terms in table.tails[j]:
+        off += uj
+        for t, c in terms:
+            t += off
+            new = (work.get(t, 0) - c) % p
             if new:
-                if tkey not in work:
-                    heapq.heappush(heap, _pot_heap_key(*tkey) + (tkey,))
-                work[tkey] = new
+                work[t] = new
             else:
-                work.pop(tkey, None)
-    rem_coords = [dict() for _ in range(module.rank)]
-    for (k, mono), coeff in remainder.items():
-        rem_coords[k][mono] = coeff
-    rem = ModuleElement(module, tuple(Polynomial.from_dict(ring, d)
-                                      for d in rem_coords))
-    return quotients, rem
+                del work[t]
+    flip = (1 << width) - 1
+    positions = [[] for _ in range(module.rank)]
+    for key in sorted(work, reverse=True):
+        positions[key >> width].append((key & flip, work[key]))
+    return _from_positions(module, positions)
 
 
 def normal_form(v: ModuleElement, G) -> ModuleElement:
@@ -319,8 +367,9 @@ def normal_form(v: ModuleElement, G) -> ModuleElement:
 
 def _make_monic(g):
     _, _, coeff = g.lead()
-    inv = pow(coeff, -1, g.module.ring.p)
-    return g.scale(inv)
+    if coeff == 1:
+        return g
+    return g.scale(pow(coeff, -1, g.module.ring.p))
 
 
 def _single_position(g):
@@ -334,6 +383,7 @@ def buchberger(gens, module=None) -> GroebnerBasis:
         if not gens:
             raise ValueError("no generators and no ambient module given")
         module = gens[0].module
+    ring = module.ring
     for g in gens:
         g.bidegree()  # raises NotBihomogeneousError if mixed
     table = _Divisors()
@@ -349,16 +399,17 @@ def buchberger(gens, module=None) -> GroebnerBasis:
         hk, hm, _ = f.lead()
         for (i, j), (k, w) in list(live.items()):   # criterion B_k
             if (k == hk and mono_divides(hm, w)
-                    and mono_lcm(leads[i][1], hm) != w
-                    and mono_lcm(leads[j][1], hm) != w):
+                    and mono_lcm(ring, leads[i][1], hm) != w
+                    and mono_lcm(ring, leads[j][1], hm) != w):
                 del live[(i, j)]
         h_single = _single_position(f)
         new = []
         for g in active:
             gk, gm, _ = leads[g]
             if gk == hk:
-                product = mono_coprime(hm, gm) and h_single and single[g]
-                new.append((mono_lcm(hm, gm), g, product))
+                product = (h_single and single[g]
+                           and mono_coprime(ring, hm, gm))
+                new.append((mono_lcm(ring, hm, gm), g, product))
         kept = []     # criteria M and F, then the product criterion
         for t, (w, g, product) in enumerate(new):
             if product or not any(mono_divides(v, w)
@@ -367,7 +418,8 @@ def buchberger(gens, module=None) -> GroebnerBasis:
         for w, g, product in kept:
             if not product:
                 live[(h, g)] = (hk, w)
-                heapq.heappush(pairs, (sum(w), h, g, mono_div(w, hm),
+                heapq.heappush(pairs, (mono_degree(ring, w), h, g,
+                                       mono_div(w, hm),
                                        mono_div(w, leads[g][1])))
         active[:] = [g for g in active if leads[g][0] != hk
                      or not mono_divides(hm, leads[g][1])]
@@ -381,8 +433,7 @@ def buchberger(gens, module=None) -> GroebnerBasis:
         _, i, j, ui, uj = heapq.heappop(pairs)
         if live.pop((i, j), None) is None:
             continue
-        spair = basis[i].term_mul(1, ui) - basis[j].term_mul(1, uj)
-        nf = normal_form(spair, table)
+        nf = normal_form(_spair(table, i, j, ui, uj), table)
         if nf:
             append(nf)
     return _reduce_basis(module, basis)
@@ -390,27 +441,32 @@ def buchberger(gens, module=None) -> GroebnerBasis:
 
 def _reduce_basis(module, basis):
     """Interreduce to the unique reduced (monic) Groebner basis."""
-    # drop elements whose lead term is divisible by another's
-    kept = []
-    leads = [g.lead() for g in basis]
+    # drop elements whose lead term is divisible by another's; of identical
+    # leads keep the earliest
+    by_position = {}
     for i, g in enumerate(basis):
-        k, m, _ = leads[i]
-        redundant = False
-        for j, (k2, m2, _) in enumerate(leads):
-            if i == j or not mono_divides(m2, m) or k2 != k:
-                continue
-            if m2 == m and j > i:
-                continue  # identical leads: keep the earlier one
-            redundant = True
-            break
-        if not redundant:
-            kept.append(g)
+        k, m, _ = g.lead()
+        by_position.setdefault(k, []).append((i, m, g))
+    kept = [g for leads in by_position.values() for i, m, g in leads
+            if not any(j != i and mono_divides(m2, m) and (m2 != m or j < i)
+                       for j, m2, _ in leads)]
     # The leads of a minimal basis divide no other lead, so tail reduction
-    # keeps each monic lead and one pass against the others is final.
-    for i in range(len(kept)):
-        kept[i] = normal_form(kept[i], kept[:i] + kept[i + 1:])
-    kept.sort(key=_element_sort_key, reverse=True)
-    return GroebnerBasis(module, tuple(kept))
+    # keeps each monic lead and one pass is final.  A lead divides no
+    # smaller monomial and every tail term lies below its own lead, so each
+    # tail divides by one table of the whole minimal basis.
+    table = _Divisors(kept)
+    ring = module.ring
+    reduced = []
+    for g in kept:
+        k, mono, coeff = g.lead()
+        coords = list(g.coords)
+        coords[k] = Polynomial(ring, coords[k].terms[1:])
+        rem = _divide(ModuleElement(g.module, coords), table)[1]
+        coords = list(rem.coords)
+        coords[k] = Polynomial(ring, ((mono, coeff),) + coords[k].terms)
+        reduced.append(ModuleElement(g.module, coords))
+    reduced.sort(key=_element_sort_key, reverse=True)
+    return GroebnerBasis(module, tuple(reduced))
 
 
 def _frame_pairs(table, i):
@@ -419,13 +475,15 @@ def _frame_pairs(table, i):
     monomial ideal (u_ij : j < i, same lead position), the smallest j
     among equal ones.  Returns (j, u_ij, u_ji) in ascending j."""
     k, mi, _ = table.leads[i]
+    ring = table.elements[i].module.ring
     cands = []
-    for j, mj in table.by_position[k]:
+    for j, _ in table.by_position[k]:
         if j >= i:
             break
-        w = mono_lcm(mi, mj)
+        mj = table.leads[j][1]
+        w = mono_lcm(ring, mi, mj)
         ui = mono_div(w, mi)
-        cands.append((sum(ui), j, ui, mono_div(w, mj)))
+        cands.append((mono_degree(ring, ui), j, ui, mono_div(w, mj)))
     # a divisor of u has no larger degree, so it comes first in this order
     kept = []
     for _, j, ui, uj in sorted(cands):
@@ -449,7 +507,7 @@ def syzygies(G: GroebnerBasis):
     Their lead-term syzygies also generate the syzygies of the lead terms
     of G, so by Buchberger's criterion on that generating set, each of
     their S-pairs reducing to zero proves that G is a Groebner basis; a
-    remainder raises ValueError.
+    remainder raises InvariantError.
     """
     elems = G.elements
     if not elems:
@@ -459,17 +517,18 @@ def syzygies(G: GroebnerBasis):
     for g in elems:
         d = g.bidegree()
         if d is None:
-            raise ValueError("zero element in Groebner basis")
+            raise InvariantError("zero element in Groebner basis")
         shifts.append(d)
     syz_module = FreeModule(ring, tuple(shifts))
     out = []
     for i in range(len(elems)):
         for j, ui, uj in _frame_pairs(G._divisors, i):
-            spair = elems[i].term_mul(1, ui) - elems[j].term_mul(1, uj)
-            quotients, rem = _divide(spair, G._divisors)
+            quotients, rem = _divide(_spair(G._divisors, i, j, ui, uj),
+                                     G._divisors, True)
             if not rem.is_zero():
-                raise ValueError("S-pair of a Groebner basis did not reduce")
-            coords = [-Polynomial.from_dict(ring, q) for q in quotients]
+                raise InvariantError(
+                    "S-pair of a Groebner basis did not reduce")
+            coords = [-q for q in quotients]
             coords[i] = coords[i] + Polynomial(ring, ((ui, 1),))
             coords[j] = coords[j] - Polynomial(ring, ((uj, 1),))
             s = ModuleElement(syz_module, tuple(coords))

@@ -2,9 +2,29 @@
 
 The single-graded subrings F_p[x] and F_p[y] reuse the same representation
 with the other variable block empty, so all Groebner and resolution code is
-written once.  Monomials are plain exponent tuples of length m + n; the
-monomial order is total-degree reverse-lexicographic with
-x1 > ... > xm > y1 > ... > yn.
+written once.  The monomial order is total-degree reverse-lexicographic
+with x1 > ... > xN, N = m + n (x_(m+j) is y_j).
+
+A monomial x^e is one Python int of 2N + 1 fields of FIELD_BITS bits,
+
+    [ T | T - e_N | ... | T - e_1 | e_N | ... | e_1 ],    T = sum(e),
+
+e_1 in the lowest field (Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Every
+field is additive in e, so the product of monomials is `e + f`, the
+quotient is `f - e`, and the monomial 1 is 0.  Comparing T, then the
+T - e_i from i = N down, is degrevlex, so the order is plain int order.
+The top bit of each field is a guard: the fields of a monomial stay below
+2^(FIELD_BITS - 1), and x^e divides x^f exactly when f - e borrows into no
+guard, `not (f - e) & GUARDS`.  T is the largest field, so a total degree
+of 2^31 or more is the one way to reach a guard: `RingSpec.monomial` and
+every product check it and raise DegreeOverflowError, so a monomial never
+wraps.  One GUARDS mask serves rings of up to MAX_VARS variables.
+
+Exponent tuples appear only where monomials enter or leave, through
+`RingSpec.monomial(e)` and `RingSpec.exponents(mono)`: the parser and
+printer, monomial bases, the strand split, the Krull dimension, products
+by a monomial in the initial module, and lcm and coprimality tests.
 """
 
 import itertools
@@ -13,6 +33,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import (
+    DegreeOverflowError,
     NotBihomogeneousError,
     ParseError,
     RingMismatchError,
@@ -20,6 +41,15 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .linalg import DEFAULT_PRIME, _check_prime
+
+FIELD_BITS = 32
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
+MAX_VARS = 64
+# the guard bit of every field of a ring with up to MAX_VARS variables; a
+# difference of two monomials of fewer variables has zeros (or, when
+# negative, ones) above its own fields, so one mask serves every ring
+GUARDS = sum(1 << (FIELD_BITS * (i + 1) - 1) for i in range(2 * MAX_VARS + 1))
 
 
 class Bidegree(NamedTuple):
@@ -46,7 +76,10 @@ class Bidegree(NamedTuple):
 @dataclass(frozen=True)
 class RingSpec:
     """S = F_p[x_1..x_m, y_1..y_n], standard bigraded: deg x_i = (1,0),
-    deg y_j = (0,1).  m = 0 or n = 0 gives the single-graded subrings."""
+    deg y_j = (0,1).  m = 0 or n = 0 gives the single-graded subrings.
+
+    `width` is the bit length of the packed monomials of the ring, and a
+    product at or above `limit` has reached total degree 2^31."""
 
     m: int
     n: int
@@ -55,7 +88,15 @@ class RingSpec:
     def __post_init__(self):
         if self.m < 0 or self.n < 0 or self.m + self.n < 1:
             raise ValueError("need m >= 0, n >= 0 and at least one variable")
+        if self.m + self.n > MAX_VARS:
+            raise ValueError(f"at most {MAX_VARS} variables")
         _check_prime(self.p)
+        width = FIELD_BITS * (2 * self.nvars + 1)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "limit", 1 << (width - 1))
+        object.__setattr__(self, "_shifts", tuple(
+            range(0, FIELD_BITS * self.nvars, FIELD_BITS)))
+        object.__setattr__(self, "_xmask", (1 << FIELD_BITS * self.m) - 1)
 
     @property
     def nvars(self):
@@ -74,16 +115,34 @@ class RingSpec:
     def variable_degree(self, i):
         return Bidegree(1, 0) if i < self.m else Bidegree(0, 1)
 
+    def monomial(self, e):
+        """The packed monomial of the exponent tuple e (length nvars)."""
+        total = sum(e)
+        if total >= _DEGREE_LIMIT:
+            raise DegreeOverflowError(
+                f"total degree {total} exceeds the limit "
+                f"{_DEGREE_LIMIT - 1}")
+        mono = total
+        for c in reversed(e):
+            mono = mono << FIELD_BITS | total - c
+        for c in reversed(e):
+            mono = mono << FIELD_BITS | c
+        return mono
+
+    def exponents(self, mono):
+        """The exponent tuple of a packed monomial."""
+        return tuple(mono >> s & _FIELD_MASK for s in self._shifts)
+
     def variable(self, i):
         e = [0] * self.nvars
         e[i] = 1
-        return Polynomial(self, ((tuple(e), 1),))
+        return Polynomial(self, ((self.monomial(e), 1),))
 
     def gens(self):
         return [self.variable(i) for i in range(self.nvars)]
 
     def one(self):
-        return Polynomial(self, (((0,) * self.nvars, 1),))
+        return Polynomial(self, ((0, 1),))
 
     def zero(self):
         return Polynomial(self, ())
@@ -94,37 +153,43 @@ class RingSpec:
 
 
 # ---------------------------------------------------------------------------
-# monomials: exponent tuples, grevlex key
-
-
-def mono_key(e):
-    """Sort key realizing degrevlex: bigger key = bigger monomial."""
-    return (sum(e), tuple(-c for c in reversed(e)))
-
-
-def mono_mul(e, f):
-    return tuple(a + b for a, b in zip(e, f))
+# packed monomials (see the module docstring)
 
 
 def mono_divides(e, f):
     """True if x^e divides x^f."""
-    return all(a <= b for a, b in zip(e, f))
+    return not (f - e) & GUARDS
 
 
 def mono_div(f, e):
-    return tuple(b - a for a, b in zip(e, f))
+    """x^f / x^e, for x^e dividing x^f."""
+    return f - e
 
 
-def mono_lcm(e, f):
-    return tuple(max(a, b) for a, b in zip(e, f))
+def mono_degree(ring, e):
+    """Total degree: the top field."""
+    return e >> ring.width - FIELD_BITS
 
 
-def mono_coprime(e, f):
-    return all(a == 0 or b == 0 for a, b in zip(e, f))
+def mono_lcm(ring, e, f):
+    return ring.monomial(tuple(map(max, ring.exponents(e),
+                                   ring.exponents(f))))
+
+
+def mono_coprime(ring, e, f):
+    return not any(a and b for a, b in zip(ring.exponents(e),
+                                           ring.exponents(f)))
+
+
+def _x_degree(ring, e):
+    """The sum of the x-fields: modulo 2^FIELD_BITS - 1 each field weighs
+    one, and the sum stays below the modulus."""
+    return (e & ring._xmask) % _FIELD_MASK
 
 
 def mono_bidegree(ring, e):
-    return Bidegree(sum(e[: ring.m]), sum(e[ring.m:]))
+    a = _x_degree(ring, e)
+    return Bidegree(a, mono_degree(ring, e) - a)
 
 
 def _compositions(total, parts):
@@ -167,8 +232,8 @@ def monomial_basis(ring, d):
         return []
     if ring.n == 0 and b != 0:
         return []
-    monos = [x + y for x, y in itertools.product(xs, ys)]
-    monos.sort(key=mono_key, reverse=True)
+    monos = [ring.monomial(x + y) for x, y in itertools.product(xs, ys)]
+    monos.sort(reverse=True)
     return monos
 
 
@@ -176,10 +241,24 @@ def monomial_basis(ring, d):
 # polynomials
 
 
+def _check_degree(ring, mono):
+    """Raise DegreeOverflowError if the product mono set a guard bit."""
+    if mono >= ring.limit:
+        raise DegreeOverflowError(
+            f"a product reaches total degree {mono_degree(ring, mono)}, "
+            f"beyond the limit {_DEGREE_LIMIT - 1}")
+
+
 class Polynomial:
-    """Terms stored as a tuple of (exponent tuple, coefficient) pairs,
-    strictly descending in the monomial order, coefficients in [1, p).
-    Immutable and hashable."""
+    """Terms stored as a tuple of (packed monomial, coefficient) pairs,
+    strictly descending in the monomial order, that is as ints,
+    coefficients in [1, p).  Immutable and hashable.
+
+    A monomial is an int (see the module docstring), so a product of terms
+    adds ints and a term list sorts with no key.  Products check the
+    degree limit once, on the product of the leads: the lead has the
+    largest total degree.  A total degree of 2^31 or more raises
+    DegreeOverflowError."""
 
     __slots__ = ("ring", "terms", "_hash")
 
@@ -190,14 +269,15 @@ class Polynomial:
 
     @classmethod
     def from_dict(cls, ring, d):
+        """From an unordered {packed monomial: coefficient} dict."""
         p = ring.p
         items = [(e, c % p) for e, c in d.items() if c % p]
-        items.sort(key=lambda t: mono_key(t[0]), reverse=True)
+        items.sort(reverse=True)
         return cls(ring, tuple(items))
 
     @classmethod
     def constant(cls, ring, c):
-        return cls.from_dict(ring, {(0,) * ring.nvars: c})
+        return cls.from_dict(ring, {0: c})
 
     def is_zero(self):
         return not self.terms
@@ -235,11 +315,14 @@ class Polynomial:
         if isinstance(other, int):
             return self.scale(other)
         self._check_ring(other)
+        if not (self.terms and other.terms):
+            return self.ring.zero()
+        _check_degree(self.ring, self.terms[0][0] + other.terms[0][0])
         d = {}
         p = self.ring.p
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = mono_mul(e1, e2)
+                e = e1 + e2
                 d[e] = (d.get(e, 0) + c1 * c2) % p
         return Polynomial.from_dict(self.ring, d)
 
@@ -249,6 +332,8 @@ class Polynomial:
         c %= self.ring.p
         if c == 0:
             return self.ring.zero()
+        if c == 1 or not self.terms:
+            return self
         p = self.ring.p
         return Polynomial(self.ring,
                           tuple((e, (k * c) % p) for e, k in self.terms))
@@ -256,11 +341,12 @@ class Polynomial:
     def term_mul(self, coeff, mono):
         """Multiply by the single term coeff * x^mono."""
         coeff %= self.ring.p
-        if coeff == 0:
+        if coeff == 0 or not self.terms:
             return self.ring.zero()
+        _check_degree(self.ring, self.terms[0][0] + mono)
         p = self.ring.p
         return Polynomial(self.ring,
-                          tuple((mono_mul(e, mono), (c * coeff) % p)
+                          tuple((e + mono, (c * coeff) % p)
                                 for e, c in self.terms))
 
     def lead(self):
@@ -272,10 +358,13 @@ class Polynomial:
     def bidegree(self):
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no bidegree")
-        degs = {mono_bidegree(self.ring, e) for e, _ in self.terms}
+        ring = self.ring
+        degs = {(mono_degree(ring, e), _x_degree(ring, e))
+                for e, _ in self.terms}
+        degs = sorted(Bidegree(a, total - a) for total, a in degs)
         if len(degs) != 1:
-            raise NotBihomogeneousError(f"mixed bidegrees {sorted(degs)}")
-        return next(iter(degs))
+            raise NotBihomogeneousError(f"mixed bidegrees {degs}")
+        return degs[0]
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -291,7 +380,7 @@ class Polynomial:
         # symmetric representative for readability; parses back fine
         cs = c if c <= self.ring.p // 2 else c - self.ring.p
         factors = []
-        for i, k in enumerate(e):
+        for i, k in enumerate(self.ring.exponents(e)):
             if k == 1:
                 factors.append(self.ring.variable_name(i))
             elif k > 1:
@@ -419,7 +508,7 @@ def parse_poly(text: str, ring: RingSpec) -> Polynomial:
             break
         if not saw_atom:
             raise ParseError("empty term", peek()[2])
-        return coeff, tuple(expo)
+        return coeff, ring.monomial(expo)
 
     terms = {}
     sign = 1

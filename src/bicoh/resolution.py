@@ -35,7 +35,6 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     piece_dim,
 )
 from .tables import DimTable, Window
@@ -125,7 +124,7 @@ def restrict_matrix(ring, tgt: FreeModule, src: FreeModule, matrix, d):
     src_basis = src.basis_at(d)
     # distinct terms of one entry land on distinct rows, and entries of
     # one column on distinct generators, so no two terms share a row
-    cols = [{index[(k, mono_mul(mono, u))]: coeff
+    cols = [{index[(k, mono + u)]: coeff
              for k in range(tgt.rank) for mono, coeff in matrix[k][l].terms}
             for l, u in src_basis]
     return Matrix((len(index), len(src_basis)), cols)
@@ -160,13 +159,14 @@ def _numerator(ring, monos):
     """Hilbert-series numerator {bidegree: coefficient} of S/J for the
     monomial ideal J = (monos).  Adding the minimal generators one at a
     time, N(J + (m)) = N(J) - t^deg(m) N(J : m) (Bigatti 1997), where J : m
-    is generated by the lcm(g, m) / m."""
+    is generated by the lcm(g, m) / m.  Ascending int order puts every
+    divisor of m before m."""
     gens, out = [], {Bidegree(0, 0): 1}
-    for m in sorted(set(monos), key=sum):
+    for m in sorted(set(monos)):
         if any(mono_divides(g, m) for g in gens):
             continue
         deg = mono_bidegree(ring, m)
-        colon = [mono_div(mono_lcm(g, m), m) for g in gens]
+        colon = [mono_div(mono_lcm(ring, g, m), m) for g in gens]
         for s, c in _numerator(ring, colon).items():
             out[s + deg] = out.get(s + deg, 0) - c
         gens.append(m)
@@ -214,7 +214,8 @@ class InitialModule:
         over the positions.  -1 for the zero module."""
         supports = [set() for _ in self.P.gens]
         for k, mono, _ in self.leads:
-            supports[k].add(sum(1 << v for v, e in enumerate(mono) if e))
+            supports[k].add(sum(1 << v for v, e in
+                                enumerate(self.ring.exponents(mono)) if e))
         return max((free.bit_count() for free in range(1 << self.ring.nvars)
                     for leads in supports
                     if not any(s & free == s for s in leads)), default=-1)
@@ -239,10 +240,10 @@ class InitialModule:
         src = self.basis(d)
         index = {key: i for i, key in
                  enumerate(self.basis(d + ring.variable_degree(var)))}
-        unit = tuple(1 if t == var else 0 for t in range(ring.nvars))
+        unit = ring.variable(var).terms[0][0]
         cols = []
         for k, mono in src:
-            shifted = mono_mul(mono, unit)
+            shifted = mono + unit
             row = index.get((k, shifted))
             if row is not None:
                 cols.append({row: 1})
@@ -262,7 +263,7 @@ class InitialModule:
         ring = self.ring
         cur = Bidegree(*d)
         mat = None
-        for var, e in enumerate(mono):
+        for var, e in enumerate(ring.exponents(mono)):
             for _ in range(e):
                 step = self.step(var, cur)
                 mat = step if mat is None else step.compose(mat, ring.p)
@@ -314,10 +315,8 @@ class FreeResolution:
 def _unit_entry(matrix):
     for k, row in enumerate(matrix):
         for l, entry in enumerate(row):
-            if len(entry.terms) == 1:
-                mono, _ = entry.terms[0]
-                if not any(mono):
-                    return k, l
+            if len(entry.terms) == 1 and entry.terms[0][0] == 0:
+                return k, l
     return None
 
 
@@ -519,11 +518,11 @@ def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:
     for s in sub_elements:
         if not s:
             continue
-        quotients, rem = _divide(s, span._divisors)
+        quotients, rem = _divide(s, span._divisors, True)
         if rem:
-            raise ValueError("submodule generator outside the ambient span")
-        columns.append(ModuleElement(src, tuple(
-            Polynomial.from_dict(ring, q) for q in quotients)))
+            raise InvariantError(
+                "submodule generator outside the ambient span")
+        columns.append(ModuleElement(src, tuple(quotients)))
     columns.extend(syzygies(span))
     rels = tuple(c.bidegree() for c in columns)
     matrix = tuple(tuple(c.coords[k] for c in columns)

@@ -39,7 +39,7 @@ def _strand(N: Presentation, index: int, block: str) -> Presentation:
         for k, s in enumerate(shifts):
             want = index - lost_deg(s)
             if collapse is None:
-                monos = [()] if want == 0 else []
+                monos = [0] if want == 0 else []
             else:
                 monos = monomial_basis(
                     collapse,
@@ -58,11 +58,12 @@ def _strand(N: Presentation, index: int, block: str) -> Presentation:
         for k in range(len(N.gens)):
             entry = N.matrix[k][l]
             for mono, coeff in entry.terms:
-                kept, lost = split(mono)
-                target = tuple(u + v for u, v in zip(lost, w))
+                kept, lost = split(ring.exponents(mono))
+                target = collapse.monomial(lost) + w if collapse else w
                 row = gen_index.get((k, target))
                 if row is None:
                     continue
+                kept = sub.monomial(kept)
                 acc = rows[row][col]
                 acc[kept] = (acc.get(kept, 0) + coeff) % ring.p
     matrix = tuple(

@@ -230,7 +230,7 @@ def _block_change(P, seed):
         out = ring.zero()
         for mono, coeff in f.terms:
             term = ring.one().scale(coeff)
-            for v, e in enumerate(mono):
+            for v, e in enumerate(ring.exponents(mono)):
                 for _ in range(e):
                     term = term * images[v]
             out = out + term
