@@ -12,6 +12,7 @@ from . import checks
 from .cohomology import cd_estimate, cech_oracle, local_coh_table
 from .errors import BicohError, FormatError, InvariantError
 from .groebner import FreeModule
+from .linalg import DEFAULT_PRIME
 from .modfile import load_module, save_module
 from .poly import Bidegree, RingSpec
 from .resolution import (
@@ -84,7 +85,8 @@ def _build_parser():
     p.add_argument("--suite", required=True, choices=sorted(_SUITES))
     p.add_argument("-m", type=int, help="x-variable count (suite simple)")
     p.add_argument("-n", type=int, help="y-variable count (suite simple)")
-    p.add_argument("-p", type=int, default=32003, help="field modulus")
+    p.add_argument("-p", type=int, default=DEFAULT_PRIME,
+                   help="field modulus")
     p.add_argument("--shifts", help="free-module shifts a,b;a,b "
                                     "(suite free)")
 

@@ -2,11 +2,12 @@
 
 import random
 
+from .linalg import DEFAULT_PRIME
 from .poly import Polynomial, RingSpec, monomial_basis
 from .resolution import free_presentation, quotient_by_polys
 
 
-def standard_ring(p=32003):
+def standard_ring(p=DEFAULT_PRIME):
     return RingSpec(2, 2, p)
 
 

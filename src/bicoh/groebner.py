@@ -208,6 +208,15 @@ class GroebnerBasis:
         return normal_form(v, self).is_zero()
 
     @cached_property
+    def shifts(self):
+        """The bidegree of each element: the shifts of its syzygy module,
+        of the next level of a resolution and of a subquotient on it."""
+        out = tuple(g.bidegree() for g in self.elements)
+        if None in out:
+            raise InvariantError("zero element in Groebner basis")
+        return out
+
+    @cached_property
     def _divisors(self):
         return _Divisors(self.elements)
 
@@ -513,13 +522,7 @@ def syzygies(G: GroebnerBasis):
     if not elems:
         return []
     ring = G.module.ring
-    shifts = []
-    for g in elems:
-        d = g.bidegree()
-        if d is None:
-            raise InvariantError("zero element in Groebner basis")
-        shifts.append(d)
-    syz_module = FreeModule(ring, tuple(shifts))
+    syz_module = FreeModule(ring, G.shifts)
     out = []
     for i in range(len(elems)):
         for j, ui, uj in _frame_pairs(G._divisors, i):

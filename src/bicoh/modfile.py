@@ -15,6 +15,7 @@ comma separated.  An absent or empty rels section gives a free module.
 import re
 
 from .errors import FormatError, ParseError
+from .linalg import DEFAULT_PRIME
 from .poly import Bidegree, RingSpec, parse_poly
 from .resolution import Presentation
 
@@ -64,7 +65,8 @@ def load_module(path) -> Presentation:
         if need not in params:
             raise FormatError(f"missing required key {need}=")
     try:
-        ring = RingSpec(params["m"], params["n"], params.get("p", 32003))
+        ring = RingSpec(params["m"], params["n"],
+                        params.get("p", DEFAULT_PRIME))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
     if gens is None:

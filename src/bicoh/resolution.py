@@ -7,8 +7,11 @@ monomials come from one object per presentation, initial_module(P): F/U
 and F/in(U) share their Hilbert function (Macaulay), so the lead terms of
 one Groebner basis of the relations decide all three.  Every table of
 graded dimensions, Ext and local-cohomology tables included, reads it.
-From the minimal resolution we read off graded Betti numbers, projective
-dimension and depth (Auslander-Buchsbaum), and the Ext presentations.
+resolve(P), which takes no options, is the minimal free resolution; from
+it we read off graded Betti numbers, projective dimension and depth
+(Auslander-Buchsbaum), and the Ext presentations.  Every minimization
+goes through one unit-pruning routine, _prune: each level of a
+resolution, minimal_presentation and the Ext subquotients.
 hilbert_dim, which ranks the degree-restricted relation matrix, is kept as
 an independent referee of the initial-module dimensions; no table reads it.
 """
@@ -291,7 +294,6 @@ class FreeResolution:
     ring: object
     modules: tuple
     maps: tuple
-    minimal: bool
 
     @property
     def length(self):
@@ -312,139 +314,103 @@ class FreeResolution:
         return self.modules[i], self.modules[i - 1], self.maps[i - 1]
 
 
-def _unit_entry(matrix):
-    for k, row in enumerate(matrix):
-        for l, entry in enumerate(row):
-            if len(entry.terms) == 1 and entry.terms[0][0] == 0:
-                return k, l
-    return None
+def _prune(columns, rank):
+    """Unit elimination on the matrix with the given columns, each a
+    sequence of `rank` Polynomials, one per generator of the target.
 
-
-def _eliminate_unit(mats, shifts, i, k, l):
-    """Remove the split summand witnessed by the constant entry (k, l) of
-    mats[i], adjusting the neighbouring matrices.  All lists are mutated.
-
-    Clearing row k by column ops (col_lp -= lam_lp * col_l) and then
-    column l by row ops changes mats[i + 1] only in row l and mats[i - 1]
-    only in column k, and the row ops change mats[i] only in column l: all
-    of these are deleted with the summand.  What stays is the Schur
-    complement A[kp][lp] - A[kp][l] * A[k][lp] / A[k][l] on the other rows
-    and columns, computed only where A[kp][l] and A[k][lp] are nonzero."""
-    A = mats[i]
-    cinv = pow(A[k][l].terms[0][1], -1, A[k][l].ring.p)
-    lams = {lp: entry.scale(cinv) for lp, entry in enumerate(A[k])
-            if lp != l and not entry.is_zero()}
-    for kp, row in enumerate(A):
-        if kp != k and not row[l].is_zero():
-            for lp, lam in lams.items():
-                row[lp] = row[lp] - lam * row[l]
-    # delete row k / column l of A, row l of next, column k of previous
-    del A[k]
-    for row in A:
-        del row[l]
-    if i + 1 < len(mats):
-        del mats[i + 1][l]
-    if i - 1 >= 0:
-        for row in mats[i - 1]:
-            del row[k]
-    del shifts[i][k]      # generator k of F_i
-    del shifts[i + 1][l]  # generator l of F_{i+1}
-
-
-def _sweep_units(mats, shift_chain):
-    changed = True
-    while changed:
-        changed = False
-        for i, A in enumerate(mats):
-            if not A or not A[0]:
-                continue
-            hit = _unit_entry(A)
-            if hit is not None:
-                _eliminate_unit(mats, shift_chain, i, *hit)
-                changed = True
-                break
-
-
-def _mutable_matrix(elements, rank):
-    return [[e.coords[k] for e in elements] for k in range(rank)]
-
-
-def _columns_of(ring, shifts, matrix):
-    module = FreeModule(ring, tuple(shifts))
-    cols = len(matrix[0]) if matrix else 0
-    out = []
-    for l in range(cols):
-        e = ModuleElement(module, tuple(matrix[k][l]
-                                        for k in range(module.rank)))
-        if e:
-            out.append(e)
-    return out
+    While some entry (k, l) is a nonzero constant c, the first one by
+    generator, then by column, every other column s with s[k] != 0
+    becomes s - (s[k]/c) * column l, and column l and generator k are
+    dropped: the split summand S(-d) --c--> S(-d) leaves the complex.  The
+    column operations are the Schur complement, computed only where s[k]
+    and column l are nonzero; they change the next map only in the row of
+    column l, and the row operations that clear column l change the
+    previous map only in the column of generator k, both dropped with the
+    summand.  Returns (rows, cols, pruned): the indices of the surviving
+    generators and columns, ascending, and the surviving columns on the
+    surviving generators."""
+    live = {l: list(col) for l, col in enumerate(columns)}
+    rows = list(range(rank))
+    while (hit := next(((k, l) for k in rows for l, col in live.items()
+                        if len(col[k].terms) == 1
+                        and col[k].terms[0][0] == 0), None)):
+        k, l = hit
+        pivot = live.pop(l)
+        rows.remove(k)
+        cinv = pow(pivot[k].terms[0][1], -1, pivot[k].ring.p)
+        rest = [(kp, pivot[kp]) for kp in rows if not pivot[kp].is_zero()]
+        for col in live.values():
+            if not col[k].is_zero():
+                lam = col[k].scale(cinv)
+                for kp, entry in rest:
+                    col[kp] = col[kp] - lam * entry
+    return rows, list(live), [[col[k] for k in rows]
+                              for col in live.values()]
 
 
 @lru_cache(maxsize=None)
-def resolve(P: Presentation, minimize: bool = True) -> FreeResolution:
-    """Free resolution of coker(P) by iterated Groebner bases and Schreyer
-    syzygies.
+def resolve(P: Presentation) -> FreeResolution:
+    """The minimal free resolution of coker(P), by iterated Groebner bases
+    and Schreyer syzygies, pruned level by level.
 
-    With minimize=True the partial chain is pruned by unit elimination
-    after every level, so redundant syzygies never reach the next Groebner
-    run and the finished chain is the minimal resolution.  minimize=False
-    keeps the raw Schreyer chain (useful as an independent cross-check)."""
+    Each level prunes the units of its Groebner basis, then those of the
+    frame syzygies, and the surviving syzygies are the next level's input,
+    so redundant syzygies never reach the next Groebner run.  Only the
+    first level can meet units in its own basis, and only for a
+    non-minimal presentation (strands, module files): pruned syzygies have
+    no constant entry, so their span, and with it every element of its
+    Groebner basis, lies in m*F."""
     ring = P.ring
-    shift_chain = [list(P.target.shifts)]
-    mats = []
+    ambient = P.target
+    shifts = [P.gens]
+    maps = []       # the columns of each map
     elements = [c for c in P.columns() if c]
-    level = 0
     while elements:
-        level += 1
-        if level > ring.nvars + _RESOLUTION_LENGTH_SLACK:
+        if len(maps) >= ring.nvars + _RESOLUTION_LENGTH_SLACK:
             raise InvariantError("resolution did not terminate; "
                                  "syzygy chain exceeded the variable bound")
-        ambient = FreeModule(ring, tuple(shift_chain[-1]))
         gb = buchberger(elements, module=ambient)
-        mats.append(_mutable_matrix(gb.elements, ambient.rank))
-        shift_chain.append([g.bidegree() for g in gb.elements])
-        syz = [s for s in syzygies(gb) if s]
-        if not syz:
-            break
-        if minimize:
-            mats.append(_mutable_matrix(syz, len(shift_chain[-1])))
-            shift_chain.append([s.bidegree() for s in syz])
-            _sweep_units(mats, shift_chain)
-            top = mats.pop()
-            shift_chain.pop()
-            elements = _columns_of(ring, shift_chain[-1], top)
-        else:
-            elements = syz
-    if minimize:
-        _sweep_units(mats, shift_chain)
-    while mats and (not shift_chain[-1]):
-        mats.pop()
-        shift_chain.pop()
-    modules = tuple(FreeModule(ring, tuple(s)) for s in shift_chain)
-    out_maps = tuple(tuple(tuple(row) for row in A) for A in mats)
-    return FreeResolution(ring, modules, out_maps,
-                          minimal=minimize or not out_maps)
+        rows, cols, basis = _prune([g.coords for g in gb.elements],
+                                   ambient.rank)
+        shifts[-1] = [shifts[-1][k] for k in rows]
+        syz = [[s.coords[l] for l in cols] for s in syzygies(gb)]
+        rows, _, syz = _prune(syz, len(cols))
+        maps.append([basis[k] for k in rows])
+        shifts.append([gb.shifts[cols[k]] for k in rows])
+        ambient = FreeModule(ring, shifts[-1])
+        elements = [e for e in (ModuleElement(ambient, s) for s in syz) if e]
+    while maps and not shifts[-1]:
+        maps.pop()
+        shifts.pop()
+    modules = tuple(FreeModule(ring, s) for s in shifts)
+    return FreeResolution(ring, modules, tuple(
+        tuple(tuple(col[k] for col in columns) for k in range(len(target)))
+        for columns, target in zip(maps, shifts)))
+
+
+def _pruned_presentation(ring, gens, rels, columns) -> Presentation:
+    """coker of the columns (one per relation) after unit pruning, without
+    the columns that pruning leaves zero."""
+    rows, cols, pruned = _prune(columns, len(gens))
+    keep = [(rels[l], col) for l, col in zip(cols, pruned)
+            if any(not e.is_zero() for e in col)]
+    return Presentation(ring, tuple(gens[k] for k in rows),
+                        tuple(rel for rel, _ in keep),
+                        tuple(tuple(col[i] for _, col in keep)
+                              for i in range(len(rows))))
 
 
 def minimal_presentation(P: Presentation) -> Presentation:
-    """Minimalize just the presentation matrix (unit elimination plus
-    removal of zero columns).  Nonzero iff the result has a generator."""
+    """The presentation pruned of its units and zero columns.  Nonzero iff
+    the result has a generator."""
     if not P.rels:
         return P
-    shift_chain = [list(P.target.shifts), list(P.source.shifts)]
-    matrix = [list(row) for row in P.matrix]
-    _sweep_units([matrix], shift_chain)
-    gens = tuple(shift_chain[0])
-    keep = [l for l in range(len(shift_chain[1]))
-            if any(not matrix[k][l].is_zero() for k in range(len(gens)))]
-    rels = tuple(shift_chain[1][l] for l in keep)
-    out = tuple(tuple(matrix[k][l] for l in keep) for k in range(len(gens)))
-    return Presentation(P.ring, gens, rels, out)
+    return _pruned_presentation(P.ring, P.gens, P.rels,
+                                [c.coords for c in P.columns()])
 
 
 def is_zero_module(P: Presentation) -> bool:
-    return len(minimal_presentation(P).gens) == 0
+    return resolve(P).betti(0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +477,7 @@ def profile(P: Presentation) -> ModuleProfile:
 def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:
     """Presentation of span / span(sub_elements), the span given by its
     Groebner basis; sub must lie in the span."""
-    ring = span.module.ring
-    shifts = tuple(g.bidegree() for g in span.elements)
-    src = FreeModule(ring, shifts)
+    src = FreeModule(span.module.ring, span.shifts)
     columns = []
     for s in sub_elements:
         if not s:
@@ -524,10 +488,9 @@ def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:
                 "submodule generator outside the ambient span")
         columns.append(ModuleElement(src, tuple(quotients)))
     columns.extend(syzygies(span))
-    rels = tuple(c.bidegree() for c in columns)
-    matrix = tuple(tuple(c.coords[k] for c in columns)
-                   for k in range(len(shifts)))
-    return minimal_presentation(Presentation(ring, shifts, rels, matrix))
+    return _pruned_presentation(src.ring, src.shifts,
+                                [c.bidegree() for c in columns],
+                                [c.coords for c in columns])
 
 
 def kernel_presentation(src: FreeModule, tgt: FreeModule,

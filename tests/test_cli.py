@@ -8,6 +8,7 @@ import pytest
 from bicoh.cli import main
 from bicoh.errors import DegreeMismatchError, FormatError, InvariantError
 from bicoh.fixtures import named_fixtures
+from bicoh.linalg import DEFAULT_PRIME
 from bicoh.modfile import load_module, save_module
 from bicoh.resolution import minimal_presentation
 
@@ -56,6 +57,12 @@ def test_load_module_free(tmp_path):
     path.write_text("p=32003\nm=2\nn=2\ngens=(0,0),(1,0)\n")
     M = load_module(path)
     assert len(M.gens) == 2 and not M.rels
+
+
+def test_load_module_without_p_takes_the_default_prime(tmp_path):
+    path = tmp_path / "free.mod"
+    path.write_text("m=2\nn=2\ngens=(0,0)\n")
+    assert load_module(path).ring.p == DEFAULT_PRIME
 
 
 def test_load_module_degree_mismatch(tmp_path):

@@ -424,6 +424,18 @@ def test_syzygies_reject_a_basis_missing_an_s_pair_remainder(r22):
         syzygies(GroebnerBasis(F, tuple(gens)))
 
 
+def test_basis_shifts_are_the_element_bidegrees(r22):
+    # one list of bidegrees per basis, read by syzygies, resolve and
+    # quotient_presentation alike; a zero element has none
+    F = FreeModule(r22, ((0, 0), (1, 0)))
+    gb = buchberger([elem(F, "x1*y1", "y1"), elem(F, "x2", "0")])
+    assert gb.shifts == tuple(g.bidegree() for g in gb.elements)
+    assert syzygies(gb)[0].module.shifts == gb.shifts
+    zero = GroebnerBasis(F, (F.zero_element(),))
+    with pytest.raises(InvariantError, match="zero element"):
+        syzygies(zero)
+
+
 def test_kernel_basis_of_injective_map(r22):
     # multiplication by x1 on the free module is injective
     F = FreeModule(r22, ((0, 0),))

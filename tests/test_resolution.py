@@ -7,14 +7,20 @@ import bicoh.groebner as groebner
 import bicoh.resolution as resolution
 from bicoh.cohomology import ext_table
 from bicoh.errors import DegreeMismatchError, InvariantError, ZeroModuleError
-from bicoh.fixtures import gencm_fixture, random_quotients, standard_ring
+from bicoh.fixtures import (
+    gencm_fixture,
+    named_fixtures,
+    random_quotients,
+    standard_ring,
+)
 from bicoh.groebner import (
     FreeModule,
     GroebnerBasis,
     ModuleElement,
     buchberger,
+    syzygies,
 )
-from bicoh.linalg import rank_of_array
+from bicoh.linalg import Matrix, homology_dim, rank_of_array
 from bicoh.poly import (
     Bidegree,
     Polynomial,
@@ -24,6 +30,7 @@ from bicoh.poly import (
     parse_poly,
 )
 from bicoh.resolution import (
+    FreeResolution,
     Presentation,
     _numerator,
     ext_presentation,
@@ -55,7 +62,6 @@ def test_presentation_validates_degrees(ring):
 def test_resolution_of_free_module(S):
     res = resolve(S)
     assert res.length == 0
-    assert res.minimal
 
 
 def test_resolution_of_hypersurface(hypersurface):
@@ -99,15 +105,49 @@ def test_resolution_length_bound(ring, xy):
         assert resolve(M).length <= ring.nvars
 
 
+def _redundant_generator(ring):
+    """Two generators, one of them redundant through a unit relation."""
+    one, x1 = ring.one(), ring.gens()[0]
+    return Presentation(ring, ((0, 0), (0, 0)), ((0, 0), (1, 0)),
+                        ((one, x1), (one, ring.zero())))
+
+
+def _killed(ring):
+    """S/(1), the zero module on one generator."""
+    return Presentation(ring, ((0, 0),), ((0, 0),), ((ring.one(),),))
+
+
+def _unit_inputs():
+    """Presentations with constant entries, which the resolution prunes
+    from its first Groebner basis, and minimal ones: the x- and y-strands
+    of the named fixtures and of gencm_fixture, the redundant-generator
+    presentation and S/(1), at p in {2, 3, 32003}."""
+    out = []
+    for p in (2, 3, 32003):
+        ring = standard_ring(p)
+        for N in list(named_fixtures(ring).values()) + [gencm_fixture(ring)]:
+            out += [strand(N, d) for strand in (x_strand, y_strand)
+                    for d in (1, 2)]
+        out += [_redundant_generator(ring), _killed(ring)]
+    return out
+
+
+def _has_unit(matrix):
+    return any(len(e.terms) == 1 and e.terms[0][0] == 0
+               for row in matrix for e in row)
+
+
 def test_no_unit_entries_in_minimal_resolution(ring, xy):
     x1, x2, y1, y2 = xy
     M = quotient_by_polys(ring, [x1 * y1 + x2 * y2, x1 * y2, x2 * y1])
-    res = resolve(M)
-    for A in res.maps:
-        for row in A:
-            for entry in row:
-                if not entry.is_zero():
-                    assert entry.bidegree() != Bidegree(0, 0)
+    modules = [M] + _unit_inputs()
+    assert any(_has_unit(N.matrix) for N in modules)
+    for N in modules:
+        res = resolve(N)
+        assert not any(_has_unit(A) for A in res.maps), str(N)
+        assert res.betti(0) == len(minimal_presentation(N).gens), str(N)
+    for p in (2, 3, 32003):
+        assert is_zero_module(_killed(standard_ring(p)))
 
 
 def test_hilbert_table_of_ring(S):
@@ -144,28 +184,42 @@ def test_alternating_sums_match_hilbert(ring, xy, two_relations):
             assert res.alternating_dim(d) == hilbert_dim(M, d)
 
 
+def _raw_resolution(P):
+    """The unpruned Schreyer chain: each level's reduced Groebner basis,
+    whose frame syzygies are the next level's input.  Not minimal, so it
+    referees every number read off the pruned resolution."""
+    ring = P.ring
+    modules, maps = [P.target], []
+    elements = [c for c in P.columns() if c]
+    while elements:
+        gb = buchberger(elements, module=modules[-1])
+        maps.append(tuple(tuple(g.coords[k] for g in gb.elements)
+                          for k in range(modules[-1].rank)))
+        modules.append(FreeModule(ring, gb.shifts))
+        elements = syzygies(gb)
+    return FreeResolution(ring, tuple(modules), tuple(maps))
+
+
 def test_resolution_degreewise_exactness_random(ring):
-    # ker(d_i) = im(d_(i+1)) at every bidegree, including ker d_last = 0;
-    # this exercises the unit-elimination surgery on awkward chains
-    from bicoh.fixtures import random_quotients
-    import numpy as np
-
-    from bicoh.linalg import homology_dim
-    from bicoh.resolution import restrict_matrix
-
-    for M, minimize in product(random_quotients(ring, 4, seed=913),
-                               (True, False)):
-        res = resolve(M, minimize)
+    # ker(d_i) = im(d_(i+1)) at every bidegree, including ker d_last = 0,
+    # of the pruned and the raw chains; the inputs with constant entries
+    # exercise the pruning of the first Groebner basis, the random modules
+    # with several generators that of long raw chains
+    modules = random_quotients(ring, 4, seed=913) + _unit_inputs()
+    modules += [M for p in (2, 3, 32003) for M in _random_modules(p)]
+    for M, build in product(modules, (resolve, _raw_resolution)):
+        res = build(M)
+        p = M.ring.p
         for i in range(1, res.length + 1):
             src, tgt, matrix = res.map_data(i)
             for d in Window(-1, 3, -1, 3).cells():
-                B = restrict_matrix(ring, tgt, src, matrix, d)
+                B = restrict_matrix(M.ring, tgt, src, matrix, d)
                 if i < res.length:
                     up_src, up_tgt, up_matrix = res.map_data(i + 1)
-                    A = restrict_matrix(ring, up_tgt, up_src, up_matrix, d)
+                    A = restrict_matrix(M.ring, up_tgt, up_src, up_matrix, d)
                 else:
-                    A = np.zeros((B.shape[1], 0), dtype=np.int64)
-                assert homology_dim(A, B, ring.p) == 0, (i, tuple(d))
+                    A = Matrix.zeros(B.shape[1], 0)
+                assert homology_dim(A, B, p) == 0, (str(M), i, tuple(d))
 
 
 def _random_modules(p, count=6):
@@ -229,75 +283,81 @@ def test_frame_syzygies_keep_betti_shifts_random(p, monkeypatch):
             [sorted(referee.shifts(i)) for i in range(referee.length + 1)]
 
 
-def _eliminate_unit_every_entry(mats, shifts, i, k, l):
-    """Referee: unit elimination with every update run in full, over every
-    entry of its four update loops (x - lam*0 included), the row ops on
-    mats[i] whose results are deleted too."""
-    A = mats[i]
+def _eliminate_unit_every_entry(A, k, l):
+    """Referee: unit elimination at the constant entry (k, l) of the
+    row-major matrix A with every update run in full, over every entry
+    (x - lam*0 included), the row ops whose results are deleted too."""
     p = A[k][l].ring.p
     cinv = pow(A[k][l].terms[0][1], -1, p)
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
+    rows, cols = len(A), len(A[0])
     lams = {lp: A[k][lp].scale(cinv) for lp in range(cols)
             if lp != l and not A[k][lp].is_zero()}
     for lp, lam in lams.items():
         for r in range(rows):
             A[r][lp] = A[r][lp] - lam * A[r][l]
-    if i + 1 < len(mats) and mats[i + 1]:
-        nxt = mats[i + 1]
-        for cc in range(len(nxt[0])):
-            acc = nxt[l][cc]
-            for lp, lam in lams.items():
-                acc = acc + lam * nxt[lp][cc]
-            nxt[l][cc] = acc
     mus = {kp: A[kp][l].scale(cinv) for kp in range(rows)
            if kp != k and not A[kp][l].is_zero()}
     for kp, mu in mus.items():
         for cc in range(cols):
             A[kp][cc] = A[kp][cc] - mu * A[k][cc]
-    if i - 1 >= 0 and mats[i - 1]:
-        prev = mats[i - 1]
-        for r in range(len(prev)):
-            acc = prev[r][k]
-            for kp, mu in mus.items():
-                acc = acc + mu * prev[r][kp]
-            prev[r][k] = acc
     del A[k]
     for row in A:
         del row[l]
-    if i + 1 < len(mats):
-        del mats[i + 1][l]
-    if i - 1 >= 0:
-        for row in mats[i - 1]:
-            del row[k]
-    del shifts[i][k]
-    del shifts[i + 1][l]
+
+
+def _prune_every_entry(columns, rank):
+    """Referee of resolution._prune: on a row-major copy, eliminate the
+    first constant entry by row, then by column, until none is left."""
+    A = [[col[k] for col in columns] for k in range(rank)]
+    rows, cols = list(range(rank)), list(range(len(columns)))
+    while hits := [(k, l) for k, row in enumerate(A)
+                   for l, e in enumerate(row)
+                   if len(e.terms) == 1 and e.terms[0][0] == 0]:
+        k, l = hits[0]
+        _eliminate_unit_every_entry(A, k, l)
+        del rows[k], cols[l]
+    return rows, cols, [[row[l] for row in A] for l in range(len(cols))]
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
 def test_unit_elimination_matches_every_entry_referee(p, monkeypatch):
-    # every elimination of the resolutions, and of sweeps over the raw
-    # Schreyer chains (units at every level, so all four update loops
-    # run), replayed on a copy of the chain by the referee, leaves the same
-    # matrices and shifts
-    eliminate = resolution._eliminate_unit
-    steps = []
+    # every pruning inside resolve and minimal_presentation, and of each
+    # map of the raw Schreyer chains (units at every level), replayed by
+    # the referee on a row-major copy, keeps the same generators, columns
+    # and entries
+    prune = resolution._prune
+    eliminated = []
 
-    def compared(mats, shifts, i, k, l):
-        ref_mats = [[list(row) for row in A] for A in mats]
-        ref_shifts = [list(s) for s in shifts]
-        _eliminate_unit_every_entry(ref_mats, ref_shifts, i, k, l)
-        eliminate(mats, shifts, i, k, l)
-        assert (mats, shifts) == (ref_mats, ref_shifts)
-        steps.append((i, k, l))
+    def compared(columns, rank):
+        out = prune(columns, rank)
+        assert out == _prune_every_entry(columns, rank)
+        eliminated.append(rank - len(out[0]))
+        return out
 
-    monkeypatch.setattr(resolution, "_eliminate_unit", compared)
-    for M in _random_modules(p):
-        resolve.__wrapped__(M)
-        raw = resolve.__wrapped__(M, minimize=False)
-        resolution._sweep_units([[list(row) for row in A] for A in raw.maps],
-                                [list(mod.shifts) for mod in raw.modules])
-    assert steps
+    def prune_raw(M):
+        raw = _raw_resolution(M)
+        for i in range(1, raw.length + 1):
+            src, tgt, matrix = raw.map_data(i)
+            compared([tuple(row[l] for row in matrix)
+                      for l in range(src.rank)], tgt.rank)
+
+    monkeypatch.setattr(resolution, "_prune", compared)
+    ring = RingSpec(2, 2, p)
+    modules = _random_modules(p) + [_redundant_generator(ring)]
+    modules += [strand(M, 1) for M in modules[:-1]
+                for strand in (x_strand, y_strand)]
+    totals = dict.fromkeys((resolve.__wrapped__, minimal_presentation,
+                            prune_raw), 0)
+    for M in modules:
+        for run in totals:
+            eliminated.clear()
+            run(M)
+            totals[run] += sum(eliminated)
+    assert all(totals.values()), totals
+    # two units, whose eliminations in generator-first and column-first
+    # order keep different generators
+    x1, _, y1, _ = ring.gens()
+    assert compared([(x1, ring.one()), (ring.one(), y1)], 2)[0] == [1]
 
 
 def test_profile_of_ring(S):
