@@ -12,15 +12,21 @@ Three computation paths, all exact per bidegree:
   cohomology of the K[y]-module strand M_(a,*) at its maximal ideal,
   which local duality turns into an Ext dimension over K[y]; P is the
   mirror image over K[x].
-* A brute-force oracle: H^i against (f_1, .., f_r) is the direct limit of
-  the Koszul cohomologies of (f_1^t, .., f_r^t).  Each graded piece of a
-  genuine Cech localization can be infinite dimensional, so the limit
-  Koszul system *is* the degreewise representation of the localizations;
-  the limit is detected by two successive transition isomorphisms past a
-  degree floor, with a hard iteration cap.  Every Koszul map is built from
-  the standard monomials of the module's initial module (per-degree bases
-  and variable steps), and each level eliminates each of its two maps
-  once, after checking that they compose to zero.
+* A brute-force oracle: H^i against (v_1, .., v_r) is the direct limit
+  lim_t H^i(Hom(K(v^t), M))_d of the Koszul cohomologies of the powers
+  (v_1^t, .., v_r^t) (Brodmann & Sharp, Local Cohomology, ch. 5).  Each
+  graded piece of a genuine Cech localization can be infinite dimensional,
+  so the limit Koszul system *is* the degreewise representation of the
+  localizations; the limit is detected by two successive transition
+  isomorphisms past a degree floor, with a hard iteration cap.  Each level
+  eliminates each of its two maps once, after checking that they compose
+  to zero.
+
+One builder makes the matrices of both Hom complexes, Hom(K(v^t), M) for
+the oracle and Hom(F., W) of a minimal resolution in ext_into_dim: _spot
+lays out Hom(F, W)_d with one piece per generator of F, and _hom_piece
+fills in the map induced by G -> F on the standard monomials of W's
+initial module (per-degree bases and variable steps).
 """
 
 from itertools import combinations
@@ -33,7 +39,7 @@ from .linalg import (
     kernel_of_array,
     rank_of_array,
 )
-from .poly import Bidegree, mono_degree
+from .poly import Bidegree, Polynomial, mono_bidegree, mono_degree
 from .resolution import (
     Presentation,
     ext_presentation,
@@ -119,65 +125,61 @@ def cd_estimate(M: Presentation, window: Window) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the Koszul-limit oracle
-
-
-def _monomial(ring, powers):
-    """The monomial with powers[var] at each var, zero elsewhere."""
-    return ring.monomial(tuple(powers.get(var, 0)
-                               for var in range(ring.nvars)))
+# Hom complexes: Ext into any module, and the Koszul-limit oracle
 
 
 def _poly_action_matrix(layer, entry, d):
     """Matrix of multiplication by the polynomial on W, from W_d to the
-    piece one entry-degree up."""
-    p = layer.ring.p
-    cols = [{} for _ in layer.basis(d)]
-    for mono, coeff in entry.terms:
+    piece one entry-degree up: layer.mult itself for a monic monomial."""
+    p, terms = layer.ring.p, entry.terms
+    mono, c = terms[0]
+    first = layer.mult(mono, d)
+    if len(terms) == 1:
+        return first if c == 1 else Matrix(first.shape, [
+            {i: c * x % p for i, x in col.items()} for col in first.cols])
+    cols = [{i: c * x for i, x in col.items()} for col in first.cols]
+    for mono, c in terms[1:]:
         for acc, col in zip(cols, layer.mult(mono, d).cols):
             for i, x in col.items():
-                acc[i] = acc.get(i, 0) + coeff * x
-    return Matrix((len(layer.basis(d + entry.bidegree())), len(cols)),
-                  [{i: r for i, v in acc.items() if (r := v % p)}
-                   for acc in cols])
+                acc[i] = acc.get(i, 0) + c * x
+    return Matrix(first.shape, [{i: r for i, v in acc.items() if (r := v % p)}
+                                for acc in cols])
 
 
-def _place(mat, row, col, block):
-    """Write block into mat with its top left corner at (row, col); the
-    rows it covers are still empty in its columns."""
-    for j, c in enumerate(block.cols, col):
-        target = mat.cols[j]
-        for i, v in c.items():
-            target[row + i] = v
+def _spot(layer, d, shifts):
+    """Hom(F, W)_d = (+)_k W_(d + shift_k) for the free module F with these
+    shifts: the pieces d + shift_k, their dimensions and their offsets."""
+    pieces, dims, offsets = [], [], [0]
+    for s in shifts:
+        pieces.append(d + s)
+        dims.append(len(layer.basis(pieces[-1])))
+        offsets.append(offsets[-1] + dims[-1])
+    return pieces, dims, offsets
 
 
-def _hom_spot(layer, module, d):
-    """Dimensions and offsets of Hom(F, W)_d = (+)_k W_(d + shift_k)."""
-    dims = [len(layer.basis(d + s)) for s in module.shifts]
-    offsets = [0]
-    for v in dims:
-        offsets.append(offsets[-1] + v)
-    return dims, offsets
-
-
-def _hom_map(layer, res, i, d):
-    """Degree-d piece of Hom(F_(i-1), W) -> Hom(F_i, W)."""
-    L = res.length
-    tgt_dims, tgt_off = _hom_spot(layer, res.modules[i], d) \
-        if 0 <= i <= L else ([], [0])
-    src_dims, src_off = _hom_spot(layer, res.modules[i - 1], d) \
-        if 0 <= i - 1 <= L else ([], [0])
+def _hom_piece(layer, src, tgt, entries):
+    """Matrix of Hom(F, W)_d -> Hom(G, W)_d, from the spot src of F to the
+    spot tgt of G, induced by the map G -> F with the nonzero entries
+    (k, l, f): block (l, k) is multiplication by f on the k-th piece of
+    src.  Entries are read only if both spots are nonzero, and one block is
+    built per (entry, piece)."""
+    pieces, src_dims, src_off = src
+    _, tgt_dims, tgt_off = tgt
     mat = Matrix.zeros(tgt_off[-1], src_off[-1])
-    if i < 1 or i > L or not (tgt_off[-1] and src_off[-1]):
+    if not (src_off[-1] and tgt_off[-1]):
         return mat
-    matrix = res.maps[i - 1]
-    for l, s_l in enumerate(res.modules[i].shifts):
-        for k, s_k in enumerate(res.modules[i - 1].shifts):
-            entry = matrix[k][l]
-            if entry.is_zero() or src_dims[k] == 0 or tgt_dims[l] == 0:
-                continue
-            block = _poly_action_matrix(layer, entry, d + s_k)
-            _place(mat, tgt_off[l], src_off[k], block)
+    blocks = {}
+    for k, l, f in entries:
+        if not (src_dims[k] and tgt_dims[l]):
+            continue
+        key = f.terms, pieces[k]
+        if key not in blocks:
+            blocks[key] = _poly_action_matrix(layer, f, pieces[k])
+        row = tgt_off[l]
+        for j, col in enumerate(blocks[key].cols, src_off[k]):
+            target = mat.cols[j]
+            for i, v in col.items():
+                target[row + i] = v
     return mat
 
 
@@ -190,68 +192,31 @@ def ext_into_dim(M: Presentation, W: Presentation, j: int, d) -> int:
     if j < 0 or j > res.length:
         return 0
     layer, d = initial_module(W), Bidegree(*d)
-    A = _hom_map(layer, res, j, d)
-    B = _hom_map(layer, res, j + 1, d)
-    return homology_dim(A, B, W.ring.p)
+    spots = {i: _spot(layer, d, res.shifts(i)) for i in (j - 1, j, j + 1)}
+
+    def hom(i):
+        """Degree-d piece of Hom(F_(i-1), W) -> Hom(F_i, W)."""
+        rows = res.maps[i - 1] if 1 <= i <= res.length else ()
+        return _hom_piece(layer, spots[i - 1], spots[i], (
+            (k, l, f) for k, row in enumerate(rows)
+            for l, f in enumerate(row) if f))
+
+    return homology_dim(hom(j), hom(j + 1), W.ring.p)
 
 
-def _koszul_spot(layer, step, slots, p_spot, t, d):
-    """Degree-d piece of the Koszul cochain spot p_spot for the powers
-    (v^t : v in variables), each variable of degree step: one copy of
-    M_piece per p_spot-subset of the variables, listed in slots.  Returns
-    (slot list, piece, piece dimension)."""
-    piece = d + Bidegree(step.a * t * p_spot, step.b * t * p_spot)
-    return slots, piece, len(layer.basis(piece))
-
-
-def _block_matrix(tgt, src, blocks):
-    """Matrix between two Koszul spots from (target slot index, source slot
-    index, block) triples; blocks are drawn only if both pieces are
-    nonzero."""
-    tgt_slots, _, tgt_dim = tgt
-    src_slots, _, src_dim = src
-    mat = Matrix.zeros(tgt_dim * len(tgt_slots), src_dim * len(src_slots))
-    if src_dim and tgt_dim:
-        for ti, si, block in blocks:
-            _place(mat, ti * tgt_dim, si * src_dim, block)
-    return mat
-
-
-def _koszul_differential(layer, variables, t, src, tgt):
-    """Matrix of K^p -> K^(p+1) between the spots src (K^p) and tgt
-    (K^(p+1)) of the powers v^t."""
-    ring = layer.ring
-    p = ring.p
-    tgt_index = {s: i for i, s in enumerate(tgt[0])}
-
-    built = {}      # (variable index, sign) -> block, shared by the slots
-
-    def blocks():
-        for si, T in enumerate(src[0]):
-            for j, v in enumerate(variables):
-                if j in T:
-                    continue
-                sign = sum(1 for u in T if u < j) % 2
-                if (j, 0) not in built:
-                    built[j, 0] = layer.mult(
-                        _monomial(ring, {v: t}), src[1])
-                if (j, sign) not in built:
-                    pos = built[j, 0]
-                    built[j, 1] = Matrix(pos.shape, [
-                        {r: p - x for r, x in c.items()} for c in pos.cols])
-                yield tgt_index[tuple(sorted(T + (j,)))], si, built[j, sign]
-
-    return _block_matrix(tgt, src, blocks())
-
-
-def _koszul_transition(layer, variables, src, tgt):
-    """Comparison K^p(t) -> K^p(t+1) between the spots src and tgt: on
-    slot T multiply by prod_T v."""
-    ring = layer.ring
-    blocks = ((si, si, layer.mult(
-                  _monomial(ring, {variables[j]: 1 for j in T}), src[1]))
-              for si, T in enumerate(src[0]))
-    return _block_matrix(tgt, src, blocks)
+def _koszul_differential(ring, units, t, src, tgt):
+    """The entries (k, l, +-v_j^t) of the Koszul differential K_(q+1) ->
+    K_q, v_j the packed monomial units[j]: src lists the q-subsets T of the
+    variables (by index), tgt the (q+1)-subsets, and e_(T+j) has
+    (-1)^#{u in T : u < j} v_j^t at e_T."""
+    signs = (1, ring.p - 1)
+    tgt_index = {T: l for l, T in enumerate(tgt)}
+    for k, T in enumerate(src):
+        for j, unit in enumerate(units):
+            if j not in T:
+                sign = signs[sum(1 for u in T if u < j) % 2]
+                yield (k, tgt_index[tuple(sorted(T + (j,)))],
+                       Polynomial(ring, ((t * unit, sign),)))
 
 
 def cech_oracle(M: Presentation, theory: str, i: int, d,
@@ -281,20 +246,34 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
         radius = max(abs(d.a), abs(d.b))
         cap = max(4 + floor - 1 + radius, floor + 3)
     p = ring.p
-    # all variables in one block have the same degree
-    step = ring.variable_degree(variables[0])
+    # K_q(t) has one generator e_T per q-subset T of the variables, of
+    # degree t * deg(prod_T v); the chain map K(t+1) -> K(t) sends e_T to
+    # (prod_T v) e_T.  Packed monomials multiply by adding, so v^t is
+    # t * v and prod_T v is a sum.
+    units = [ring.variable(v).terms[0][0] for v in variables]
     slots = {q: list(combinations(range(len(variables)), q))
              for q in (i - 1, i, i + 1) if q >= 0}
+    prods = {q: [sum(units[j] for j in T) for T in Ts]
+             for q, Ts in slots.items()}
+    shifts = {q: [mono_bidegree(ring, mono) for mono in monos]
+              for q, monos in prods.items()}
+    chain_map = [(k, k, Polynomial(ring, ((mono, 1),)))
+                 for k, mono in enumerate(prods[i])]
 
     def level(t):
-        """H^i of K(t) at d, from one elimination of each map: the kernel
-        of B (its width is dim ker B) and the rank of A, and the spot
-        K^i(t)."""
-        spots = {q: _koszul_spot(layer, step, qslots, q, t, d)
-                 for q, qslots in slots.items()}
-        B = _koszul_differential(layer, variables, t, spots[i], spots[i + 1])
-        A = (_koszul_differential(layer, variables, t, spots[i - 1], spots[i])
-             if i > 0 else Matrix.zeros(B.shape[1], 0))
+        """H^i of Hom(K(t), M)_d, from one elimination of each map: the
+        kernel of B (its width is dim ker B) and the rank of A, and the
+        spot of K_i(t)."""
+        spots = {q: _spot(layer, d, [(t * a, t * b) for a, b in ss])
+                 for q, ss in shifts.items()}
+
+        def koszul(q):
+            return _hom_piece(layer, spots[q], spots[q + 1],
+                              _koszul_differential(ring, units, t, slots[q],
+                                                   slots[q + 1]))
+
+        B = koszul(i)
+        A = koszul(i - 1) if i > 0 else Matrix.zeros(B.shape[1], 0)
         check_complex(A, B, p)
         kernel = kernel_of_array(B, p)
         rank_a = rank_of_array(A, p)
@@ -306,7 +285,7 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
         h, A, rank_a, kernel, spot = level(t)
         if prev is not None:
             ph, pkernel, pspot = prev
-            chi = _koszul_transition(layer, variables, pspot, spot)
+            chi = _hom_piece(layer, pspot, spot, chain_map)
             mapped = chi.compose(pkernel, p)
             both = Matrix((A.shape[0], mapped.shape[1] + A.shape[1]),
                           mapped.cols + A.cols)

@@ -11,7 +11,8 @@ resolve(P), which takes no options, is the minimal free resolution; from
 it we read off graded Betti numbers, projective dimension and depth
 (Auslander-Buchsbaum), and the Ext presentations.  Every minimization
 goes through one unit-pruning routine, _prune: each level of a
-resolution, minimal_presentation and the Ext subquotients.
+resolution and the Ext subquotients.  minimal_presentation reads the first
+map F_1 -> F_0 off resolve(P), so it drops redundant relations too.
 hilbert_dim, which ranks the degree-restricted relation matrix, is kept as
 an independent referee of the initial-module dimensions; no table reads it.
 """
@@ -388,25 +389,14 @@ def resolve(P: Presentation) -> FreeResolution:
         for columns, target in zip(maps, shifts)))
 
 
-def _pruned_presentation(ring, gens, rels, columns) -> Presentation:
-    """coker of the columns (one per relation) after unit pruning, without
-    the columns that pruning leaves zero."""
-    rows, cols, pruned = _prune(columns, len(gens))
-    keep = [(rels[l], col) for l, col in zip(cols, pruned)
-            if any(not e.is_zero() for e in col)]
-    return Presentation(ring, tuple(gens[k] for k in rows),
-                        tuple(rel for rel, _ in keep),
-                        tuple(tuple(col[i] for _, col in keep)
-                              for i in range(len(rows))))
-
-
 def minimal_presentation(P: Presentation) -> Presentation:
-    """The presentation pruned of its units and zero columns.  Nonzero iff
-    the result has a generator."""
-    if not P.rels:
-        return P
-    return _pruned_presentation(P.ring, P.gens, P.rels,
-                                [c.coords for c in P.columns()])
+    """The minimal presentation F_1 -> F_0 of coker(P), read off resolve(P):
+    no unit entry and no redundant relation.  Nonzero iff the result has a
+    generator."""
+    res = resolve(P)
+    return Presentation(P.ring, res.shifts(0), res.shifts(1),
+                        res.maps[0] if res.maps
+                        else tuple(() for _ in res.shifts(0)))
 
 
 def is_zero_module(P: Presentation) -> bool:
@@ -488,9 +478,14 @@ def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:
                 "submodule generator outside the ambient span")
         columns.append(ModuleElement(src, tuple(quotients)))
     columns.extend(syzygies(span))
-    return _pruned_presentation(src.ring, src.shifts,
-                                [c.bidegree() for c in columns],
-                                [c.coords for c in columns])
+    # unit pruning, then without the columns it leaves zero
+    rows, cols, pruned = _prune([c.coords for c in columns], src.rank)
+    keep = [(columns[l].bidegree(), col) for l, col in zip(cols, pruned)
+            if any(not e.is_zero() for e in col)]
+    return Presentation(src.ring, tuple(src.shifts[k] for k in rows),
+                        tuple(rel for rel, _ in keep),
+                        tuple(tuple(col[i] for _, col in keep)
+                              for i in range(len(rows))))
 
 
 def kernel_presentation(src: FreeModule, tgt: FreeModule,

@@ -9,6 +9,7 @@ F_p[y] is the mirror image.
 
 from functools import lru_cache
 
+from .errors import BadTheoryError
 from .poly import Bidegree, Polynomial, RingSpec, monomial_basis
 from .resolution import Presentation
 
@@ -18,6 +19,10 @@ def _strand(N: Presentation, index: int, block: str) -> Presentation:
     block 'x' collapses the x-variables (K[y]-strand at x-degree index)."""
     ring = N.ring
     m, n = ring.m, ring.n
+    kept = "x" if block == "y" else "y"
+    if not (m if block == "y" else n):
+        raise BadTheoryError(f"{kept}-strands need at least one "
+                             f"{kept}-variable; {ring} has none")
     if block == "y":
         sub = RingSpec(m, 0, ring.p)
         collapse = RingSpec(0, n, ring.p) if n else None

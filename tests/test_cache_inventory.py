@@ -2,9 +2,14 @@ import importlib
 import pkgutil
 
 import bicoh
-from bicoh.cohomology import cech_oracle, ext_table, local_coh_table
+from bicoh.cohomology import (
+    cech_oracle,
+    ext_into_dim,
+    ext_table,
+    local_coh_table,
+)
 from bicoh.fixtures import gencm_fixture, standard_ring
-from bicoh.resolution import hilbert_table, profile
+from bicoh.resolution import free_presentation, hilbert_table, profile
 from bicoh.tables import Window
 
 
@@ -51,5 +56,9 @@ def test_no_module_level_container_grows():
         local_coh_table(M, theory, 1, window)
     for theory in ("P", "Q"):
         cech_oracle(M, theory, 1, (0, 0))
+    # the Hom builder shares its blocks within one call only
+    S = free_presentation(M.ring, [(0, 0)])
+    for j in range(3):
+        ext_into_dim(M, S, j, (0, 0))
     profile(M)
     assert sizes() == before

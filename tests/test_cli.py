@@ -157,6 +157,19 @@ def test_cli_emit_roundtrip(two_path, tmp_path, capsys):
     assert emitted == minimal_presentation(load_module(two_path))
 
 
+def test_cli_emit_drops_a_redundant_relation(tmp_path, capsys):
+    # x1^2*y1 = x1 * (x1*y1): the emitted presentation is the first map of
+    # the minimal resolution, with one relation
+    path, out = tmp_path / "redundant.mod", tmp_path / "emitted.mod"
+    path.write_text("m=2\nn=2\ngens=(0,0)\n"
+                    "rels=(1,1): x1*y1\nrels=(2,1): x1^2*y1\n")
+    assert main(["resolve", "--module", str(path), "--emit", str(out)]) == 0
+    assert "F_1: rank 1" in capsys.readouterr().out
+    emitted = load_module(out)
+    assert (len(emitted.gens), len(emitted.rels)) == (1, 1)
+    assert emitted == minimal_presentation(load_module(path))
+
+
 def test_cli_precondition_violation_exit_2(two_path, capsys):
     # the CM suite must reject the non-CM module with an input error
     code = main(["check", "--suite", "cm", "--module", two_path,
@@ -168,6 +181,20 @@ def test_cli_precondition_violation_exit_2(two_path, capsys):
         code = main(["check", "--suite", "simple", *ring_flags,
                      "--window", "0:0,0:0"])
         assert code == 2
+
+
+def test_cli_scans_over_a_ring_without_x_variables_exit_2(tmp_path, capsys):
+    # the x-strands of a module over F_p[y] would live over a ring without
+    # variables: an input error with one error line, not a traceback
+    path = tmp_path / "y.mod"
+    path.write_text("m=0\nn=2\ngens=(0,0)\nrels=(0,1): y1\n")
+    for argv in (["regscan", "--jwindow", "-2:2"],
+                 ["tame", "--k", "1", "--jwindow", "-2:2"],
+                 ["check", "--suite", "structure", "--window", "-1:1,-1:1"]):
+        code = main([*argv, "--module", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cli_counterexample_exit_1(two_path, capsys, monkeypatch):

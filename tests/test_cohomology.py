@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -14,7 +15,13 @@ from bicoh.errors import BadTheoryError, ComposeError
 from bicoh.fixtures import gencm_fixture, named_fixtures, standard_ring
 from bicoh.groebner import FreeModule
 from bicoh.linalg import Matrix, homology_dim, rank_of_array
-from bicoh.poly import Polynomial, RingSpec, block_dim, monomial_basis
+from bicoh.poly import (
+    Bidegree,
+    Polynomial,
+    RingSpec,
+    block_dim,
+    monomial_basis,
+)
 from bicoh.resolution import (
     Presentation,
     ext_presentation,
@@ -24,6 +31,7 @@ from bicoh.resolution import (
     initial_module,
     is_zero_module,
     profile,
+    quotient_by_polys,
     resolve,
     restrict_matrix,
 )
@@ -261,17 +269,143 @@ def test_oracle_equals_duality_path_generic_coefficients(p):
     assert generic or p < 5
 
 
+# The builder of the oracle's matrices before every Koszul generator had
+# its own shift: one piece degree per spot, blocks placed slot by slot.
+# It referees cohomology._hom_piece on the oracle's complexes.
+
+
+def _ref_monomial(ring, powers):
+    return ring.monomial(tuple(powers.get(var, 0)
+                               for var in range(ring.nvars)))
+
+
+def _koszul_spot(layer, step, slots, p_spot, t, d):
+    piece = d + Bidegree(step.a * t * p_spot, step.b * t * p_spot)
+    return slots, piece, len(layer.basis(piece))
+
+
+def _block_matrix(tgt, src, blocks):
+    tgt_slots, _, tgt_dim = tgt
+    src_slots, _, src_dim = src
+    mat = Matrix.zeros(tgt_dim * len(tgt_slots), src_dim * len(src_slots))
+    if src_dim and tgt_dim:
+        for ti, si, block in blocks:
+            for j, c in enumerate(block.cols, si * src_dim):
+                for r, v in c.items():
+                    mat.cols[j][ti * tgt_dim + r] = v
+    return mat
+
+
+def _koszul_differential(layer, variables, t, src, tgt):
+    ring = layer.ring
+    p = ring.p
+    tgt_index = {s: i for i, s in enumerate(tgt[0])}
+    built = {}
+
+    def blocks():
+        for si, T in enumerate(src[0]):
+            for j, v in enumerate(variables):
+                if j in T:
+                    continue
+                sign = sum(1 for u in T if u < j) % 2
+                if (j, 0) not in built:
+                    built[j, 0] = layer.mult(
+                        _ref_monomial(ring, {v: t}), src[1])
+                if (j, sign) not in built:
+                    pos = built[j, 0]
+                    built[j, 1] = Matrix(pos.shape, [
+                        {r: p - x for r, x in c.items()} for c in pos.cols])
+                yield tgt_index[tuple(sorted(T + (j,)))], si, built[j, sign]
+
+    return _block_matrix(tgt, src, blocks())
+
+
+def _koszul_transition(layer, variables, src, tgt):
+    ring = layer.ring
+    blocks = ((si, si, layer.mult(
+                  _ref_monomial(ring, {variables[j]: 1 for j in T}), src[1]))
+              for si, T in enumerate(src[0]))
+    return _block_matrix(tgt, src, blocks)
+
+
+class _Differential(list):
+    """The entries of one Koszul differential, tagged with its level t and
+    the size q of the subsets of its source slots."""
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_oracle_matrices_match_the_referee_builder(p, monkeypatch):
+    # every A, B and transition the oracle builds through _hom_piece
+    # equals, entry for entry, the one of the referee builder at the same
+    # level, on the named fixtures and their generic-coefficient versions
+    hom_piece = cohomology._hom_piece
+    differential = cohomology._koszul_differential
+    built = []
+
+    def tagged(ring, units, t, src, tgt):
+        entries = _Differential(differential(ring, units, t, src, tgt))
+        entries.t, entries.q = t, len(src[0])
+        return entries
+
+    def recorded(layer, src, tgt, entries):
+        mat = hom_piece(layer, src, tgt, entries)
+        built.append((getattr(entries, "t", None),
+                      getattr(entries, "q", None), mat))
+        return mat
+
+    monkeypatch.setattr(cohomology, "_koszul_differential", tagged)
+    monkeypatch.setattr(cohomology, "_hom_piece", recorded)
+    window = Window(-2, 2, -2, 2)
+    fixtures = named_fixtures(standard_ring(p))
+    modules = list(fixtures.values())
+    modules += [_block_change(P, seed=p + k)
+                for k, P in enumerate(fixtures.values())]
+    counts = {"differential": 0, "transition": 0}
+    for M in modules:
+        ring, layer = M.ring, initial_module(M)
+        for theory in ("P", "Q"):
+            variables = (list(range(ring.m)) if theory == "P"
+                         else list(range(ring.m, ring.nvars)))
+            step = ring.variable_degree(variables[0])
+            for i in range(0, 3):
+                for d in window.cells():
+                    built.clear()
+                    cech_oracle(M, theory, i, d)
+
+                    def spot(q, t):
+                        slots = list(combinations(range(len(variables)), q))
+                        return _koszul_spot(layer, step, slots, q, t, d)
+
+                    level = None
+                    for t, q, mat in built:
+                        if t is not None:
+                            level = t
+                            ref = _koszul_differential(
+                                layer, variables, t, spot(q, t),
+                                spot(q + 1, t))
+                            counts["differential"] += 1
+                        else:
+                            ref = _koszul_transition(
+                                layer, variables, spot(i, level - 1),
+                                spot(i, level))
+                            counts["transition"] += 1
+                        assert (mat.shape, mat.cols) == \
+                            (ref.shape, ref.cols), (theory, i, tuple(d), t, q)
+    assert all(counts.values()), counts
+
+
 def test_oracle_checks_that_its_maps_compose(S, monkeypatch):
-    # maps of the right shapes that are not a complex: every level must
-    # reject them, whatever its kernel and rank would say
+    # the Koszul differentials without their signs have the right shapes
+    # but do not compose to zero: every level must reject them, whatever
+    # its kernel and rank would say
     build = cohomology._koszul_differential
 
-    def ones(*args):
-        rows, cols = build(*args).shape
-        return Matrix((rows, cols), [dict.fromkeys(range(rows), 1)
-                                     for _ in range(cols)])
+    def unsigned(*args):
+        for k, l, f in build(*args):
+            yield k, l, Polynomial(f.ring, tuple((mono, 1)
+                                                 for mono, _ in f.terms))
 
-    monkeypatch.setattr(cohomology, "_koszul_differential", ones)
+    monkeypatch.setattr(cohomology, "_koszul_differential", unsigned)
     with pytest.raises(ComposeError, match="B\\*A is not zero"):
         cech_oracle(S, "Q", 1, (0, 0))
 
@@ -372,3 +506,47 @@ def test_ext_into_free_matches_canonical_route(ring, hypersurface,
                     (R.p, i, tuple(d))
             nonzero += not table.is_zero()
     assert nonzero >= len(modules)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_ext_into_non_free_module_matches_restrict_and_rank(p):
+    # M = S/(f) is resolved by S(-e) --f--> S, so Hom(-, W)_d is
+    # W_d --f--> W_(d+e): Ext^1(M, W)_d = (W/fW)_(d+e), and Ext^0 is the
+    # kernel.  W/fW appends the columns f*e_k to W, and every dimension
+    # comes from hilbert_dim (restrict and rank, no Groebner basis).  The
+    # generic coefficients of W put normal forms inside layer.mult, and f
+    # a multi-term entry with a non-unit coefficient into the Hom builder;
+    # M + M(-1,0) puts the same entry on two pieces of one spot
+    ring = standard_ring(p)
+    x1, x2, y1, y2 = ring.gens()
+    f, zero = x1 * y1 + (x2 * y2).scale(3), ring.zero()
+    e, s = Bidegree(1, 1), Bidegree(1, 0)
+    M = quotient_by_polys(ring, [f])
+    twice = Presentation(ring, ((0, 0), s), (e, e + s), ((f, zero), (zero, f)))
+    assert [resolve(N).betti(1) for N in (M, twice)] == [1, 2]
+    window = Window(-2, 2, -2, 2)
+    nonzero = set()
+    for k, P in enumerate(named_fixtures(ring).values()):
+        W = _block_change(P, seed=p + k)
+        r = len(W.gens)
+        WfW = Presentation(ring, W.gens, W.rels + tuple(g + e for g in W.gens),
+                           tuple(row + tuple(f if c == g else zero
+                                             for c in range(r))
+                                 for g, row in enumerate(W.matrix)))
+
+        def ext(j, d):
+            """dim Ext^j(M, W)_d by restrict and rank."""
+            quotient = hilbert_dim(WfW, d + e)
+            if j == 1:
+                return quotient
+            return hilbert_dim(W, d) - hilbert_dim(W, d + e) + quotient
+
+        for d in window.cells():
+            for j in (0, 1):
+                want = ext(j, d)
+                assert ext_into_dim(M, W, j, d) == want, (k, j, tuple(d))
+                assert ext_into_dim(twice, W, j, d) == want + ext(j, d + s), \
+                    (k, j, tuple(d))
+                nonzero.update([j] if want else [])
+            assert ext_into_dim(M, W, 2, d) == 0
+    assert nonzero == {0, 1}

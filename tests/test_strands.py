@@ -1,3 +1,6 @@
+import pytest
+
+from bicoh.errors import BadTheoryError
 from bicoh.poly import RingSpec, block_dim
 from bicoh.resolution import (
     Presentation,
@@ -76,3 +79,13 @@ def test_strand_of_shifted_free_has_predicted_rank(ring):
         want = block_dim(j, ring.n) + block_dim(j - 1, ring.n)
         assert len(st.gens) == want
         assert not st.rels
+
+
+def test_strands_over_an_empty_variable_block_are_rejected():
+    # the x-strands of a module over F_p[y] (and the y-strands of one over
+    # F_p[x]) would live over a ring without variables
+    for ring, strand in ((RingSpec(0, 2), x_strand),
+                         (RingSpec(2, 0), y_strand)):
+        N = free_presentation(ring, [(0, 0)])
+        with pytest.raises(BadTheoryError, match="need at least one"):
+            strand(N, 0)
