@@ -8,8 +8,7 @@ cell by cell is the strongest internal consistency check the engine has.
 """
 
 from bicoh import RingSpec, Window, quotient_by_polys
-from bicoh.cohomology import cech_oracle, local_coh_table
-from bicoh.tables import DimTable
+from bicoh.cohomology import cech_oracle, local_coh_table, oracle_table
 
 ring = RingSpec(2, 2)
 x1, x2, y1, y2 = ring.gens()
@@ -18,10 +17,7 @@ window = Window(-4, 4, -4, 4)
 
 for theory, i in (("Q", 1), ("Q", 2), ("P", 2)):
     table = local_coh_table(M, theory, i, window)
-    oracle = DimTable(window=window,
-                      cells={tuple(d): cech_oracle(M, theory, i, d)
-                             for d in window.cells()},
-                      p=ring.p)
+    oracle = oracle_table(M, theory, i, window)
     same = table.cells == oracle.cells
     print(table.render(
         f"H^{i} for theory {theory} of S/(x1y1, x1y2), duality path:"))

@@ -32,6 +32,7 @@ from .cohomology import (
     cech_oracle,
     ext_table,
     local_coh_table,
+    oracle_table,
 )
 from .tables import CohomologyTable, DimTable, Window, matlis_flip
 from .tame import limit_profile_check, reg_scan, strand_nonvanishing, tame_scan
@@ -68,6 +69,7 @@ __all__ = [
     "minimal_presentation",
     "monomial_basis",
     "normal_form",
+    "oracle_table",
     "parse_poly",
     "profile",
     "quotient_by_polys",

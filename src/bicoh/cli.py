@@ -2,15 +2,22 @@
 
 Exit codes: 0 success / all checks pass, 1 a check found a counterexample
 (printed with both sides), 2 malformed input or an unmet precondition,
-4 an internal invariant broke (InvariantError: a fault in bicoh).
+4 an internal invariant broke (InvariantError: a fault in bicoh), 5 the
+oracle's Koszul limit did not stabilize within its cap
+(StabilizationError).
 """
 
 import argparse
 import sys
 
 from . import checks
-from .cohomology import cd_estimate, cech_oracle, local_coh_table
-from .errors import BicohError, FormatError, InvariantError
+from .cohomology import cd_estimate, local_coh_table, oracle_table
+from .errors import (
+    BicohError,
+    FormatError,
+    InvariantError,
+    StabilizationError,
+)
 from .groebner import FreeModule
 from .linalg import DEFAULT_PRIME
 from .modfile import load_module, save_module
@@ -21,7 +28,7 @@ from .resolution import (
     profile,
     resolve,
 )
-from .tables import DimTable, Window, write_csv
+from .tables import Window, write_csv
 from .tame import reg_scan, tame_scan
 
 _SUITES = {
@@ -124,10 +131,7 @@ def _ring_from_flags(args):
     malformed input."""
     if args.m is None or args.n is None:
         raise FormatError(f"suite {args.suite} needs -m and -n")
-    try:
-        return RingSpec(args.m, args.n, args.p)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return RingSpec(args.m, args.n, args.p)
 
 
 def _run_check(args):
@@ -195,7 +199,9 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except BicohError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4 if isinstance(exc, InvariantError) else 2
+        if isinstance(exc, InvariantError):
+            return 4
+        return 5 if isinstance(exc, StabilizationError) else 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -245,9 +251,7 @@ def _dispatch(args) -> int:
     if args.command == "oracle":
         M = load_module(args.module)
         window = Window.parse(args.window)
-        cells = {tuple(d): cech_oracle(M, args.theory, args.index, d)
-                 for d in window.cells()}
-        table = DimTable(window=window, cells=cells, p=M.ring.p)
+        table = oracle_table(M, args.theory, args.index, window)
         label = (f"oracle H^{args.index} for theory {args.theory} "
                  f"(p={M.ring.p})")
         _emit_table(table, label, args.csv)

@@ -18,9 +18,15 @@ Three computation paths, all exact per bidegree:
   graded piece of a genuine Cech localization can be infinite dimensional,
   so the limit Koszul system *is* the degreewise representation of the
   localizations; the limit is detected by two successive transition
-  isomorphisms past a degree floor, with a hard iteration cap.  Each level
-  eliminates each of its two maps once, after checking that they compose
-  to zero.
+  isomorphisms past a degree floor, with a hard iteration cap.  The set-up
+  that no degree changes (the floor, the Koszul slots, prod_T v and the
+  chain map) is done once per table in oracle_table, and cech_oracle runs
+  the same code for one cell.  Each level checks that its two maps compose
+  to zero, eliminates A once and takes the rank of B only when the middle
+  space is wider than rank A.  A transition is built only between two
+  levels with the same nonzero homology: the image of the cycles of the
+  last level is reduced against the pivots of A; between two zero
+  homologies the chain map, which sends im A into im A, induces 0 -> 0.
 
 One builder makes the matrices of both Hom complexes, Hom(K(v^t), M) for
 the oracle and Hom(F., W) of a minimal resolution in ext_into_dim: _spot
@@ -37,6 +43,8 @@ from .linalg import (
     check_complex,
     homology_dim,
     kernel_of_array,
+    pivot_table,
+    rank_modulo,
     rank_of_array,
 )
 from .poly import Bidegree, Polynomial, mono_bidegree, mono_degree
@@ -116,9 +124,10 @@ def local_coh_table(M: Presentation, theory: str, i: int,
 
 
 def cd_estimate(M: Presentation, window: Window) -> int:
-    """Largest i <= n with a nonzero H^i_Q cell in the window.  This is a
-    window-bounded estimate of the cohomological dimension."""
-    for i in range(M.ring.n, -1, -1):
+    """Largest i <= n with a nonzero H^i_Q cell in the window, else 0.
+    This is a window-bounded estimate of the cohomological dimension; with
+    n = 0 it is 0, as Q = (0)."""
+    for i in range(M.ring.n, 0, -1):
         if not local_coh_table(M, "Q", i, window).is_zero():
             return i
     return 0
@@ -219,22 +228,21 @@ def _koszul_differential(ring, units, t, src, tgt):
                        Polynomial(ring, ((t * unit, sign),)))
 
 
-def cech_oracle(M: Presentation, theory: str, i: int, d,
-                cap: int = None) -> int:
-    """dim H^i_theory(M)_d by the limit-Koszul representation of the Cech
-    complex on the ideal's variables.
+def _koszul_limit(M: Presentation, theory: str, i: int):
+    """The oracle for H^i_theory(M): the set-up that no degree changes,
+    done once, and the function cell(d, cap) that runs the levels of one
+    degree d.
 
-    Raises StabilizationError if two successive transition isomorphisms are
-    not observed within the iteration cap."""
+    cell raises StabilizationError if two successive transition
+    isomorphisms are not observed within the iteration cap."""
     ring = M.ring
     if theory not in ("P", "Q"):
         raise BadTheoryError("the oracle covers the theories P and Q")
     _check_theory(ring, theory)
-    d = Bidegree(*d)
     variables = (list(range(ring.m)) if theory == "P"
                  else list(range(ring.m, ring.nvars)))
     if i < 0 or i > len(variables):
-        return 0
+        return lambda d, cap=None: 0
     layer = initial_module(M)
     # powers below the floor can miss torsion killed only by high powers:
     # it clears every relation and basis lead degree
@@ -242,9 +250,6 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
                for mono, _ in entry.terms]
     degrees += [mono_degree(ring, mono) for _, mono, _ in layer.leads]
     floor = max(degrees, default=0) + 1
-    if cap is None:
-        radius = max(abs(d.a), abs(d.b))
-        cap = max(4 + floor - 1 + radius, floor + 3)
     p = ring.p
     # K_q(t) has one generator e_T per q-subset T of the variables, of
     # degree t * deg(prod_T v); the chain map K(t+1) -> K(t) sends e_T to
@@ -260,10 +265,11 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
     chain_map = [(k, k, Polynomial(ring, ((mono, 1),)))
                  for k, mono in enumerate(prods[i])]
 
-    def level(t):
-        """H^i of Hom(K(t), M)_d, from one elimination of each map: the
-        kernel of B (its width is dim ker B) and the rank of A, and the
-        spot of K_i(t)."""
+    def level(t, d):
+        """H^i of Hom(K(t), M)_d, with B, the pivot table of A and the spot
+        of K_i(t).  ker B holds im A, and B * A = 0 is checked first, so a
+        middle space of dimension rank A has no homology and B needs no
+        elimination."""
         spots = {q: _spot(layer, d, [(t * a, t * b) for a, b in ss])
                  for q, ss in shifts.items()}
 
@@ -275,28 +281,60 @@ def cech_oracle(M: Presentation, theory: str, i: int, d,
         B = koszul(i)
         A = koszul(i - 1) if i > 0 else Matrix.zeros(B.shape[1], 0)
         check_complex(A, B, p)
-        kernel = kernel_of_array(B, p)
-        rank_a = rank_of_array(A, p)
-        return kernel.shape[1] - rank_a, A, rank_a, kernel, spots[i]
+        pivots = pivot_table(A, p)
+        width = B.shape[1]
+        h = (0 if width == len(pivots)
+             else width - rank_of_array(B, p) - len(pivots))
+        return h, B, pivots, spots[i]
 
-    prev = None
-    consecutive = 0
-    for t in range(max(1, floor), cap + 1):
-        h, A, rank_a, kernel, spot = level(t)
-        if prev is not None:
-            ph, pkernel, pspot = prev
-            chi = _hom_piece(layer, pspot, spot, chain_map)
-            mapped = chi.compose(pkernel, p)
-            both = Matrix((A.shape[0], mapped.shape[1] + A.shape[1]),
-                          mapped.cols + A.cols)
-            induced = rank_of_array(both, p) - rank_a
-            if ph == h and induced == h:
-                consecutive += 1
-                if consecutive >= 2:
-                    return h
-            else:
-                consecutive = 0
-        prev = (h, kernel, spot)
-    raise StabilizationError(
-        f"Koszul limit for H^{i}_{theory} at {d} not stable within "
-        f"{cap} steps")
+    def induced(pB, pspot, spot, pivots):
+        """Rank of the map H^i(t-1) -> H^i(t): the cycles ker B of level
+        t-1 under the chain map, reduced against the pivots of A at t."""
+        chi = _hom_piece(layer, pspot, spot, chain_map)
+        return rank_modulo(pivots, chi.compose(kernel_of_array(pB, p), p), p)
+
+    def cell(d, cap=None):
+        d = Bidegree(*d)
+        if cap is None:
+            radius = max(abs(d.a), abs(d.b))
+            cap = max(4 + floor - 1 + radius, floor + 3)
+        prev = None
+        consecutive = 0
+        for t in range(max(1, floor), cap + 1):
+            h, B, pivots, spot = level(t, d)
+            if prev is not None:
+                ph, pB, pspot = prev
+                # the chain map sends im A into im A, so between two zero
+                # homologies it induces the isomorphism 0 -> 0
+                if ph == h and (h == 0 or
+                                induced(pB, pspot, spot, pivots) == h):
+                    consecutive += 1
+                    if consecutive >= 2:
+                        return h
+                else:
+                    consecutive = 0
+            prev = (h, B, spot)
+        raise StabilizationError(
+            f"Koszul limit for H^{i}_{theory} at {d} not stable within "
+            f"{cap} steps")
+
+    return cell
+
+
+def cech_oracle(M: Presentation, theory: str, i: int, d,
+                cap: int = None) -> int:
+    """dim H^i_theory(M)_d by the limit-Koszul representation of the Cech
+    complex on the ideal's variables.
+
+    Raises StabilizationError if two successive transition isomorphisms are
+    not observed within the iteration cap."""
+    return _koszul_limit(M, theory, i)(d, cap)
+
+
+def oracle_table(M: Presentation, theory: str, i: int,
+                 window: Window) -> DimTable:
+    """cech_oracle over the window, with the set-up done once."""
+    cell = _koszul_limit(M, theory, i)
+    return DimTable(window=window,
+                    cells={tuple(d): cell(d) for d in window.cells()},
+                    p=M.ring.p)

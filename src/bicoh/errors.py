@@ -45,6 +45,11 @@ class NotGeneralizedCMError(BicohError):
     """Suite requires a strictly generalized Cohen-Macaulay module."""
 
 
+class BadRingError(BicohError, ValueError):
+    """Invalid ring: no variables, too many, or a modulus that is not a
+    supported prime."""
+
+
 class BadTheoryError(BicohError):
     """Cohomology theory not defined for this ring or operation."""
 

@@ -10,17 +10,17 @@ maps are mostly zero, so elimination touches nonzero entries only
 
 from math import isqrt
 
-from .errors import ComposeError
+from .errors import BadRingError, ComposeError
 
 DEFAULT_PRIME = 32003
 
 
 def _check_prime(p):
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        raise ValueError(f"modulus {p} is not prime")
+        raise BadRingError(f"modulus {p} is not prime")
     if p >= 1 << 20:
-        raise ValueError(f"modulus {p} too large: primes below 2^20 "
-                         f"are supported")
+        raise BadRingError(f"modulus {p} too large: primes below 2^20 "
+                           f"are supported")
 
 
 class Matrix:
@@ -89,9 +89,10 @@ def _subtract(v, f, w, p):
             v.pop(i, None)
 
 
-def _echelon(mat, p, track=False):
+def _echelon(mat, p, track=False, table=None):
     """Eliminate the columns of mat from left to right against a table
-    {pivot row: monic column}.
+    {pivot row: monic column}, empty or a copy of the given table of an
+    untracked elimination.
 
     A column is reduced at its smallest row while that row holds a pivot;
     if anything is left, it is scaled to 1 there and becomes the pivot of
@@ -99,7 +100,9 @@ def _echelon(mat, p, track=False):
     carries its combination of the original columns ({column: coefficient}),
     and kernel lists the combinations of the columns that reduce to zero;
     otherwise kernel is empty."""
-    table = {}      # pivot row -> (column without its pivot, combination)
+    # pivot row -> (column without its pivot, combination); a stored
+    # column is never modified, so a shallow copy continues a table
+    table = {} if table is None else dict(table)
     kernel = []
     for j, col in enumerate(mat.cols):
         v = dict(col)
@@ -130,6 +133,18 @@ def rank_of_array(arr, p):
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         return 0
     return len(_echelon(_as_matrix(arr, p), p)[0])
+
+
+def pivot_table(arr, p):
+    """The pivot table of an elimination of the columns of arr: its size is
+    the rank, and rank_modulo reduces further columns against it."""
+    return _echelon(_as_matrix(arr, p), p)[0]
+
+
+def rank_modulo(table, arr, p):
+    """Rank of the columns of arr modulo the span of the columns behind a
+    pivot table, rank [C | arr] - rank C, without eliminating C again."""
+    return len(_echelon(_as_matrix(arr, p), p, table=table)[0]) - len(table)
 
 
 def kernel_of_array(arr, p):

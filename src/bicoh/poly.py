@@ -33,6 +33,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import (
+    BadRingError,
     DegreeOverflowError,
     NotBihomogeneousError,
     ParseError,
@@ -87,9 +88,10 @@ class RingSpec:
 
     def __post_init__(self):
         if self.m < 0 or self.n < 0 or self.m + self.n < 1:
-            raise ValueError("need m >= 0, n >= 0 and at least one variable")
+            raise BadRingError(
+                "need m >= 0, n >= 0 and at least one variable")
         if self.m + self.n > MAX_VARS:
-            raise ValueError(f"at most {MAX_VARS} variables")
+            raise BadRingError(f"at most {MAX_VARS} variables")
         _check_prime(self.p)
         width = FIELD_BITS * (2 * self.nvars + 1)
         object.__setattr__(self, "width", width)

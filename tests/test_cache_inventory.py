@@ -7,6 +7,7 @@ from bicoh.cohomology import (
     ext_into_dim,
     ext_table,
     local_coh_table,
+    oracle_table,
 )
 from bicoh.fixtures import gencm_fixture, standard_ring
 from bicoh.resolution import free_presentation, hilbert_table, profile
@@ -56,6 +57,7 @@ def test_no_module_level_container_grows():
         local_coh_table(M, theory, 1, window)
     for theory in ("P", "Q"):
         cech_oracle(M, theory, 1, (0, 0))
+        oracle_table(M, theory, 1, window)
     # the Hom builder shares its blocks within one call only
     S = free_presentation(M.ring, [(0, 0)])
     for j in range(3):

@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 
 from bicoh.cli import main
-from bicoh.errors import DegreeMismatchError, FormatError, InvariantError
+from bicoh.errors import (
+    DegreeMismatchError,
+    FormatError,
+    InvariantError,
+    StabilizationError,
+)
 from bicoh.fixtures import named_fixtures
 from bicoh.linalg import DEFAULT_PRIME
 from bicoh.modfile import load_module, save_module
@@ -230,6 +235,22 @@ def test_cli_broken_invariant_exit_4(two_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_cli_unstable_oracle_exit_5(two_path, capsys, monkeypatch):
+    # a Koszul limit that does not settle within its cap is neither bad
+    # input (2) nor a broken invariant (4)
+    import bicoh.cli as cli
+
+    def unstable(M, theory, i, window):
+        raise StabilizationError("Koszul limit not stable within 1 steps")
+
+    monkeypatch.setattr(cli, "oracle_table", unstable)
+    code = main(["oracle", "--module", two_path, "--theory", "Q", "-i", "1",
+                 "--window", "0:0,0:0"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err == "error: Koszul limit not stable within 1 steps\n"
+
+
 def test_cli_corner_suite_passes(two_path, capsys):
     code = main(["check", "--suite", "corner", "--module", two_path,
                  "--window", "-3:3,-3:3"])
@@ -286,3 +307,12 @@ def test_cli_profile(hyper_path, capsys):
                  "--window", "-4:4,-4:4"]) == 0
     out = capsys.readouterr().out
     assert "dim 3" in out and "CM" in out and "cd<=2" in out
+
+
+def test_cli_profile_without_y_variables(tmp_path, capsys):
+    # Q = (0) over a ring without y-variables: the window estimate is 0
+    path = tmp_path / "x.mod"
+    path.write_text("m=2\nn=0\ngens=(0,0)\nrels=(1,0): x1\n")
+    assert main(["profile", "--module", str(path),
+                 "--window", "-1:1,-1:1"]) == 0
+    assert "cd<=0" in capsys.readouterr().out

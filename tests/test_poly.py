@@ -3,6 +3,8 @@ import random
 import pytest
 
 from bicoh.errors import (
+    BadRingError,
+    BicohError,
     NotBihomogeneousError,
     ParseError,
     RingMismatchError,
@@ -35,6 +37,17 @@ def test_ring_validation():
     assert RingSpec(3, 0) == RingSpec(3, 0, 32003)
     assert RingSpec(0, 2) == RingSpec(0, 2, 32003)
     assert RingSpec(1, 1).nvars == 2
+
+
+def test_invalid_ring_is_a_typed_error():
+    # a bad ring is both a BicohError (one error line, exit 2) and the
+    # ValueError that callers catch
+    for m, n, p in ((0, 0, 32003), (-1, 2, 32003), (2, 2, 10),
+                    (2, 2, 1048583)):
+        with pytest.raises(BadRingError) as caught:
+            RingSpec(m, n, p)
+        assert isinstance(caught.value, BicohError)
+        assert isinstance(caught.value, ValueError)
 
 
 def test_bidegree_arithmetic():
