@@ -190,12 +190,17 @@ def _merge_flag_values(argv):
     return out
 
 
+_parser = None  # built by the first call of main, then reused
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_flag_values(list(argv)))
+        args = _parser.parse_args(_merge_flag_values(list(argv)))
         return _dispatch(args)
     except BicohError as exc:
         print(f"error: {exc}", file=sys.stderr)

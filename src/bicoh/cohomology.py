@@ -21,18 +21,22 @@ Three computation paths, all exact per bidegree:
   isomorphisms past a degree floor, with a hard iteration cap.  The set-up
   that no degree changes (the floor, the Koszul slots, prod_T v and the
   chain map) is done once per table in oracle_table, and cech_oracle runs
-  the same code for one cell.  Each level checks that its two maps compose
-  to zero, eliminates A once and takes the rank of B only when the middle
-  space is wider than rank A.  A transition is built only between two
-  levels with the same nonzero homology: the image of the cycles of the
-  last level is reduced against the pivots of A; between two zero
-  homologies the chain map, which sends im A into im A, induces 0 -> 0.
+  the same code for one cell.  A level whose middle space is zero has no
+  homology and builds nothing else.  Every other level checks that its
+  two maps compose to zero, eliminates A once and takes the rank of B only
+  when the middle space is wider than rank A.  A transition is built only
+  between two levels with the same nonzero homology: the image of the
+  cycles of the last level is reduced against the pivots of A; between
+  two zero homologies the chain map, which sends im A into im A, induces
+  0 -> 0.
 
 One builder makes the matrices of both Hom complexes, Hom(K(v^t), M) for
 the oracle and Hom(F., W) of a minimal resolution in ext_into_dim: _spot
 lays out Hom(F, W)_d with one piece per generator of F, and _hom_piece
 fills in the map induced by G -> F on the standard monomials of W's
-initial module (per-degree bases and variable steps).
+initial module.  A monomial block sends a standard monomial whose
+product is standard to that basis element; only the other columns go
+through the initial module's single-variable steps.
 """
 
 from itertools import combinations
@@ -267,11 +271,18 @@ def _koszul_limit(M: Presentation, theory: str, i: int):
 
     def level(t, d):
         """H^i of Hom(K(t), M)_d, with B, the pivot table of A and the spot
-        of K_i(t).  ker B holds im A, and B * A = 0 is checked first, so a
-        middle space of dimension rank A has no homology and B needs no
-        elimination."""
-        spots = {q: _spot(layer, d, [(t * a, t * b) for a, b in ss])
-                 for q, ss in shifts.items()}
+        of K_i(t).  An empty spot has no homology, and nothing else is
+        built: B has no columns and A no rows.  Otherwise ker B holds im A,
+        and B * A = 0 is checked first, so a middle space of dimension
+        rank A has no homology and B needs no elimination."""
+        def spot(q):
+            return _spot(layer, d, [(t * a, t * b) for a, b in shifts[q]])
+
+        middle = spot(i)
+        width = middle[2][-1]
+        if not width:
+            return 0, None, None, middle
+        spots = {q: middle if q == i else spot(q) for q in shifts}
 
         def koszul(q):
             return _hom_piece(layer, spots[q], spots[q + 1],
@@ -279,13 +290,12 @@ def _koszul_limit(M: Presentation, theory: str, i: int):
                                                    slots[q + 1]))
 
         B = koszul(i)
-        A = koszul(i - 1) if i > 0 else Matrix.zeros(B.shape[1], 0)
+        A = koszul(i - 1) if i > 0 else Matrix.zeros(width, 0)
         check_complex(A, B, p)
         pivots = pivot_table(A, p)
-        width = B.shape[1]
         h = (0 if width == len(pivots)
              else width - rank_of_array(B, p) - len(pivots))
-        return h, B, pivots, spots[i]
+        return h, B, pivots, middle
 
     def induced(pB, pspot, spot, pivots):
         """Rank of the map H^i(t-1) -> H^i(t): the cycles ker B of level

@@ -10,6 +10,7 @@
 `gens=` lists one (a,b) shift per generator; each `rels=` line is one
 relation: its source shift, a colon, then one polynomial per generator,
 comma separated.  An absent or empty rels section gives a free module.
+`p`, `m`, `n` and `gens` appear at most once; `rels=` may repeat.
 """
 
 import re
@@ -37,6 +38,7 @@ def load_module(path) -> Presentation:
     """Read and validate a presentation; raises FormatError on structural
     problems and DegreeMismatchError when an entry violates the shifts."""
     params = {}
+    seen = {}   # key -> line of the keys that may appear once
     gens = None
     rel_lines = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -49,6 +51,12 @@ def load_module(path) -> Presentation:
                                   f"got {line!r}")
             key, value = line.split("=", 1)
             key = key.strip()
+            if key in ("p", "m", "n", "gens"):
+                if key in seen:
+                    raise FormatError(
+                        f"line {lineno}: repeated key {key!r}, first given "
+                        f"on line {seen[key]}")
+                seen[key] = lineno
             if key in ("p", "m", "n"):
                 try:
                     params[key] = int(value.strip())

@@ -181,8 +181,9 @@ class InitialModule:
     """F/in(U) for a presentation F/U: the reduced Groebner basis of the
     relations and its lead terms.  F/U and F/in(U) share their Hilbert
     function (Macaulay), and the monomials of F that no lead term divides,
-    the standard monomials, are a K-basis of each piece of F/U.  Bases and
-    single-variable steps are filled in on first use."""
+    the standard monomials, are a K-basis of each piece of F/U.  Bases are
+    filled in on first use; a single-variable step only once a product
+    leaves the standard monomials."""
 
     def __init__(self, P: Presentation):
         self.P = P
@@ -262,19 +263,34 @@ class InitialModule:
         return mat
 
     def mult(self, mono, d):
-        """Matrix of multiplication by the monomial from M_d up: the
-        composite of single-variable steps."""
-        ring = self.ring
-        cur = Bidegree(*d)
-        mat = None
-        for var, e in enumerate(ring.exponents(mono)):
-            for _ in range(e):
-                step = self.step(var, cur)
-                mat = step if mat is None else step.compose(mat, ring.p)
-                cur = cur + ring.variable_degree(var)
-        if mat is None:
-            return Matrix.identity(len(self.basis(cur)))
-        return mat
+        """Matrix of multiplication by the monomial from M_d up.  The
+        standard monomials are closed under division, so a standard
+        monomial whose product is standard passes through standard
+        monomials at every single-variable step: its column is a single 1,
+        read off the target basis.  Only the other columns go through the
+        chain of steps, which is built once per call, when first needed."""
+        ring, p = self.ring, self.ring.p
+        d = Bidegree(*d)
+        index = {key: i for i, key in
+                 enumerate(self.basis(d + mono_bidegree(ring, mono)))}
+        chain = None
+        cols = []
+        for j, (k, m) in enumerate(self.basis(d)):
+            row = index.get((k, m + mono))
+            if row is not None:
+                cols.append({row: 1})
+                continue
+            if chain is None:
+                chain, cur = [], d
+                for var, e in enumerate(ring.exponents(mono)):
+                    for _ in range(e):
+                        chain.append(self.step(var, cur))
+                        cur = cur + ring.variable_degree(var)
+            col = {j: 1}
+            for step in chain:
+                col = step.apply(col, p)
+            cols.append(col)
+        return Matrix((len(index), len(cols)), cols)
 
 
 @lru_cache(maxsize=None)

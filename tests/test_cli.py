@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from bicoh import cli
 from bicoh.cli import main
 from bicoh.errors import (
     DegreeMismatchError,
@@ -88,6 +89,22 @@ def test_load_module_format_errors(tmp_path):
     path.write_text("m=2\nn=2\ngens=(0,0)\nfoo=1\n")
     with pytest.raises(FormatError):
         load_module(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    # a second m= would resolve the module over F_p[x1,y1,y2]
+    ("m=2\nn=2\nm=1\ngens=(0,0)\nrels=(1,1): x1*y1\n", 3),
+    ("m=2\nn=2\ngens=(0,0)\ngens=(0,0),(1,0)\nrels=(1,1): x1*y1\n", 4),
+    ("p=3\nm=2\nn=2\np=5\ngens=(0,0)\n", 4),
+    ("m=2\nn=2\ngens=(0,0)\nn=2\n", 4),
+], ids=["m", "gens", "p", "n"])
+def test_repeated_key_is_malformed(tmp_path, capsys, text, line):
+    path = tmp_path / "repeated.mod"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"line {line}: repeated key"):
+        load_module(path)
+    assert main(["resolve", "--module", str(path)]) == 2
+    assert f"line {line}" in capsys.readouterr().err
 
 
 def test_roundtrip_save_load(two_path, tmp_path):
@@ -273,6 +290,42 @@ def test_cli_locoh_and_oracle_agree(hyper_path, capsys):
                      "-i", index, "--window", "-2:0,-3:-1"]) == 0
         oracle_out = capsys.readouterr().out
         assert locoh_out.splitlines()[-3:] == oracle_out.splitlines()[-3:]
+
+
+def test_cli_reuses_its_parser(hyper_path, capsys, monkeypatch):
+    # one process, one parser: an oracle run, a call that argparse rejects
+    # (no --theory), an R+ table and an oracle call that argparse rejects
+    # (the oracle has no R+) give the exit codes and output of separate
+    # runs, each with a parser of its own
+    window = ["--window", "-2:0,-3:-1"]
+    calls = [
+        ["oracle", "--module", hyper_path, "--theory", "Q", "-i", "2"],
+        ["oracle", "--module", hyper_path, "-i", "2"],
+        ["locoh", "--module", hyper_path, "--theory", "R+", "-i", "4"],
+        ["oracle", "--module", hyper_path, "--theory", "R+", "-i", "2"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv + window)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    separate = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        separate.append(run(argv))
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [run(argv) for argv in calls] == separate
+    assert len(built) == 1
+    assert [code for code, _, _ in separate] == [0, 2, 0, 2]
+    assert "invalid choice: 'R+'" in separate[3][2]
 
 
 def test_cli_oracle_runs_without_numpy(tmp_path):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -278,6 +278,58 @@ def test_oracle_equals_duality_path_generic_coefficients(p):
     assert generic or p < 5
 
 
+# InitialModule.mult before it read the unit columns off the standard
+# monomials: every column through the composite of the single-variable
+# steps.  It referees mult, and through the builder below the blocks of
+# the oracle's matrices.
+
+
+def _composite_mult(layer, mono, d):
+    ring = layer.ring
+    cur = Bidegree(*d)
+    mat = None
+    for var, e in enumerate(ring.exponents(mono)):
+        for _ in range(e):
+            step = layer.step(var, cur)
+            mat = step if mat is None else step.compose(mat, ring.p)
+            cur = cur + ring.variable_degree(var)
+    if mat is None:
+        return Matrix.identity(len(layer.basis(cur)))
+    return mat
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_mult_matches_the_composite_of_steps(p):
+    # on every piece of the box 0..4 x 0..4: the powers v^e, e <= 5, of
+    # the oracle's Koszul blocks and every monomial of degree <= 3, as in
+    # the entries of ext_into_dim; the generic coefficients of the
+    # block-changed fixtures make columns that leave the standard
+    # monomials, so both kinds of column are compared
+    ring = standard_ring(p)
+    fixtures = named_fixtures(ring)
+    modules = list(fixtures.values())
+    modules += [_block_change(P, seed=p + k)
+                for k, P in enumerate(fixtures.values())]
+    modules.append(gencm_fixture(ring))
+    exponents = {e for e in product(range(4), repeat=ring.nvars)
+                 if sum(e) <= 3}
+    exponents.update(tuple(e if v == var else 0 for v in range(ring.nvars))
+                     for var in range(ring.nvars) for e in range(4, 6))
+    monos = [ring.monomial(e) for e in sorted(exponents)]
+    kinds = set()
+    for M in modules:
+        layer = initial_module(M)
+        for d in Window(0, 4, 0, 4).cells():
+            for mono in monos:
+                ref = _composite_mult(layer, mono, d)
+                mat = layer.mult(mono, d)
+                assert (mat.shape, mat.cols) == (ref.shape, ref.cols), \
+                    (str(M), ring.exponents(mono), tuple(d))
+                kinds.update(len(col) == 1 and 1 in col.values()
+                             for col in ref.cols)
+    assert kinds == {True, False}
+
+
 # The builder of the oracle's matrices before every Koszul generator had
 # its own shift: one piece degree per spot, blocks placed slot by slot.
 # It referees cohomology._hom_piece on the oracle's complexes.
@@ -318,8 +370,8 @@ def _koszul_differential(layer, variables, t, src, tgt):
                     continue
                 sign = sum(1 for u in T if u < j) % 2
                 if (j, 0) not in built:
-                    built[j, 0] = layer.mult(
-                        _ref_monomial(ring, {v: t}), src[1])
+                    built[j, 0] = _composite_mult(
+                        layer, _ref_monomial(ring, {v: t}), src[1])
                 if (j, sign) not in built:
                     pos = built[j, 0]
                     built[j, 1] = Matrix(pos.shape, [
@@ -331,8 +383,9 @@ def _koszul_differential(layer, variables, t, src, tgt):
 
 def _koszul_transition(layer, variables, src, tgt):
     ring = layer.ring
-    blocks = ((si, si, layer.mult(
-                  _ref_monomial(ring, {variables[j]: 1 for j in T}), src[1]))
+    blocks = ((si, si, _composite_mult(
+                  layer, _ref_monomial(ring, {variables[j]: 1 for j in T}),
+                  src[1]))
               for si, T in enumerate(src[0]))
     return _block_matrix(tgt, src, blocks)
 
@@ -417,6 +470,22 @@ def test_oracle_checks_that_its_maps_compose(S, monkeypatch):
     monkeypatch.setattr(cohomology, "_koszul_differential", unsigned)
     with pytest.raises(ComposeError, match="B\\*A is not zero"):
         cech_oracle(S, "Q", 1, (0, 0))
+
+
+def test_oracle_builds_nothing_around_an_empty_middle_spot(S, monkeypatch):
+    # S_(-1,0) = 0, so every level of H^0_P(S) at (-1,0) has an empty spot
+    # K_0(t): it builds that spot alone and no matrix.  At (0,0) the spot
+    # is S_(0,0), and each level builds its map into K_1(t)
+    calls = {"_spot": 0, "_hom_piece": 0}
+    for name in calls:
+        def counted(*args, _name=name, _build=getattr(cohomology, name)):
+            calls[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(cohomology, name, counted)
+    assert cech_oracle(S, "P", 0, (-1, 0)) == 0
+    assert calls == {"_spot": 3, "_hom_piece": 0}
+    assert cech_oracle(S, "P", 0, (0, 0)) == 0
+    assert calls["_hom_piece"] == 3
 
 
 # The oracle's level loop before oracle_table: every cell set up on its
