@@ -19,24 +19,24 @@ Three computation paths, all exact per bidegree:
   so the limit Koszul system *is* the degreewise representation of the
   localizations; the limit is detected by two successive transition
   isomorphisms past a degree floor, with a hard iteration cap.  The set-up
-  that no degree changes (the floor, the Koszul slots, prod_T v and the
-  chain map) is done once per table in oracle_table, and cech_oracle runs
-  the same code for one cell.  A level whose middle space is zero has no
-  homology and builds nothing else.  Every other level checks that its
-  two maps compose to zero, eliminates A once and takes the rank of B only
-  when the middle space is wider than rank A.  A transition is built only
-  between two levels with the same nonzero homology: the image of the
-  cycles of the last level is reduced against the pivots of A; between
-  two zero homologies the chain map, which sends im A into im A, induces
-  0 -> 0.
+  that no degree changes (the floor, the Koszul slots, prod_T v, the chain
+  map and the entries of each level's differentials) is done once per
+  table in oracle_table, and cech_oracle runs the same code for one cell.
+  A level whose middle space is zero has no homology and builds nothing
+  else.  Every other level checks that its two maps compose to zero,
+  eliminates A once and takes the rank of B only when the middle space is
+  wider than rank A.  A transition is built only between two levels with
+  the same nonzero homology: the image of the cycles of the last level is
+  reduced against the pivots of A; between two zero homologies the chain
+  map, which sends im A into im A, induces 0 -> 0.
 
 One builder makes the matrices of both Hom complexes, Hom(K(v^t), M) for
 the oracle and Hom(F., W) of a minimal resolution in ext_into_dim: _spot
 lays out Hom(F, W)_d with one piece per generator of F, and _hom_piece
 fills in the map induced by G -> F on the standard monomials of W's
-initial module.  A monomial block sends a standard monomial whose
-product is standard to that basis element; only the other columns go
-through the initial module's single-variable steps.
+initial module.  It writes every column directly: a product that is
+standard is read off the target piece's basis, any other one off the
+initial module's table of normal forms.
 """
 
 from itertools import combinations
@@ -141,24 +141,6 @@ def cd_estimate(M: Presentation, window: Window) -> int:
 # Hom complexes: Ext into any module, and the Koszul-limit oracle
 
 
-def _poly_action_matrix(layer, entry, d):
-    """Matrix of multiplication by the polynomial on W, from W_d to the
-    piece one entry-degree up: layer.mult itself for a monic monomial."""
-    p, terms = layer.ring.p, entry.terms
-    mono, c = terms[0]
-    first = layer.mult(mono, d)
-    if len(terms) == 1:
-        return first if c == 1 else Matrix(first.shape, [
-            {i: c * x % p for i, x in col.items()} for col in first.cols])
-    cols = [{i: c * x for i, x in col.items()} for col in first.cols]
-    for mono, c in terms[1:]:
-        for acc, col in zip(cols, layer.mult(mono, d).cols):
-            for i, x in col.items():
-                acc[i] = acc.get(i, 0) + c * x
-    return Matrix(first.shape, [{i: r for i, v in acc.items() if (r := v % p)}
-                                for acc in cols])
-
-
 def _spot(layer, d, shifts):
     """Hom(F, W)_d = (+)_k W_(d + shift_k) for the free module F with these
     shifts: the pieces d + shift_k, their dimensions and their offsets."""
@@ -173,26 +155,48 @@ def _spot(layer, d, shifts):
 def _hom_piece(layer, src, tgt, entries):
     """Matrix of Hom(F, W)_d -> Hom(G, W)_d, from the spot src of F to the
     spot tgt of G, induced by the map G -> F with the nonzero entries
-    (k, l, f): block (l, k) is multiplication by f on the k-th piece of
-    src.  Entries are read only if both spots are nonzero, and one block is
-    built per (entry, piece)."""
+    (k, l, f): block (l, k) is multiplication by f from the k-th piece of
+    src to the l-th of tgt.  Entries are read only if both spots are
+    nonzero.  Each term c*u of f sends the standard monomial m*e_g to c
+    times the basis element (g, m*u) when that is standard, else to c
+    times the initial module's normal form of m*u*e_g.  A one-term entry
+    writes its block directly; the terms of a longer one are summed
+    before the block is reduced mod p."""
     pieces, src_dims, src_off = src
-    _, tgt_dims, tgt_off = tgt
+    tgt_pieces, tgt_dims, tgt_off = tgt
     mat = Matrix.zeros(tgt_off[-1], src_off[-1])
     if not (src_off[-1] and tgt_off[-1]):
         return mat
-    blocks = {}
+    p, nf = layer.ring.p, layer.nf
     for k, l, f in entries:
         if not (src_dims[k] and tgt_dims[l]):
             continue
-        key = f.terms, pieces[k]
-        if key not in blocks:
-            blocks[key] = _poly_action_matrix(layer, f, pieces[k])
-        row = tgt_off[l]
-        for j, col in enumerate(blocks[key].cols, src_off[k]):
-            target = mat.cols[j]
-            for i, v in col.items():
-                target[row + i] = v
+        row, index = tgt_off[l], layer.basis(tgt_pieces[l])
+        cols = mat.cols[src_off[k]:src_off[k + 1]]
+        basis = layer.basis(pieces[k])
+        if len(f.terms) == 1:
+            (mono, c), = f.terms
+            for col, (g, m) in zip(cols, basis):
+                i = index.get((g, m + mono))
+                if i is not None:
+                    col[row + i] = c
+                else:
+                    for i, x in nf(g, m + mono).items():
+                        col[row + i] = c * x % p
+            continue
+        sums = [{} for _ in cols]
+        for mono, c in f.terms:
+            for acc, (g, m) in zip(sums, basis):
+                i = index.get((g, m + mono))
+                if i is not None:
+                    acc[i] = acc.get(i, 0) + c
+                else:
+                    for i, x in nf(g, m + mono).items():
+                        acc[i] = acc.get(i, 0) + c * x
+        for col, acc in zip(cols, sums):
+            for i, v in acc.items():
+                if r := v % p:
+                    col[row + i] = r
     return mat
 
 
@@ -224,12 +228,10 @@ def _koszul_differential(ring, units, t, src, tgt):
     (-1)^#{u in T : u < j} v_j^t at e_T."""
     signs = (1, ring.p - 1)
     tgt_index = {T: l for l, T in enumerate(tgt)}
-    for k, T in enumerate(src):
-        for j, unit in enumerate(units):
-            if j not in T:
-                sign = signs[sum(1 for u in T if u < j) % 2]
-                yield (k, tgt_index[tuple(sorted(T + (j,)))],
-                       Polynomial(ring, ((t * unit, sign),)))
+    return [(k, tgt_index[tuple(sorted(T + (j,)))], Polynomial(
+                ring, ((t * unit, signs[sum(u < j for u in T) % 2]),)))
+            for k, T in enumerate(src)
+            for j, unit in enumerate(units) if j not in T]
 
 
 def _koszul_limit(M: Presentation, theory: str, i: int):
@@ -268,6 +270,7 @@ def _koszul_limit(M: Presentation, theory: str, i: int):
               for q, monos in prods.items()}
     chain_map = [(k, k, Polynomial(ring, ((mono, 1),)))
                  for k, mono in enumerate(prods[i])]
+    differentials = {}  # (q, t) -> the entries of K_(q+1)(t) -> K_q(t)
 
     def level(t, d):
         """H^i of Hom(K(t), M)_d, with B, the pivot table of A and the spot
@@ -285,9 +288,11 @@ def _koszul_limit(M: Presentation, theory: str, i: int):
         spots = {q: middle if q == i else spot(q) for q in shifts}
 
         def koszul(q):
-            return _hom_piece(layer, spots[q], spots[q + 1],
-                              _koszul_differential(ring, units, t, slots[q],
-                                                   slots[q + 1]))
+            entries = differentials.get((q, t))
+            if entries is None:
+                entries = differentials[q, t] = _koszul_differential(
+                    ring, units, t, slots[q], slots[q + 1])
+            return _hom_piece(layer, spots[q], spots[q + 1], entries)
 
         B = koszul(i)
         A = koszul(i - 1) if i > 0 else Matrix.zeros(width, 0)

@@ -50,6 +50,22 @@ class BadRingError(BicohError, ValueError):
     supported prime."""
 
 
+class CoordinateCountError(BicohError, ValueError):
+    """A module element without one coordinate per generator."""
+
+
+class ZeroElementError(BicohError, ValueError):
+    """The zero module element has no lead term."""
+
+
+class NoGeneratorsError(BicohError, ValueError):
+    """A Groebner basis asked of no generators in no ambient module."""
+
+
+class DegreeBoundError(BicohError, ValueError):
+    """A degree bound that leaves no positive bidegree."""
+
+
 class BadTheoryError(BicohError):
     """Cohomology theory not defined for this ring or operation."""
 

@@ -2,6 +2,7 @@
 
 import random
 
+from .errors import DegreeBoundError
 from .linalg import DEFAULT_PRIME
 from .poly import Polynomial, RingSpec, monomial_basis
 from .resolution import free_presentation, quotient_by_polys
@@ -37,8 +38,8 @@ def random_bihomogeneous(ring, rng, max_degree=(2, 2)):
     max_degree = (max_degree[0] if ring.m else 0,
                   max_degree[1] if ring.n else 0)
     if not any(max_degree):
-        raise ValueError(f"max_degree {max_degree} leaves no positive "
-                         "bidegree")
+        raise DegreeBoundError(f"max_degree {max_degree} leaves no "
+                               "positive bidegree")
     while True:
         da = rng.randint(0, max_degree[0])
         db = rng.randint(0, max_degree[1])

@@ -48,7 +48,14 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvariantError, NotBihomogeneousError, RingMismatchError
+from .errors import (
+    CoordinateCountError,
+    InvariantError,
+    NoGeneratorsError,
+    NotBihomogeneousError,
+    RingMismatchError,
+    ZeroElementError,
+)
 from .poly import (
     GUARDS,
     Bidegree,
@@ -92,10 +99,6 @@ class FreeModule:
                 out.append((k, mono))
         return out
 
-    def zero_element(self):
-        z = self.ring.zero()
-        return ModuleElement(self, (z,) * self.rank)
-
     def unit_element(self, k):
         coords = [self.ring.zero()] * self.rank
         coords[k] = self.ring.one()
@@ -109,7 +112,7 @@ class ModuleElement:
 
     def __init__(self, module, coords):
         if len(coords) != module.rank:
-            raise ValueError("coordinate count != rank")
+            raise CoordinateCountError("coordinate count != rank")
         self.module = module
         self.coords = tuple(coords)
         self._hash = None
@@ -143,9 +146,6 @@ class ModuleElement:
         return ModuleElement(self.module,
                              tuple(a.scale(c) for a in self.coords))
 
-    def poly_mul(self, f):
-        return ModuleElement(self.module, tuple(f * a for a in self.coords))
-
     def term_mul(self, coeff, mono):
         return ModuleElement(self.module,
                              tuple(a.term_mul(coeff, mono)
@@ -160,7 +160,7 @@ class ModuleElement:
             if poly.terms:
                 mono, coeff = poly.terms[0]
                 return k, mono, coeff
-        raise ValueError("zero element has no lead term")
+        raise ZeroElementError("zero element has no lead term")
 
     def bidegree(self):
         """Common bidegree d: coordinate k is bihomogeneous of d - shift_k."""
@@ -390,7 +390,8 @@ def buchberger(gens, module=None) -> GroebnerBasis:
     gens = [g for g in gens if g]
     if module is None:
         if not gens:
-            raise ValueError("no generators and no ambient module given")
+            raise NoGeneratorsError(
+                "no generators and no ambient module given")
         module = gens[0].module
     ring = module.ring
     for g in gens:

@@ -182,8 +182,8 @@ class InitialModule:
     relations and its lead terms.  F/U and F/in(U) share their Hilbert
     function (Macaulay), and the monomials of F that no lead term divides,
     the standard monomials, are a K-basis of each piece of F/U.  Bases are
-    filled in on first use; a single-variable step only once a product
-    leaves the standard monomials."""
+    filled in on first use, and the normal form of a monomial outside
+    them once, when it is first asked for."""
 
     def __init__(self, P: Presentation):
         self.P = P
@@ -192,8 +192,8 @@ class InitialModule:
         self.gb = (buchberger(cols, module=P.target) if cols
                    else GroebnerBasis(P.target, ()))
         self.leads = self.gb.lead_terms()
-        self._bases = {}    # d -> ((generator, monomial), ...)
-        self._steps = {}    # (var, d) -> matrix of var from M_d
+        self._bases = {}    # d -> {(generator, monomial): position}
+        self._nfs = {}      # (generator, monomial) -> {position: coeff}
 
     @cached_property
     def numerator(self):
@@ -226,70 +226,43 @@ class InitialModule:
                     if not any(s & free == s for s in leads)), default=-1)
 
     def basis(self, d):
-        """The standard monomials (generator, monomial) of M_d."""
+        """The standard monomials of M_d in their order, as the index
+        {(generator, monomial): position}."""
         basis = self._bases.get(d)
         if basis is None:
-            basis = self._bases[d] = tuple(
-                (k, mono) for k, mono in self.P.target.basis_at(d)
-                if not any(gk == k and mono_divides(gm, mono)
-                           for gk, gm, _ in self.leads))
+            standard = (key for key in self.P.target.basis_at(d)
+                        if not any(gk == key[0] and mono_divides(gm, key[1])
+                                   for gk, gm, _ in self.leads))
+            basis = self._bases[d] = {key: i
+                                      for i, key in enumerate(standard)}
         return basis
 
-    def step(self, var, d: Bidegree):
-        """Matrix of multiplication by the variable from M_d to the next
-        piece."""
-        mat = self._steps.get((var, d))
-        if mat is not None:
-            return mat
-        ring, target = self.ring, self.P.target
-        src = self.basis(d)
-        index = {key: i for i, key in
-                 enumerate(self.basis(d + ring.variable_degree(var)))}
-        unit = ring.variable(var).terms[0][0]
-        cols = []
-        for k, mono in src:
-            shifted = mono + unit
-            row = index.get((k, shifted))
-            if row is not None:
-                cols.append({row: 1})
-                continue
+    def nf(self, k, mono):
+        """The normal form of the monomial mono * e_k outside the standard
+        monomials, as {position in its piece's basis: coefficient}:
+        computed once, then read off the table."""
+        out = self._nfs.get((k, mono))
+        if out is None:
+            ring, target = self.ring, self.P.target
             coords = [ring.zero()] * target.rank
-            coords[k] = Polynomial(ring, ((shifted, 1),))
-            nf = normal_form(ModuleElement(target, tuple(coords)), self.gb)
-            cols.append({index[(kk, mm)]: coeff
-                         for kk, poly in enumerate(nf.coords)
-                         for mm, coeff in poly.terms})
-        mat = self._steps[(var, d)] = Matrix((len(index), len(src)), cols)
-        return mat
+            coords[k] = Polynomial(ring, ((mono, 1),))
+            rem = normal_form(ModuleElement(target, tuple(coords)), self.gb)
+            index = self.basis(target.shifts[k] + mono_bidegree(ring, mono))
+            out = self._nfs[(k, mono)] = {
+                index[(kk, mm)]: coeff for kk, poly in enumerate(rem.coords)
+                for mm, coeff in poly.terms}
+        return out
 
     def mult(self, mono, d):
-        """Matrix of multiplication by the monomial from M_d up.  The
-        standard monomials are closed under division, so a standard
-        monomial whose product is standard passes through standard
-        monomials at every single-variable step: its column is a single 1,
-        read off the target basis.  Only the other columns go through the
-        chain of steps, which is built once per call, when first needed."""
-        ring, p = self.ring, self.ring.p
+        """Matrix of multiplication by the monomial from M_d up: a standard
+        product is a single 1 at its position, any other one its normal
+        form."""
         d = Bidegree(*d)
-        index = {key: i for i, key in
-                 enumerate(self.basis(d + mono_bidegree(ring, mono)))}
-        chain = None
+        index = self.basis(d + mono_bidegree(self.ring, mono))
         cols = []
-        for j, (k, m) in enumerate(self.basis(d)):
+        for k, m in self.basis(d):
             row = index.get((k, m + mono))
-            if row is not None:
-                cols.append({row: 1})
-                continue
-            if chain is None:
-                chain, cur = [], d
-                for var, e in enumerate(ring.exponents(mono)):
-                    for _ in range(e):
-                        chain.append(self.step(var, cur))
-                        cur = cur + ring.variable_degree(var)
-            col = {j: 1}
-            for step in chain:
-                col = step.apply(col, p)
-            cols.append(col)
+            cols.append({row: 1} if row is not None else self.nf(k, m + mono))
         return Matrix((len(index), len(cols)), cols)
 
 
@@ -325,10 +298,6 @@ class FreeResolution:
     def alternating_dim(self, d):
         return sum((-1) ** i * mod.dim_at(d)
                    for i, mod in enumerate(self.modules))
-
-    def map_data(self, i):
-        """(source module, target module, matrix) of d_i : F_i -> F_{i-1}."""
-        return self.modules[i], self.modules[i - 1], self.maps[i - 1]
 
 
 def _prune(columns, rank):

@@ -79,13 +79,6 @@ class DimTable:
     def nonzero_cells(self):
         return sorted(d for d, v in self.cells.items() if v)
 
-    def agrees_with(self, other):
-        """Cells equal on the intersection of the two windows."""
-        for d, v in self.cells.items():
-            if d in other.cells and other.cells[d] != v:
-                return False
-        return True
-
     def render(self, label=""):
         lines = []
         if label:

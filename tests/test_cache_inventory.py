@@ -58,7 +58,7 @@ def test_no_module_level_container_grows():
     for theory in ("P", "Q"):
         cech_oracle(M, theory, 1, (0, 0))
         oracle_table(M, theory, 1, window)
-    # the Hom builder shares its blocks within one call only
+    # the Hom builder reads the initial module's tables and keeps nothing
     S = free_presentation(M.ring, [(0, 0)])
     for j in range(3):
         ext_into_dim(M, S, j, (0, 0))

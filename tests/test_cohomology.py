@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from bicoh import cohomology, linalg
+from bicoh import cohomology, linalg, resolution
 from bicoh.cohomology import (
     cd_estimate,
     cech_oracle,
@@ -14,7 +14,7 @@ from bicoh.cohomology import (
 )
 from bicoh.errors import BadTheoryError, ComposeError, StabilizationError
 from bicoh.fixtures import gencm_fixture, named_fixtures, standard_ring
-from bicoh.groebner import FreeModule
+from bicoh.groebner import FreeModule, ModuleElement, normal_form
 from bicoh.linalg import (
     Matrix,
     check_complex,
@@ -279,9 +279,33 @@ def test_oracle_equals_duality_path_generic_coefficients(p):
 
 
 # InitialModule.mult before it read the unit columns off the standard
-# monomials: every column through the composite of the single-variable
-# steps.  It referees mult, and through the builder below the blocks of
-# the oracle's matrices.
+# monomials and the others off its table of normal forms: every column
+# through the composite of the single-variable steps, each step the
+# matrix of one variable from one piece to the next, with a normal form
+# per column that leaves the standard monomials.  It referees mult, and
+# through the builders below the blocks of the oracle's matrices and of
+# the Hom complexes of ext_into_dim.
+
+_steps = {}   # (layer, var, d) -> matrix of the variable from M_d
+
+
+def _step(layer, var, d):
+    mat = _steps.get((layer, var, d))
+    if mat is not None:
+        return mat
+    ring, target = layer.ring, layer.P.target
+    index = layer.basis(d + ring.variable_degree(var))
+    unit = ring.variable(var).terms[0][0]
+    cols = []
+    for k, mono in layer.basis(d):
+        coords = [ring.zero()] * target.rank
+        coords[k] = Polynomial(ring, ((mono + unit, 1),))
+        nf = normal_form(ModuleElement(target, tuple(coords)), layer.gb)
+        cols.append({index[(kk, mm)]: coeff
+                     for kk, poly in enumerate(nf.coords)
+                     for mm, coeff in poly.terms})
+    mat = _steps[(layer, var, d)] = Matrix((len(index), len(cols)), cols)
+    return mat
 
 
 def _composite_mult(layer, mono, d):
@@ -290,7 +314,7 @@ def _composite_mult(layer, mono, d):
     mat = None
     for var, e in enumerate(ring.exponents(mono)):
         for _ in range(e):
-            step = layer.step(var, cur)
+            step = _step(layer, var, cur)
             mat = step if mat is None else step.compose(mat, ring.p)
             cur = cur + ring.variable_degree(var)
     if mat is None:
@@ -328,6 +352,135 @@ def test_mult_matches_the_composite_of_steps(p):
                 kinds.update(len(col) == 1 and 1 in col.values()
                              for col in ref.cols)
     assert kinds == {True, False}
+
+
+# The Hom builder before it wrote its columns directly: one block per
+# (entry, piece), the multiplication matrix of each term from the steps,
+# scaled and summed mod p.  It referees cohomology._hom_piece on the maps
+# of ext_into_dim, whose entries after a change of coordinates have
+# several terms.
+
+
+def _poly_action_matrix(layer, entry, d):
+    p, terms = layer.ring.p, entry.terms
+    mono, c = terms[0]
+    first = _composite_mult(layer, mono, d)
+    cols = [{i: c * x for i, x in col.items()} for col in first.cols]
+    for mono, c in terms[1:]:
+        for acc, col in zip(cols, _composite_mult(layer, mono, d).cols):
+            for i, x in col.items():
+                acc[i] = acc.get(i, 0) + c * x
+    return Matrix(first.shape, [{i: r for i, v in acc.items() if (r := v % p)}
+                                for acc in cols])
+
+
+def _block_hom_piece(layer, src, tgt, entries):
+    pieces, src_dims, src_off = src
+    _, tgt_dims, tgt_off = tgt
+    mat = Matrix.zeros(tgt_off[-1], src_off[-1])
+    if not (src_off[-1] and tgt_off[-1]):
+        return mat
+    for k, l, f in entries:
+        if not (src_dims[k] and tgt_dims[l]):
+            continue
+        block = _poly_action_matrix(layer, f, pieces[k])
+        for j, col in enumerate(block.cols, src_off[k]):
+            for i, v in col.items():
+                mat.cols[j][tgt_off[l] + i] = v
+    return mat
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_hom_piece_matches_the_block_builder_on_ext_maps(p, monkeypatch):
+    # every matrix of ext_into_dim, entry for entry, against the block
+    # builder: the minimal resolutions of the named fixtures, their
+    # block-changed versions and the gencm fixture, with coefficients in
+    # the module itself and in another block change of S/(x1y1,x1y2),
+    # where the multi-term entries leave the standard monomials
+    hom_piece = cohomology._hom_piece
+    seen = {"multi-term": 0, "leaving the standard monomials": 0}
+
+    def compared(layer, src, tgt, entries):
+        entries = list(entries)
+        mat = hom_piece(layer, src, tgt, entries)
+        ref = _block_hom_piece(layer, src, tgt, entries)
+        assert (mat.shape, mat.cols) == (ref.shape, ref.cols)
+        for k, l, f in entries:
+            if len(f.terms) > 1 and src[1][k] and tgt[1][l]:
+                index = layer.basis(tgt[0][l])
+                seen["multi-term"] += 1
+                seen["leaving the standard monomials"] += any(
+                    (g, m + u) not in index
+                    for g, m in layer.basis(src[0][k]) for u, _ in f.terms)
+        return mat
+
+    monkeypatch.setattr(cohomology, "_hom_piece", compared)
+    ring = standard_ring(p)
+    fixtures = named_fixtures(ring)
+    modules = list(fixtures.values())
+    modules += [_block_change(P, seed=p + k)
+                for k, P in enumerate(fixtures.values())]
+    modules.append(gencm_fixture(ring))
+    coefficients = _block_change(fixtures["S/(x1y1,x1y2)"], seed=p + 4)
+    for M in modules:
+        for W in (M, coefficients):
+            for j in range(resolve(M).length + 1):
+                for d in Window(-1, 3, -1, 3).cells():
+                    ext_into_dim(M, W, j, d)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_oracle_normal_forms_each_monomial_once(p, monkeypatch):
+    # over the oracle_table calls of one module, a product that leaves the
+    # standard monomials goes through normal_form once per (position,
+    # monomial) and is read off the initial module's table after that; the
+    # free
+    # module has no such product.  Each presentation gets an initial
+    # module of its own, so no earlier call has filled its table
+    calls = []
+    normal_form_ = resolution.normal_form
+
+    def counted(v, G):
+        (k, poly), = [(k, c) for k, c in enumerate(v.coords) if c.terms]
+        (mono, _), = poly.terms
+        calls.append((k, mono))
+        return normal_form_(v, G)
+
+    layers = {}
+
+    def fresh(P):
+        if P not in layers:
+            layers[P] = resolution.InitialModule(P)
+        return layers[P]
+
+    monkeypatch.setattr(resolution, "normal_form", counted)
+    monkeypatch.setattr(cohomology, "initial_module", fresh)
+    ring = standard_ring(p)
+    fixtures = named_fixtures(ring)
+    modules = list(fixtures.values())
+    modules += [_block_change(P, seed=p + k)
+                for k, P in enumerate(fixtures.values())]
+    window = Window(-2, 2, -2, 2)
+    normalized = 0
+    for M in modules:
+        calls.clear()
+        for theory in ("P", "Q"):
+            oracle_table(M, theory, 1, window)
+            assert len(calls) == len(set(calls)), (str(M), theory)
+            if not M.rels:
+                assert not calls
+        layer = layers[M]
+        for k, mono in layer._nfs:
+            rem = normal_form_(ModuleElement(M.target, tuple(
+                Polynomial(ring, ((mono, 1),)) if kk == k else ring.zero()
+                for kk in range(len(M.gens)))), layer.gb)
+            index = layer.basis(M.gens[k] + mono_bidegree(ring, mono))
+            assert layer.nf(k, mono) == {
+                index[(kk, mm)]: c for kk, poly in enumerate(rem.coords)
+                for mm, c in poly.terms}
+        normalized += len(layer._nfs)
+    assert normalized
 
 
 # The builder of the oracle's matrices before every Koszul generator had

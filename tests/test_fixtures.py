@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bicoh.errors import BicohError, DegreeBoundError
 from bicoh.fixtures import random_bihomogeneous, random_quotients
 from bicoh.poly import RingSpec
 
@@ -36,5 +37,7 @@ def test_single_block_rings(m, n):
 
 
 def test_zero_max_degree_raises_on_two_block_ring():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         random_bihomogeneous(RingSpec(2, 2), random.Random(0), (0, 0))
+    assert isinstance(caught.value, DegreeBoundError)
+    assert isinstance(caught.value, BicohError)

@@ -7,7 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bicoh.groebner as groebner
-from bicoh.errors import InvariantError
+from bicoh.errors import (
+    BicohError,
+    CoordinateCountError,
+    InvariantError,
+    NoGeneratorsError,
+    ZeroElementError,
+)
 from bicoh.fixtures import random_quotients
 from bicoh.groebner import (
     FreeModule,
@@ -37,6 +43,15 @@ from bicoh.resolution import hilbert_dim, kernel_presentation, restrict_matrix
 @pytest.fixture(scope="module")
 def r22():
     return RingSpec(2, 2)
+
+
+def _zero_element(F):
+    return ModuleElement(F, (F.ring.zero(),) * F.rank)
+
+
+def _poly_mul(v, f):
+    """The element f * v."""
+    return ModuleElement(v.module, tuple(f * a for a in v.coords))
 
 
 def elem(module, *texts):
@@ -198,7 +213,21 @@ def test_lead_is_position_over_term(r22):
     x2 = parse_poly("x2", r22).terms[0][0]
     assert elem(F, "x2", "x1^5").lead() == (0, x2, 1)
     with pytest.raises(ValueError):
-        F.zero_element().lead()
+        _zero_element(F).lead()
+
+
+def test_bad_arguments_are_typed_errors(r22):
+    # each is a BicohError (one error line, exit 2) and the ValueError
+    # that callers catch
+    F = FreeModule(r22, ((0, 0), (1, 0)))
+    cases = ((CoordinateCountError, lambda: ModuleElement(F, (r22.one(),))),
+             (ZeroElementError, lambda: _zero_element(F).lead()),
+             (NoGeneratorsError, lambda: buchberger([])))
+    for error, call in cases:
+        with pytest.raises(error) as caught:
+            call()
+        assert isinstance(caught.value, BicohError)
+        assert isinstance(caught.value, ValueError)
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
@@ -385,9 +414,9 @@ def test_syzygies_compose_to_zero_generally(r22):
             elem(F, "0", "y2^2")]
     gb = buchberger(gens)
     for s in syzygies(gb):
-        acc = F.zero_element()
+        acc = _zero_element(F)
         for coeff, g in zip(s.coords, gb.elements):
-            acc = acc + g.poly_mul(coeff)
+            acc = acc + _poly_mul(g, coeff)
         assert acc.is_zero()
 
 
@@ -431,7 +460,7 @@ def test_basis_shifts_are_the_element_bidegrees(r22):
     gb = buchberger([elem(F, "x1*y1", "y1"), elem(F, "x2", "0")])
     assert gb.shifts == tuple(g.bidegree() for g in gb.elements)
     assert syzygies(gb)[0].module.shifts == gb.shifts
-    zero = GroebnerBasis(F, (F.zero_element(),))
+    zero = GroebnerBasis(F, (_zero_element(F),))
     with pytest.raises(InvariantError, match="zero element"):
         syzygies(zero)
 
@@ -468,9 +497,9 @@ def test_kernel_basis_random_maps(p):
         src = FreeModule(ring, tuple(c.bidegree() for c in columns))
         kernel = kernel_basis(columns, src)
         for v in kernel.elements:
-            image = tgt.zero_element()
+            image = _zero_element(tgt)
             for coeff, col in zip(v.coords, columns):
-                image = image + col.poly_mul(coeff)
+                image = image + _poly_mul(col, coeff)
             assert image.is_zero()
         if kernel.elements:
             assert buchberger(kernel.elements, module=src) == kernel

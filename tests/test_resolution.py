@@ -172,7 +172,9 @@ def test_hilbert_shifted_free(ring):
 def test_hilbert_window_independence(two_relations):
     small = hilbert_table(two_relations, Window(0, 2, 0, 2))
     large = hilbert_table(two_relations, Window(-1, 4, -1, 4))
-    assert small.agrees_with(large)
+    # cells equal on the intersection of the two windows
+    assert all(large.cells[d] == v for d, v in small.cells.items()
+               if d in large.cells)
 
 
 def test_alternating_sums_match_hilbert(ring, xy, two_relations):
@@ -184,6 +186,11 @@ def test_alternating_sums_match_hilbert(ring, xy, two_relations):
         res = resolve(M)
         for d in Window(-1, 4, -1, 4).cells():
             assert res.alternating_dim(d) == hilbert_dim(M, d)
+
+
+def _map_data(res, i):
+    """(source module, target module, matrix) of d_i : F_i -> F_{i-1}."""
+    return res.modules[i], res.modules[i - 1], res.maps[i - 1]
 
 
 def _raw_resolution(P):
@@ -213,11 +220,11 @@ def test_resolution_degreewise_exactness_random(ring):
         res = build(M)
         p = M.ring.p
         for i in range(1, res.length + 1):
-            src, tgt, matrix = res.map_data(i)
+            src, tgt, matrix = _map_data(res, i)
             for d in Window(-1, 3, -1, 3).cells():
                 B = restrict_matrix(M.ring, tgt, src, matrix, d)
                 if i < res.length:
-                    up_src, up_tgt, up_matrix = res.map_data(i + 1)
+                    up_src, up_tgt, up_matrix = _map_data(res, i + 1)
                     A = restrict_matrix(M.ring, up_tgt, up_src, up_matrix, d)
                 else:
                     A = Matrix.zeros(B.shape[1], 0)
@@ -338,7 +345,7 @@ def test_unit_elimination_matches_every_entry_referee(p, monkeypatch):
     def prune_raw(M):
         raw = _raw_resolution(M)
         for i in range(1, raw.length + 1):
-            src, tgt, matrix = raw.map_data(i)
+            src, tgt, matrix = _map_data(raw, i)
             compared([tuple(row[l] for row in matrix)
                       for l in range(src.rank)], tgt.rank)
 
