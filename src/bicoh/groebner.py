@@ -16,8 +16,7 @@ that position:
   still in play has an lcm dividing its own (of equal lcms, one stays);
 - the product criterion then drops the new pairs with coprime leads, where
   it is valid (below).  Up to that point such a pair stays in play, so it
-  can dominate others;
-- an element whose lead lt(h) divides makes no further pairs.
+  can dominate others.
 
 The product criterion is only valid here when both elements are supported
 in their common lead position: with cross-position tails the S-pair of
@@ -25,9 +24,16 @@ coprime leads need not reduce to zero, e.g. f = x1*e0 + x2*e1,
 g = y1*e0 + y2*e1 leaves the remainder (x2*y1 - x1*y2)*e1.  Every other
 pair with coprime leads is treated like any pair.
 
-The queue is a heap of (lcm degree, i, j, ui, uj), which pops in ascending
-lcm degree (the normal selection strategy).  B_k deletes lazily: one dict
-holds the pairs still live, and a popped pair missing from it is skipped.
+One heap queues the input generators beside the S-pairs (Giovini, Mora,
+Niesi, Robbiano & Traverso, "One sugar cube, please", 1991), keyed by total
+degree: the lead or lcm degree plus the shift of the lead position, with
+generators first among equals.  A generator is divided only when a basis
+lead divides its lead, and dropped if it reduces to zero, so redundant
+input forms no pairs.  Elements enter in nondecreasing degree, each with a
+lead that no earlier lead divides, so the basis is minimal: a later lead
+dividing an earlier one would have no larger degree, so it would equal it.
+A degree decrease raises InvariantError.  B_k deletes lazily: a dict holds
+the live pairs, and a popped pair missing from it is skipped.
 
 Division reads a `_Divisors` table, each divisor's lead and tail, built
 once per basis: `buchberger` extends its table as elements are appended,
@@ -394,32 +400,33 @@ def buchberger(gens, module=None) -> GroebnerBasis:
                 "no generators and no ambient module given")
         module = gens[0].module
     ring = module.ring
-    for g in gens:
-        g.bidegree()  # raises NotBihomogeneousError if mixed
+    shifts = [s.total for s in module.shifts]
     table = _Divisors()
-    basis, leads = table.elements, table.leads
+    basis, leads, by_position = table.elements, table.leads, table.by_position
     single = []   # single[i]: basis[i] lives in its lead position alone
-    active = []   # indices whose lead no later lead divides
-    pairs = []    # heap of S-pairs (lcm degree, i, j, ui, uj)
     live = {}     # (i, j) -> (lead position, lcm) of the pairs not deleted
+    # (degree, -1, t) for gens[t], (degree, i, j, ui, uj) for an S-pair;
+    # bidegree() raises NotBihomogeneousError on mixed input
+    queue = [(g.bidegree().total, -1, t) for t, g in enumerate(gens)]
+    heapq.heapify(queue)
 
     def append(f):
         f = _make_monic(f)
         h = len(basis)
         hk, hm, _ = f.lead()
+        if h and (mono_degree(ring, hm) + shifts[hk]
+                  < mono_degree(ring, leads[-1][1]) + shifts[leads[-1][0]]):
+            raise InvariantError("Groebner basis element of lower degree "
+                                 "than its predecessor")
         for (i, j), (k, w) in list(live.items()):   # criterion B_k
             if (k == hk and mono_divides(hm, w)
                     and mono_lcm(ring, leads[i][1], hm) != w
                     and mono_lcm(ring, leads[j][1], hm) != w):
                 del live[(i, j)]
         h_single = _single_position(f)
-        new = []
-        for g in active:
-            gk, gm, _ = leads[g]
-            if gk == hk:
-                product = (h_single and single[g]
-                           and mono_coprime(ring, hm, gm))
-                new.append((mono_lcm(ring, hm, gm), g, product))
+        new = [(mono_lcm(ring, hm, leads[g][1]), g, h_single and single[g]
+                and mono_coprime(ring, hm, leads[g][1]))
+               for g, _ in by_position.get(hk, ())]
         kept = []     # criteria M and F, then the product criterion
         for t, (w, g, product) in enumerate(new):
             if product or not any(mono_divides(v, w)
@@ -428,46 +435,38 @@ def buchberger(gens, module=None) -> GroebnerBasis:
         for w, g, product in kept:
             if not product:
                 live[(h, g)] = (hk, w)
-                heapq.heappush(pairs, (mono_degree(ring, w), h, g,
-                                       mono_div(w, hm),
+                heapq.heappush(queue, (mono_degree(ring, w) + shifts[hk], h,
+                                       g, mono_div(w, hm),
                                        mono_div(w, leads[g][1])))
-        active[:] = [g for g in active if leads[g][0] != hk
-                     or not mono_divides(hm, leads[g][1])]
-        active.append(h)
         single.append(h_single)
         table.append(f)
 
-    for g in gens:
-        append(g)
-    while pairs:
-        _, i, j, ui, uj = heapq.heappop(pairs)
-        if live.pop((i, j), None) is None:
+    while queue:
+        _, i, j, *u = heapq.heappop(queue)
+        if i < 0:     # gens[j], divided only when a basis lead divides
+            f = gens[j]
+            k, m, _ = f.lead()
+            if any(mono_divides(leads[g][1], m)
+                   for g, _ in by_position.get(k, ())):
+                f = normal_form(f, table)
+        elif live.pop((i, j), None) is not None:
+            f = normal_form(_spair(table, i, j, *u), table)
+        else:
             continue
-        nf = normal_form(_spair(table, i, j, ui, uj), table)
-        if nf:
-            append(nf)
+        if f:
+            append(f)
     return _reduce_basis(module, basis)
 
 
 def _reduce_basis(module, basis):
-    """Interreduce to the unique reduced (monic) Groebner basis."""
-    # drop elements whose lead term is divisible by another's; of identical
-    # leads keep the earliest
-    by_position = {}
-    for i, g in enumerate(basis):
-        k, m, _ = g.lead()
-        by_position.setdefault(k, []).append((i, m, g))
-    kept = [g for leads in by_position.values() for i, m, g in leads
-            if not any(j != i and mono_divides(m2, m) and (m2 != m or j < i)
-                       for j, m2, _ in leads)]
-    # The leads of a minimal basis divide no other lead, so tail reduction
-    # keeps each monic lead and one pass is final.  A lead divides no
-    # smaller monomial and every tail term lies below its own lead, so each
-    # tail divides by one table of the whole minimal basis.
-    table = _Divisors(kept)
+    """Interreduce a minimal Groebner basis (no lead divides another) to
+    the unique reduced (monic) one in one pass of tail reduction.  A lead
+    divides no smaller monomial and every tail term lies below its own
+    lead, so each tail divides by one table of the whole basis."""
+    table = _Divisors(basis)
     ring = module.ring
     reduced = []
-    for g in kept:
+    for g in basis:
         k, mono, coeff = g.lead()
         coords = list(g.coords)
         coords[k] = Polynomial(ring, coords[k].terms[1:])

@@ -330,6 +330,22 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def sub_mul(self, f, g):
+        """self - f*g in one pass over the products, with no intermediate
+        polynomial."""
+        self._check_ring(f)
+        f._check_ring(g)
+        if not (f.terms and g.terms):
+            return self
+        _check_degree(self.ring, f.terms[0][0] + g.terms[0][0])
+        d = dict(self.terms)
+        get = d.get
+        for e1, c1 in f.terms:
+            for e2, c2 in g.terms:
+                e = e1 + e2
+                d[e] = get(e, 0) - c1 * c2
+        return Polynomial.from_dict(self.ring, d)
+
     def scale(self, c):
         c %= self.ring.p
         if c == 0:

@@ -253,18 +253,6 @@ class InitialModule:
                 for mm, coeff in poly.terms}
         return out
 
-    def mult(self, mono, d):
-        """Matrix of multiplication by the monomial from M_d up: a standard
-        product is a single 1 at its position, any other one its normal
-        form."""
-        d = Bidegree(*d)
-        index = self.basis(d + mono_bidegree(self.ring, mono))
-        cols = []
-        for k, m in self.basis(d):
-            row = index.get((k, m + mono))
-            cols.append({row: 1} if row is not None else self.nf(k, m + mono))
-        return Matrix((len(index), len(cols)), cols)
-
 
 @lru_cache(maxsize=None)
 def initial_module(P: Presentation) -> InitialModule:
@@ -304,23 +292,35 @@ def _prune(columns, rank):
     """Unit elimination on the matrix with the given columns, each a
     sequence of `rank` Polynomials, one per generator of the target.
 
-    While some entry (k, l) is a nonzero constant c, the first one by
-    generator, then by column, every other column s with s[k] != 0
-    becomes s - (s[k]/c) * column l, and column l and generator k are
-    dropped: the split summand S(-d) --c--> S(-d) leaves the complex.  The
-    column operations are the Schur complement, computed only where s[k]
-    and column l are nonzero; they change the next map only in the row of
-    column l, and the row operations that clear column l change the
-    previous map only in the column of generator k, both dropped with the
-    summand.  Returns (rows, cols, pruned): the indices of the surviving
-    generators and columns, ascending, and the surviving columns on the
-    surviving generators."""
+    While some entry (k, l) is a nonzero constant c, every other column s
+    with s[k] != 0 becomes s - (s[k]/c) * column l, and column l and
+    generator k are dropped: the split summand S(-d) --c--> S(-d) leaves
+    the complex.  The pivot is the unit of least Markowitz cost (Markowitz
+    1957), (nonzeros in row k - 1) * (nonzeros in column l - 1), the most
+    entries the step can fill in; ties go to the first by generator, then
+    by column.  The column operations are the Schur complement, computed
+    only where s[k] and column l are nonzero; they change the next map
+    only in the row of column l, and the row operations that clear column
+    l change the previous map only in the column of generator k, both
+    dropped with the summand.  Returns (rows, cols, pruned): the indices of
+    the surviving generators and columns, ascending, and the surviving
+    columns on the surviving generators."""
     live = {l: list(col) for l, col in enumerate(columns)}
     rows = list(range(rank))
-    while (hit := next(((k, l) for k in rows for l, col in live.items()
-                        if len(col[k].terms) == 1
-                        and col[k].terms[0][0] == 0), None)):
-        k, l = hit
+    while True:
+        in_row = dict.fromkeys(rows, 0)
+        # (k, l, nonzeros in column l) of the constant entries; monomial 0
+        # is the least, so an entry led by it is a constant
+        units = []
+        for l, col in live.items():
+            support = [k for k in rows if col[k].terms]
+            for k in support:
+                in_row[k] += 1
+            units += [(k, l, len(support)) for k in support
+                      if col[k].terms[0][0] == 0]
+        if not units:
+            break
+        _, k, l = min(((in_row[k] - 1) * (n - 1), k, l) for k, l, n in units)
         pivot = live.pop(l)
         rows.remove(k)
         cinv = pow(pivot[k].terms[0][1], -1, pivot[k].ring.p)
@@ -329,7 +329,7 @@ def _prune(columns, rank):
             if not col[k].is_zero():
                 lam = col[k].scale(cinv)
                 for kp, entry in rest:
-                    col[kp] = col[kp] - lam * entry
+                    col[kp] = col[kp].sub_mul(lam, entry)
     return rows, list(live), [[col[k] for k in rows]
                               for col in live.values()]
 

@@ -278,13 +278,14 @@ def test_oracle_equals_duality_path_generic_coefficients(p):
     assert generic or p < 5
 
 
-# InitialModule.mult before it read the unit columns off the standard
-# monomials and the others off its table of normal forms: every column
-# through the composite of the single-variable steps, each step the
-# matrix of one variable from one piece to the next, with a normal form
-# per column that leaves the standard monomials.  It referees mult, and
-# through the builders below the blocks of the oracle's matrices and of
-# the Hom complexes of ext_into_dim.
+# Multiplication by a monomial before it read the unit columns off the
+# standard monomials and the others off the initial module's table of
+# normal forms: every column through the composite of the single-variable
+# steps, each step the matrix of one variable from one piece to the next,
+# with a normal form per column that leaves the standard monomials.  It
+# referees _mult (the basis index and normal-form table that the oracle's
+# matrices read), and through the builders below the blocks of the
+# oracle's matrices and of the Hom complexes of ext_into_dim.
 
 _steps = {}   # (layer, var, d) -> matrix of the variable from M_d
 
@@ -322,6 +323,19 @@ def _composite_mult(layer, mono, d):
     return mat
 
 
+def _mult(layer, mono, d):
+    """Matrix of multiplication by the monomial from M_d up, read off the
+    initial module: a standard product is a single 1 at its position, any
+    other one its normal form."""
+    d = Bidegree(*d)
+    index = layer.basis(d + mono_bidegree(layer.ring, mono))
+    cols = []
+    for k, m in layer.basis(d):
+        row = index.get((k, m + mono))
+        cols.append({row: 1} if row is not None else layer.nf(k, m + mono))
+    return Matrix((len(index), len(cols)), cols)
+
+
 @pytest.mark.parametrize("p", [2, 3, 32003])
 def test_mult_matches_the_composite_of_steps(p):
     # on every piece of the box 0..4 x 0..4: the powers v^e, e <= 5, of
@@ -346,7 +360,7 @@ def test_mult_matches_the_composite_of_steps(p):
         for d in Window(0, 4, 0, 4).cells():
             for mono in monos:
                 ref = _composite_mult(layer, mono, d)
-                mat = layer.mult(mono, d)
+                mat = _mult(layer, mono, d)
                 assert (mat.shape, mat.cols) == (ref.shape, ref.cols), \
                     (str(M), ring.exponents(mono), tuple(d))
                 kinds.update(len(col) == 1 and 1 in col.values()
@@ -566,16 +580,31 @@ def test_oracle_matrices_match_the_referee_builder(p, monkeypatch):
         mat = hom_piece(layer, src, tgt, entries)
         built.append((getattr(entries, "t", None),
                       getattr(entries, "q", None), mat))
+        # the columns where a -1 sign meets a product that leaves the
+        # standard monomials for a nonzero normal form
+        for k, l, f in entries:
+            (mono, c), = f.terms
+            if c == layer.ring.p - 1 and src[1][k] and tgt[1][l]:
+                index = layer.basis(tgt[0][l])
+                counts["signed normal form"] += sum(
+                    (g, m + mono) not in index and bool(layer.nf(g, m + mono))
+                    for g, m in layer.basis(src[0][k]))
         return mat
 
     monkeypatch.setattr(cohomology, "_koszul_differential", tagged)
     monkeypatch.setattr(cohomology, "_hom_piece", recorded)
     window = Window(-2, 2, -2, 2)
-    fixtures = named_fixtures(standard_ring(p))
+    ring = standard_ring(p)
+    fixtures = named_fixtures(ring)
     modules = list(fixtures.values())
     modules += [_block_change(P, seed=p + k)
                 for k, P in enumerate(fixtures.values())]
-    counts = {"differential": 0, "transition": 0}
+    # leads x1*x2 and y1*y2: the second variable of each block, whose
+    # Koszul entries carry the -1 signs, leaves the standard monomials
+    x1, x2, y1, y2 = ring.gens()
+    modules.append(quotient_by_polys(ring, [x1 * x2 + (x2 * x2).scale(2),
+                                            y1 * y2 + (y2 * y2).scale(2)]))
+    counts = {"differential": 0, "transition": 0, "signed normal form": 0}
     for M in modules:
         ring, layer = M.ring, initial_module(M)
         for theory in ("P", "Q"):
@@ -863,7 +892,7 @@ def test_ext_into_non_free_module_matches_restrict_and_rank(p):
     # W_d --f--> W_(d+e): Ext^1(M, W)_d = (W/fW)_(d+e), and Ext^0 is the
     # kernel.  W/fW appends the columns f*e_k to W, and every dimension
     # comes from hilbert_dim (restrict and rank, no Groebner basis).  The
-    # generic coefficients of W put normal forms inside layer.mult, and f
+    # generic coefficients of W put normal forms into the Hom blocks, and f
     # a multi-term entry with a non-unit coefficient into the Hom builder;
     # M + M(-1,0) puts the same entry on two pieces of one spot
     ring = standard_ring(p)

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bicoh.groebner as groebner
@@ -148,7 +148,17 @@ def _all_pairs_buchberger(gens, module=None):
                          basis)
         if nf:
             append(nf)
-    return groebner._reduce_basis(module, basis)
+    return groebner._reduce_basis(module, _minimal(basis))
+
+
+def _minimal(basis):
+    """The elements whose lead no other lead divides; of equal leads the
+    earliest: the minimal basis that _reduce_basis interreduces."""
+    leads = [g.lead() for g in basis]
+    return [g for i, (g, (k, m, _)) in enumerate(zip(basis, leads))
+            if not any(j != i and k2 == k and mono_divides(m2, m)
+                       and (m2 != m or j < i)
+                       for j, (k2, m2, _) in enumerate(leads))]
 
 
 def _all_pairs_syzygies(G):
@@ -316,6 +326,85 @@ def test_buchberger_order_free_and_equal_to_all_pairs(data):
     assert buchberger(data.draw(st.permutations(gens))).elements == \
         gb.elements
     assert _all_pairs_buchberger(gens).elements == gb.elements
+
+
+def _drawn_gens(data, p):
+    """A free module of rank 1-2 over F_p[x1, x2, y1, y2] and 1-3 random
+    generators, each 0-2 steps above a shift in each block."""
+    ring = RingSpec(2, 2, p=p)
+    F = FreeModule(ring, tuple(data.draw(st.tuples(st.integers(0, 1),
+                                                   st.integers(0, 1)))
+                               for _ in range(data.draw(st.integers(1, 2)))))
+    rng = data.draw(st.randoms(use_true_random=False))
+    return rng, F, [random_element(rng, F, F.shifts[rng.randrange(F.rank)]
+                                   + Bidegree(rng.randint(0, 2),
+                                              rng.randint(0, 2)))
+                    for _ in range(data.draw(st.integers(1, 3)))]
+
+
+def _spy(monkeypatch, name, record):
+    """Record the arguments of every call of groebner.<name>."""
+    original = getattr(groebner, name)
+
+    def spy(*args):
+        record.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, name, spy)
+
+
+@settings(max_examples=40)
+@given(st.data(), st.sampled_from([2, 3, 32003]))
+def test_padded_generators_give_the_all_pairs_basis(data, p):
+    # monomial multiples, sums and duplicates of the generators, all in
+    # one shuffled input: the same basis as the referee's, and every basis
+    # that reaches the interreduction is minimal
+    rng, F, gens = _drawn_gens(data, p)
+    ring = F.ring
+    padding = [g.term_mul(rng.randrange(1, p), rng.choice(monomial_basis(
+                   ring, (rng.randint(0, 1), rng.randint(0, 1)))))
+               for g in gens]
+    padding += [a + b for a in gens for b in gens
+                if a.bidegree() == b.bidegree()]
+    padded = data.draw(st.permutations(gens + padding + gens))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        _spy(mp, "_reduce_basis", seen)
+        gb = buchberger(padded, module=F)
+    assert gb.elements == _all_pairs_buchberger(gens, module=F).elements
+    assert all(_minimal(basis) == basis for _, basis in seen)
+
+
+@settings(max_examples=40)
+@given(st.data(), st.sampled_from([2, 3, 32003]))
+def test_generator_reducing_to_zero_forms_no_s_pair(data, p):
+    # multiples of the generators above the degree of every S-pair come off
+    # the queue after the last pair, reduce to zero and are dropped: the
+    # run makes the same S-pairs as without them
+    rng, F, gens = _drawn_gens(data, p)
+    ring = F.ring
+    plain, padded = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        _spy(mp, "_spair", plain)
+        gb = buchberger(gens, module=F)
+    top = max([g.bidegree().total for g in gens]
+              + [mono_degree(ring, ui) + table.elements[i].bidegree().total
+                 for table, i, _, ui, _ in plain])
+    u = ring.monomial((top, 0, 0, 0))
+    with pytest.MonkeyPatch.context() as mp:
+        _spy(mp, "_spair", padded)
+        assert buchberger(gens + [g.term_mul(1, u) for g in gens],
+                          module=F) == gb
+    assert [args[1:] for args in padded] == [args[1:] for args in plain]
+
+
+def test_degree_decrease_raises(r22, monkeypatch):
+    # the S-pair of x1^2 and x1*x2 lies in degree 3; an element of degree 1
+    # in its place would break the order that keeps the basis minimal
+    F = FreeModule(r22, ((0, 0),))
+    monkeypatch.setattr(groebner, "_spair", lambda *args: elem(F, "y1"))
+    with pytest.raises(InvariantError, match="lower degree"):
+        buchberger([elem(F, "x1^2"), elem(F, "x1*x2")])
 
 
 def test_gb_of_linear_forms(r22):

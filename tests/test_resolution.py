@@ -259,11 +259,11 @@ def _random_modules(p, count=6):
     return out
 
 
-def test_resolution_of_the_3_3_rung():
-    # the (3,3) rung of the scale ladder: three dense relations of
-    # bidegrees (1,1), (1,2), (2,1) over F_p[x1..x3, y1..y3], a complete
-    # intersection, so a Koszul resolution
-    ring = RingSpec(3, 3)
+def _check_rung(shape):
+    """A rung of the scale ladder: three dense relations of bidegrees
+    (1,1), (1,2), (2,1) over F_p[x1..xm, y1..yn], a complete intersection,
+    so a Koszul resolution, whose alternating sum is the Hilbert table."""
+    ring = RingSpec(*shape)
     rng = random.Random(5)
     polys = [Polynomial.from_dict(ring, {
         mono: rng.randrange(1, ring.p) for mono in monomial_basis(ring, d)})
@@ -275,6 +275,14 @@ def test_resolution_of_the_3_3_rung():
     table = hilbert_table(P, window)
     for d in window.cells():
         assert res.alternating_dim(d) == table[d], tuple(d)
+
+
+def test_resolution_of_the_3_3_rung():
+    _check_rung((3, 3))
+
+
+def test_resolution_of_the_4_3_rung():
+    _check_rung((4, 3))
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
@@ -316,13 +324,20 @@ def _eliminate_unit_every_entry(A, k, l):
 
 def _prune_every_entry(columns, rank):
     """Referee of resolution._prune: on a row-major copy, eliminate the
-    first constant entry by row, then by column, until none is left."""
+    constant entry of least Markowitz cost (nonzeros in its row - 1) *
+    (nonzeros in its column - 1), the first by row, then by column, among
+    equal costs, until none is left."""
     A = [[col[k] for col in columns] for k in range(rank)]
     rows, cols = list(range(rank)), list(range(len(columns)))
-    while hits := [(k, l) for k, row in enumerate(A)
+
+    def cost(k, l):
+        return ((sum(not e.is_zero() for e in A[k]) - 1)
+                * (sum(not row[l].is_zero() for row in A) - 1))
+
+    while hits := [(cost(k, l), k, l) for k, row in enumerate(A)
                    for l, e in enumerate(row)
                    if len(e.terms) == 1 and e.terms[0][0] == 0]:
-        k, l = hits[0]
+        _, k, l = min(hits)
         _eliminate_unit_every_entry(A, k, l)
         del rows[k], cols[l]
     return rows, cols, [[row[l] for row in A] for l in range(len(cols))]
@@ -363,8 +378,11 @@ def test_unit_elimination_matches_every_entry_referee(p, monkeypatch):
     assert all(totals.values()), totals
     # two units, whose eliminations in generator-first and column-first
     # order keep different generators
-    x1, _, y1, _ = ring.gens()
+    x1, x2, y1, _ = ring.gens()
     assert compared([(x1, ring.one()), (ring.one(), y1)], 2)[0] == [1]
+    # the unit at (1, 1) costs 1 * 1, the first one, at (0, 0), 2 * 1
+    one, zero = ring.one(), ring.zero()
+    assert compared([(one, x1), (y1, one), (x2, zero)], 2)[0] == [0]
 
 
 def test_profile_of_ring(S):
