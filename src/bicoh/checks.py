@@ -9,10 +9,12 @@ constructed; dimensions are what the engine knows exactly.
 Index conventions: for a module of depth t and dimension s the second-page
 grid E2[i, j] = H^(m-j)_P(H^i_max(M) dual) lives in the box
 [t, s] x [0, m]; the page-two differential moves (i, j) to (i+1, j-2) and
-the abutment H^(i+j-m)_Q(M) dual is filtered by j.
+the abutment H^(i+j-m)_Q(M) dual is filtered by j.  D_u denotes the
+Matlis dual of H^u_max(M), the finitely generated module
+Ext^(m+n-u)(M, omega), so E2[i, j] = H^(m-j)_P(D_i).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cohomology import ext_table, local_coh_table
 from .errors import (
@@ -22,7 +24,7 @@ from .errors import (
     NotGeneralizedCMError,
 )
 from .groebner import FreeModule
-from .poly import Bidegree, block_dim
+from .poly import block_dim
 from .resolution import (
     Presentation,
     ext_presentation,
@@ -90,6 +92,32 @@ def _q_dual_table(M, u, window):
     return matlis_flip(local_coh_table(M, "Q", u, -window))
 
 
+def _dual(M, u):
+    """D_u = Ext^(m+n-u)(M, omega), the Matlis dual of H^u_max(M)."""
+    return ext_presentation(M, M.ring.nvars - u)
+
+
+def _hp(M, u, k, window):
+    """Table of H^k_P(D_u) over the window."""
+    return local_coh_table(_dual(M, u), "P", k, window)
+
+
+def _equal(window, *pairs):
+    """Rows comparing tables cell by cell, given (lhs, rhs, detail)
+    pairs; at each cell one row per pair, in the order given."""
+    for d in window.cells():
+        for lhs, rhs, detail in pairs:
+            yield (d, lhs[d] == rhs[d], lhs[d], rhs[d], detail)
+
+
+def _alternating(window, terms, detail):
+    """Rows stating that the alternating sum of the tables vanishes; for
+    a single table, that the table vanishes."""
+    for d in window.cells():
+        total = sum((-1) ** idx * tab[d] for idx, tab in enumerate(terms))
+        yield (d, total == 0, total, 0, detail)
+
+
 # ---------------------------------------------------------------------------
 # canonical and free duality
 
@@ -103,23 +131,10 @@ def closed_form_canonical(ring, d) -> int:
 
 def check_lemma_simple(ring, window: Window) -> CheckReport:
     """Top P-cohomology of the canonical module against the flipped top
-    Q-cohomology of the ring, with the closed binomial form as referee."""
-    if ring.m < 1 or ring.n < 1:
-        raise BadModuleError("both variable blocks must be nonempty")
-    omega = free_presentation(ring, [ring.canonical_degree])
-    ring_pres = free_presentation(ring, [(0, 0)])
-    lhs = local_coh_table(omega, "P", ring.m, window)
-    rhs = _q_dual_table(ring_pres, ring.n, window)
-
-    def rows():
-        for d in window.cells():
-            cf = closed_form_canonical(ring, d)
-            yield (d, lhs[d] == rhs[d], lhs[d], rhs[d],
-                   "H^m_P(omega) vs dual of H^n_Q(S)")
-            yield (d, lhs[d] == cf, lhs[d], cf,
-                   "H^m_P(omega) vs closed binomial form")
-
-    return _report("simple", window, rows())
+    Q-cohomology of the ring, with the closed binomial form as referee:
+    the free suite for F = S, whose dual F* is the canonical module."""
+    report = check_free(FreeModule(ring, ((0, 0),)), window)
+    return replace(report, suite="simple")
 
 
 def check_free(F: FreeModule, window: Window) -> CheckReport:
@@ -133,17 +148,11 @@ def check_free(F: FreeModule, window: Window) -> CheckReport:
     fstar = free_presentation(ring, [c - s for s in F.shifts])
     lhs = local_coh_table(fstar, "P", ring.m, window)
     rhs = _q_dual_table(f_pres, ring.n, window)
-
-    def rows():
-        for d in window.cells():
-            cf = sum(closed_form_canonical(ring, Bidegree(*d) + s)
-                     for s in F.shifts)
-            yield (d, lhs[d] == rhs[d], lhs[d], rhs[d],
-                   "H^m_P(F*) vs dual of H^n_Q(F)")
-            yield (d, lhs[d] == cf, lhs[d], cf,
-                   "H^m_P(F*) vs shifted closed form")
-
-    return _report("free", window, rows())
+    closed = {d: sum(closed_form_canonical(ring, d + s) for s in F.shifts)
+              for d in window.cells()}
+    return _report("free", window, _equal(
+        window, (lhs, rhs, "H^m_P(F*) vs dual of H^n_Q(F)"),
+        (lhs, closed, "H^m_P(F*) vs shifted closed form")))
 
 
 # ---------------------------------------------------------------------------
@@ -162,28 +171,23 @@ class SpectralGrid:
     tables: dict
     abutment: dict
 
-    def table(self, i, j):
-        return self.tables[(i, j)]
-
 
 def build_spectral_grid(M: Presentation, window: Window,
-                        i_range=None, j_range=None) -> SpectralGrid:
+                        i_range=None) -> SpectralGrid:
     ring = M.ring
     prof = profile(M)
     if i_range is None:
         i_range = (prof.depth, prof.dim)
-    if j_range is None:
-        j_range = (0, ring.m)
     tables = {}
     for i in range(i_range[0], i_range[1] + 1):
-        dual = ext_presentation(M, ring.nvars - i)
-        for j in range(j_range[0], j_range[1] + 1):
+        dual = _dual(M, i)
+        for j in range(0, ring.m + 1):
             tables[(i, j)] = local_coh_table(dual, "P", ring.m - j, window)
     abutment = {}
     for u in range(prof.depth - ring.m, ring.n + 1):
         abutment[u] = _q_dual_table(M, u, window)
     return SpectralGrid(module=M, window=window, i_range=tuple(i_range),
-                        j_range=tuple(j_range), tables=tables,
+                        j_range=(0, ring.m), tables=tables,
                         abutment=abutment)
 
 
@@ -223,15 +227,14 @@ def check_cm_degeneration(M: Presentation, window: Window) -> CheckReport:
         raise NotCohenMacaulayError(
             f"module is not CM: depth {prof.depth} < dim {prof.dim}")
     s = prof.dim
-    dual = ext_presentation(M, ring.nvars - s)
+    dual = _dual(M, s)
 
     def rows():
         for k in range(-1, ring.m + 2):
-            lhs = local_coh_table(dual, "P", k, window)
-            rhs = _q_dual_table(M, s - k, window)
-            for d in window.cells():
-                yield (d, lhs[d] == rhs[d], lhs[d], rhs[d],
-                       f"k={k}: H^k_P(dual top) vs dual H^(s-k)_Q")
+            yield from _equal(window, (
+                local_coh_table(dual, "P", k, window),
+                _q_dual_table(M, s - k, window),
+                f"k={k}: H^k_P(dual top) vs dual H^(s-k)_Q"))
 
     return _report("cm", window, rows())
 
@@ -242,24 +245,18 @@ def check_corner(M: Presentation, window: Window) -> CheckReport:
     ring = M.ring
     prof = profile(M)
     t, s = prof.depth, prof.dim
-    n_t = ext_presentation(M, ring.nvars - t)
-    n_s = ext_presentation(M, ring.nvars - s)
 
     def rows():
-        lhs1 = local_coh_table(n_t, "P", ring.m, window)
-        rhs1 = _q_dual_table(M, t - ring.m, window)
-        lhs2 = local_coh_table(n_s, "P", 0, window)
-        rhs2 = _q_dual_table(M, s, window)
-        for d in window.cells():
-            yield (d, lhs1[d] == rhs1[d], lhs1[d], rhs1[d],
-                   "corner (t,0): H^m_P(dual H^t) vs dual H^(t-m)_Q")
-            yield (d, lhs2[d] == rhs2[d], lhs2[d], rhs2[d],
-                   "corner (s,m): H^0_P(dual H^s) vs dual H^s_Q")
+        yield from _equal(
+            window,
+            (_hp(M, t, ring.m, window), _q_dual_table(M, t - ring.m, window),
+             "corner (t,0): H^m_P(dual H^t) vs dual H^(t-m)_Q"),
+            (_hp(M, s, 0, window), _q_dual_table(M, s, window),
+             "corner (s,m): H^0_P(dual H^s) vs dual H^s_Q"))
         for i in range(0, t - ring.m):
-            tab = local_coh_table(M, "Q", i, window)
-            for d in window.cells():
-                yield (d, tab[d] == 0, tab[d], 0,
-                       f"vanishing H^{i}_Q below the corner")
+            yield from _alternating(
+                window, [local_coh_table(M, "Q", i, window)],
+                f"vanishing H^{i}_Q below the corner")
 
     return _report("corner", window, rows())
 
@@ -277,7 +274,7 @@ def check_gencm_les(M: Presentation, window: Window) -> CheckReport:
             f"(got depth {prof.depth}, dim {prof.dim}, "
             f"gencm={prof.is_gencm})")
     s = prof.dim
-    dual_top = ext_presentation(M, ring.nvars - s)
+    dual_top = _dual(M, s)
     terms = []
     for r in range(1, ring.m + 1):
         terms.append(local_coh_table(dual_top, "P", r, window))
@@ -285,15 +282,12 @@ def check_gencm_les(M: Presentation, window: Window) -> CheckReport:
         terms.append(ext_table(M, ring.nvars - (s - r), window))
 
     def rows():
-        for d in window.cells():
-            total = sum((-1) ** idx * tab[d] for idx, tab in enumerate(terms))
-            yield (d, total == 0, total, 0, "alternating sum of the LES")
+        yield from _alternating(window, terms, "alternating sum of the LES")
         for i in range(0, s - ring.m):
-            lhs = local_coh_table(M, "R+", i, window)
-            rhs = local_coh_table(M, "Q", i, window)
-            for d in window.cells():
-                yield (d, lhs[d] == rhs[d], lhs[d], rhs[d],
-                       f"H^{i}_max vs H^{i}_Q below s - m")
+            yield from _equal(window, (
+                local_coh_table(M, "R+", i, window),
+                local_coh_table(M, "Q", i, window),
+                f"H^{i}_max vs H^{i}_Q below s - m"))
 
     return _report("gencm", window, rows())
 
@@ -308,24 +302,19 @@ def check_dim_r0_le1(M: Presentation, window: Window) -> CheckReport:
 
     def rows_m0():
         for i in range(0, ring.n + 1):
-            lhs = local_coh_table(M, "R+", i, window)
-            rhs = local_coh_table(M, "Q", i, window)
-            for d in window.cells():
-                yield (d, lhs[d] == rhs[d], lhs[d], rhs[d],
-                       f"i={i}: H^i_max vs H^i_Q (m=0)")
+            yield from _equal(window, (
+                local_coh_table(M, "R+", i, window),
+                local_coh_table(M, "Q", i, window),
+                f"i={i}: H^i_max vs H^i_Q (m=0)"))
 
     def rows_m1():
-        top = max(ring.n, ring.nvars)
-        for i in range(0, top + 1):
+        for i in range(0, ring.nvars + 1):
             q = _q_dual_table(M, i, window)
-            upper = ext_presentation(M, ring.nvars - (i + 1))
-            lower = ext_presentation(M, ring.nvars - i)
-            h1 = local_coh_table(upper, "P", 1, window)
-            h0 = local_coh_table(lower, "P", 0, window)
-            for d in window.cells():
-                total = h1[d] + h0[d]
-                yield (d, q[d] == total, q[d], total,
-                       f"i={i}: dual H^i_Q vs H^1_P + H^0_P pieces")
+            h1 = _hp(M, i + 1, 1, window)
+            h0 = _hp(M, i, 0, window)
+            pieces = {d: h1[d] + h0[d] for d in window.cells()}
+            yield from _equal(window, (
+                q, pieces, f"i={i}: dual H^i_Q vs H^1_P + H^0_P pieces"))
 
     rows = rows_m0() if ring.m == 0 else rows_m1()
     return _report("dimle1", window, rows)
@@ -341,7 +330,7 @@ def check_structure1(M: Presentation, window: Window) -> CheckReport:
     if not prof.is_cm:
         raise NotCohenMacaulayError("structure suite needs a CM module")
     s = prof.dim
-    dual_top = ext_presentation(M, ring.nvars - s)
+    dual_top = _dual(M, s)
     qwin = Window(window.amin, window.amax, -window.bmax, -window.bmin)
     row_win = Window(window.amin, window.amax, 0, 0)
 
@@ -391,20 +380,18 @@ def check_five_term(M: Presentation, window: Window) -> CheckReport:
     ring = M.ring
     prof = profile(M)
     t, s = prof.depth, prof.dim
-
-    d_t, d_t1, d_s, d_s1 = (ext_presentation(M, ring.nvars - u)
-                            for u in (t, t + 1, s, s - 1))
+    d_t, d_s = _dual(M, t), _dual(M, s)
     seq1 = [
         ("dual H^(t+2-m)_Q", _q_dual_table(M, t + 2 - ring.m, window)),
         ("H^(m-2)_P(D_t)", local_coh_table(d_t, "P", ring.m - 2, window)),
-        ("H^m_P(D_(t+1))", local_coh_table(d_t1, "P", ring.m, window)),
+        ("H^m_P(D_(t+1))", _hp(M, t + 1, ring.m, window)),
         ("dual H^(t+1-m)_Q", _q_dual_table(M, t + 1 - ring.m, window)),
         ("H^(m-1)_P(D_t)", local_coh_table(d_t, "P", ring.m - 1, window)),
     ]
     seq2 = [
         ("H^1_P(D_s)", local_coh_table(d_s, "P", 1, window)),
         ("dual H^(s-1)_Q", _q_dual_table(M, s - 1, window)),
-        ("H^0_P(D_(s-1))", local_coh_table(d_s1, "P", 0, window)),
+        ("H^0_P(D_(s-1))", _hp(M, s - 1, 0, window)),
         ("H^2_P(D_s)", local_coh_table(d_s, "P", 2, window)),
         ("dual H^(s-2)_Q", _q_dual_table(M, s - 2, window)),
     ]
@@ -429,18 +416,11 @@ def check_depth_sminus1_les(M: Presentation, window: Window) -> CheckReport:
     if t != s - 1:
         raise BadProfileError(
             f"suite needs depth = dim - 1, got depth {t}, dim {s}")
-    d_s = ext_presentation(M, ring.nvars - s)
-    d_s1 = ext_presentation(M, ring.nvars - (s - 1))
+    d_s, d_s1 = _dual(M, s), _dual(M, s - 1)
     terms = []
     for jj in range(ring.m, -2, -1):
         terms.append(local_coh_table(d_s, "P", ring.m - jj, window))
         terms.append(_q_dual_table(M, s - ring.m + jj, window))
         terms.append(local_coh_table(d_s1, "P", ring.m - jj - 1, window))
-
-    def rows():
-        for d in window.cells():
-            total = sum((-1) ** idx * tab[d] for idx, tab in enumerate(terms))
-            yield (d, total == 0, total, 0,
-                   "alternating sum of the two-column LES")
-
-    return _report("depthles", window, rows())
+    return _report("depthles", window, _alternating(
+        window, terms, "alternating sum of the two-column LES"))

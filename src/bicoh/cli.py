@@ -235,13 +235,10 @@ def _dispatch(args) -> int:
 
     if args.command == "profile":
         M = load_module(args.module)
-        prof = profile(M)
+        text = str(profile(M))
         if args.window:
-            window = Window.parse(args.window)
-            prof = type(prof)(dim=prof.dim, depth=prof.depth, pd=prof.pd,
-                              is_cm=prof.is_cm, is_gencm=prof.is_gencm,
-                              cd_estimate=cd_estimate(M, window))
-        print(f"p={M.ring.p}: {prof}")
+            text += f", cd<={cd_estimate(M, Window.parse(args.window))}"
+        print(f"p={M.ring.p}: {text}")
         return 0
 
     if args.command == "locoh":

@@ -399,7 +399,6 @@ class ModuleProfile:
     pd: int
     is_cm: bool
     is_gencm: bool
-    cd_estimate: int | None = None
 
     def __str__(self):
         flags = []
@@ -408,9 +407,7 @@ class ModuleProfile:
         elif self.is_gencm:
             flags.append("generalized CM")
         extra = f" [{', '.join(flags)}]" if flags else ""
-        cd = "" if self.cd_estimate is None else f", cd<={self.cd_estimate}"
-        return (f"dim {self.dim}, depth {self.depth}, pd {self.pd}"
-                f"{extra}{cd}")
+        return f"dim {self.dim}, depth {self.depth}, pd {self.pd}{extra}"
 
 
 def profile(P: Presentation) -> ModuleProfile:

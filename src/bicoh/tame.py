@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import CellFailure, CheckReport
-from .cohomology import ext_into_dim
 from .errors import NotCohenMacaulayError, UnsupportedIndexError
 from .poly import Bidegree
 from .resolution import (
@@ -48,14 +47,6 @@ def _strand_profile(N, j):
         return None
     pd = resolve(strand).length
     return (strand.ring.nvars - pd, initial_module(strand).krull_dim())
-
-
-def _trailing(values, toward_min):
-    """The trailing half of a list of (key, value) pairs: toward the small
-    keys when toward_min, else toward the large keys."""
-    pairs = sorted(values, key=lambda kv: kv[0])
-    half = (len(pairs) + 1) // 2
-    return pairs[:half] if toward_min else pairs[-half:]
 
 
 _MIN_RUN = 3
@@ -174,9 +165,9 @@ def limit_profile_check(N: Presentation, jwindow) -> CheckReport:
     for CM N the exact limit-depth identity
     lim depth N_j = dim N - dim N/(x)N."""
     lo, hi = jwindow
-    profiles = {j: _strand_profile(N, j) for j in range(lo, hi + 1)}
-    tail = _trailing(list(profiles.items()), toward_min=False)
-    tail_values = {p for _, p in tail}
+    profiles = [_strand_profile(N, j) for j in range(lo, hi + 1)]
+    # the trailing ceil(n/2) of the n strands, toward large j
+    tail_values = set(profiles[len(profiles) // 2:])
     notes = []
     failure = None
     inconclusive = False
@@ -231,9 +222,6 @@ class RegReport:
     degenerate: bool
     top_dim: int
 
-    def bound(self, j):
-        return self.slope * j + self.intercept
-
     def implied_lower_bound(self, k):
         """(slope, intercept) of the line below a(H^k_Q(M)_j): the initial
         degree of row j sits on or above slope*j + intercept."""
@@ -276,27 +264,3 @@ def reg_scan(M: Presentation, jwindow) -> RegReport:
                      intercept=intercept, residuals=residuals,
                      degenerate=degenerate, top_dim=s)
 
-
-def ext_evidence_scan(N: Presentation, W: Presentation, k: int, jwindow,
-                      degree_window) -> TameReport:
-    """Evidence table for eventual (non)vanishing of Ext^k(N_j, W) over
-    K[x]: nonvanishing is probed on the given degree window only, and the
-    verdict semantics is nothing more than constancy of the trailing half
-    (here toward j -> +infinity)."""
-    lo, hi = jwindow
-    dlo, dhi = degree_window
-    verdicts = {}
-    for j in range(lo, hi + 1):
-        strand = x_strand(N, j)
-        nonzero = any(
-            ext_into_dim(strand, W, k, Bidegree(d, 0)) > 0
-            for d in range(dlo, dhi + 1))
-        verdicts[j] = nonzero
-    tail = _trailing(list(verdicts.items()), toward_min=False)
-    tail_values = {v for _, v in tail}
-    if len(tail_values) == 1:
-        overall = EVENTUALLY_NONZERO if tail.pop()[1] else EVENTUALLY_ZERO
-    else:
-        overall = INCONCLUSIVE
-    return TameReport(k=k, jwindow=(lo, hi), verdicts=verdicts,
-                      overall=overall, limit_depth=None, limit_dim=None)

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from bicoh import checks
 from bicoh.checks import (
     build_spectral_grid,
     check_cm_degeneration,
@@ -252,3 +255,109 @@ def test_failure_reporting(ring):
     assert report.failure.cell == (0, 0)
     assert report.failure.lhs == 1 and report.failure.rhs == 2
     assert "forced mismatch" in str(report)
+
+
+def test_suite_reports_are_pinned(ring, hypersurface, two_relations):
+    # the report of every suite (its name and number of comparisons) on
+    # fixtures where the suite applies
+    r12 = RingSpec(1, 2)
+    x1, y1, _ = r12.gens()
+    r02 = RingSpec(0, 2)
+    w4 = Window(-4, 4, -4, 4)
+    w5 = Window(-5, 5, -5, 5)
+    pinned = [
+        (check_lemma_simple(ring, Window(-8, 0, 0, 8)),
+         "[PASS] simple: 162 comparisons"),
+        (check_lemma_simple(RingSpec(2, 3), Window(-6, 0, 0, 6)),
+         "[PASS] simple: 98 comparisons"),
+        (check_free(FreeModule(ring, ((0, 0), (1, 0), (2, 1))), w5),
+         "[PASS] free: 242 comparisons"),
+        (check_free(FreeModule(ring, ((1, 2),)), w5),
+         "[PASS] free: 242 comparisons"),
+        (check_euler(two_relations, w4), "[PASS] euler: 81 comparisons"),
+        (check_cm_degeneration(hypersurface, w5),
+         "[PASS] cm: 605 comparisons"),
+        (check_corner(two_relations, w4), "[PASS] corner: 162 comparisons"),
+        (check_gencm_les(gencm_fixture(ring), w4),
+         "[PASS] gencm: 81 comparisons"),
+        (check_dim_r0_le1(quotient_by_polys(r12, [x1 * y1]), w4),
+         "[PASS] dimle1: 324 comparisons"),
+        (check_dim_r0_le1(quotient_by_polys(r02, [r02.gens()[0]]), w4),
+         "[PASS] dimle1: 243 comparisons"),
+        (check_structure1(hypersurface, Window(-5, 5, -3, 3)),
+         "[PASS] structure: 252 comparisons"),
+        (check_five_term(two_relations, w4),
+         "[PASS] fiveterm: 648 comparisons"),
+        (check_depth_sminus1_les(two_relations, w4),
+         "[PASS] depthles: 81 comparisons"),
+    ]
+    for report, text in pinned:
+        assert str(report) == text
+
+
+def _bump_tables(monkeypatch, bumps):
+    """Make call number k (from 0) of checks.local_coh_table return its
+    table with cell bumps[k] raised by one."""
+    real = checks.local_coh_table
+    calls = []
+
+    def bumped(*args):
+        table = real(*args)
+        cell = bumps.get(len(calls))
+        calls.append(args[1:3])
+        if cell is None:
+            return table
+        return replace(table, cells={**table.cells,
+                                     cell: table.cells[cell] + 1})
+
+    monkeypatch.setattr(checks, "local_coh_table", bumped)
+    return calls
+
+
+def test_simple_counterexample_is_pinned(ring, monkeypatch):
+    # call 0 is H^m_P of the canonical module, call 1 the Q-table that
+    # gets flipped, so its cell (3, -3) lands on (-3, 3)
+    for bumps, sides in (({0: (-3, 3)}, (9, 8)), ({1: (3, -3)}, (8, 9))):
+        with monkeypatch.context() as mp:
+            calls = _bump_tables(mp, bumps)
+            failure = check_lemma_simple(ring, Window(-6, 0, 0, 6)).failure
+        assert calls == [("P", ring.m), ("Q", ring.n)]
+        assert (failure.cell, (failure.lhs, failure.rhs)) == ((-3, 3), sides)
+
+
+def test_free_counterexample_is_pinned(ring, monkeypatch):
+    F = FreeModule(ring, ((0, 0), (1, 0), (2, 1)))
+    w = Window(-5, 5, -5, 5)
+    with monkeypatch.context() as mp:
+        calls = _bump_tables(mp, {0: (-2, 3)})
+        failure = check_free(F, w).failure
+    assert calls == [("P", ring.m), ("Q", ring.n)]
+    assert (failure.cell, failure.lhs, failure.rhs, failure.detail) == (
+        (-2, 3), 14, 13, "H^m_P(F*) vs dual of H^n_Q(F)")
+    # both tables raised alike: the closed form is the one that objects
+    _bump_tables(monkeypatch, {0: (-2, 3), 1: (2, -3)})
+    failure = check_free(F, w).failure
+    assert (failure.cell, failure.lhs, failure.rhs, failure.detail) == (
+        (-2, 3), 14, 13, "H^m_P(F*) vs shifted closed form")
+
+
+def test_corner_counterexample_is_pinned(two_relations, monkeypatch):
+    # both corners compared cell by cell, so the corner (s,m) cell at
+    # (-3, -3) comes before the corner (t,0) cell at (2, 2)
+    calls = _bump_tables(monkeypatch, {0: (2, 2), 2: (-3, -3)})
+    failure = check_corner(two_relations, Window(-4, 4, -4, 4)).failure
+    assert calls == [("P", 2), ("Q", 0), ("P", 0), ("Q", 3)]
+    assert (failure.cell, failure.lhs, failure.rhs, failure.detail) == (
+        (-3, -3), 1, 0, "corner (s,m): H^0_P(dual H^s) vs dual H^s_Q")
+
+
+def test_cm_counterexample_is_pinned(hypersurface, monkeypatch):
+    # index k runs outside the cells: the k = 0 cell at (3, 3) comes
+    # before the k = 1 cell at (-3, -3)
+    calls = _bump_tables(monkeypatch, {2: (3, 3), 4: (-3, -3)})
+    failure = check_cm_degeneration(hypersurface,
+                                    Window(-5, 5, -5, 5)).failure
+    assert calls[:6] == [("P", -1), ("Q", 4), ("P", 0), ("Q", 3),
+                         ("P", 1), ("Q", 2)]
+    assert (failure.cell, failure.lhs, failure.rhs, failure.detail) == (
+        (3, 3), 1, 0, "k=0: H^k_P(dual top) vs dual H^(s-k)_Q")

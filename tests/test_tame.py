@@ -9,13 +9,10 @@ from bicoh.resolution import (
     profile,
     quotient_by_polys,
 )
-from bicoh.strands import x_strand
 from bicoh.tables import Window
 from bicoh.tame import (
     EVENTUALLY_NONZERO,
-    EVENTUALLY_ZERO,
     INCONCLUSIVE,
-    ext_evidence_scan,
     limit_profile_check,
     reg_scan,
     strand_nonvanishing,
@@ -95,6 +92,32 @@ def test_limit_profile_small_window_inconclusive(ring, xy):
     assert report.inconclusive or report.passed
 
 
+@pytest.mark.parametrize("jwindow", [(0, 8), (0, 7)])
+def test_limit_profile_decides_on_the_trailing_half(ring, S, monkeypatch,
+                                                    jwindow):
+    # the strand profiles are forced: (2, 2) everywhere but at one strand.
+    # The scan is decided exactly when that strand lies before the
+    # trailing ceil(n/2) of the n strands (j >= 4 for both windows).
+    import bicoh.tame as tame
+    N = ext_presentation(S, 0)
+    lo, hi = jwindow
+    for odd in range(lo, hi + 1):
+        monkeypatch.setattr(
+            tame, "_strand_profile",
+            lambda N, j, odd=odd: (1, 2) if j == odd else (2, 2))
+        report = limit_profile_check(N, jwindow)
+        assert report.inconclusive == (odd >= 4), (jwindow, odd)
+        if odd < 4:
+            assert report.passed
+            assert report.notes[0] == ("stable strand profile: depth 2, "
+                                       "dim 2")
+    monkeypatch.setattr(tame, "_strand_profile",
+                        lambda N, j: (2, 2) if j < 4 else None)
+    report = limit_profile_check(N, jwindow)
+    assert not report.inconclusive
+    assert report.notes == ("trailing strands are zero modules",)
+
+
 def test_reg_scan_of_ring(ring, S):
     report = reg_scan(S, (0, 6))
     # strands of the dualized top cohomology are free on degree-m
@@ -151,13 +174,3 @@ def test_cm_limits_predict_vanishing_pattern(ring, hypersurface):
         assert (report.overall == EVENTUALLY_NONZERO) == expect_nonzero, \
             (k, t0, s0, report)
 
-
-def test_ext_evidence_scan(ring, S):
-    kx = free_presentation(ring, [(0, 0)])
-    N = ext_presentation(S, 0)
-    W_ring = x_strand(kx, 0).ring
-    W = free_presentation(W_ring, [(0, 0)])
-    report = ext_evidence_scan(N, W, 0, (0, 6), (-2, 6))
-    assert report.overall == EVENTUALLY_NONZERO
-    zero_report = ext_evidence_scan(N, W, ring.m, (0, 6), (-2, 6))
-    assert zero_report.overall == EVENTUALLY_ZERO
