@@ -2,9 +2,9 @@
 
 The duality path resolves strands and takes Ext against the canonical
 twist.  The oracle path never dualizes anything: it runs the limit-Koszul
-representation of the Cech complex on the ideal's variables, raising the
-powers until two successive comparison maps are isomorphisms.  Agreement
-cell by cell is the strongest internal consistency check the engine has.
+representation of the Cech complex on the ideal's variables, at the power
+from which every level provably equals the limit.  Agreement cell by cell
+is the strongest internal consistency check the engine has.
 """
 
 from bicoh import RingSpec, Window, quotient_by_polys
@@ -24,8 +24,7 @@ for theory, i in (("Q", 1), ("Q", 2), ("P", 2)):
     print(f"oracle agrees on all {window.size} cells: {same}\n")
     assert same
 
-# a module with honest torsion: the oracle needs high powers before the
-# kernel stabilizes, which is why it tracks transition isomorphisms
+# a module with honest torsion: the oracle reads it off one Koszul level
 T = quotient_by_polys(ring, [y1 * y1 * y1])
 print("H^0 for Q of S/(y1^3) at (0,2):",
       cech_oracle(T, "Q", 0, (0, 2)),

@@ -2,22 +2,15 @@
 
 Exit codes: 0 success / all checks pass, 1 a check found a counterexample
 (printed with both sides), 2 malformed input or an unmet precondition,
-4 an internal invariant broke (InvariantError: a fault in bicoh), 5 the
-oracle's Koszul limit did not stabilize within its cap
-(StabilizationError).
+4 an internal invariant broke (InvariantError: a fault in bicoh).
 """
 
 import argparse
 import sys
 
 from . import checks
-from .cohomology import cd_estimate, local_coh_table, oracle_table
-from .errors import (
-    BicohError,
-    FormatError,
-    InvariantError,
-    StabilizationError,
-)
+from .cohomology import THEORIES, cd_estimate, local_coh_table, oracle_table
+from .errors import BicohError, FormatError, InvariantError
 from .groebner import FreeModule
 from .linalg import DEFAULT_PRIME
 from .modfile import load_module, save_module
@@ -78,12 +71,12 @@ def _build_parser():
 
     p = sub.add_parser("locoh", help="local cohomology table")
     add_module(p), add_window(p), add_csv(p)
-    p.add_argument("--theory", required=True, choices=["P", "Q", "R+"])
+    p.add_argument("--theory", required=True, choices=THEORIES)
     p.add_argument("-i", type=int, required=True, dest="index")
 
     p = sub.add_parser("oracle", help="limit-Koszul oracle table")
     add_module(p), add_window(p), add_csv(p)
-    p.add_argument("--theory", required=True, choices=["P", "Q"])
+    p.add_argument("--theory", required=True, choices=THEORIES)
     p.add_argument("-i", type=int, required=True, dest="index")
 
     p = sub.add_parser("check", help="run a verification suite")
@@ -204,9 +197,7 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except BicohError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, InvariantError):
-            return 4
-        return 5 if isinstance(exc, StabilizationError) else 2
+        return 4 if isinstance(exc, InvariantError) else 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

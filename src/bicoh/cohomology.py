@@ -12,46 +12,52 @@ Three computation paths, all exact per bidegree:
   cohomology of the K[y]-module strand M_(a,*) at its maximal ideal,
   which local duality turns into an Ext dimension over K[y]; P is the
   mirror image over K[x].
-* A brute-force oracle: H^i against (v_1, .., v_r) is the direct limit
+* A brute-force oracle: H^i against the r variables v of the ideal (x
+  for P, y for Q, all m + n for R_+) is the direct limit
   lim_t H^i(Hom(K(v^t), M))_d of the Koszul cohomologies of the powers
   (v_1^t, .., v_r^t) (Brodmann & Sharp, Local Cohomology, ch. 5).  Each
   graded piece of a genuine Cech localization can be infinite dimensional,
   so the limit Koszul system *is* the degreewise representation of the
-  localizations; the limit is detected by two successive transition
-  isomorphisms past a degree floor, with a hard iteration cap.  The set-up
-  that no degree changes (the floor, the Koszul slots, prod_T v, the chain
-  map and the entries of each level's differentials) is done once per
+  localizations.  The oracle computes one level per degree, the first
+  one that is provably the limit there.
+
+  Level t is Ext^i(S/(v^t), M)_d.  Take any finite free resolution F. of
+  M.  The v^t are regular on each F_k, so the double complex
+  Hom(K(v^t), F.) has one nonzero row, and Ext^i(S/(v^t), M) is
+  H_(r-i)(F./(v^t)F.) shifted by t*deg(prod v); the transition to t + 1
+  is multiplication by prod v, injective on each F_k/(v^t)F_k.  For
+  F_k = (+) S(-s) and theory P, the degree-d piece of a summand, shifted
+  by t*deg(prod v), has a basis indexed by the exponent vectors in
+  [-t, -1]^m with sum d_x - s_x (times the y-monomials of degree
+  d_y - s_y), and the transitions match these bases, so they are final
+  once t >= s_x - d_x - m + 1.  Every level t >= t_0(d) =
+  max(1, max_s s_x - d_x - m + 1), s over the shifts of F_(r-i-1),
+  F_(r-i) and F_(r-i+1), is then the limit.
+  Q is the mirror image with y and n, and R_+ takes the larger of the
+  two bounds (compare Eisenbud, Mustata & Stillman, Cohomology on toric
+  varieties and local cohomology with monomial supports, J. Symb.
+  Comput. 2000).  The shifts are those of the minimal resolution.
+
+  The set-up that no degree changes (the bound, the Koszul slots, prod_T
+  v and the entries of each level's differentials) is done once per
   table in oracle_table, and cech_oracle runs the same code for one cell.
   A level whose middle space is zero has no homology and builds nothing
-  else.  Every other level checks that its two maps compose to zero,
-  eliminates A once and takes the rank of B only when the middle space is
-  wider than rank A.  A transition is built only between two levels with
-  the same nonzero homology: the image of the cycles of the last level is
-  reduced against the pivots of A; between two zero homologies the chain
-  map, which sends im A into im A, induces 0 -> 0.
+  else; every other one checks that its two maps compose to zero and
+  takes the homology by two ranks.
 
-One builder makes the matrices of both Hom complexes, Hom(K(v^t), M) for
-the oracle and Hom(F., W) of a minimal resolution in ext_into_dim: _spot
-lays out Hom(F, W)_d with one piece per generator of F, and _hom_piece
-fills in the map induced by G -> F on the standard monomials of W's
-initial module.  It writes every column directly: a product that is
-standard is read off the target piece's basis, any other one off the
-initial module's table of normal forms.
+_spot lays out Hom(F, W)_d with one piece per generator of a free module
+F, and _hom_piece fills in the map Hom(F, W)_d -> Hom(G, W)_d induced by
+G -> F on the standard monomials of W's initial module: for the oracle,
+W is M and F, G are terms of K(v^t).  It writes every column directly: a
+product that is standard is read off the target piece's basis, any other
+one off the initial module's table of normal forms.
 """
 
 from itertools import combinations
 
-from .errors import BadTheoryError, StabilizationError
-from .linalg import (
-    Matrix,
-    check_complex,
-    homology_dim,
-    kernel_of_array,
-    pivot_table,
-    rank_modulo,
-    rank_of_array,
-)
-from .poly import Bidegree, Polynomial, mono_bidegree, mono_degree
+from .errors import BadTheoryError
+from .linalg import Matrix, homology_dim
+from .poly import Bidegree, Polynomial, mono_bidegree
 from .resolution import (
     Presentation,
     ext_presentation,
@@ -200,27 +206,6 @@ def _hom_piece(layer, src, tgt, entries):
     return mat
 
 
-def ext_into_dim(M: Presentation, W: Presentation, j: int, d) -> int:
-    """dim_K Ext^j(M, W)_d for an arbitrary coefficient module W over the
-    same ring, via the Hom complex of the minimal resolution of M."""
-    if M.ring != W.ring:
-        raise BadTheoryError("modules over different rings")
-    res = resolve(M)
-    if j < 0 or j > res.length:
-        return 0
-    layer, d = initial_module(W), Bidegree(*d)
-    spots = {i: _spot(layer, d, res.shifts(i)) for i in (j - 1, j, j + 1)}
-
-    def hom(i):
-        """Degree-d piece of Hom(F_(i-1), W) -> Hom(F_i, W)."""
-        rows = res.maps[i - 1] if 1 <= i <= res.length else ()
-        return _hom_piece(layer, spots[i - 1], spots[i], (
-            (k, l, f) for k, row in enumerate(rows)
-            for l, f in enumerate(row) if f))
-
-    return homology_dim(hom(j), hom(j + 1), W.ring.p)
-
-
 def _koszul_differential(ring, units, t, src, tgt):
     """The entries (k, l, +-v_j^t) of the Koszul differential K_(q+1) ->
     K_q, v_j the packed monomial units[j]: src lists the q-subsets T of the
@@ -236,55 +221,48 @@ def _koszul_differential(ring, units, t, src, tgt):
 
 def _koszul_limit(M: Presentation, theory: str, i: int):
     """The oracle for H^i_theory(M): the set-up that no degree changes,
-    done once, and the function cell(d, cap) that runs the levels of one
-    degree d.
-
-    cell raises StabilizationError if two successive transition
-    isomorphisms are not observed within the iteration cap."""
+    done once, and the function cell(d) that computes level t_0(d)."""
     ring = M.ring
-    if theory not in ("P", "Q"):
-        raise BadTheoryError("the oracle covers the theories P and Q")
     _check_theory(ring, theory)
-    variables = (list(range(ring.m)) if theory == "P"
-                 else list(range(ring.m, ring.nvars)))
-    if i < 0 or i > len(variables):
-        return lambda d, cap=None: 0
+    # the ideal's blocks of variables, by bidegree coordinate (x 0, y 1)
+    blocks = {"P": (0,), "Q": (1,), "R+": (0, 1)}[theory]
+    sizes, starts = (ring.m, ring.n), (0, ring.m)
+    variables = [starts[k] + v for k in blocks for v in range(sizes[k])]
+    r = len(variables)
+    if i < 0 or i > r:
+        return lambda d: 0
     layer = initial_module(M)
-    # powers below the floor can miss torsion killed only by high powers:
-    # it clears every relation and basis lead degree
-    degrees = [mono_degree(ring, mono) for row in M.matrix for entry in row
-               for mono, _ in entry.terms]
-    degrees += [mono_degree(ring, mono) for _, mono, _ in layer.leads]
-    floor = max(degrees, default=0) + 1
     p = ring.p
+    # t_0(d) = max(1, c - d_k) over the blocks k of the ideal, with c the
+    # largest k-shift of F_(r-i-1), F_(r-i) and F_(r-i+1) less the
+    # variables of the block plus one
+    res = resolve(M)
+    fshifts = [s for k in (r - i - 1, r - i, r - i + 1)
+               for s in res.shifts(k)]
+    reach = [(k, max(s[k] for s in fshifts) - sizes[k] + 1)
+             for k in blocks if fshifts]
     # K_q(t) has one generator e_T per q-subset T of the variables, of
-    # degree t * deg(prod_T v); the chain map K(t+1) -> K(t) sends e_T to
-    # (prod_T v) e_T.  Packed monomials multiply by adding, so v^t is
-    # t * v and prod_T v is a sum.
+    # degree t * deg(prod_T v).  Packed monomials multiply by adding, so
+    # v^t is t * v and prod_T v is a sum.
     units = [ring.variable(v).terms[0][0] for v in variables]
-    slots = {q: list(combinations(range(len(variables)), q))
+    slots = {q: list(combinations(range(r), q))
              for q in (i - 1, i, i + 1) if q >= 0}
-    prods = {q: [sum(units[j] for j in T) for T in Ts]
-             for q, Ts in slots.items()}
-    shifts = {q: [mono_bidegree(ring, mono) for mono in monos]
-              for q, monos in prods.items()}
-    chain_map = [(k, k, Polynomial(ring, ((mono, 1),)))
-                 for k, mono in enumerate(prods[i])]
+    shifts = {q: [mono_bidegree(ring, sum(units[j] for j in T)) for T in Ts]
+              for q, Ts in slots.items()}
     differentials = {}  # (q, t) -> the entries of K_(q+1)(t) -> K_q(t)
 
-    def level(t, d):
-        """H^i of Hom(K(t), M)_d, with B, the pivot table of A and the spot
-        of K_i(t).  An empty spot has no homology, and nothing else is
-        built: B has no columns and A no rows.  Otherwise ker B holds im A,
-        and B * A = 0 is checked first, so a middle space of dimension
-        rank A has no homology and B needs no elimination."""
+    def cell(d):
+        """H^i of Hom(K(t), M)_d at t = t_0(d).  An empty spot K_i(t) has
+        no homology, and nothing else is built."""
+        d = Bidegree(*d)
+        t = max([1] + [c - d[k] for k, c in reach])
+
         def spot(q):
             return _spot(layer, d, [(t * a, t * b) for a, b in shifts[q]])
 
         middle = spot(i)
-        width = middle[2][-1]
-        if not width:
-            return 0, None, None, middle
+        if not middle[2][-1]:
+            return 0
         spots = {q: middle if q == i else spot(q) for q in shifts}
 
         def koszul(q):
@@ -295,55 +273,16 @@ def _koszul_limit(M: Presentation, theory: str, i: int):
             return _hom_piece(layer, spots[q], spots[q + 1], entries)
 
         B = koszul(i)
-        A = koszul(i - 1) if i > 0 else Matrix.zeros(width, 0)
-        check_complex(A, B, p)
-        pivots = pivot_table(A, p)
-        h = (0 if width == len(pivots)
-             else width - rank_of_array(B, p) - len(pivots))
-        return h, B, pivots, middle
-
-    def induced(pB, pspot, spot, pivots):
-        """Rank of the map H^i(t-1) -> H^i(t): the cycles ker B of level
-        t-1 under the chain map, reduced against the pivots of A at t."""
-        chi = _hom_piece(layer, pspot, spot, chain_map)
-        return rank_modulo(pivots, chi.compose(kernel_of_array(pB, p), p), p)
-
-    def cell(d, cap=None):
-        d = Bidegree(*d)
-        if cap is None:
-            radius = max(abs(d.a), abs(d.b))
-            cap = max(4 + floor - 1 + radius, floor + 3)
-        prev = None
-        consecutive = 0
-        for t in range(max(1, floor), cap + 1):
-            h, B, pivots, spot = level(t, d)
-            if prev is not None:
-                ph, pB, pspot = prev
-                # the chain map sends im A into im A, so between two zero
-                # homologies it induces the isomorphism 0 -> 0
-                if ph == h and (h == 0 or
-                                induced(pB, pspot, spot, pivots) == h):
-                    consecutive += 1
-                    if consecutive >= 2:
-                        return h
-                else:
-                    consecutive = 0
-            prev = (h, B, spot)
-        raise StabilizationError(
-            f"Koszul limit for H^{i}_{theory} at {d} not stable within "
-            f"{cap} steps")
+        A = koszul(i - 1) if i > 0 else Matrix.zeros(B.shape[1], 0)
+        return homology_dim(A, B, p)
 
     return cell
 
 
-def cech_oracle(M: Presentation, theory: str, i: int, d,
-                cap: int = None) -> int:
+def cech_oracle(M: Presentation, theory: str, i: int, d) -> int:
     """dim H^i_theory(M)_d by the limit-Koszul representation of the Cech
-    complex on the ideal's variables.
-
-    Raises StabilizationError if two successive transition isomorphisms are
-    not observed within the iteration cap."""
-    return _koszul_limit(M, theory, i)(d, cap)
+    complex on the ideal's variables, at the level where it is final."""
+    return _koszul_limit(M, theory, i)(d)
 
 
 def oracle_table(M: Presentation, theory: str, i: int,

@@ -70,10 +70,6 @@ class BadTheoryError(BicohError):
     """Cohomology theory not defined for this ring or operation."""
 
 
-class StabilizationError(BicohError):
-    """The degreewise limit did not stabilize within the iteration cap."""
-
-
 class UnsupportedIndexError(BicohError):
     """Tameness scan asked at an index the corner reductions do not cover."""
 

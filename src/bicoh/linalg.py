@@ -1,11 +1,11 @@
 """Sparse exact linear algebra over a prime field F_p.
 
-Every degreewise computation in the package bottoms out here: ranks and
-kernels of matrices over F_p.  A Matrix is stored by columns, each a
-{row: value} dict of its nonzero entries, Python ints reduced mod p; the
-modulus is passed alongside.  The degree pieces of Koszul and relation
-maps are mostly zero, so elimination touches nonzero entries only
-(Dumas & Villard 2002, sparse elimination over finite fields).
+Every degreewise computation in the package bottoms out here: ranks of
+matrices over F_p.  A Matrix is stored by columns, each a {row: value}
+dict of its nonzero entries, Python ints reduced mod p; the modulus is
+passed alongside.  The degree pieces of Koszul and relation maps are
+mostly zero, so elimination touches nonzero entries only (Dumas &
+Villard 2002, sparse elimination over finite fields).
 """
 
 from math import isqrt
@@ -38,10 +38,6 @@ class Matrix:
     def zeros(cls, rows, cols):
         return cls((rows, cols), [{} for _ in range(cols)])
 
-    @classmethod
-    def identity(cls, size):
-        return cls((size, size), [{i: 1} for i in range(size)])
-
     def apply(self, column, p):
         """self * column mod p, for a {row: value} column.  The result may
         be one of self's own columns, so it must not be modified."""
@@ -57,11 +53,6 @@ class Matrix:
             for i, y in cols[j].items():
                 out[i] = out.get(i, 0) + x * y
         return {i: r for i, v in out.items() if (r := v % p)}
-
-    def compose(self, other, p):
-        """The product self * other mod p."""
-        return Matrix((self.shape[0], other.shape[1]),
-                      [self.apply(c, p) for c in other.cols])
 
 
 def _as_matrix(arr, p):
@@ -89,72 +80,36 @@ def _subtract(v, f, w, p):
             v.pop(i, None)
 
 
-def _echelon(mat, p, track=False, table=None):
+def _echelon(mat, p):
     """Eliminate the columns of mat from left to right against a table
-    {pivot row: monic column}, empty or a copy of the given table of an
-    untracked elimination.
+    {pivot row: monic column without its pivot}, and return the table,
+    whose size is the rank.
 
     A column is reduced at its smallest row while that row holds a pivot;
     if anything is left, it is scaled to 1 there and becomes the pivot of
-    that row.  Returns (table, kernel).  With track=True each column also
-    carries its combination of the original columns ({column: coefficient}),
-    and kernel lists the combinations of the columns that reduce to zero;
-    otherwise kernel is empty."""
-    # pivot row -> (column without its pivot, combination); a stored
-    # column is never modified, so a shallow copy continues a table
-    table = {} if table is None else dict(table)
-    kernel = []
-    for j, col in enumerate(mat.cols):
+    that row."""
+    table = {}
+    for col in mat.cols:
         v = dict(col)
-        comb = {j: 1} if track else None
         while v:
             r = min(v)
             pivot = table.get(r)
             if pivot is None:
                 break
-            f = v.pop(r)
-            _subtract(v, f, pivot[0], p)
-            if track:
-                _subtract(comb, f, pivot[1], p)
+            _subtract(v, v.pop(r), pivot, p)
         if v:
             inv = pow(v.pop(r), -1, p)
             if inv != 1:
                 v = {i: x * inv % p for i, x in v.items()}
-                if track:
-                    comb = {i: x * inv % p for i, x in comb.items()}
-            table[r] = (v, comb)
-        elif track:
-            kernel.append(comb)
-    return table, kernel
+            table[r] = v
+    return table
 
 
 def rank_of_array(arr, p):
     """Rank over F_p of a Matrix (or a dense 2-D array)."""
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         return 0
-    return len(_echelon(_as_matrix(arr, p), p)[0])
-
-
-def pivot_table(arr, p):
-    """The pivot table of an elimination of the columns of arr: its size is
-    the rank, and rank_modulo reduces further columns against it."""
-    return _echelon(_as_matrix(arr, p), p)[0]
-
-
-def rank_modulo(table, arr, p):
-    """Rank of the columns of arr modulo the span of the columns behind a
-    pivot table, rank [C | arr] - rank C, without eliminating C again."""
-    return len(_echelon(_as_matrix(arr, p), p, table=table)[0]) - len(table)
-
-
-def kernel_of_array(arr, p):
-    """Basis of the right kernel, as the columns of a Matrix: one
-    combination of the columns of arr per column that reduces to zero."""
-    rows, cols = arr.shape
-    if rows == 0:
-        return Matrix.identity(cols)
-    kernel = _echelon(_as_matrix(arr, p), p, track=True)[1]
-    return Matrix((cols, len(kernel)), kernel)
+    return len(_echelon(_as_matrix(arr, p), p))
 
 
 def check_complex(A, B, p):

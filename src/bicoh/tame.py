@@ -52,6 +52,13 @@ def _strand_profile(N, j):
 _MIN_RUN = 3
 
 
+def _trailing_half(vals):
+    """The trailing half of a scan listed from its limit end: the first
+    floor(n/2) of its n values, at least one.  The middle value of an odd
+    scan is not in it."""
+    return vals[:max(1, len(vals) // 2)]
+
+
 def _decide(values, toward_min):
     """Verdict for a scanned pattern, speaking about the limit direction.
 
@@ -70,8 +77,8 @@ def _decide(values, toward_min):
         run += 1
     transitions = sum(1 for i in range(1, len(vals))
                       if vals[i] != vals[i - 1])
-    half = max(1, len(vals) // 2)
-    if run >= half or (transitions <= 1 and run >= _MIN_RUN):
+    if (len(set(_trailing_half(vals))) == 1
+            or (transitions <= 1 and run >= _MIN_RUN)):
         return vals[0]
     return None
 
@@ -166,8 +173,7 @@ def limit_profile_check(N: Presentation, jwindow) -> CheckReport:
     lim depth N_j = dim N - dim N/(x)N."""
     lo, hi = jwindow
     profiles = [_strand_profile(N, j) for j in range(lo, hi + 1)]
-    # the trailing ceil(n/2) of the n strands, toward large j
-    tail_values = set(profiles[len(profiles) // 2:])
+    tail_values = set(_trailing_half(profiles[::-1]))
     notes = []
     failure = None
     inconclusive = False
@@ -222,11 +228,6 @@ class RegReport:
     degenerate: bool
     top_dim: int
 
-    def implied_lower_bound(self, k):
-        """(slope, intercept) of the line below a(H^k_Q(M)_j): the initial
-        degree of row j sits on or above slope*j + intercept."""
-        return (self.slope, self.top_dim - k - self.intercept)
-
     def __str__(self):
         lo, hi = self.jwindow
         vals = ", ".join(f"{j}:{self.reg[j]}" for j in range(lo, hi + 1))
@@ -237,8 +238,9 @@ class RegReport:
 
 def reg_scan(M: Presentation, jwindow) -> RegReport:
     """Exact regularity of every strand of the dualized top cohomology of
-    a CM module, with the least-slope linear upper bound over the window
-    and the implied lower-bound line for the initial degrees a(H^k_Q(M)_j)."""
+    a CM module, with the least-slope linear upper bound over the window.
+    With the top dimension s it bounds the initial degree a(H^k_Q(M)_j)
+    from below by slope*j + s - k - intercept."""
     ring = M.ring
     prof = profile(M)
     if not prof.is_cm:

@@ -80,18 +80,21 @@ def test_criterion_02_free_duality():
 
 def test_criterion_03_oracle_equivalence():
     budget = Budget("criterion 3 (oracle equivalence)", 60.0)
-    window = Window(-5, 5, -5, 5)
+    # R+ on a window that reaches the Artinian side, below the generators
+    windows = {"P": Window(-5, 5, -5, 5), "Q": Window(-5, 5, -5, 5),
+               "R+": Window(-6, 1, -6, 1)}
     fixtures = named_fixtures()
     cells = 0
     for name, M in fixtures.items():
-        for theory in ("P", "Q"):
-            for i in range(0, 3):
+        for theory, window in windows.items():
+            for i in range(0, 5 if theory == "R+" else 3):
                 table = local_coh_table(M, theory, i, window)
                 for d in window.cells():
                     assert cech_oracle(M, theory, i, d) == table[d], \
                         (name, theory, i, tuple(d))
                     cells += 1
-    budget.done(f"{cells} cells, duality path == limit-Koszul oracle")
+    budget.done(f"{cells} cells, duality path == limit-Koszul oracle "
+                "for P, Q and R+")
 
 
 def test_criterion_04_cm_degeneration():

@@ -4,7 +4,6 @@ import pkgutil
 import bicoh
 from bicoh.cohomology import (
     cech_oracle,
-    ext_into_dim,
     ext_table,
     local_coh_table,
     oracle_table,
@@ -12,6 +11,7 @@ from bicoh.cohomology import (
 from bicoh.fixtures import gencm_fixture, standard_ring
 from bicoh.resolution import free_presentation, hilbert_table, profile
 from bicoh.tables import Window
+from test_cohomology import ext_into_dim
 
 
 def _submodules():
@@ -55,7 +55,7 @@ def test_no_module_level_container_grows():
         ext_table(M, j, window)
     for theory in ("P", "Q", "R+"):
         local_coh_table(M, theory, 1, window)
-    for theory in ("P", "Q"):
+    for theory in ("P", "Q", "R+"):
         cech_oracle(M, theory, 1, (0, 0))
         oracle_table(M, theory, 1, window)
     # the Hom builder reads the initial module's tables and keeps nothing

@@ -17,7 +17,6 @@ from bicoh import (
     tame_scan,
 )
 from bicoh.checks import check_corner, check_euler, check_lemma_simple
-from bicoh.errors import StabilizationError
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +59,6 @@ def test_suites_over_small_prime(small_ring):
             local_coh_table(M, "Q", 2, w).get(d)
     scan = tame_scan(M, 3, (-8, 8))
     assert scan.overall == "eventually-zero"
-
-
-def test_oracle_cap_error(small_ring):
-    S = free_presentation(small_ring, [(0, 0)])
-    # a one-step cap cannot witness two transition isomorphisms
-    with pytest.raises(StabilizationError):
-        cech_oracle(S, "Q", 2, (0, -2), cap=1)
 
 
 def test_oracle_index_out_of_range(small_ring):

@@ -7,12 +7,7 @@ import pytest
 
 from bicoh import cli
 from bicoh.cli import main
-from bicoh.errors import (
-    DegreeMismatchError,
-    FormatError,
-    InvariantError,
-    StabilizationError,
-)
+from bicoh.errors import DegreeMismatchError, FormatError, InvariantError
 from bicoh.fixtures import named_fixtures
 from bicoh.linalg import DEFAULT_PRIME
 from bicoh.modfile import load_module, save_module
@@ -252,22 +247,6 @@ def test_cli_broken_invariant_exit_4(two_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_cli_unstable_oracle_exit_5(two_path, capsys, monkeypatch):
-    # a Koszul limit that does not settle within its cap is neither bad
-    # input (2) nor a broken invariant (4)
-    import bicoh.cli as cli
-
-    def unstable(M, theory, i, window):
-        raise StabilizationError("Koszul limit not stable within 1 steps")
-
-    monkeypatch.setattr(cli, "oracle_table", unstable)
-    code = main(["oracle", "--module", two_path, "--theory", "Q", "-i", "1",
-                 "--window", "0:0,0:0"])
-    err = capsys.readouterr().err
-    assert code == 5
-    assert err == "error: Koszul limit not stable within 1 steps\n"
-
-
 def test_cli_corner_suite_passes(two_path, capsys):
     code = main(["check", "--suite", "corner", "--module", two_path,
                  "--window", "-3:3,-3:3"])
@@ -294,15 +273,16 @@ def test_cli_locoh_and_oracle_agree(hyper_path, capsys):
 
 def test_cli_reuses_its_parser(hyper_path, capsys, monkeypatch):
     # one process, one parser: an oracle run, a call that argparse rejects
-    # (no --theory), an R+ table and an oracle call that argparse rejects
-    # (the oracle has no R+) give the exit codes and output of separate
-    # runs, each with a parser of its own
+    # (no --theory), an R+ table, the oracle's R+ table and a call that
+    # argparse rejects (an unknown theory) give the exit codes and output
+    # of separate runs, each with a parser of its own
     window = ["--window", "-2:0,-3:-1"]
     calls = [
         ["oracle", "--module", hyper_path, "--theory", "Q", "-i", "2"],
         ["oracle", "--module", hyper_path, "-i", "2"],
-        ["locoh", "--module", hyper_path, "--theory", "R+", "-i", "4"],
-        ["oracle", "--module", hyper_path, "--theory", "R+", "-i", "2"],
+        ["locoh", "--module", hyper_path, "--theory", "R+", "-i", "3"],
+        ["oracle", "--module", hyper_path, "--theory", "R+", "-i", "3"],
+        ["oracle", "--module", hyper_path, "--theory", "X", "-i", "2"],
     ]
 
     def run(argv):
@@ -324,8 +304,12 @@ def test_cli_reuses_its_parser(hyper_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_parser", None)
     assert [run(argv) for argv in calls] == separate
     assert len(built) == 1
-    assert [code for code, _, _ in separate] == [0, 2, 0, 2]
-    assert "invalid choice: 'R+'" in separate[3][2]
+    assert [code for code, _, _ in separate] == [0, 2, 0, 0, 2]
+    # the oracle's R+ table reads as the duality path's
+    assert separate[3][1].splitlines()[1:] == separate[2][1].splitlines()[1:]
+    assert any(line.split()[1:] != ["0"] * 3
+               for line in separate[3][1].splitlines()[3:])
+    assert "invalid choice: 'X'" in separate[4][2]
 
 
 def test_cli_oracle_runs_without_numpy(tmp_path):

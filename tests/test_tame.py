@@ -97,17 +97,27 @@ def test_limit_profile_decides_on_the_trailing_half(ring, S, monkeypatch,
                                                     jwindow):
     # the strand profiles are forced: (2, 2) everywhere but at one strand.
     # The scan is decided exactly when that strand lies before the
-    # trailing ceil(n/2) of the n strands (j >= 4 for both windows).
+    # trailing floor(n/2) of the n strands (j >= 5 on 0..8, where the
+    # middle strand j = 4 is left out, and j >= 4 on 0..7), and the
+    # verdict of tame_scan's patterns, read toward either end, follows the
+    # same rule
     import bicoh.tame as tame
     N = ext_presentation(S, 0)
     lo, hi = jwindow
+    first = hi + 1 - (hi + 1 - lo) // 2
     for odd in range(lo, hi + 1):
         monkeypatch.setattr(
             tame, "_strand_profile",
             lambda N, j, odd=odd: (1, 2) if j == odd else (2, 2))
         report = limit_profile_check(N, jwindow)
-        assert report.inconclusive == (odd >= 4), (jwindow, odd)
-        if odd < 4:
+        assert report.inconclusive == (odd >= first), (jwindow, odd)
+        pattern = {j: tame._strand_profile(N, j) for j in range(lo, hi + 1)}
+        assert (tame._decide(pattern, toward_min=False) is None) == \
+            (odd >= first), (jwindow, odd)
+        mirrored = {-j: value for j, value in pattern.items()}
+        assert (tame._decide(mirrored, toward_min=True) is None) == \
+            (odd >= first), (jwindow, odd)
+        if odd < first:
             assert report.passed
             assert report.notes[0] == ("stable strand profile: depth 2, "
                                        "dim 2")
@@ -118,6 +128,12 @@ def test_limit_profile_decides_on_the_trailing_half(ring, S, monkeypatch,
     assert report.notes == ("trailing strands are zero modules",)
 
 
+def _implied_lower_bound(report, k):
+    """(slope, intercept) of the line below a(H^k_Q(M)_j): the initial
+    degree of row j sits on or above slope*j + intercept."""
+    return (report.slope, report.top_dim - k - report.intercept)
+
+
 def test_reg_scan_of_ring(ring, S):
     report = reg_scan(S, (0, 6))
     # strands of the dualized top cohomology are free on degree-m
@@ -126,8 +142,8 @@ def test_reg_scan_of_ring(ring, S):
         assert report.reg[j] == ring.m
     assert report.slope == 0 and report.intercept == ring.m
     assert all(res <= 0 for res in report.residuals.values())
-    slope, intercept = report.implied_lower_bound(ring.n)
-    assert slope == 0
+    # H^n_Q(S)_(a,j) is nonzero from a = 0 on, in every row j <= -n
+    assert _implied_lower_bound(report, ring.n) == (0, 0)
 
 
 def test_reg_scan_degenerate_window(ring, S):
