@@ -232,10 +232,9 @@ def _koszul_limit(M: Presentation, theory: str, i: int):
     if i < 0 or i > r:
         return lambda d: 0
     layer = initial_module(M)
-    p = ring.p
-    # t_0(d) = max(1, c - d_k) over the blocks k of the ideal, with c the
-    # largest k-shift of F_(r-i-1), F_(r-i) and F_(r-i+1) less the
-    # variables of the block plus one
+    # t_0(d) = max(1, c_k - d_k) over the blocks k of the ideal: c_k is the
+    # largest k-shift of F_(r-i-1), F_(r-i) and F_(r-i+1), minus the
+    # block's variable count, plus one (see the module docstring)
     res = resolve(M)
     fshifts = [s for k in (r - i - 1, r - i, r - i + 1)
                for s in res.shifts(k)]
@@ -274,7 +273,7 @@ def _koszul_limit(M: Presentation, theory: str, i: int):
 
         B = koszul(i)
         A = koszul(i - 1) if i > 0 else Matrix.zeros(B.shape[1], 0)
-        return homology_dim(A, B, p)
+        return homology_dim(A, B, ring.p)
 
     return cell
 
