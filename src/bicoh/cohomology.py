@@ -11,7 +11,14 @@ Three computation paths, all exact per bidegree:
 * Strand reduction: H^i_Q(M)_(a,b) is the degree-b piece of the local
   cohomology of the K[y]-module strand M_(a,*) at its maximal ideal,
   which local duality turns into an Ext dimension over K[y]; P is the
-  mirror image over K[x].
+  mirror image over K[x].  A strand whose Krull dimension already fixes
+  H^i builds nothing: H^i = 0 for i > dim (Grothendieck vanishing;
+  Brodmann & Sharp, Local Cohomology, ch. 6), and a strand of dimension
+  0 has finite length, so it is its own H^0.  The dimension is the pole
+  order at t = 1 of the strand's Hilbert series (Hilbert-Serre; Bruns &
+  Herzog, Cohen-Macaulay Rings, ch. 4), whose numerator at y-degree c is
+  sum_s coef_s * dim K[y]_(c - s_y) * t^(s_x) over the numerator of M's
+  initial module (mirrored for Q).  R_+ takes the same rule with dim M.
 * A brute-force oracle: H^i against the r variables v of the ideal (x
   for P, y for Q, all m + n for R_+) is the direct limit
   lim_t H^i(Hom(K(v^t), M))_d of the Koszul cohomologies of the powers
@@ -57,9 +64,10 @@ from itertools import combinations
 
 from .errors import BadTheoryError
 from .linalg import Matrix, homology_dim
-from .poly import Bidegree, Polynomial, mono_bidegree
+from .poly import Bidegree, Polynomial, block_dim, mono_bidegree
 from .resolution import (
     Presentation,
+    _pole_order,
     ext_presentation,
     initial_module,
     resolve,
@@ -103,30 +111,64 @@ def ext_table(M: Presentation, j: int, window: Window) -> DimTable:
 # strand-duality path
 
 
+def _decided(M: Presentation, dim: int, i: int, degrees):
+    """H^i at the maximal ideal of M, of Krull dimension dim, in each of
+    the degrees of M, where a theorem fixes it: 0 for i outside 0..dim
+    (Grothendieck vanishing), and M itself for dim = 0 (finite length).
+    None for any other i."""
+    if not 0 <= i <= dim:
+        return [0] * len(degrees)
+    if dim == 0:
+        module = initial_module(M)
+        return [module.dim_at(d) for d in degrees]
+    return None
+
+
+def _strand_dim(M: Presentation, k: int, c: int) -> int:
+    """Krull dimension of the strand of M over the variable block k (x 0,
+    y 1) at degree c of the other block, read off M's numerator: the
+    strand's Hilbert series is sum_s coef_s * dim K[other]_(c - s_other)
+    * t^(s_k) / (1 - t)^(block size)."""
+    sizes = (M.ring.m, M.ring.n)
+    numerator = {}
+    for s, coef in initial_module(M).numerator.items():
+        numerator[s[k]] = (numerator.get(s[k], 0)
+                           + coef * block_dim(c - s[1 - k], sizes[1 - k]))
+    return _pole_order(numerator, sizes[k])
+
+
 def local_coh_table(M: Presentation, theory: str, i: int,
                     window: Window) -> CohomologyTable:
     """Exact dimensions of H^i_theory(M) over the window, zero for i
     outside 0..(variables of the ideal).  For P and Q one Ext module per
-    strand; a strand ring has one empty variable block, so its degrees are
-    one-sided."""
+    strand that its dimension leaves undecided; a strand ring has one
+    empty variable block, so its degrees are one-sided."""
     ring = M.ring
     _check_theory(ring, theory)
     cells = {}
     if theory == "Q":
         spot = ring.n - i
         for a in window.a_range:
-            dims = _ext_hilbert(y_strand(M, a), spot,
-                                [(0, -b) for b in window.b_range])
-            cells.update(((a, b), v) for b, v in zip(window.b_range, dims))
+            line = [(a, b) for b in window.b_range]
+            dims = _decided(M, _strand_dim(M, 1, a), i, line)
+            if dims is None:
+                dims = _ext_hilbert(y_strand(M, a), spot,
+                                    [(0, -b) for b in window.b_range])
+            cells.update(zip(line, dims))
     elif theory == "P":
         spot = ring.m - i
         for b in window.b_range:
-            dims = _ext_hilbert(x_strand(M, b), spot,
-                                [(-a, 0) for a in window.a_range])
-            cells.update(((a, b), v) for a, v in zip(window.a_range, dims))
+            line = [(a, b) for a in window.a_range]
+            dims = _decided(M, _strand_dim(M, 0, b), i, line)
+            if dims is None:
+                dims = _ext_hilbert(x_strand(M, b), spot,
+                                    [(-a, 0) for a in window.a_range])
+            cells.update(zip(line, dims))
     else:
         degrees = list(window.cells())
-        dims = _ext_hilbert(M, ring.nvars - i, [-d for d in degrees])
+        dims = _decided(M, initial_module(M).krull_dim(), i, degrees)
+        if dims is None:
+            dims = _ext_hilbert(M, ring.nvars - i, [-d for d in degrees])
         cells = dict(zip(map(tuple, degrees), dims))
     return CohomologyTable(window=window, cells=cells, p=ring.p,
                            theory=theory, index=i,

@@ -5,8 +5,10 @@ A module M is always carried as the cokernel of a shift-decorated matrix
 between free modules.  Its graded dimensions, Krull dimension and standard
 monomials come from one object per presentation, initial_module(P): F/U
 and F/in(U) share their Hilbert function (Macaulay), so the lead terms of
-one Groebner basis of the relations decide all three.  Every table of
-graded dimensions, Ext and local-cohomology tables included, reads it.
+one Groebner basis of the relations decide all three; the Krull dimension
+is the pole order at t = 1 of the Hilbert series (Hilbert-Serre).  Every
+table of graded dimensions, Ext and local-cohomology tables included,
+reads it.
 resolve(P), which takes no options, is the minimal free resolution; from
 it we read off graded Betti numbers, projective dimension and depth
 (Auslander-Buchsbaum), and the Ext presentations.  Every minimization
@@ -19,6 +21,7 @@ an independent referee of the initial-module dimensions; no table reads it.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 
 from .errors import DegreeMismatchError, InvariantError, ZeroModuleError
 from .groebner import (
@@ -177,6 +180,24 @@ def _numerator(ring, monos):
     return out
 
 
+def _pole_order(numerator, length):
+    """The order of the pole at t = 1 of N(t) / (1 - t)^length, N the
+    Laurent polynomial {exponent: coefficient}: length minus the
+    multiplicity of t = 1 as a root of N, and -1 when N = 0.  For the
+    Hilbert series of a module this is its Krull dimension (Hilbert-Serre;
+    Bruns & Herzog, Cohen-Macaulay Rings, ch. 4).  The multiplicity is the
+    least k with sum c * binomial(e - e_min, k) != 0, the k-th Taylor
+    coefficient at t = 1 of t^(-e_min) N(t)."""
+    terms = [(e, c) for e, c in numerator.items() if c]
+    if not terms:
+        return -1
+    low = min(e for e, _ in terms)
+    order = 0
+    while not sum(c * comb(e - low, order) for e, c in terms):
+        order += 1
+    return length - order
+
+
 class InitialModule:
     """F/in(U) for a presentation F/U: the reduced Groebner basis of the
     relations and its lead terms.  F/U and F/in(U) share their Hilbert
@@ -214,16 +235,13 @@ class InitialModule:
                    for s, c in self.numerator.items())
 
     def krull_dim(self) -> int:
-        """dim S/J_k is the largest number of variables whose set contains
-        the support of no lead term of J_k; the module's is the largest
-        over the positions.  -1 for the zero module."""
-        supports = [set() for _ in self.P.gens]
-        for k, mono, _ in self.leads:
-            supports[k].add(sum(1 << v for v, e in
-                                enumerate(self.ring.exponents(mono)) if e))
-        return max((free.bit_count() for free in range(1 << self.ring.nvars)
-                    for leads in supports
-                    if not any(s & free == s for s in leads)), default=-1)
+        """The pole order at t = 1 of the Hilbert series in total degree,
+        sum c * t^(s_x + s_y) / (1 - t)^(m + n) over the numerator.  -1
+        for the zero module."""
+        total = {}
+        for s, c in self.numerator.items():
+            total[s.total] = total.get(s.total, 0) + c
+        return _pole_order(total, self.ring.nvars)
 
     def basis(self, d):
         """The standard monomials of M_d in their order, as the index

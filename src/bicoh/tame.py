@@ -170,14 +170,20 @@ def _mod_by_irrelevant(N: Presentation) -> Presentation:
 def limit_profile_check(N: Presentation, jwindow) -> CheckReport:
     """Stabilization of (depth, dim) of the strands N_j for large j, and
     for CM N the exact limit-depth identity
-    lim depth N_j = dim N - dim N/(x)N."""
+    lim depth N_j = dim N - dim N/(x)N.  Decided only when the trailing
+    half holds at least two strands, all with one profile."""
     lo, hi = jwindow
     profiles = [_strand_profile(N, j) for j in range(lo, hi + 1)]
-    tail_values = set(_trailing_half(profiles[::-1]))
+    tail = _trailing_half(profiles[::-1])
+    tail_values = set(tail)
     notes = []
     failure = None
     inconclusive = False
-    if len(tail_values) != 1:
+    if len(tail) < 2:
+        inconclusive = True
+        notes.append("the trailing half holds one strand; window too "
+                     "small to decide")
+    elif len(tail_values) != 1:
         inconclusive = True
         notes.append("depth/dim of the trailing strands not constant; "
                      "window too small to decide")

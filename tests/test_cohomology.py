@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
-from bicoh import cohomology, linalg, resolution
+from bicoh import cohomology, linalg, resolution, strands
+from bicoh.checks import check_gencm_les
 from bicoh.cohomology import (
     cd_estimate,
     cech_oracle,
@@ -41,7 +44,8 @@ from bicoh.resolution import (
     resolve,
     restrict_matrix,
 )
-from bicoh.strands import x_strand
+from bicoh.modfile import load_module
+from bicoh.strands import x_strand, y_strand
 from bicoh.tables import Window, matlis_flip
 from test_linalg import compose, tracked_echelon
 from test_resolution import _raw_resolution, _redundant_generator
@@ -907,6 +911,110 @@ def test_grothendieck_vanishing_per_strand(ring, two_relations):
             row = local_coh_table(two_relations, "P", i,
                                   Window(-4, 4, b, b))
             assert all(row[(a, b)] == 0 for a in window.a_range)
+
+
+def _strand_rule_modules(p):
+    """The named fixtures, gencm, a seeded quotient over each of ten ring
+    shapes, and the Ext modules of all of them."""
+    ring = standard_ring(p)
+    modules = list(named_fixtures(ring).values()) + [gencm_fixture(ring)]
+    for m, n in ((2, 2), (3, 1), (1, 3), (1, 2), (2, 1), (2, 0), (0, 2),
+                 (1, 1), (1, 0), (3, 0)):
+        modules += random_quotients(RingSpec(m, n, p), 1, seed=p + 10 * m + n,
+                                    max_degree=(2, 2))
+    return modules + [ext_presentation(M, j) for M in modules
+                      for j in range(resolve(M).length + 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 32003])
+def test_strands_decided_by_their_dimension_match_their_ext(p):
+    # local_coh_table builds no strand whose Krull dimension, read off M's
+    # numerator, fixes H^i: 0 for i outside 0..dim, the strand itself for
+    # dim 0.  Build every such strand, read the same cells off its Ext
+    # module, and check the dimension against the strand's initial module
+    windows = (Window(-6, 6, -6, 6), Window(-9, -9, -9, 9),
+               Window(-9, 9, -9, -9))
+    seen = Counter()
+    for M in _strand_rule_modules(p):
+        ring = M.ring
+        for theory, k, strand, length in (("P", 0, x_strand, ring.m),
+                                          ("Q", 1, y_strand, ring.n)):
+            if not length:
+                continue
+            dims = {}
+            for i, window in product(range(-1, length + 2), windows):
+                table = local_coh_table(M, theory, i, window)
+                for c in (window.b_range, window.a_range)[k]:
+                    N = strand(M, c)
+                    if c not in dims:
+                        dims[c] = cohomology._strand_dim(M, k, c)
+                        assert dims[c] == initial_module(N).krull_dim(), \
+                            (theory, str(M), c)
+                    if 0 <= i <= dims[c] > 0:
+                        seen["built"] += 1
+                        continue
+                    line = ([(a, c) for a in window.a_range],
+                            [(c, b) for b in window.b_range])[k]
+                    degrees = [(-d[0], 0) if k == 0 else (0, -d[1])
+                               for d in line]
+                    ext = cohomology._ext_hilbert(N, length - i, degrees)
+                    assert [table[d] for d in line] == ext, \
+                        (theory, i, str(M), c)
+                    seen["finite" if dims[c] == 0 and i == 0 and any(ext)
+                         else "vanishing"] += 1
+    assert min(seen["built"], seen["finite"], seen["vanishing"]) > 50, seen
+
+
+def _record_strands(monkeypatch):
+    """The list of the (N, index, block) of every strand presentation
+    built from now on."""
+    built, real = [], strands._strand
+    monkeypatch.setattr(strands, "_strand",
+                        lambda *args: built.append(args) or real(*args))
+    return built
+
+
+def test_a_decided_strand_is_never_built(monkeypatch):
+    # with the strand caches bypassed, every table builds exactly the
+    # strands that their dimension leaves undecided, in window order
+    built = _record_strands(monkeypatch)
+    monkeypatch.setattr(cohomology, "x_strand", x_strand.__wrapped__)
+    monkeypatch.setattr(cohomology, "y_strand", y_strand.__wrapped__)
+    ring = standard_ring(19)
+    modules = [gencm_fixture(ring)] + random_quotients(ring, 4, seed=19)
+    window = Window(-4, 4, -4, 4)
+    skipped = builds = 0
+    for M in modules:
+        for theory, k, block in (("P", 0, "y"), ("Q", 1, "x")):
+            for i in range(-1, 4):
+                built.clear()
+                local_coh_table(M, theory, i, window)
+                lines = (window.b_range, window.a_range)[k]
+                dims = [cohomology._strand_dim(M, k, c) for c in lines]
+                undecided = [c for c, dim in zip(lines, dims)
+                             if 0 <= i <= dim > 0]
+                assert built == [(M, c, block) for c in undecided]
+                skipped += len(lines) - len(undecided)
+                builds += len(undecided)
+    assert skipped > 100 and builds > 20, (skipped, builds)
+
+
+def test_gencm_check_on_the_benchmark_window_builds_two_strands(
+        tmp_path, monkeypatch):
+    # the ext_window benchmark input: gencm_fixture's relations after the
+    # block change of seed 5, checked over -13..13.  Its four P and Q
+    # tables run over 108 strands; only the two at degree 0, of dimension
+    # 2 (the P-strand of the dual module and the Q-strand of M), are
+    # built and reach an Ext module
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    built = _record_strands(monkeypatch)
+    workloads.build("ext_window", 5, tmp_path)
+    M = load_module(tmp_path / "gencm.mod")
+    report = check_gencm_les(M, Window.parse(workloads.EXT_WINDOW))
+    assert report.passed and report.checked == 729
+    assert len(built) <= 2, [args[1:] for args in built]
 
 
 def test_q_vanishing_outside_depth_range(ring, two_relations):

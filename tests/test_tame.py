@@ -2,7 +2,8 @@ import pytest
 
 from bicoh.cohomology import local_coh_table
 from bicoh.errors import NotCohenMacaulayError, UnsupportedIndexError
-from bicoh.fixtures import named_fixtures
+from bicoh.fixtures import named_fixtures, random_quotients
+from bicoh.poly import RingSpec
 from bicoh.resolution import (
     ext_presentation,
     free_presentation,
@@ -90,6 +91,23 @@ def test_limit_profile_small_window_inconclusive(ring, xy):
     N = quotient_by_polys(ring, [y1 * y1 * y1 * y2])
     report = limit_profile_check(N, (0, 1))
     assert report.inconclusive or report.passed
+
+
+def test_limit_profile_needs_two_trailing_strands():
+    # on 0..2 the last strand alone reads depth 1, dim 1, which would fail
+    # the limit-depth identity; wider windows show depth 0, dim 1 and the
+    # identity holding
+    N = random_quotients(RingSpec(2, 2), 8, 2026)[5]
+    report = limit_profile_check(N, (0, 2))
+    assert report.inconclusive and report.passed
+    assert report.notes == ("the trailing half holds one strand; window "
+                            "too small to decide",)
+    for jwindow in ((0, 6), (0, 8)):
+        report = limit_profile_check(N, jwindow)
+        assert report.passed and not report.inconclusive, jwindow
+        assert report.notes == ("stable strand profile: depth 0, dim 1",
+                                "limit depth identity holds: 0 = dim N - "
+                                "dim N/(x)N")
 
 
 @pytest.mark.parametrize("jwindow", [(0, 8), (0, 7)])
