@@ -26,7 +26,7 @@ from .resolution import (
     resolve,
     zero_presentation,
 )
-from .strands import x_strand, y_strand
+from .strands import strand
 from .cohomology import (
     cd_estimate,
     cech_oracle,
@@ -76,10 +76,9 @@ __all__ = [
     "quotient_presentation",
     "reg_scan",
     "resolve",
+    "strand",
     "strand_nonvanishing",
     "syzygies",
     "tame_scan",
-    "x_strand",
-    "y_strand",
     "zero_presentation",
 ]

@@ -32,7 +32,7 @@ from .resolution import (
     initial_module,
     profile,
 )
-from .strands import x_strand
+from .strands import strand
 from .tables import Window, matlis_flip
 
 
@@ -338,14 +338,14 @@ def check_structure1(M: Presentation, window: Window) -> CheckReport:
         for k in range(0, ring.m + 1):
             qtab = local_coh_table(M, "Q", s - k, qwin)
             for j in window.b_range:
-                strand = x_strand(dual_top, j)
-                row = ext_table(strand, ring.m - k, row_win)
+                N = strand(dual_top, 0, j)
+                row = ext_table(N, ring.m - k, row_win)
                 for i in window.a_range:
                     lhs, rhs = row[(i, 0)], qtab[(i, -j)]
                     yield ((i, j), lhs == rhs, lhs, rhs,
                            f"k={k}, strand j={j}: Ext over K[x] vs "
                            "Q-table row -j")
-                ext = ext_presentation(strand, ring.m - k)
+                ext = ext_presentation(N, ring.m - k)
                 dim = initial_module(ext).krull_dim()
                 yield ((0, j), dim <= k, dim, k,
                        f"k={k}, strand j={j}: Krull dim bound")

@@ -8,17 +8,18 @@ Three computation paths, all exact per bidegree:
   numerator of its initial module; no Ext module is resolved.  For R_+
   this gives the whole table after a Matlis flip; omega_S = S(-m,-n),
   omega_{K[x]} = K[x](-m), omega_{K[y]} = K[y](-n).
-* Strand reduction: H^i_Q(M)_(a,b) is the degree-b piece of the local
-  cohomology of the K[y]-module strand M_(a,*) at its maximal ideal,
-  which local duality turns into an Ext dimension over K[y]; P is the
-  mirror image over K[x].  A strand whose Krull dimension already fixes
-  H^i builds nothing: H^i = 0 for i > dim (Grothendieck vanishing;
-  Brodmann & Sharp, Local Cohomology, ch. 6), and a strand of dimension
-  0 has finite length, so it is its own H^0.  The dimension is the pole
-  order at t = 1 of the strand's Hilbert series (Hilbert-Serre; Bruns &
-  Herzog, Cohen-Macaulay Rings, ch. 4), whose numerator at y-degree c is
-  sum_s coef_s * dim K[y]_(c - s_y) * t^(s_x) over the numerator of M's
-  initial module (mirrored for Q).  R_+ takes the same rule with dim M.
+* Strand reduction: P is the ideal of the variable block k = 0 (x) and
+  Q that of k = 1 (y), and one loop serves both.  H^i(M)_d is the
+  degree-d_k piece of the local cohomology of strand(M, k, d_(1-k)), a
+  module over K[block k], at its maximal ideal, which local duality turns
+  into an Ext dimension over K[block k].  A strand whose Krull dimension
+  already fixes H^i builds nothing: H^i = 0 for i > dim (Grothendieck
+  vanishing; Brodmann & Sharp, Local Cohomology, ch. 6), and a strand of
+  dimension 0 has finite length, so it is its own H^0.  The dimension,
+  strand_dim, is the pole order at t = 1 of the strand's Hilbert series
+  (Hilbert-Serre; Bruns & Herzog, Cohen-Macaulay Rings, ch. 4), read off
+  the numerator of M's initial module.  R_+ takes the same rule with
+  dim M.
 * A brute-force oracle: H^i against the r variables v of the ideal (x
   for P, y for Q, all m + n for R_+) is the direct limit
   lim_t H^i(Hom(K(v^t), M))_d of the Koszul cohomologies of the powers
@@ -64,27 +65,30 @@ from itertools import combinations
 
 from .errors import BadTheoryError
 from .linalg import Matrix, homology_dim
-from .poly import Bidegree, Polynomial, block_dim, mono_bidegree
+from .poly import Bidegree, Polynomial, mono_bidegree
 from .resolution import (
     Presentation,
-    _pole_order,
     ext_presentation,
     initial_module,
     resolve,
 )
-from .strands import x_strand, y_strand
+from .strands import strand, strand_dim
 from .tables import CohomologyTable, DimTable, Window
 
 THEORIES = ("P", "Q", "R+")
 
 
-def _check_theory(ring, theory):
-    if theory not in THEORIES:
+def _blocks(ring, theory):
+    """The blocks of variables of the theory's ideal, by bidegree
+    coordinate (x 0, y 1); BadTheoryError for an unknown theory or an
+    ideal without variables."""
+    blocks = {"P": (0,), "Q": (1,), "R+": (0, 1)}.get(theory)
+    if blocks is None:
         raise BadTheoryError(f"unknown theory {theory!r}")
-    if theory == "P" and ring.m < 1:
-        raise BadTheoryError("theory P needs at least one x-variable")
-    if theory == "Q" and ring.n < 1:
-        raise BadTheoryError("theory Q needs at least one y-variable")
+    if theory != "R+" and not (ring.m, ring.n)[blocks[0]]:
+        raise BadTheoryError(f"theory {theory} needs at least one "
+                             f"{'xy'[blocks[0]]}-variable")
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +128,6 @@ def _decided(M: Presentation, dim: int, i: int, degrees):
     return None
 
 
-def _strand_dim(M: Presentation, k: int, c: int) -> int:
-    """Krull dimension of the strand of M over the variable block k (x 0,
-    y 1) at degree c of the other block, read off M's numerator: the
-    strand's Hilbert series is sum_s coef_s * dim K[other]_(c - s_other)
-    * t^(s_k) / (1 - t)^(block size)."""
-    sizes = (M.ring.m, M.ring.n)
-    numerator = {}
-    for s, coef in initial_module(M).numerator.items():
-        numerator[s[k]] = (numerator.get(s[k], 0)
-                           + coef * block_dim(c - s[1 - k], sizes[1 - k]))
-    return _pole_order(numerator, sizes[k])
-
-
 def local_coh_table(M: Presentation, theory: str, i: int,
                     window: Window) -> CohomologyTable:
     """Exact dimensions of H^i_theory(M) over the window, zero for i
@@ -144,32 +135,26 @@ def local_coh_table(M: Presentation, theory: str, i: int,
     strand that its dimension leaves undecided; a strand ring has one
     empty variable block, so its degrees are one-sided."""
     ring = M.ring
-    _check_theory(ring, theory)
-    cells = {}
-    if theory == "Q":
-        spot = ring.n - i
-        for a in window.a_range:
-            line = [(a, b) for b in window.b_range]
-            dims = _decided(M, _strand_dim(M, 1, a), i, line)
-            if dims is None:
-                dims = _ext_hilbert(y_strand(M, a), spot,
-                                    [(0, -b) for b in window.b_range])
-            cells.update(zip(line, dims))
-    elif theory == "P":
-        spot = ring.m - i
-        for b in window.b_range:
-            line = [(a, b) for a in window.a_range]
-            dims = _decided(M, _strand_dim(M, 0, b), i, line)
-            if dims is None:
-                dims = _ext_hilbert(x_strand(M, b), spot,
-                                    [(-a, 0) for a in window.a_range])
-            cells.update(zip(line, dims))
-    else:
+    blocks = _blocks(ring, theory)
+    if theory == "R+":
         degrees = list(window.cells())
         dims = _decided(M, initial_module(M).krull_dim(), i, degrees)
         if dims is None:
             dims = _ext_hilbert(M, ring.nvars - i, [-d for d in degrees])
         cells = dict(zip(map(tuple, degrees), dims))
+    else:
+        k, = blocks
+        ranges = (window.a_range, window.b_range)
+        spot = (ring.m, ring.n)[k] - i
+        cells = {}
+        for c in ranges[1 - k]:
+            line = [(d, c) if k == 0 else (c, d) for d in ranges[k]]
+            dims = _decided(M, strand_dim(M, k, c), i, line)
+            if dims is None:
+                dims = _ext_hilbert(strand(M, k, c), spot,
+                                    [(-d, 0) if k == 0 else (0, -d)
+                                     for d in ranges[k]])
+            cells.update(zip(line, dims))
     return CohomologyTable(window=window, cells=cells, p=ring.p,
                            theory=theory, index=i,
                            dual_flipped=(theory == "R+"))
@@ -265,9 +250,7 @@ def _koszul_limit(M: Presentation, theory: str, i: int):
     """The oracle for H^i_theory(M): the set-up that no degree changes,
     done once, and the function cell(d) that computes level t_0(d)."""
     ring = M.ring
-    _check_theory(ring, theory)
-    # the ideal's blocks of variables, by bidegree coordinate (x 0, y 1)
-    blocks = {"P": (0,), "Q": (1,), "R+": (0, 1)}[theory]
+    blocks = _blocks(ring, theory)
     sizes, starts = (ring.m, ring.n), (0, ring.m)
     variables = [starts[k] + v for k in blocks for v in range(sizes[k])]
     r = len(variables)

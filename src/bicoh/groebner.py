@@ -210,9 +210,6 @@ class GroebnerBasis:
     def lead_terms(self):
         return [g.lead() for g in self.elements]
 
-    def contains(self, v):
-        return normal_form(v, self).is_zero()
-
     @cached_property
     def shifts(self):
         """The bidegree of each element: the shifts of its syzygy module,

@@ -55,21 +55,6 @@ class Matrix:
         return {i: r for i, v in out.items() if (r := v % p)}
 
 
-def _as_matrix(arr, p):
-    """arr itself if it is a Matrix, else the Matrix of a dense 2-D array
-    (anything with .shape whose rows iterate), reduced mod p."""
-    if isinstance(arr, Matrix):
-        return arr
-    rows, cols = arr.shape
-    out = Matrix.zeros(rows, cols)
-    for i, row in enumerate(arr):
-        for j, v in enumerate(row):
-            v = int(v) % p
-            if v:
-                out.cols[j][i] = v
-    return out
-
-
 def _subtract(v, f, w, p):
     """v -= f * w mod p in place, dropping the entries that become zero."""
     for i, x in w.items():
@@ -106,33 +91,36 @@ def _echelon(mat, p):
 
 
 def rank_of_array(arr, p):
-    """Rank over F_p of a Matrix (or a dense 2-D array)."""
+    """Rank over F_p of a Matrix.  No caller in bicoh passes anything else,
+    but perfbench's tracer test passes a dense 2-D array, which is read
+    as the Matrix of its entries mod p."""
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         return 0
-    return len(_echelon(_as_matrix(arr, p), p))
+    if not isinstance(arr, Matrix):
+        arr = Matrix(arr.shape, [{i: v for i, x in enumerate(col)
+                                  if (v := int(x) % p)} for col in zip(*arr)])
+    return len(_echelon(arr, p))
 
 
 def check_complex(A, B, p):
-    """Raise ComposeError unless A --> . --> B is a complex at the middle
-    space: the shapes chain and B * A = 0 mod p."""
+    """Raise ComposeError unless the Matrix maps A --> . --> B form a
+    complex at the middle space: the shapes chain and B * A = 0 mod p."""
     if B.shape[1] != A.shape[0]:
         raise ComposeError(
             f"shape mismatch: B has {B.shape[1]} columns, A has "
             f"{A.shape[0]} rows")
     if A.shape[1] and B.shape[0]:
-        A, B = _as_matrix(A, p), _as_matrix(B, p)
         if any(B.apply(col, p) for col in A.cols):
             raise ComposeError("B*A is not zero; not a complex at this spot")
 
 
 def homology_dim(A, B, p) -> int:
     """dim(ker B / im A) over F_p for one graded piece of a complex
-    A --> . --> B of Matrix (or dense 2-D) maps.
+    A --> . --> B of Matrix maps.
 
     A maps into the middle space (its columns are cycles), B maps out of it.
     Raises ComposeError unless B * A = 0.
     """
-    A, B = _as_matrix(A, p), _as_matrix(B, p)
     check_complex(A, B, p)
     ker_b = B.shape[1] - rank_of_array(B, p)
     return ker_b - rank_of_array(A, p)

@@ -402,10 +402,6 @@ def minimal_presentation(P: Presentation) -> Presentation:
                         else tuple(() for _ in res.shifts(0)))
 
 
-def is_zero_module(P: Presentation) -> bool:
-    return resolve(P).betti(0) == 0
-
-
 # ---------------------------------------------------------------------------
 # numerical invariants
 
@@ -431,12 +427,12 @@ class ModuleProfile:
 def profile(P: Presentation) -> ModuleProfile:
     """dim, depth (via Auslander-Buchsbaum), pd, CM and generalized-CM
     flags.  Rejects the zero module."""
-    if is_zero_module(P):
+    dim = initial_module(P).krull_dim()
+    if dim < 0:
         raise ZeroModuleError("the zero module has no profile")
     nvars = P.ring.nvars
     pd = resolve(P).length
     depth = nvars - pd
-    dim = initial_module(P).krull_dim()
     if depth > dim:
         raise InvariantError(f"depth {depth} exceeds dim {dim}; "
                              "inconsistent invariants")

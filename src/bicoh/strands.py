@@ -1,89 +1,81 @@
 """Single-graded strands of a bigraded module.
 
-For a bigraded module N over S the y-degree-j strand N_j = (+)_i N_(i,j)
-is a finitely generated module over F_p[x], with one generator for every
-pair (generator k of N, y-monomial of degree j - b_k).  The relations are
-the y-monomial expansions of the S-relations.  The x-degree-a strand over
-F_p[y] is the mirror image.
+The variable blocks of S are named by their bidegree coordinate: x is
+block 0, y is block 1.  The strand of N over block k at degree c of the
+other block is the sum of the pieces N_d with d_(1-k) = c, a finitely
+generated module over F_p[block k]: over F_p[x] at y-degree c for k = 0,
+over F_p[y] at x-degree c for k = 1.  It has one generator for every pair
+(generator g of N, other-block monomial of degree c - shift_g), and the
+relations are the other-block monomial expansions of the S-relations.
+Its Krull dimension is read off N's Hilbert series, with no strand built.
 """
 
 from functools import lru_cache
 
 from .errors import BadTheoryError
-from .poly import Bidegree, Polynomial, RingSpec, monomial_basis
-from .resolution import Presentation
+from .poly import Bidegree, Polynomial, RingSpec, block_dim, monomial_basis
+from .resolution import Presentation, _pole_order, initial_module
 
 
-def _strand(N: Presentation, index: int, block: str) -> Presentation:
-    """block 'y' collapses the y-variables (K[x]-strand at y-degree index);
-    block 'x' collapses the x-variables (K[y]-strand at x-degree index)."""
+def _on(k, v):
+    """The pair with v at coordinate k and 0 at the other."""
+    return (v, 0) if k == 0 else (0, v)
+
+
+def _check_block(ring, k):
+    if not (ring.m, ring.n)[k]:
+        name = "xy"[k]
+        raise BadTheoryError(f"{name}-strands need at least one "
+                             f"{name}-variable; {ring} has none")
+
+
+@lru_cache(maxsize=None)
+def strand(N: Presentation, k: int, c: int) -> Presentation:
+    """The strand of N over the variable block k (x 0, y 1) at degree c of
+    the other block, as a module over F_p[block k]."""
     ring = N.ring
-    m, n = ring.m, ring.n
-    kept = "x" if block == "y" else "y"
-    if not (m if block == "y" else n):
-        raise BadTheoryError(f"{kept}-strands need at least one "
-                             f"{kept}-variable; {ring} has none")
-    if block == "y":
-        sub = RingSpec(m, 0, ring.p)
-        collapse = RingSpec(0, n, ring.p) if n else None
-        keep_deg = lambda s: Bidegree(s.a, 0)
-        lost_deg = lambda s: s.b
-        split = lambda e: (e[:m], e[m:])
-    else:
-        sub = RingSpec(0, n, ring.p)
-        collapse = RingSpec(m, 0, ring.p) if m else None
-        keep_deg = lambda s: Bidegree(0, s.b)
-        lost_deg = lambda s: s.a
-        split = lambda e: (e[m:], e[:m])
+    _check_block(ring, k)
+    sizes, p = (ring.m, ring.n), ring.p
+    sub = RingSpec(*_on(k, sizes[k]), p)
+    other = RingSpec(*_on(1 - k, sizes[1 - k]), p) if sizes[1 - k] else None
+    blocks = (slice(0, ring.m), slice(ring.m, None))
 
-    def gen_list(shifts):
-        """(owner index, collapsed monomial) pairs, plus their sub-ring
-        shifts, ordered by (owner, monomial descending)."""
-        out = []
-        degs = []
-        for k, s in enumerate(shifts):
-            want = index - lost_deg(s)
-            if collapse is None:
-                monos = [0] if want == 0 else []
-            else:
-                monos = monomial_basis(
-                    collapse,
-                    (0, want) if block == "y" else (want, 0))
-            for w in monos:
-                out.append((k, w))
-                degs.append(keep_deg(s))
-        return out, degs
+    def pieces(shifts):
+        """((owner g, other-block monomial), shift over F_p[block k]) for
+        each summand, ordered by (owner, monomial descending); an empty
+        other block has the one monomial 1, in degree 0."""
+        return [((g, w), Bidegree(*_on(k, s[k])))
+                for g, s in enumerate(shifts)
+                for w in (monomial_basis(other, _on(1 - k, c - s[1 - k]))
+                          if other else [0] * (c == s[1 - k]))]
 
-    gens, gen_degs = gen_list(N.gens)
-    rels, rel_degs = gen_list(N.rels)
-    gen_index = {key: i for i, key in enumerate(gens)}
-
-    rows = [[dict() for _ in rels] for _ in gens]
-    for col, (l, w) in enumerate(rels):
-        for k in range(len(N.gens)):
-            entry = N.matrix[k][l]
-            for mono, coeff in entry.terms:
-                kept, lost = split(ring.exponents(mono))
-                target = collapse.monomial(lost) + w if collapse else w
-                row = gen_index.get((k, target))
-                if row is None:
-                    continue
-                kept = sub.monomial(kept)
-                acc = rows[row][col]
-                acc[kept] = (acc.get(kept, 0) + coeff) % ring.p
-    matrix = tuple(
-        tuple(Polynomial.from_dict(sub, rows[r][c]) for c in range(len(rels)))
-        for r in range(len(gens)))
-    return Presentation(sub, tuple(gen_degs), tuple(rel_degs), matrix)
+    gens, rels = pieces(N.gens), pieces(N.rels)
+    gen_index = {key: i for i, (key, _) in enumerate(gens)}
+    rows = [[{} for _ in rels] for _ in gens]
+    for col, ((l, w), _) in enumerate(rels):
+        for g, entries in enumerate(N.matrix):
+            for mono, coeff in entries[l].terms:
+                e = ring.exponents(mono)
+                target = other.monomial(e[blocks[1 - k]]) + w if other else w
+                row = gen_index.get((g, target))
+                if row is not None:
+                    kept = sub.monomial(e[blocks[k]])
+                    acc = rows[row][col]
+                    acc[kept] = (acc.get(kept, 0) + coeff) % p
+    return Presentation(
+        sub, tuple(d for _, d in gens), tuple(d for _, d in rels),
+        tuple(tuple(Polynomial.from_dict(sub, acc) for acc in row)
+              for row in rows))
 
 
-@lru_cache(maxsize=None)
-def x_strand(N: Presentation, j: int) -> Presentation:
-    """The y-degree-j strand of N as a module over F_p[x]."""
-    return _strand(N, j, "y")
-
-
-@lru_cache(maxsize=None)
-def y_strand(M: Presentation, a: int) -> Presentation:
-    """The x-degree-a strand of M as a module over F_p[y]."""
-    return _strand(M, a, "x")
+def strand_dim(N: Presentation, k: int, c: int) -> int:
+    """Krull dimension of strand(N, k, c), read off N's numerator, and -1
+    for the zero strand: the strand's Hilbert series is sum_s coef_s *
+    dim K[other]_(c - s_other) * t^(s_k) / (1 - t)^(block size)."""
+    _check_block(N.ring, k)
+    sizes = (N.ring.m, N.ring.n)
+    numerator = {}
+    for s, coef in initial_module(N).numerator.items():
+        numerator[s[k]] = (numerator.get(s[k], 0)
+                           + coef * block_dim(c - s[1 - k], sizes[1 - k]))
+    return _pole_order(numerator, sizes[k])

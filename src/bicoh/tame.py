@@ -19,11 +19,10 @@ from .resolution import (
     Presentation,
     ext_presentation,
     initial_module,
-    is_zero_module,
     profile,
     resolve,
 )
-from .strands import x_strand
+from .strands import strand, strand_dim
 from .tables import Window
 
 EVENTUALLY_ZERO = "eventually-zero"
@@ -35,18 +34,16 @@ def strand_nonvanishing(N: Presentation, k: int, j: int) -> bool:
     """Whether the local cohomology H^k at the maximal ideal of K[x] of
     the strand N_j is nonzero, decided by the minimal presentation of the
     dual Ext (no degree window involved)."""
-    strand = x_strand(N, j)
-    ext = ext_presentation(strand, N.ring.m - k)
+    ext = ext_presentation(strand(N, 0, j), N.ring.m - k)
     return len(ext.gens) > 0
 
 
 def _strand_profile(N, j):
     """(depth, dim) of the strand N_j over K[x], or None when zero."""
-    strand = x_strand(N, j)
-    if is_zero_module(strand):
+    dim = strand_dim(N, 0, j)
+    if dim < 0:
         return None
-    pd = resolve(strand).length
-    return (strand.ring.nvars - pd, initial_module(strand).krull_dim())
+    return (N.ring.m - resolve(strand(N, 0, j)).length, dim)
 
 
 _MIN_RUN = 3
@@ -216,10 +213,9 @@ def limit_profile_check(N: Presentation, jwindow) -> CheckReport:
 def strand_regularity(N: Presentation, j: int):
     """Castelnuovo-Mumford regularity of the strand N_j over K[x], read
     off the minimal graded free resolution; None for the zero strand."""
-    strand = x_strand(N, j)
-    if is_zero_module(strand):
+    if strand_dim(N, 0, j) < 0:
         return None
-    res = resolve(strand)
+    res = resolve(strand(N, 0, j))
     return max(max(s.a for s in mod.shifts) - i
                for i, mod in enumerate(res.modules))
 

@@ -32,7 +32,7 @@ def test_process_wide_caches_are_inventoried():
                 found.add(f"{name}.{attr}")
     assert found == {"resolution.initial_module", "resolution.resolve",
                      "resolution.ext_presentation", "resolution.hilbert_dim",
-                     "strands.x_strand", "strands.y_strand"}
+                     "strands.strand"}
 
 
 def test_no_module_level_container_grows():

@@ -121,14 +121,13 @@ def test_structure_row_convention_is_forced(ring, hypersurface):
     # dims against row +j instead of row -j must break somewhere
     from bicoh.cohomology import ext_table, local_coh_table
     from bicoh.resolution import ext_presentation, profile
-    from bicoh.strands import x_strand
+    from bicoh.strands import strand
     s = profile(hypersurface).dim
     dual = ext_presentation(hypersurface, ring.nvars - s)
     qtab = local_coh_table(hypersurface, "Q", s - 1, Window(-6, 6, -6, 6))
     right = wrong = 0
     for j in range(-4, 5):
-        strand = x_strand(dual, j)
-        row = ext_table(strand, ring.m - 1, Window(-6, 6, 0, 0))
+        row = ext_table(strand(dual, 0, j), ring.m - 1, Window(-6, 6, 0, 0))
         for i in range(-6, 7):
             lhs = row[(i, 0)]
             right += lhs != qtab[(i, -j)]

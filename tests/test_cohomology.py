@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bicoh import cohomology, linalg, resolution, strands
+from bicoh import cohomology, linalg, resolution
 from bicoh.checks import check_gencm_les
 from bicoh.cohomology import (
     cd_estimate,
@@ -38,14 +38,13 @@ from bicoh.resolution import (
     hilbert_dim,
     hilbert_table,
     initial_module,
-    is_zero_module,
     profile,
     quotient_by_polys,
     resolve,
     restrict_matrix,
 )
 from bicoh.modfile import load_module
-from bicoh.strands import x_strand, y_strand
+from bicoh.strands import strand, strand_dim
 from bicoh.tables import Window, matlis_flip
 from test_linalg import compose, tracked_echelon
 from test_resolution import _raw_resolution, _redundant_generator
@@ -80,7 +79,7 @@ def test_ext_presentation_examples(ring, S, hypersurface):
     assert e0.gens == (ring.canonical_degree,) and not e0.rels
     e1 = ext_presentation(hypersurface, 1)
     assert len(e1.gens) == 1 and len(e1.rels) == 1
-    assert is_zero_module(ext_presentation(hypersurface, 2))
+    assert resolve(ext_presentation(hypersurface, 2)).betti(0) == 0
     window = Window(-2, 2, -2, 2)
     assert hilbert_table(e1, window).cells == \
         ext_table(hypersurface, 1, window).cells
@@ -905,8 +904,7 @@ def test_grothendieck_vanishing_per_strand(ring, two_relations):
     # H^i_P cells vanish when i exceeds the strand dimension
     window = Window(-4, 4, -4, 4)
     for b in window.b_range:
-        strand = x_strand(two_relations, b)
-        bound = initial_module(strand).krull_dim()
+        bound = initial_module(strand(two_relations, 0, b)).krull_dim()
         for i in range(max(0, bound + 1), ring.m + 1):
             row = local_coh_table(two_relations, "P", i,
                                   Window(-4, 4, b, b))
@@ -937,17 +935,16 @@ def test_strands_decided_by_their_dimension_match_their_ext(p):
     seen = Counter()
     for M in _strand_rule_modules(p):
         ring = M.ring
-        for theory, k, strand, length in (("P", 0, x_strand, ring.m),
-                                          ("Q", 1, y_strand, ring.n)):
+        for theory, k, length in (("P", 0, ring.m), ("Q", 1, ring.n)):
             if not length:
                 continue
             dims = {}
             for i, window in product(range(-1, length + 2), windows):
                 table = local_coh_table(M, theory, i, window)
                 for c in (window.b_range, window.a_range)[k]:
-                    N = strand(M, c)
+                    N = strand(M, k, c)
                     if c not in dims:
-                        dims[c] = cohomology._strand_dim(M, k, c)
+                        dims[c] = strand_dim(M, k, c)
                         assert dims[c] == initial_module(N).krull_dim(), \
                             (theory, str(M), c)
                     if 0 <= i <= dims[c] > 0:
@@ -965,35 +962,26 @@ def test_strands_decided_by_their_dimension_match_their_ext(p):
     assert min(seen["built"], seen["finite"], seen["vanishing"]) > 50, seen
 
 
-def _record_strands(monkeypatch):
-    """The list of the (N, index, block) of every strand presentation
-    built from now on."""
-    built, real = [], strands._strand
-    monkeypatch.setattr(strands, "_strand",
-                        lambda *args: built.append(args) or real(*args))
-    return built
-
-
 def test_a_decided_strand_is_never_built(monkeypatch):
-    # with the strand caches bypassed, every table builds exactly the
+    # with the strand cache bypassed, every table builds exactly the
     # strands that their dimension leaves undecided, in window order
-    built = _record_strands(monkeypatch)
-    monkeypatch.setattr(cohomology, "x_strand", x_strand.__wrapped__)
-    monkeypatch.setattr(cohomology, "y_strand", y_strand.__wrapped__)
+    built, build = [], strand.__wrapped__
+    monkeypatch.setattr(cohomology, "strand",
+                        lambda *args: built.append(args) or build(*args))
     ring = standard_ring(19)
     modules = [gencm_fixture(ring)] + random_quotients(ring, 4, seed=19)
     window = Window(-4, 4, -4, 4)
     skipped = builds = 0
     for M in modules:
-        for theory, k, block in (("P", 0, "y"), ("Q", 1, "x")):
+        for theory, k in (("P", 0), ("Q", 1)):
             for i in range(-1, 4):
                 built.clear()
                 local_coh_table(M, theory, i, window)
                 lines = (window.b_range, window.a_range)[k]
-                dims = [cohomology._strand_dim(M, k, c) for c in lines]
+                dims = [strand_dim(M, k, c) for c in lines]
                 undecided = [c for c, dim in zip(lines, dims)
                              if 0 <= i <= dim > 0]
-                assert built == [(M, c, block) for c in undecided]
+                assert built == [(M, k, c) for c in undecided]
                 skipped += len(lines) - len(undecided)
                 builds += len(undecided)
     assert skipped > 100 and builds > 20, (skipped, builds)
@@ -1009,12 +997,70 @@ def test_gencm_check_on_the_benchmark_window_builds_two_strands(
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
-    built = _record_strands(monkeypatch)
+    misses = strand.cache_info().misses
     workloads.build("ext_window", 5, tmp_path)
     M = load_module(tmp_path / "gencm.mod")
     report = check_gencm_les(M, Window.parse(workloads.EXT_WINDOW))
     assert report.passed and report.checked == 729
-    assert len(built) <= 2, [args[1:] for args in built]
+    # a strand is built on each miss of strand's cache, from any caller
+    assert strand.cache_info().misses - misses <= 2, strand.cache_info()
+
+
+def _swap_blocks(P):
+    """P with the two variable blocks swapped: over F_p[y, x], exponents
+    listed y first, so every bidegree (a, b) becomes (b, a)."""
+    ring = P.ring
+    swapped = RingSpec(ring.n, ring.m, ring.p)
+
+    def swap(f):
+        return Polynomial.from_dict(swapped, {
+            swapped.monomial(e[ring.m:] + e[:ring.m]): c
+            for e, c in ((ring.exponents(mono), c) for mono, c in f.terms)})
+
+    return Presentation(swapped, tuple((b, a) for a, b in P.gens),
+                        tuple((b, a) for a, b in P.rels),
+                        tuple(tuple(map(swap, row)) for row in P.matrix))
+
+
+@pytest.mark.parametrize("p", [3, 32003])
+def test_p_and_q_tables_are_mirror_images(p):
+    # swapping the blocks turns P into Q and fixes R+, so H^i_P(M)_(a,b) =
+    # H^i_Q(swap M)_(b,a) and H^i_R+(M)_(a,b) = H^i_R+(swap M)_(b,a): the
+    # strand loop over block 0 against the one over block 1
+    ring = standard_ring(p)
+    modules = list(named_fixtures(ring).values()) + [gencm_fixture(ring)]
+    for m, n in ((2, 1), (1, 2), (3, 1), (2, 0)):
+        modules += random_quotients(RingSpec(m, n, p), 2, seed=p + 10 * m + n)
+    window = Window(-5, 5, -5, 5)
+    cells, nonzero = 0, Counter()
+    for M in modules:
+        W = _swap_blocks(M)
+        pairs = [("P", "Q"), ("R+", "R+")]
+        if M.ring.n:
+            pairs.append(("Q", "P"))
+        for i, (theory, mirror) in product(range(-1, M.ring.nvars + 2),
+                                           pairs):
+            table = local_coh_table(M, theory, i, window)
+            image = local_coh_table(W, mirror, i, window)
+            for a, b in window.cells():
+                assert table[(a, b)] == image[(b, a)], \
+                    (str(M), theory, i, a, b)
+                cells += 1
+                nonzero[theory] += table[(a, b)] > 0
+    assert cells == 28919 and min(nonzero.values()) > 150, nonzero
+
+
+def test_p_and_q_oracles_are_mirror_images(ring):
+    window = Window(-3, 3, -3, 3)
+    for M in named_fixtures(ring).values():
+        W = _swap_blocks(M)
+        for i, (theory, mirror) in product(range(-1, ring.m + 2),
+                                           (("P", "Q"), ("Q", "P"))):
+            table = oracle_table(M, theory, i, window)
+            image = oracle_table(W, mirror, i, window)
+            for a, b in window.cells():
+                assert table[(a, b)] == image[(b, a)], \
+                    (str(M), theory, i, a, b)
 
 
 def test_q_vanishing_outside_depth_range(ring, two_relations):

@@ -1,7 +1,6 @@
 import heapq
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +23,7 @@ from bicoh.groebner import (
     normal_form,
     syzygies,
 )
-from bicoh.linalg import rank_of_array
+from bicoh.linalg import Matrix, rank_of_array
 from bicoh.poly import (
     Bidegree,
     Polynomial,
@@ -77,8 +76,10 @@ def submodule_dim_bruteforce(gens, d):
             columns.append(col)
     if not columns:
         return 0
-    arr = np.array(columns, dtype=np.int64).T
-    return rank_of_array(arr, ring.p)
+    p = ring.p
+    return rank_of_array(Matrix((len(ambient), len(columns)),
+                                [{i: v % p for i, v in enumerate(col) if v % p}
+                                 for col in columns]), p)
 
 
 def submodule_dim_groebner(gb, d):
@@ -199,7 +200,7 @@ def _frame_against_referee(G):
     dropped = [s for s in referee if s not in frame]
     if dropped:
         span = buchberger(kept, module=referee[0].module)
-        assert all(span.contains(s) for s in dropped)
+        assert all(normal_form(s, span).is_zero() for s in dropped)
     return kept, referee
 
 
@@ -283,7 +284,7 @@ def test_pair_criteria_keep_cross_position_pair(r22):
     F, gens = _cross_position_pair(r22)
     gb = buchberger(gens)
     assert gb.elements == _all_pairs_buchberger(gens).elements
-    assert gb.contains(elem(F, "0", "x2*y1 - x1*y2"))
+    assert normal_form(elem(F, "0", "x2*y1 - x1*y2"), gb).is_zero()
 
 
 def test_pair_criteria_on_the_rung_divide_less(monkeypatch):
@@ -435,7 +436,7 @@ def test_gb_mixed_positions_matches_bruteforce(r22):
     gb = buchberger([f, g])
     assert len(gb.elements) >= 3
     witness = elem(F, "0", "x2*y1 - x1*y2")
-    assert gb.contains(witness)
+    assert normal_form(witness, gb).is_zero()
     for a in range(4):
         for b in range(4):
             assert submodule_dim_groebner(gb, (a, b)) == \
@@ -449,7 +450,7 @@ def test_membership_through_normal_form(r22):
     for i, g in enumerate(gb.elements):
         others = gb.elements[:i] + gb.elements[i + 1:]
         assert normal_form(g, others) == g
-        assert gb.contains(g)
+        assert normal_form(g, gb).is_zero()
 
 
 def test_normal_form_idempotent(r22):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bicoh.errors import ComposeError
 from bicoh.linalg import (
     Matrix,
-    _as_matrix,
     _subtract,
     homology_dim,
     rank_of_array,
@@ -17,12 +16,19 @@ from bicoh.linalg import (
 P = 32003
 
 
+def _sparse(arr, p):
+    """The Matrix of an int64 array, entries reduced mod p."""
+    rows, cols = arr.shape
+    return Matrix((rows, cols), [{i: int(arr[i, j]) % p for i in range(rows)
+                                  if arr[i, j] % p} for j in range(cols)])
+
+
 def zeros(rows, cols):
-    return np.zeros((rows, cols), dtype=np.int64)
+    return _sparse(np.zeros((rows, cols), dtype=np.int64), P)
 
 
 def eye(size):
-    return np.eye(size, dtype=np.int64)
+    return _sparse(np.eye(size, dtype=np.int64), P)
 
 
 def array(entries):
@@ -69,10 +75,10 @@ def tracked_echelon(mat, p, table=None):
     return table, kernel
 
 
-def kernel_of_array(arr, p):
-    """Basis of the right kernel, as the columns of a Matrix."""
-    kernel = tracked_echelon(_as_matrix(arr, p), p)[1]
-    return Matrix((arr.shape[1], len(kernel)), kernel)
+def kernel_of_array(mat, p):
+    """Basis of the right kernel of a Matrix, as the columns of a Matrix."""
+    kernel = tracked_echelon(mat, p)[1]
+    return Matrix((mat.shape[1], len(kernel)), kernel)
 
 
 def compose(B, A, p):
@@ -116,13 +122,6 @@ def _dense(mat):
     return out
 
 
-def _sparse(arr, p):
-    """The Matrix of an int64 array, entries reduced mod p."""
-    rows, cols = arr.shape
-    return Matrix((rows, cols), [{i: int(arr[i, j]) % p for i in range(rows)
-                                  if arr[i, j] % p} for j in range(cols)])
-
-
 def _random_array(rng, rows, cols, p, density):
     return np.array([[rng.randrange(1, p) if rng.random() < density else 0
                       for _ in range(cols)] for _ in range(rows)],
@@ -133,8 +132,9 @@ def _agrees_with_dense_referee(arr, p):
     """Rank, kernel dimension and B * K = 0 against the dense referee."""
     rows, cols = arr.shape
     dense_rank = len(_dense_echelon(arr, p)[1]) if rows and cols else 0
-    assert rank_of_array(arr, p) == dense_rank
-    kernel = kernel_of_array(arr, p)
+    mat = _sparse(arr, p)
+    assert rank_of_array(mat, p) == dense_rank
+    kernel = kernel_of_array(mat, p)
     assert kernel.shape == (cols, cols - dense_rank)
     dense_kernel = _dense(kernel)
     assert not np.any((arr @ dense_kernel) % p)
@@ -152,7 +152,7 @@ def test_rank_zero_matrix():
 
 
 def test_rank_dependent_rows():
-    assert rank_of_array(array([[1, 2], [2, 4]]), P) == 1
+    assert rank_of_array(matrix([[1, 2], [2, 4]]), P) == 1
 
 
 def test_kernel_of_identity_is_empty():
@@ -181,7 +181,7 @@ def test_homology_exact_spot():
 
 
 def test_homology_injective_outgoing():
-    assert homology_dim(zeros(1, 1), array([[1]]), P) == 0
+    assert homology_dim(zeros(1, 1), matrix([[1]]), P) == 0
 
 
 def test_homology_rejects_noncomplex():
@@ -194,8 +194,8 @@ def test_rank_nullity_on_random_matrices():
     for _ in range(40):
         rows = rng.randint(0, 8)
         cols = rng.randint(0, 8)
-        m = array([[rng.randrange(P) for _ in range(cols)]
-                   for _ in range(rows)]).reshape(rows, cols)
+        m = _sparse(array([[rng.randrange(P) for _ in range(cols)]
+                           for _ in range(rows)]).reshape(rows, cols), P)
         assert rank_of_array(m, P) + kernel_of_array(m, P).shape[1] == cols
         assert rank_of_array(m, P) <= min(rows, cols)
 
@@ -244,11 +244,11 @@ def test_compose_matches_dense_product(p):
 
 
 def test_dense_input_reads_as_the_same_matrix():
-    # rank and kernel read int64 arrays (entries reduced mod p) just as
-    # the Matrix built from the same rows
+    # rank reads an int64 array, and _sparse converts one, with entries
+    # reduced mod p, just as the Matrix built from the same rows
     rows = [[P + 1, 2 * P], [-1, 5]]
     assert rank_of_array(array(rows), P) == rank_of_array(matrix(rows), P)
-    assert kernel_of_array(array([[1, -1]]), P).cols == \
+    assert kernel_of_array(_sparse(array([[1, -1]]), P), P).cols == \
         kernel_of_array(matrix([[1, -1]]), P).cols
 
 

@@ -6,22 +6,22 @@ from bicoh.resolution import (
     Presentation,
     free_presentation,
     hilbert_dim,
-    is_zero_module,
     quotient_by_polys,
+    resolve,
 )
-from bicoh.strands import x_strand, y_strand
+from bicoh.strands import strand, strand_dim
 
 
 def test_x_strand_of_ring_is_free(S):
-    st0 = x_strand(S, 0)
+    st0 = strand(S, 0, 0)
     assert len(st0.gens) == 1 and not st0.rels
-    st1 = x_strand(S, 1)
+    st1 = strand(S, 0, 1)
     assert len(st1.gens) == 2 and not st1.rels
     assert st1.ring == RingSpec(2, 0)
 
 
 def test_x_strand_of_hypersurface(hypersurface):
-    st = x_strand(hypersurface, 1)
+    st = strand(hypersurface, 0, 1)
     assert len(st.gens) == 2
     assert len(st.rels) == 1
     entries = [str(st.matrix[k][0]) for k in range(2)]
@@ -31,29 +31,30 @@ def test_x_strand_of_hypersurface(hypersurface):
 def test_strand_hilbert_compatibility(ring, hypersurface, two_relations):
     for M in (hypersurface, two_relations):
         for j in range(0, 4):
-            st = x_strand(M, j)
+            st = strand(M, 0, j)
             for i in range(0, 5):
                 assert hilbert_dim(st, (i, 0)) == hilbert_dim(M, (i, j))
         for a in range(0, 4):
-            st = y_strand(M, a)
+            st = strand(M, 1, a)
             for b in range(0, 5):
                 assert hilbert_dim(st, (0, b)) == hilbert_dim(M, (a, b))
 
 
 def test_y_strand_of_ring(S):
-    st = y_strand(S, 1)
+    st = strand(S, 1, 1)
     assert len(st.gens) == 2 and not st.rels
     assert st.ring == RingSpec(0, 2)
 
 
 def test_y_strand_of_hypersurface(hypersurface):
-    st = y_strand(hypersurface, 1)
+    st = strand(hypersurface, 1, 1)
     assert len(st.gens) == 2 and len(st.rels) == 1
 
 
 def test_strand_below_all_shifts_is_zero(S):
-    assert is_zero_module(y_strand(S, -1))
-    assert is_zero_module(x_strand(S, -2))
+    for k, c in ((1, -1), (0, -2)):
+        assert resolve(strand(S, k, c)).betti(0) == 0
+        assert strand_dim(S, k, c) == -1
 
 
 def test_strand_additive_on_direct_sums(ring, xy):
@@ -65,17 +66,17 @@ def test_strand_additive_on_direct_sums(ring, xy):
         ring, ((0, 0), (1, 1)), ((1, 1),),
         ((f, ), (ring.zero(),)))
     for j in range(0, 4):
-        lhs = x_strand(direct, j)
-        expected = (hilbert_dim(x_strand(A, j), (2, 0)) +
-                    hilbert_dim(x_strand(free_presentation(ring, [(1, 1)]),
-                                         j), (2, 0)))
+        lhs = strand(direct, 0, j)
+        expected = (hilbert_dim(strand(A, 0, j), (2, 0)) +
+                    hilbert_dim(strand(free_presentation(ring, [(1, 1)]),
+                                       0, j), (2, 0)))
         assert hilbert_dim(lhs, (2, 0)) == expected
 
 
 def test_strand_of_shifted_free_has_predicted_rank(ring):
     F = free_presentation(ring, [(0, 0), (2, 1)])
     for j in range(0, 4):
-        st = x_strand(F, j)
+        st = strand(F, 0, j)
         want = block_dim(j, ring.n) + block_dim(j - 1, ring.n)
         assert len(st.gens) == want
         assert not st.rels
@@ -83,9 +84,10 @@ def test_strand_of_shifted_free_has_predicted_rank(ring):
 
 def test_strands_over_an_empty_variable_block_are_rejected():
     # the x-strands of a module over F_p[y] (and the y-strands of one over
-    # F_p[x]) would live over a ring without variables
-    for ring, strand in ((RingSpec(0, 2), x_strand),
-                         (RingSpec(2, 0), y_strand)):
+    # F_p[x]) would live over a ring without variables, and have no
+    # dimension either
+    for ring, k in ((RingSpec(0, 2), 0), (RingSpec(2, 0), 1)):
         N = free_presentation(ring, [(0, 0)])
-        with pytest.raises(BadTheoryError, match="need at least one"):
-            strand(N, 0)
+        for fn in (strand, strand_dim):
+            with pytest.raises(BadTheoryError, match="need at least one"):
+                fn(N, k, 0)

@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from bicoh.cohomology import local_coh_table
 from bicoh.errors import NotCohenMacaulayError, UnsupportedIndexError
-from bicoh.fixtures import named_fixtures, random_quotients
+from bicoh.fixtures import named_fixtures, random_quotients, standard_ring
 from bicoh.poly import RingSpec
 from bicoh.resolution import (
     ext_presentation,
@@ -208,3 +210,27 @@ def test_cm_limits_predict_vanishing_pattern(ring, hypersurface):
         assert (report.overall == EVENTUALLY_NONZERO) == expect_nonzero, \
             (k, t0, s0, report)
 
+
+
+def test_strand_consumers_are_pinned():
+    # the reports of every consumer of the strands over K[x] (tame scans at
+    # every supported k, regularity scans of the CM modules, limit-profile
+    # checks on three windows) hash to the digest they had when the two
+    # strand builders were merged and zero strands were first read off
+    # the numerator, so neither changed a printed line
+    ring = standard_ring()
+    modules = (list(named_fixtures(ring).values())
+               + random_quotients(RingSpec(2, 2), 8, 2026))
+    lines = []
+    for M in modules:
+        prof = profile(M)
+        ks = (range(-1, ring.n + 2) if prof.is_cm
+              else sorted({prof.dim, prof.depth - ring.m}))
+        lines += [str(tame_scan(M, k, (-6, 4))) for k in ks]
+        if prof.is_cm:
+            lines.append(str(reg_scan(M, (-3, 5))))
+        lines += [str(limit_profile_check(M, w))
+                  for w in ((0, 2), (0, 6), (-4, 4))]
+    assert len(lines) == 100
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "0b09f2ee7d23d91d07ad94f1a3877b85085df89f64f8ea6479173d16af603fbe")
