@@ -1,9 +1,11 @@
 """Build a few bigraded quotients of S = F_p[x1,x2,y1,y2], resolve them,
 and read off the basic invariants.
 
-Everything is exact: graded dimensions come from ranks of degree-restricted
-matrices over F_p, and the minimal resolution is produced by Groebner bases
-with Schreyer syzygies followed by unit elimination.
+Everything is exact: graded dimensions come from the Hilbert-series
+numerator of the initial module (the lead terms of one Groebner basis of
+the relations), and the minimal resolution takes one Groebner basis of the
+syzygies of each level's columns, whose unit entries mark the redundant
+columns that leave.
 """
 
 from bicoh import (

@@ -29,8 +29,8 @@ from .resolution import (
     Presentation,
     ext_presentation,
     free_presentation,
-    initial_module,
     profile,
+    resolve,
 )
 from .strands import strand
 from .tables import Window, matlis_flip
@@ -345,8 +345,7 @@ def check_structure1(M: Presentation, window: Window) -> CheckReport:
                     yield ((i, j), lhs == rhs, lhs, rhs,
                            f"k={k}, strand j={j}: Ext over K[x] vs "
                            "Q-table row -j")
-                ext = ext_presentation(N, ring.m - k)
-                dim = initial_module(ext).krull_dim()
+                dim = resolve(N).ext_krull_dim(ring.m - k)
                 yield ((0, j), dim <= k, dim, k,
                        f"k={k}, strand j={j}: Krull dim bound")
 

@@ -3,11 +3,11 @@
 Three computation paths, all exact per bidegree:
 
 * Ext against the canonical twist (graded local duality): Ext^j(M, omega)
-  is a finitely generated module, presented from the dualized minimal
-  resolution, and each graded dimension is read off the Hilbert-series
-  numerator of its initial module; no Ext module is resolved.  For R_+
-  this gives the whole table after a Matlis flip; omega_S = S(-m,-n),
-  omega_{K[x]} = K[x](-m), omega_{K[y]} = K[y](-n).
+  is the cohomology of the dualized minimal resolution, and each graded
+  dimension is read off the Hilbert numerators of the cokernels of the
+  dual maps (resolution.FreeResolution); no Ext module is presented or
+  resolved.  For R_+ this gives the whole table after a Matlis flip;
+  omega_S = S(-m,-n), omega_{K[x]} = K[x](-m), omega_{K[y]} = K[y](-n).
 * Strand reduction: P is the ideal of the variable block k = 0 (x) and
   Q that of k = 1 (y), and one loop serves both.  H^i(M)_d is the
   degree-d_k piece of the local cohomology of strand(M, k, d_(1-k)), a
@@ -66,12 +66,7 @@ from itertools import combinations
 from .errors import BadTheoryError
 from .linalg import Matrix, homology_dim
 from .poly import Bidegree, Polynomial, mono_bidegree
-from .resolution import (
-    Presentation,
-    ext_presentation,
-    initial_module,
-    resolve,
-)
+from .resolution import Presentation, initial_module, resolve
 from .strands import strand, strand_dim
 from .tables import CohomologyTable, DimTable, Window
 
@@ -96,11 +91,10 @@ def _blocks(ring, theory):
 
 
 def _ext_hilbert(N: Presentation, j: int, degrees) -> list:
-    """dim_K Ext^j(N, omega)_d for each d in degrees, read off the initial
-    module of the Ext presentation.  Zero for j outside 0..pd, where the
-    Ext module is zero."""
-    module = initial_module(ext_presentation(N, j))
-    return [module.dim_at(d) for d in degrees]
+    """dim_K Ext^j(N, omega)_d for each d in degrees, read off the Hilbert
+    numerators of the dual cokernels of resolve(N).  Zero for j outside
+    0..pd, where the Ext module is zero."""
+    return resolve(N).ext_dims(j, degrees)
 
 
 def ext_table(M: Presentation, j: int, window: Window) -> DimTable:

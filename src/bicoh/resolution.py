@@ -9,17 +9,22 @@ one Groebner basis of the relations decide all three; the Krull dimension
 is the pole order at t = 1 of the Hilbert series (Hilbert-Serre).  Every
 table of graded dimensions, Ext and local-cohomology tables included,
 reads it.
-resolve(P), which takes no options, is the minimal free resolution; from
-it we read off graded Betti numbers, projective dimension and depth
-(Auslander-Buchsbaum), and the Ext presentations.  Every minimization
-goes through one unit-pruning routine, _prune: each level of a
-resolution and the Ext subquotients.  minimal_presentation reads the first
-map F_1 -> F_0 off resolve(P), so it drops redundant relations too.
+resolve(P), which takes no options, is the minimal free resolution, one
+kernel Groebner basis per level (the graph construction of
+groebner.kernel_basis): its first map is the input relations, their units
+pruned and the redundant ones dropped.  From it we read off graded Betti
+numbers, projective dimension and depth (Auslander-Buchsbaum), and the
+graded dimensions and Krull dimension of every Ext^j(M, omega), from the
+Hilbert numerators of the cokernels of the dual maps (FreeResolution);
+ext_presentation builds the Ext module itself where a caller needs more
+than its dimensions.  Every minimization goes through one unit-pruning
+routine, _prune: each level of a resolution and the Ext subquotients.
+minimal_presentation reads the first map F_1 -> F_0 off resolve(P).
 hilbert_dim, which ranks the degree-restricted relation matrix, is kept as
 an independent referee of the initial-module dimensions; no table reads it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -29,6 +34,7 @@ from .groebner import (
     GroebnerBasis,
     ModuleElement,
     _divide,
+    _element_sort_key,
     buchberger,
     kernel_basis,
     normal_form,
@@ -198,6 +204,23 @@ def _pole_order(numerator, length):
     return length - order
 
 
+def _dim_at(ring, numerator, d):
+    """sum c * dim S_(d - s) over the numerator {s: c} of a Hilbert series:
+    dim_K M_d for the module with that numerator."""
+    d = Bidegree(*d)
+    return sum(c * piece_dim(ring, d - s) for s, c in numerator.items())
+
+
+def _krull_dim(ring, numerator):
+    """The pole order at t = 1 of the Hilbert series in total degree,
+    sum c * t^(s_x + s_y) / (1 - t)^(m + n) over the numerator {s: c}: the
+    Krull dimension of the module, -1 for the zero module."""
+    total = {}
+    for s, c in numerator.items():
+        total[s.total] = total.get(s.total, 0) + c
+    return _pole_order(total, ring.nvars)
+
+
 class InitialModule:
     """F/in(U) for a presentation F/U: the reduced Groebner basis of the
     relations and its lead terms.  F/U and F/in(U) share their Hilbert
@@ -230,18 +253,11 @@ class InitialModule:
 
     def dim_at(self, d) -> int:
         """dim_K M_d, from the numerator: no basis is enumerated."""
-        d = Bidegree(*d)
-        return sum(c * piece_dim(self.ring, d - s)
-                   for s, c in self.numerator.items())
+        return _dim_at(self.ring, self.numerator, d)
 
     def krull_dim(self) -> int:
-        """The pole order at t = 1 of the Hilbert series in total degree,
-        sum c * t^(s_x + s_y) / (1 - t)^(m + n) over the numerator.  -1
-        for the zero module."""
-        total = {}
-        for s, c in self.numerator.items():
-            total[s.total] = total.get(s.total, 0) + c
-        return _pole_order(total, self.ring.nvars)
+        """The Krull dimension, -1 for the zero module."""
+        return _krull_dim(self.ring, self.numerator)
 
     def basis(self, d):
         """The standard monomials of M_d in their order, as the index
@@ -285,11 +301,22 @@ def initial_module(P: Presentation) -> InitialModule:
 @dataclass(frozen=True)
 class FreeResolution:
     """F_0 <- F_1 <- ... <- F_len with maps[i] : modules[i+1] -> modules[i];
-    coker(maps[0]) is the resolved module."""
+    coker(maps[0]) is the resolved module.
+
+    Ext^j(M, omega) is the cohomology at G^j of the dual complex G^j =
+    Hom(F_j, omega) = (+) S(s - c) over the shifts s of F_j, c the
+    canonical twist (m, n), with delta_j : G^j -> G^(j+1) the transpose
+    of maps[j].  From 0 -> ker -> G^j -> G^(j+1) -> coker(delta_j) -> 0,
+    dim Ext^j_d = dim coker(delta_j)_d + dim coker(delta_(j-1))_d
+    - dim G^(j+1)_d, with coker(delta_(-1)) = G^0 and coker(delta_len) = 0.
+    The Hilbert numerator of each coker(delta_j) comes from one initial
+    module, built on first use and kept here."""
 
     ring: object
     modules: tuple
     maps: tuple
+    _cokernels: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def length(self):
@@ -304,6 +331,50 @@ class FreeResolution:
     def alternating_dim(self, d):
         return sum((-1) ** i * mod.dim_at(d)
                    for i, mod in enumerate(self.modules))
+
+    def _dual_free(self, j):
+        """The Hilbert numerator of G^j, zero outside 0..len."""
+        c = self.ring.canonical_degree
+        out = {}
+        for s in self.shifts(j):
+            out[c - s] = out.get(c - s, 0) + 1
+        return out
+
+    def _dual_cokernel(self, j):
+        """The Hilbert numerator of coker(delta_j): G^0 for j = -1, zero
+        from j = len on."""
+        if j < 0:
+            return self._dual_free(j + 1)
+        if j >= self.length:
+            return {}
+        out = self._cokernels.get(j)
+        if out is None:
+            c = self.ring.canonical_degree
+            dual = Presentation(self.ring,
+                                tuple(c - s for s in self.shifts(j + 1)),
+                                tuple(c - s for s in self.shifts(j)),
+                                tuple(zip(*self.maps[j])))
+            out = self._cokernels[j] = InitialModule(dual).numerator
+        return out
+
+    def _ext_numerator(self, j):
+        """The Hilbert numerator of Ext^j(M, omega), zero outside 0..len."""
+        out = {}
+        for numerator, sign in ((self._dual_cokernel(j), 1),
+                                (self._dual_cokernel(j - 1), 1),
+                                (self._dual_free(j + 1), -1)):
+            for s, c in numerator.items():
+                out[s] = out.get(s, 0) + sign * c
+        return {s: c for s, c in out.items() if c}
+
+    def ext_dims(self, j, degrees) -> list:
+        """dim_K Ext^j(M, omega)_d for each d in degrees."""
+        numerator = self._ext_numerator(j)
+        return [_dim_at(self.ring, numerator, d) for d in degrees]
+
+    def ext_krull_dim(self, j) -> int:
+        """The Krull dimension of Ext^j(M, omega), -1 when it is zero."""
+        return _krull_dim(self.ring, self._ext_numerator(j))
 
 
 def _prune(columns, rank):
@@ -354,42 +425,54 @@ def _prune(columns, rank):
 
 @lru_cache(maxsize=None)
 def resolve(P: Presentation) -> FreeResolution:
-    """The minimal free resolution of coker(P), by iterated Groebner bases
-    and Schreyer syzygies, pruned level by level.
+    """The minimal free resolution of coker(P), one kernel Groebner basis
+    per level.
 
-    Each level prunes the units of its Groebner basis, then those of the
-    frame syzygies, and the surviving syzygies are the next level's input,
-    so redundant syzygies never reach the next Groebner run.  Only the
-    first level can meet units in its own basis, and only for a
-    non-minimal presentation (strands, module files): pruned syzygies have
-    no constant entry, so their span, and with it every element of its
-    Groebner basis, lies in m*F."""
+    The presentation's own nonzero columns lose their units first; only
+    they can hold any (strands, module files).  Each level then takes the
+    reduced Groebner basis of the syzygies of its columns by the graph
+    construction (groebner.kernel_basis) and prunes the units of that
+    kernel: a unit at (k, l) says that column k is redundant, so column k
+    and kernel element l leave together, and the other columns stay as
+    they are.  The columns left are minimal generators of their span, and
+    the pruned kernel, which has no unit entry, generates their syzygies:
+    ordered by lead (position ascending, then monomial descending), it is
+    the next level's columns."""
     ring = P.ring
-    ambient = P.target
-    shifts = [P.gens]
+    nonzero = [(rel, col) for rel, col in zip(P.rels, P.columns()) if col]
+    rows, cols, pruned = _prune([col.coords for _, col in nonzero],
+                                len(P.gens))
+    shifts = [[P.gens[k] for k in rows]]
+    columns = _ordered(FreeModule(ring, shifts[0]),
+                       [nonzero[l][0] for l in cols], pruned)
     maps = []       # the columns of each map
-    elements = [c for c in P.columns() if c]
-    while elements:
+    while columns:
         if len(maps) >= ring.nvars + _RESOLUTION_LENGTH_SLACK:
             raise InvariantError("resolution did not terminate; "
                                  "syzygy chain exceeded the variable bound")
-        gb = buchberger(elements, module=ambient)
-        rows, cols, basis = _prune([g.coords for g in gb.elements],
-                                   ambient.rank)
-        shifts[-1] = [shifts[-1][k] for k in rows]
-        syz = [[s.coords[l] for l in cols] for s in syzygies(gb)]
-        rows, _, syz = _prune(syz, len(cols))
-        maps.append([basis[k] for k in rows])
-        shifts.append([gb.shifts[cols[k]] for k in rows])
-        ambient = FreeModule(ring, shifts[-1])
-        elements = [e for e in (ModuleElement(ambient, s) for s in syz) if e]
-    while maps and not shifts[-1]:
-        maps.pop()
-        shifts.pop()
+        source = FreeModule(ring, [rel for rel, _ in columns])
+        kernel = kernel_basis([col for _, col in columns], source)
+        rows, cols, pruned = _prune([g.coords for g in kernel.elements],
+                                    source.rank)
+        maps.append([columns[k][1].coords for k in rows])
+        shifts.append([source.shifts[k] for k in rows])
+        columns = _ordered(FreeModule(ring, shifts[-1]),
+                           [kernel.shifts[l] for l in cols], pruned)
     modules = tuple(FreeModule(ring, s) for s in shifts)
     return FreeResolution(ring, modules, tuple(
         tuple(tuple(col[k] for col in columns) for k in range(len(target)))
         for columns, target in zip(maps, shifts)))
+
+
+def _ordered(ambient, rels, coords):
+    """The nonzero columns with these coordinates in ambient, each with
+    its bidegree, in the order of their leads: position ascending, then
+    monomial descending (a reduced Groebner basis's order)."""
+    columns = [(rel, ModuleElement(ambient, col))
+               for rel, col in zip(rels, coords)]
+    columns = [(rel, col) for rel, col in columns if col]
+    columns.sort(key=lambda c: _element_sort_key(c[1]), reverse=True)
+    return columns
 
 
 def minimal_presentation(P: Presentation) -> Presentation:
@@ -431,19 +514,15 @@ def profile(P: Presentation) -> ModuleProfile:
     if dim < 0:
         raise ZeroModuleError("the zero module has no profile")
     nvars = P.ring.nvars
-    pd = resolve(P).length
-    depth = nvars - pd
+    res = resolve(P)
+    depth = nvars - res.length
     if depth > dim:
         raise InvariantError(f"depth {depth} exceeds dim {dim}; "
                              "inconsistent invariants")
     is_cm = depth == dim
-    is_gencm = True
-    for i in range(depth, dim):
-        ext = ext_presentation(P, nvars - i)
-        if initial_module(ext).krull_dim() > 0:
-            is_gencm = False
-            break
-    return ModuleProfile(dim=dim, depth=depth, pd=pd, is_cm=is_cm,
+    is_gencm = all(res.ext_krull_dim(nvars - i) <= 0
+                   for i in range(depth, dim))
+    return ModuleProfile(dim=dim, depth=depth, pd=res.length, is_cm=is_cm,
                          is_gencm=is_gencm)
 
 

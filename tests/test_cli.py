@@ -11,7 +11,14 @@ from bicoh.errors import DegreeMismatchError, FormatError, InvariantError
 from bicoh.fixtures import named_fixtures
 from bicoh.linalg import DEFAULT_PRIME
 from bicoh.modfile import load_module, save_module
-from bicoh.resolution import minimal_presentation
+from bicoh.resolution import (
+    Presentation,
+    hilbert_table,
+    minimal_presentation,
+    resolve,
+)
+from bicoh.tables import Window
+from test_resolution import _dense_quotient
 
 
 HYPERSURFACE = """\
@@ -185,6 +192,28 @@ def test_cli_emit_drops_a_redundant_relation(tmp_path, capsys):
     emitted = load_module(out)
     assert (len(emitted.gens), len(emitted.rels)) == (1, 1)
     assert emitted == minimal_presentation(load_module(path))
+
+
+def test_cli_emit_writes_the_minimal_input_relations(tmp_path, capsys):
+    # dense relations shaped like the gb_large workload's, plus x1 times
+    # the first: the file holds the three input relations themselves, the
+    # redundant one dropped, and presents the same module
+    M = _dense_quotient((3, 2), ((1, 1), (1, 2), (2, 1)))
+    f = M.matrix[0]
+    redundant = Presentation(M.ring, M.gens, M.rels + ((2, 1),),
+                             ((*f, f[0] * M.ring.gens()[0]),))
+    path, out = tmp_path / "dense.mod", tmp_path / "emitted.mod"
+    save_module(path, redundant)
+    assert main(["resolve", "--module", str(path), "--emit", str(out)]) == 0
+    emitted = load_module(out)
+    assert sorted(emitted.matrix[0], key=str) == sorted(f, key=str)
+    window = Window(0, 4, 0, 4)
+    assert hilbert_table(emitted, window) == hilbert_table(M, window)
+    res, again = resolve(M), resolve(emitted)
+    assert [again.betti(i) for i in range(again.length + 1)] == \
+        [res.betti(i) for i in range(res.length + 1)] == [1, 3, 4, 2]
+    assert [sorted(again.shifts(i)) for i in range(again.length + 1)] == \
+        [sorted(res.shifts(i)) for i in range(res.length + 1)]
 
 
 def test_cli_precondition_violation_exit_2(two_path, capsys):

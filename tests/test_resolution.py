@@ -3,8 +3,10 @@ from itertools import accumulate, product
 
 import pytest
 
+import bicoh.cohomology as cohomology
 import bicoh.groebner as groebner
 import bicoh.resolution as resolution
+from bicoh.checks import check_euler, check_gencm_les
 from bicoh.cohomology import ext_table
 from bicoh.errors import DegreeMismatchError, InvariantError, ZeroModuleError
 from bicoh.fixtures import (
@@ -18,6 +20,7 @@ from bicoh.groebner import (
     GroebnerBasis,
     ModuleElement,
     buchberger,
+    kernel_basis,
     syzygies,
 )
 from bicoh.linalg import Matrix, homology_dim, rank_of_array
@@ -48,7 +51,7 @@ from bicoh.resolution import (
     restrict_matrix,
     zero_presentation,
 )
-from bicoh.strands import strand
+from bicoh.strands import strand, strand_dim
 from bicoh.tables import Window
 from test_groebner import _all_pairs_syzygies
 
@@ -78,8 +81,8 @@ def test_resolution_two_relations(two_relations):
     assert res.modules[2].shifts == (Bidegree(1, 2),)
 
 
-def test_resolution_composites_vanish(two_relations, ring):
-    res = resolve(two_relations)
+def _assert_composites_vanish(res):
+    """d_i o d_(i+1) = 0 for every pair of consecutive maps."""
     for i in range(1, res.length):
         upper = res.maps[i]
         lower = res.maps[i - 1]
@@ -88,10 +91,14 @@ def test_resolution_composites_vanish(two_relations, ring):
         cols = res.modules[i + 1].rank
         for r in range(rows):
             for c in range(cols):
-                acc = ring.zero()
+                acc = res.ring.zero()
                 for k in range(mid):
                     acc = acc + lower[r][k] * upper[k][c]
-                assert acc.is_zero()
+                assert acc.is_zero(), (i, r, c)
+
+
+def test_resolution_composites_vanish(two_relations):
+    _assert_composites_vanish(resolve(two_relations))
 
 
 def test_resolution_length_bound(ring, xy):
@@ -208,6 +215,109 @@ def _raw_resolution(P):
     return FreeResolution(ring, tuple(modules), tuple(maps))
 
 
+def _resolve_by_frames(P, frame=syzygies):
+    """The route resolve took before it read each level off one kernel
+    Groebner basis: per level the reduced Groebner basis of the input,
+    its units pruned, then its Schreyer frame (or any other generating
+    set of its syzygies, `frame`), pruned, as the next level's input."""
+    ring = P.ring
+    ambient = P.target
+    shifts = [P.gens]
+    maps = []
+    elements = [c for c in P.columns() if c]
+    while elements:
+        gb = buchberger(elements, module=ambient)
+        rows, cols, basis = resolution._prune(
+            [g.coords for g in gb.elements], ambient.rank)
+        shifts[-1] = [shifts[-1][k] for k in rows]
+        syz = [[s.coords[l] for l in cols] for s in frame(gb)]
+        rows, _, syz = resolution._prune(syz, len(cols))
+        maps.append([basis[k] for k in rows])
+        shifts.append([gb.shifts[cols[k]] for k in rows])
+        ambient = FreeModule(ring, shifts[-1])
+        elements = [e for e in (ModuleElement(ambient, s) for s in syz) if e]
+    while maps and not shifts[-1]:
+        maps.pop()
+        shifts.pop()
+    modules = tuple(FreeModule(ring, s) for s in shifts)
+    return FreeResolution(ring, modules, tuple(
+        tuple(tuple(col[k] for col in columns) for k in range(len(target)))
+        for columns, target in zip(maps, shifts)))
+
+
+def _shift_lists(res):
+    """The ordered shift lists of F_0, F_1, .., as `bicoh resolve` prints
+    them."""
+    return [list(res.shifts(i)) for i in range(res.length + 1)]
+
+
+def _referee_set():
+    """(presentation, whether its nonzero relations have the leads of
+    their reduced Groebner basis): _random_modules at three primes, seeded
+    cyclic quotients over four ring shapes, and every nonzero strand of
+    these at other-block degrees 0..3."""
+    modules = [M for p in (2, 3, 32003) for M in _random_modules(p)]
+    for shape in ((2, 2), (3, 1), (1, 3), (3, 2)):
+        modules += random_quotients(RingSpec(*shape), 12, seed=11)
+    out = list(modules)
+    for M in modules:
+        out += [strand(M, k, c) for k in (0, 1) if (M.ring.m, M.ring.n)[k]
+                for c in range(4) if strand_dim(M, k, c) >= 0]
+
+    def leads_of_basis(N):
+        cols = [c for c in N.columns() if c]
+        gb = buchberger(cols, module=N.target)
+        return (sorted(k_m[:2] for k_m in gb.lead_terms())
+                == sorted(c.lead()[:2] for c in cols))
+
+    return [(N, leads_of_basis(N)) for N in out]
+
+
+def test_resolve_matches_the_frame_referee():
+    # the graded Betti numbers agree everywhere.  The order of a level's
+    # shifts follows the leads of its columns: the input relations'
+    # (after pruning) here, the reduced Groebner basis's in the referee.
+    # Where the relations already have their basis's leads the two print
+    # the same; elsewhere (19 of the 557, strands and two multi-generator
+    # modules) a level can list its shifts in another order
+    checked = reordered = 0
+    for N, has_basis_leads in _referee_set():
+        res, ref = resolve.__wrapped__(N), _resolve_by_frames(N)
+        new, old = _shift_lists(res), _shift_lists(ref)
+        assert [sorted(s) for s in new] == [sorted(s) for s in old], str(N)
+        if has_basis_leads:
+            assert new == old, str(N)
+        reordered += new != old
+        checked += 1
+        assert not any(_has_unit(A) for A in res.maps), str(N)
+        _assert_composites_vanish(res)
+    assert (checked, reordered) == (557, 19)
+
+
+def test_resolve_takes_one_kernel_basis_per_level(monkeypatch):
+    # no Groebner basis of the input, no Schreyer frame: each level is one
+    # graph Buchberger run, and the last one finds no syzygies
+    calls = []
+
+    def counted(columns, src):
+        calls.append(len(columns))
+        return kernel_basis(columns, src)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("resolve reached a removed route")
+
+    monkeypatch.setattr(resolution, "kernel_basis", counted)
+    monkeypatch.setattr(resolution, "syzygies", forbidden)
+    monkeypatch.setattr(resolution, "buchberger", forbidden)
+    ring = RingSpec(2, 2, 3)
+    modules = _random_modules(3) + [_redundant_generator(ring), _killed(ring)]
+    modules += [strand(M, 0, 1) for M in _random_modules(3)]
+    for M in modules:
+        calls.clear()
+        res = resolve.__wrapped__(M)
+        assert len(calls) == res.length, str(M)
+
+
 def test_resolution_degreewise_exactness_random(ring):
     # ker(d_i) = im(d_(i+1)) at every bidegree, including ker d_last = 0,
     # of the pruned and the raw chains; the inputs with constant entries
@@ -258,16 +368,21 @@ def _random_modules(p, count=6):
     return out
 
 
-def _check_rung(shape):
-    """A rung of the scale ladder: three dense relations of bidegrees
-    (1,1), (1,2), (2,1) over F_p[x1..xm, y1..yn], a complete intersection,
-    so a Koszul resolution, whose alternating sum is the Hilbert table."""
+def _dense_quotient(shape, degrees, seed=5):
+    """S/(f_1, ..) over F_32003[x1..xm, y1..yn], f_i of the i-th bidegree
+    with every monomial, each with a seeded nonzero coefficient."""
     ring = RingSpec(*shape)
-    rng = random.Random(5)
-    polys = [Polynomial.from_dict(ring, {
+    rng = random.Random(seed)
+    return quotient_by_polys(ring, [Polynomial.from_dict(ring, {
         mono: rng.randrange(1, ring.p) for mono in monomial_basis(ring, d)})
-        for d in ((1, 1), (1, 2), (2, 1))]
-    P = quotient_by_polys(ring, polys)
+        for d in degrees])
+
+
+def _check_rung(shape, degrees=((1, 1), (1, 2), (2, 1))):
+    """A rung of the scale ladder: three dense relations of the given
+    bidegrees, a complete intersection, so a Koszul resolution, whose
+    alternating sum is the Hilbert table."""
+    P = _dense_quotient(shape, degrees)
     res = resolve(P)
     assert [res.betti(i) for i in range(res.length + 1)] == [1, 3, 3, 1]
     window = Window(0, 4, 0, 4)
@@ -284,17 +399,26 @@ def test_resolution_of_the_4_3_rung():
     _check_rung((4, 3))
 
 
+def test_resolution_of_the_4_4_rung():
+    _check_rung((4, 4))
+
+
+def test_resolution_of_the_hard_rung():
+    _check_rung((3, 3), ((2, 1), (1, 2), (2, 2)))
+
+
 @pytest.mark.parametrize("p", [2, 3, 32003])
-def test_frame_syzygies_keep_betti_shifts_random(p, monkeypatch):
+def test_frame_syzygies_keep_betti_shifts_random(p):
     # the Schreyer frame and every same-position S-pair syzygy span the
-    # same module, so the minimal resolutions share their graded Betti
-    # numbers
+    # same module, so the frame route of the referee gives the graded
+    # Betti numbers of resolve with either
     modules = _random_modules(p)
-    frame = [resolve.__wrapped__(M) for M in modules]
+    frame = [_resolve_by_frames(M) for M in modules]
     assert max(res.length for res in frame) >= 2
-    monkeypatch.setattr(resolution, "syzygies", _all_pairs_syzygies)
     for M, res in zip(modules, frame):
-        referee = resolve.__wrapped__(M)
+        assert [sorted(s) for s in _shift_lists(res)] == \
+            [sorted(s) for s in _shift_lists(resolve(M))]
+        referee = _resolve_by_frames(M, _all_pairs_syzygies)
         assert [sorted(res.shifts(i)) for i in range(res.length + 1)] == \
             [sorted(referee.shifts(i)) for i in range(referee.length + 1)]
 
@@ -683,14 +807,62 @@ def test_each_ext_module_runs_one_buchberger(monkeypatch):
         assert (len(calls), len(E.gens)) == (runs, gens)
 
 
+def _ext_referee(N, j):
+    """The initial module of the Ext presentation, from which every Ext
+    dimension was read before the dual cokernels."""
+    return initial_module(ext_presentation(N, j))
+
+
+# the bidegrees of the relations of the Euler workload's dense quotients
+_EULER_PATTERNS = (((2, 1), (2, 1), (2, 1)), ((1, 1), (1, 1)),
+                   ((1, 1), (1, 2), (2, 1)), ((2, 1), (1, 2)),
+                   ((1, 0), (0, 1)))
+
+
+def test_dual_cokernels_match_the_ext_presentation_referee(
+        monkeypatch, S, hypersurface, two_relations):
+    # every module whose Ext dimensions the euler suite (on the test
+    # fixtures and on dense quotients shaped like the Euler workload's)
+    # and the gencm suite (on gencm_fixture) read, at every j from -1 to
+    # pd + 1: the dimensions over a window and the Krull dimension
+    reached = set()
+    ext_hilbert = cohomology._ext_hilbert
+
+    def recorded(N, j, degrees):
+        reached.add(N)
+        return ext_hilbert(N, j, degrees)
+
+    monkeypatch.setattr(cohomology, "_ext_hilbert", recorded)
+    window = Window(-4, 4, -4, 4)
+    euler = [S, hypersurface, two_relations]
+    euler += [_dense_quotient((2, 2), degrees, seed)
+              for seed, degrees in enumerate(_EULER_PATTERNS)]
+    for M in euler:
+        assert check_euler(M, window).passed
+    assert check_gencm_les(gencm_fixture(), window).passed
+    cells = list(Window(-6, 6, -6, 6).cells())
+    pairs = 0
+    for N in reached:
+        res = resolve(N)
+        for j in range(-1, res.length + 2):
+            referee = _ext_referee(N, j)
+            assert res.ext_dims(j, cells) == \
+                [referee.dim_at(d) for d in cells], (str(N), j)
+            assert res.ext_krull_dim(j) == referee.krull_dim(), (str(N), j)
+            pairs += 1
+    assert len(reached) > 50 and pairs > 4 * len(reached)
+
+
 def test_ext_tables_resolve_no_ext_module():
-    # every Ext table reads the initial module of the Ext presentation, so
-    # the only resolution an Ext table builds is that of M itself; the
-    # prime, which no other test uses, keeps M out of the session caches
+    # every Ext table reads the dual cokernels of the resolution of M, so
+    # it builds no Ext presentation and resolves nothing but M; the prime,
+    # which no other test uses, keeps M out of the session caches
     M = gencm_fixture(standard_ring(17))
     misses = resolve.cache_info().misses
+    ext_misses = ext_presentation.cache_info().misses
     for j in range(-1, 5):
         ext_table(M, j, Window(-3, 3, -3, 3))
     assert resolve.cache_info().misses - misses == 1
+    assert ext_presentation.cache_info().misses == ext_misses
     resolve(M)
     assert resolve.cache_info().misses - misses == 1
