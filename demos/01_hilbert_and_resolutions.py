@@ -4,8 +4,8 @@ and read off the basic invariants.
 Everything is exact: graded dimensions come from the Hilbert-series
 numerator of the initial module (the lead terms of one Groebner basis of
 the relations), and the minimal resolution takes one Groebner basis of the
-syzygies of each level's columns, whose unit entries mark the redundant
-columns that leave.
+syzygies of each level's columns and keeps its elements whose leads are
+not leads of m times their span: minimal generators, the next columns.
 """
 
 from bicoh import (

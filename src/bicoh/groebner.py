@@ -48,6 +48,9 @@ j < i, only those whose multiplier u_ij = lcm(lt g_i, lt g_j)/lt g_i
 minimally generates (u_ij : j < i), one per equal u_ij.  Their syzygies
 are a Groebner basis of the syzygy module under the Schreyer order, so
 they generate it, and their S-pairs alone still certify the basis.
+`minimal_elements` divides the frame S-pairs of the bidegrees of basis
+elements only, and keeps their constant quotients: the elements whose
+leads are not leads of mU, a minimal generating set of the span U.
 """
 
 import heapq
@@ -66,6 +69,7 @@ from .poly import (
     GUARDS,
     Bidegree,
     Polynomial,
+    mono_bidegree,
     mono_coprime,
     mono_degree,
     mono_div,
@@ -535,6 +539,58 @@ def syzygies(G: GroebnerBasis):
             if s:
                 out.append(s)
     return out
+
+
+def minimal_elements(G: GroebnerBasis):
+    """The indices, ascending, of the elements of G whose leads are not
+    leads of mU, U the span of G and m the ideal of the variables.  Their
+    images are a basis of U/mU, so they generate U minimally when U lies
+    in mF; the choice depends on U and the term order alone.
+
+    In bidegree d the lead of mU_d that is also a lead of G is the top of
+    some sum c_k g_k in mU over the g_k of bidegree d, c_k constants, and
+    those vectors c are the constant parts of the syzygies of G in
+    bidegree d.  The frame syzygies (see syzygies) generate all of them,
+    so the constant quotients of the frame S-pairs of bidegree d span the
+    vectors: only those S-pairs are divided, and only where some element
+    has their bidegree.  Elimination on each bidegree's vectors, pivoting
+    on the element of largest lead, leaves the dropped elements as its
+    pivots."""
+    elems = G.elements
+    table = G._divisors
+    ring = G.module.ring
+    p = ring.p
+    degrees = G.shifts
+    of_degree = {}
+    for k, d in enumerate(degrees):
+        of_degree.setdefault(d, []).append(k)
+    pivots = {d: {} for d in of_degree}    # d -> {pivot: reduced vector}
+    for i in range(len(elems)):
+        for j, ui, uj in _frame_pairs(table, i):
+            d = degrees[i] + mono_bidegree(ring, ui)
+            ks = of_degree.get(d)
+            if ks is None or len(pivots[d]) == len(ks):
+                continue
+            quotients, _ = _divide(_spair(table, i, j, ui, uj), table, True)
+            vec = {k: quotients[k].terms[0][1] for k in ks
+                   if quotients[k].terms}
+            rows = pivots[d]
+            while vec:
+                k = min(vec)
+                row = rows.get(k)
+                if row is None:
+                    inv = pow(vec[k], -1, p)
+                    rows[k] = {kk: c * inv % p for kk, c in vec.items()}
+                    break
+                c = vec[k]
+                for kk, rc in row.items():
+                    new = (vec.get(kk, 0) - c * rc) % p
+                    if new:
+                        vec[kk] = new
+                    else:
+                        vec.pop(kk, None)
+    dropped = {k for rows in pivots.values() for k in rows}
+    return [k for k in range(len(elems)) if k not in dropped]
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,17 @@ one Groebner basis of the relations decide all three; the Krull dimension
 is the pole order at t = 1 of the Hilbert series (Hilbert-Serre).  Every
 table of graded dimensions, Ext and local-cohomology tables included,
 reads it.
-resolve(P), which takes no options, is the minimal free resolution, one
-kernel Groebner basis per level (the graph construction of
-groebner.kernel_basis): its first map is the input relations, their units
-pruned and the redundant ones dropped.  From it we read off graded Betti
-numbers, projective dimension and depth (Auslander-Buchsbaum), and the
-graded dimensions and Krull dimension of every Ext^j(M, omega), from the
-Hilbert numerators of the cokernels of the dual maps (FreeResolution);
+resolve(P), which takes no options, is the minimal free resolution: one
+Buchberger run on the relations, their units pruned, then one kernel
+Groebner basis per level (the graph construction of groebner.kernel_basis),
+each level the minimal generators that groebner.minimal_elements reads off
+the leads of its basis.  From it we read off graded Betti numbers,
+projective dimension and depth (Auslander-Buchsbaum), and the graded
+dimensions and Krull dimension of every Ext^j(M, omega), from the Hilbert
+numerators of the cokernels of the dual maps (FreeResolution);
 ext_presentation builds the Ext module itself where a caller needs more
-than its dimensions.  Every minimization goes through one unit-pruning
-routine, _prune: each level of a resolution and the Ext subquotients.
+than its dimensions.  Units are eliminated by one routine, _prune: the
+relations that resolve starts from and the Ext subquotients.
 minimal_presentation reads the first map F_1 -> F_0 off resolve(P).
 hilbert_dim, which ranks the degree-restricted relation matrix, is kept as
 an independent referee of the initial-module dimensions; no table reads it.
@@ -34,9 +35,9 @@ from .groebner import (
     GroebnerBasis,
     ModuleElement,
     _divide,
-    _element_sort_key,
     buchberger,
     kernel_basis,
+    minimal_elements,
     normal_form,
     syzygies,
 )
@@ -332,39 +333,35 @@ class FreeResolution:
         return sum((-1) ** i * mod.dim_at(d)
                    for i, mod in enumerate(self.modules))
 
-    def _dual_free(self, j):
-        """The Hilbert numerator of G^j, zero outside 0..len."""
+    def dual(self, j) -> Presentation:
+        """delta_j : G^j -> G^(j+1) as the presentation of its cokernel:
+        generator degrees c - s over the shifts s of F_(j+1), relation
+        degrees c - s over those of F_j, and the transpose of maps[j],
+        whose column l is row l of maps[j].  The zero map outside
+        0..len-1, so coker(delta_(-1)) = G^0 and coker(delta_len) = 0."""
         c = self.ring.canonical_degree
-        out = {}
-        for s in self.shifts(j):
-            out[c - s] = out.get(c - s, 0) + 1
-        return out
+        gens = tuple(c - s for s in self.shifts(j + 1))
+        rels = tuple(c - s for s in self.shifts(j))
+        matrix = (tuple(zip(*self.maps[j])) if 0 <= j < self.length
+                  else tuple(() for _ in gens))
+        return Presentation(self.ring, gens, rels, matrix)
 
     def _dual_cokernel(self, j):
-        """The Hilbert numerator of coker(delta_j): G^0 for j = -1, zero
-        from j = len on."""
-        if j < 0:
-            return self._dual_free(j + 1)
-        if j >= self.length:
-            return {}
+        """The Hilbert numerator of coker(delta_j)."""
         out = self._cokernels.get(j)
         if out is None:
-            c = self.ring.canonical_degree
-            dual = Presentation(self.ring,
-                                tuple(c - s for s in self.shifts(j + 1)),
-                                tuple(c - s for s in self.shifts(j)),
-                                tuple(zip(*self.maps[j])))
-            out = self._cokernels[j] = InitialModule(dual).numerator
+            out = self._cokernels[j] = InitialModule(self.dual(j)).numerator
         return out
 
     def _ext_numerator(self, j):
         """The Hilbert numerator of Ext^j(M, omega), zero outside 0..len."""
         out = {}
-        for numerator, sign in ((self._dual_cokernel(j), 1),
-                                (self._dual_cokernel(j - 1), 1),
-                                (self._dual_free(j + 1), -1)):
+        for numerator in (self._dual_cokernel(j), self._dual_cokernel(j - 1)):
             for s, c in numerator.items():
-                out[s] = out.get(s, 0) + sign * c
+                out[s] = out.get(s, 0) + c
+        twist = self.ring.canonical_degree
+        for s in self.shifts(j + 1):
+            out[twist - s] = out.get(twist - s, 0) - 1
         return {s: c for s, c in out.items() if c}
 
     def ext_dims(self, j, degrees) -> list:
@@ -429,50 +426,42 @@ def resolve(P: Presentation) -> FreeResolution:
     per level.
 
     The presentation's own nonzero columns lose their units first; only
-    they can hold any (strands, module files).  Each level then takes the
-    reduced Groebner basis of the syzygies of its columns by the graph
-    construction (groebner.kernel_basis) and prunes the units of that
-    kernel: a unit at (k, l) says that column k is redundant, so column k
-    and kernel element l leave together, and the other columns stay as
-    they are.  The columns left are minimal generators of their span, and
-    the pruned kernel, which has no unit entry, generates their syzygies:
-    ordered by lead (position ascending, then monomial descending), it is
-    the next level's columns."""
+    they can hold any (strands, module files), and the relations left lie
+    in m*F_0.  Each level keeps, of the reduced Groebner basis of its span,
+    the elements whose leads are not leads of m times the span
+    (groebner.minimal_elements): minimal generators, in the basis's order.
+    At the first level that basis is one Buchberger run on the relations;
+    every later one is the reduced Groebner basis of the syzygies of the
+    previous level's columns, by the graph construction
+    (groebner.kernel_basis).  Syzygies of minimal generators lie in m*F
+    again, so no level meets a unit, and each level lists its shifts in the
+    order of the leads of a reduced Groebner basis, as the Schreyer-frame
+    route that came before it did."""
     ring = P.ring
-    nonzero = [(rel, col) for rel, col in zip(P.rels, P.columns()) if col]
-    rows, cols, pruned = _prune([col.coords for _, col in nonzero],
-                                len(P.gens))
-    shifts = [[P.gens[k] for k in rows]]
-    columns = _ordered(FreeModule(ring, shifts[0]),
-                       [nonzero[l][0] for l in cols], pruned)
+    rows, _, pruned = _prune([col.coords for col in P.columns() if col],
+                             len(P.gens))
+    shifts = [tuple(P.gens[k] for k in rows)]
+    ambient = FreeModule(ring, shifts[0])
+    relations = [e for e in (ModuleElement(ambient, col) for col in pruned)
+                 if e]
+    basis = (buchberger(relations, module=ambient) if relations
+             else GroebnerBasis(ambient, ()))
     maps = []       # the columns of each map
-    while columns:
+    while True:
+        keep = minimal_elements(basis)
+        if not keep:
+            break
         if len(maps) >= ring.nvars + _RESOLUTION_LENGTH_SLACK:
             raise InvariantError("resolution did not terminate; "
                                  "syzygy chain exceeded the variable bound")
-        source = FreeModule(ring, [rel for rel, _ in columns])
-        kernel = kernel_basis([col for _, col in columns], source)
-        rows, cols, pruned = _prune([g.coords for g in kernel.elements],
-                                    source.rank)
-        maps.append([columns[k][1].coords for k in rows])
-        shifts.append([source.shifts[k] for k in rows])
-        columns = _ordered(FreeModule(ring, shifts[-1]),
-                           [kernel.shifts[l] for l in cols], pruned)
+        maps.append([basis.elements[l] for l in keep])
+        shifts.append(tuple(basis.shifts[l] for l in keep))
+        basis = kernel_basis(maps[-1], FreeModule(ring, shifts[-1]))
     modules = tuple(FreeModule(ring, s) for s in shifts)
     return FreeResolution(ring, modules, tuple(
-        tuple(tuple(col[k] for col in columns) for k in range(len(target)))
+        tuple(tuple(col.coords[k] for col in columns)
+              for k in range(len(target)))
         for columns, target in zip(maps, shifts)))
-
-
-def _ordered(ambient, rels, coords):
-    """The nonzero columns with these coordinates in ambient, each with
-    its bidegree, in the order of their leads: position ascending, then
-    monomial descending (a reduced Groebner basis's order)."""
-    columns = [(rel, ModuleElement(ambient, col))
-               for rel, col in zip(rels, coords)]
-    columns = [(rel, col) for rel, col in columns if col]
-    columns.sort(key=lambda c: _element_sort_key(c[1]), reverse=True)
-    return columns
 
 
 def minimal_presentation(P: Presentation) -> Presentation:
@@ -531,7 +520,8 @@ def profile(P: Presentation) -> ModuleProfile:
 #
 # Hom_S(S(-s), S(-c)) = S(s - c) for the canonical twist c = (m, n):
 # dualizing a resolution transposes each matrix and replaces each generator
-# degree s by c - s.  Ext^j is then ker(B)/im(A) at the dual of F_j.  The
+# degree s by c - s (FreeResolution.dual).  Ext^j is then ker(B)/im(A) at
+# the dual of F_j.  The
 # kernel comes as one reduced Groebner basis G (the unit basis when j = pd,
 # where no map leaves), and the subquotient is presented on the elements of
 # G: by Schreyer's theorem the syzygies of the Schreyer frame of G (see
@@ -581,15 +571,11 @@ def ext_presentation(P: Presentation, j: int) -> Presentation:
     res = resolve(P)
     if j < 0 or j > res.length:
         return zero_presentation(ring)
-    c = ring.canonical_degree
-    mid, after = (FreeModule(ring, tuple(c - s for s in res.shifts(i)))
-                  for i in (j, j + 1))
-    # column l of a transposed differential is row l of the differential
+    delta = res.dual(j)
+    mid = delta.source
     if j < res.length:
-        kernel = kernel_basis([ModuleElement(after, row)
-                               for row in res.maps[j]], mid)
+        kernel = kernel_basis(delta.columns(), mid)
     else:
         kernel = GroebnerBasis(mid, tuple(mid.unit_element(k)
                                           for k in range(mid.rank)))
-    image = [ModuleElement(mid, row) for row in res.maps[j - 1]] if j else []
-    return quotient_presentation(image, kernel)
+    return quotient_presentation(res.dual(j - 1).columns(), kernel)

@@ -9,6 +9,7 @@ from bicoh import cli
 from bicoh.cli import main
 from bicoh.errors import DegreeMismatchError, FormatError, InvariantError
 from bicoh.fixtures import named_fixtures
+from bicoh.groebner import buchberger
 from bicoh.linalg import DEFAULT_PRIME
 from bicoh.modfile import load_module, save_module
 from bicoh.resolution import (
@@ -194,10 +195,11 @@ def test_cli_emit_drops_a_redundant_relation(tmp_path, capsys):
     assert emitted == minimal_presentation(load_module(path))
 
 
-def test_cli_emit_writes_the_minimal_input_relations(tmp_path, capsys):
+def test_cli_emit_writes_minimal_basis_elements(tmp_path, capsys):
     # dense relations shaped like the gb_large workload's, plus x1 times
-    # the first: the file holds the three input relations themselves, the
-    # redundant one dropped, and presents the same module
+    # the first: the file holds three elements of the reduced Groebner
+    # basis of the relations, the redundant relation dropped, and presents
+    # the same module
     M = _dense_quotient((3, 2), ((1, 1), (1, 2), (2, 1)))
     f = M.matrix[0]
     redundant = Presentation(M.ring, M.gens, M.rels + ((2, 1),),
@@ -206,14 +208,17 @@ def test_cli_emit_writes_the_minimal_input_relations(tmp_path, capsys):
     save_module(path, redundant)
     assert main(["resolve", "--module", str(path), "--emit", str(out)]) == 0
     emitted = load_module(out)
-    assert sorted(emitted.matrix[0], key=str) == sorted(f, key=str)
+    basis = buchberger(M.columns(), module=M.target)
+    assert len(emitted.rels) == 3
+    assert {str(c) for c in emitted.columns()} <= \
+        {str(g) for g in basis.elements}
     window = Window(0, 4, 0, 4)
     assert hilbert_table(emitted, window) == hilbert_table(M, window)
     res, again = resolve(M), resolve(emitted)
     assert [again.betti(i) for i in range(again.length + 1)] == \
         [res.betti(i) for i in range(res.length + 1)] == [1, 3, 4, 2]
-    assert [sorted(again.shifts(i)) for i in range(again.length + 1)] == \
-        [sorted(res.shifts(i)) for i in range(res.length + 1)]
+    assert [again.shifts(i) for i in range(again.length + 1)] == \
+        [res.shifts(i) for i in range(res.length + 1)]
 
 
 def test_cli_precondition_violation_exit_2(two_path, capsys):

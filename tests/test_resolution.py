@@ -252,10 +252,9 @@ def _shift_lists(res):
 
 
 def _referee_set():
-    """(presentation, whether its nonzero relations have the leads of
-    their reduced Groebner basis): _random_modules at three primes, seeded
-    cyclic quotients over four ring shapes, and every nonzero strand of
-    these at other-block degrees 0..3."""
+    """_random_modules at three primes, seeded cyclic quotients over four
+    ring shapes, and every nonzero strand of these at other-block degrees
+    0..3."""
     modules = [M for p in (2, 3, 32003) for M in _random_modules(p)]
     for shape in ((2, 2), (3, 1), (1, 3), (3, 2)):
         modules += random_quotients(RingSpec(*shape), 12, seed=11)
@@ -263,59 +262,49 @@ def _referee_set():
     for M in modules:
         out += [strand(M, k, c) for k in (0, 1) if (M.ring.m, M.ring.n)[k]
                 for c in range(4) if strand_dim(M, k, c) >= 0]
-
-    def leads_of_basis(N):
-        cols = [c for c in N.columns() if c]
-        gb = buchberger(cols, module=N.target)
-        return (sorted(k_m[:2] for k_m in gb.lead_terms())
-                == sorted(c.lead()[:2] for c in cols))
-
-    return [(N, leads_of_basis(N)) for N in out]
+    return out
 
 
 def test_resolve_matches_the_frame_referee():
-    # the graded Betti numbers agree everywhere.  The order of a level's
-    # shifts follows the leads of its columns: the input relations'
-    # (after pruning) here, the reduced Groebner basis's in the referee.
-    # Where the relations already have their basis's leads the two print
-    # the same; elsewhere (19 of the 557, strands and two multi-generator
-    # modules) a level can list its shifts in another order
-    checked = reordered = 0
-    for N, has_basis_leads in _referee_set():
+    # each level lists its shifts in the order of the leads of a reduced
+    # Groebner basis, so the ordered shift lists, which `bicoh resolve`
+    # prints, are the referee's
+    referee_set = _referee_set()
+    for N in referee_set:
         res, ref = resolve.__wrapped__(N), _resolve_by_frames(N)
-        new, old = _shift_lists(res), _shift_lists(ref)
-        assert [sorted(s) for s in new] == [sorted(s) for s in old], str(N)
-        if has_basis_leads:
-            assert new == old, str(N)
-        reordered += new != old
-        checked += 1
+        assert _shift_lists(res) == _shift_lists(ref), str(N)
         assert not any(_has_unit(A) for A in res.maps), str(N)
         _assert_composites_vanish(res)
-    assert (checked, reordered) == (557, 19)
+    assert len(referee_set) == 557
 
 
 def test_resolve_takes_one_kernel_basis_per_level(monkeypatch):
-    # no Groebner basis of the input, no Schreyer frame: each level is one
-    # graph Buchberger run, and the last one finds no syzygies
+    # one Buchberger run on the relations, then one graph Buchberger run
+    # per level, the last of which finds no syzygies; no Schreyer frame
     calls = []
 
-    def counted(columns, src):
-        calls.append(len(columns))
-        return kernel_basis(columns, src)
+    def counted(name, run):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return run(*args, **kwargs)
+        return wrapped
 
     def forbidden(*args, **kwargs):
         raise AssertionError("resolve reached a removed route")
 
-    monkeypatch.setattr(resolution, "kernel_basis", counted)
+    monkeypatch.setattr(resolution, "kernel_basis",
+                        counted("kernel", kernel_basis))
+    monkeypatch.setattr(resolution, "buchberger",
+                        counted("relations", buchberger))
     monkeypatch.setattr(resolution, "syzygies", forbidden)
-    monkeypatch.setattr(resolution, "buchberger", forbidden)
     ring = RingSpec(2, 2, 3)
     modules = _random_modules(3) + [_redundant_generator(ring), _killed(ring)]
     modules += [strand(M, 0, 1) for M in _random_modules(3)]
     for M in modules:
         calls.clear()
         res = resolve.__wrapped__(M)
-        assert len(calls) == res.length, str(M)
+        assert calls == ["relations"] * bool(res.length) + \
+            ["kernel"] * res.length, str(M)
 
 
 def test_resolution_degreewise_exactness_random(ring):
