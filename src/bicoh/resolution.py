@@ -435,8 +435,7 @@ def resolve(P: Presentation) -> FreeResolution:
     previous level's columns, by the graph construction
     (groebner.kernel_basis).  Syzygies of minimal generators lie in m*F
     again, so no level meets a unit, and each level lists its shifts in the
-    order of the leads of a reduced Groebner basis, as the Schreyer-frame
-    route that came before it did."""
+    order of the leads of a reduced Groebner basis."""
     ring = P.ring
     rows, _, pruned = _prune([col.coords for col in P.columns() if col],
                              len(P.gens))

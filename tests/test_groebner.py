@@ -20,6 +20,7 @@ from bicoh.groebner import (
     ModuleElement,
     buchberger,
     kernel_basis,
+    minimal_elements,
     normal_form,
     syzygies,
 )
@@ -553,6 +554,57 @@ def test_basis_shifts_are_the_element_bidegrees(r22):
     zero = GroebnerBasis(F, (_zero_element(F),))
     with pytest.raises(InvariantError, match="zero element"):
         syzygies(zero)
+
+
+def _leads_of_m_times_span(gb, d):
+    """The leads of the degree-d piece of mU, U the span of gb: the pivots
+    of an elimination on the x^u * g with u != 1, over the terms of F in
+    descending order."""
+    ring = gb.module.ring
+    rows = {}
+    for g, e in zip(gb.elements, gb.shifts):
+        if e == d:
+            continue
+        for u in monomial_basis(ring, d - e):
+            v = {(k, m): c for k, poly in enumerate(g.term_mul(1, u).coords)
+                 for m, c in poly.terms}
+            while v:
+                top = min(v, key=lambda t: (t[0], -t[1]))
+                row = rows.get(top)
+                if row is None:
+                    inv = pow(v[top], -1, ring.p)
+                    rows[top] = {t: c * inv % ring.p for t, c in v.items()}
+                    break
+                c = v[top]
+                for t, rc in row.items():
+                    v[t] = (v.get(t, 0) - c * rc) % ring.p
+                    if not v[t]:
+                        del v[t]
+    return set(rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_minimal_elements_are_the_leads_outside_m_times_the_span(p):
+    # against elimination on each degree piece of mU; the kept elements
+    # generate U, and elements of one bidegree can be kept and dropped
+    rng = random.Random(11 * p)
+    ring = RingSpec(2, 2, p=p)
+    mixed = 0
+    for rank in (1, 1, 1, 2, 2, 2, 3, 3):
+        F = FreeModule(ring, tuple((rng.randint(0, 1), rng.randint(0, 1))
+                                   for _ in range(rank)))
+        gens = [random_element(rng, F, (rng.randint(1, 2), rng.randint(1, 2)))
+                for _ in range(rng.randint(2, 5))]
+        gb = buchberger(gens)
+        keep = minimal_elements(gb)
+        assert keep == [
+            k for k, g in enumerate(gb.elements)
+            if g.lead()[:2] not in _leads_of_m_times_span(gb, gb.shifts[k])]
+        assert buchberger([gb.elements[k] for k in keep], module=F) == gb
+        assert len(keep) <= len(gens)
+        mixed += any(gb.shifts[k] == gb.shifts[l] for k in keep
+                     for l in range(len(gb.elements)) if l not in keep)
+    assert mixed
 
 
 def test_kernel_basis_of_injective_map(r22):
