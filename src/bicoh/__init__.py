@@ -28,8 +28,8 @@ from .resolution import (
 )
 from .strands import strand
 from .cohomology import (
-    cd_estimate,
     cech_oracle,
+    cohomological_dimension,
     ext_table,
     local_coh_table,
     oracle_table,
@@ -55,8 +55,8 @@ __all__ = [
     "RingSpec",
     "Window",
     "buchberger",
-    "cd_estimate",
     "cech_oracle",
+    "cohomological_dimension",
     "ext_presentation",
     "ext_table",
     "free_presentation",

@@ -9,7 +9,12 @@ import argparse
 import sys
 
 from . import checks
-from .cohomology import THEORIES, cd_estimate, local_coh_table, oracle_table
+from .cohomology import (
+    THEORIES,
+    cohomological_dimension,
+    local_coh_table,
+    oracle_table,
+)
 from .errors import BicohError, FormatError, InvariantError
 from .groebner import FreeModule
 from .linalg import DEFAULT_PRIME
@@ -51,8 +56,8 @@ def _build_parser():
         p.add_argument("--module", required=required,
                        help="module file (flat key-value format)")
 
-    def add_window(p, required=True):
-        p.add_argument("--window", required=required,
+    def add_window(p):
+        p.add_argument("--window", required=True,
                        help="bidegree window aMin:aMax,bMin:bMax")
 
     def add_csv(p):
@@ -65,9 +70,8 @@ def _build_parser():
     add_module(p)
     p.add_argument("--emit", help="write the minimal presentation here")
 
-    p = sub.add_parser("profile", help="dim, depth, pd, CM flags")
+    p = sub.add_parser("profile", help="dim, depth, pd, CM flags, cd(Q)")
     add_module(p)
-    add_window(p, required=False)
 
     p = sub.add_parser("locoh", help="local cohomology table")
     add_module(p), add_window(p), add_csv(p)
@@ -226,10 +230,8 @@ def _dispatch(args) -> int:
 
     if args.command == "profile":
         M = load_module(args.module)
-        text = str(profile(M))
-        if args.window:
-            text += f", cd<={cd_estimate(M, Window.parse(args.window))}"
-        print(f"p={M.ring.p}: {text}")
+        print(f"p={M.ring.p}: {profile(M)}, "
+              f"cd={cohomological_dimension(M, 'Q')}")
         return 0
 
     if args.command == "locoh":

@@ -19,7 +19,8 @@ Three computation paths, all exact per bidegree:
   strand_dim, is the pole order at t = 1 of the strand's Hilbert series
   (Hilbert-Serre; Bruns & Herzog, Cohen-Macaulay Rings, ch. 4), read off
   the numerator of M's initial module.  R_+ takes the same rule with
-  dim M.
+  dim M.  cohomological_dimension reads cd(P, M) and cd(Q, M), the
+  largest strand dimension, off the same numerator.
 * A brute-force oracle: H^i against the r variables v of the ideal (x
   for P, y for Q, all m + n for R_+) is the direct limit
   lim_t H^i(Hom(K(v^t), M))_d of the Koszul cohomologies of the powers
@@ -67,7 +68,7 @@ from .errors import BadTheoryError
 from .linalg import Matrix, homology_dim
 from .poly import Bidegree, Polynomial, mono_bidegree
 from .resolution import Presentation, initial_module, resolve
-from .strands import strand, strand_dim
+from .strands import strand, strand_dim, strand_range
 from .tables import CohomologyTable, DimTable, Window
 
 THEORIES = ("P", "Q", "R+")
@@ -154,14 +155,19 @@ def local_coh_table(M: Presentation, theory: str, i: int,
                            dual_flipped=(theory == "R+"))
 
 
-def cd_estimate(M: Presentation, window: Window) -> int:
-    """Largest i <= n with a nonzero H^i_Q cell in the window, else 0.
-    This is a window-bounded estimate of the cohomological dimension; with
-    n = 0 it is 0, as Q = (0)."""
-    for i in range(M.ring.n, 0, -1):
-        if not local_coh_table(M, "Q", i, window).is_zero():
-            return i
-    return 0
+def cohomological_dimension(M: Presentation, theory: str) -> int:
+    """cd(theory, M) for theory P or Q, -1 for the zero module: as
+    H^i_Q(M)_(a,*) = H^i_(y)(strand(M, 1, a)), cd(Q, M) is the largest
+    strand dimension (Grothendieck), taken over strand_range; P is the
+    mirror image.  An ideal without variables is (0), so H^0 = M."""
+    k = {"P": 0, "Q": 1}.get(theory)
+    if k is None:
+        raise BadTheoryError(f"no cohomological dimension for theory "
+                             f"{theory!r}; use P or Q")
+    if not (M.ring.m, M.ring.n)[k]:
+        return 0 if initial_module(M).numerator else -1
+    lo, c_0, hi = strand_range(M, k)
+    return max(strand_dim(M, k, c) for c in range(lo, max(c_0, hi) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,17 @@ over F_p[y] at x-degree c for k = 1.  It has one generator for every pair
 (generator g of N, other-block monomial of degree c - shift_g), and the
 relations are the other-block monomial expansions of the S-relations.
 Its Krull dimension is read off N's Hilbert series, with no strand built.
+
+Only finitely many strand dimensions need to be read.  Let r be the size
+of the other block and c_0 the largest other-block shift in N's
+numerator.  The strand at c is zero below the least such shift, and for
+c >= c_0 each term of the strand numerator carries dim K[other]_(c - s),
+a polynomial in c of degree r - 1, so every Taylor coefficient at t = 1
+is a polynomial in c of degree below r.  The least order whose
+coefficient is not the zero polynomial fixes one generic dimension g for
+all c >= c_0 but at most r - 1 roots, where the dimension is smaller;
+so g is the largest dimension on c_0..c_0 + r - 1 (strand_range).  With
+r = 0 the strands above c_0 are zero, and g = -1.
 """
 
 from functools import lru_cache
@@ -79,3 +90,14 @@ def strand_dim(N: Presentation, k: int, c: int) -> int:
         numerator[s[k]] = (numerator.get(s[k], 0)
                            + coef * block_dim(c - s[1 - k], sizes[1 - k]))
     return _pole_order(numerator, sizes[k])
+
+
+def strand_range(N: Presentation, k: int) -> tuple:
+    """(lo, c_0, hi) for the strands of N over block k: the strand at c is
+    zero for c < lo, and the largest strand dimension at any c >= c_0 is
+    the generic one, reached on c_0..hi = c_0 + r - 1 for the other
+    block's size r (the module docstring gives the argument).  Any range
+    serves the zero module, whose strands all vanish."""
+    others = [s[1 - k] for s in initial_module(N).numerator] or [0]
+    c_0 = max(others)
+    return min(others), c_0, c_0 + (N.ring.m, N.ring.n)[1 - k] - 1

@@ -3,10 +3,12 @@
 Questions about the components H^k_Q(M)_j as j runs to minus infinity are
 decided per strand: the corner and Cohen-Macaulay reductions turn the
 vanishing of H^k_Q(M)_j into nonvanishing of an Ext of a single strand of
-a finitely generated dual, which is exact and window-free.  Everything
-asymptotic ("eventually") is operationalized on the user's window: a scan
-is decided only when its trailing pattern is constant (see _decide), and
-the reports record observed patterns, never the conjecture itself.
+a finitely generated dual, which is exact and window-free, and so is
+the limit dimension of the dual's strands (strands.strand_range).  The
+rest of what is asymptotic ("eventually", and the limit depth) is
+operationalized on the user's window: a scan is decided only when its
+trailing pattern is constant (see _decide), and the reports record
+observed patterns, never the conjecture itself.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from .resolution import (
     profile,
     resolve,
 )
-from .strands import strand, strand_dim
+from .strands import strand, strand_dim, strand_range
 from .tables import Window
 
 EVENTUALLY_ZERO = "eventually-zero"
@@ -108,7 +110,9 @@ def tame_scan(M: Presentation, k: int, jwindow) -> TameReport:
     Any module supports k = dim and k = depth - m (the corner reductions);
     other k require M Cohen-Macaulay.  The verdict speaks about the
     direction j -> -infinity and is decided only if the trailing half of
-    the window is constant."""
+    the window is constant.  limit_dim, the generic dimension of the
+    dual's strands, is exact; limit_depth is decided on the window over
+    the nonzero strands.  Both are None when the strands vanish far out."""
     ring = M.ring
     prof = profile(M)
     s, t = prof.dim, prof.depth
@@ -130,17 +134,15 @@ def tame_scan(M: Presentation, k: int, jwindow) -> TameReport:
         overall = INCONCLUSIVE
     else:
         overall = EVENTUALLY_NONZERO if decided else EVENTUALLY_ZERO
-    # limit depth/dim of the dual's strands for large strand index,
-    # restricted to where the strands are nonzero
-    strand_profiles = {j: _strand_profile(dual, -j)
-                       for j in range(lo, hi + 1)}
-    nonzero_profiles = {j: p for j, p in strand_profiles.items()
-                        if p is not None}
+    _, c_0, c_hi = strand_range(dual, 0)
+    generic = max((strand_dim(dual, 0, c) for c in range(c_0, c_hi + 1)),
+                  default=-1)
     limit_depth = limit_dim = None
-    if nonzero_profiles:
-        stable = _decide(nonzero_profiles, toward_min=True)
-        if stable is not None:
-            limit_depth, limit_dim = stable
+    if generic >= 0:
+        limit_dim = generic
+        depths = {j: pair[0] for j in range(lo, hi + 1)
+                  if (pair := _strand_profile(dual, -j)) is not None}
+        limit_depth = _decide(depths, toward_min=True)
     return TameReport(k=k, jwindow=(lo, hi), verdicts=verdicts,
                       overall=overall, limit_depth=limit_depth,
                       limit_dim=limit_dim)

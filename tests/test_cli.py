@@ -374,16 +374,22 @@ def test_cli_tame_and_regscan(hyper_path, capsys):
 
 
 def test_cli_profile(hyper_path, capsys):
-    assert main(["profile", "--module", hyper_path,
-                 "--window", "-4:4,-4:4"]) == 0
+    assert main(["profile", "--module", hyper_path]) == 0
     out = capsys.readouterr().out
-    assert "dim 3" in out and "CM" in out and "cd<=2" in out
+    assert "dim 3" in out and "CM" in out and out.endswith(", cd=2\n")
 
 
 def test_cli_profile_without_y_variables(tmp_path, capsys):
-    # Q = (0) over a ring without y-variables: the window estimate is 0
+    # Q = (0) over a ring without y-variables: H^0_Q(M) = M, so cd is 0
     path = tmp_path / "x.mod"
     path.write_text("m=2\nn=0\ngens=(0,0)\nrels=(1,0): x1\n")
-    assert main(["profile", "--module", str(path),
-                 "--window", "-1:1,-1:1"]) == 0
-    assert "cd<=0" in capsys.readouterr().out
+    assert main(["profile", "--module", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(", cd=0\n")
+
+
+def test_cli_profile_rejects_a_window(hyper_path, capsys):
+    # cd is exact, so profile takes no window: the flag is unknown, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--module", hyper_path, "--window", "-4:4,-4:4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --window" in capsys.readouterr().err

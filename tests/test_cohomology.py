@@ -8,8 +8,8 @@ import pytest
 from bicoh import cohomology, linalg, resolution
 from bicoh.checks import check_gencm_les
 from bicoh.cohomology import (
-    cd_estimate,
     cech_oracle,
+    cohomological_dimension,
     ext_table,
     local_coh_table,
     oracle_table,
@@ -42,10 +42,12 @@ from bicoh.resolution import (
     quotient_by_polys,
     resolve,
     restrict_matrix,
+    zero_presentation,
 )
 from bicoh.modfile import load_module
 from bicoh.strands import strand, strand_dim
 from bicoh.tables import Window, matlis_flip
+from bicoh.tame import _mod_by_irrelevant
 from test_linalg import compose, tracked_echelon
 from test_resolution import _raw_resolution, _redundant_generator
 
@@ -1116,11 +1118,76 @@ def test_second_q_table_reuses_strand_ext_modules(two_relations,
     assert not table.is_zero()
 
 
+def cd_estimate(M, theory, window):
+    """The window referee of cohomological_dimension: the largest i with a
+    nonzero H^i_theory cell in the window, else 0 (also for an ideal
+    without variables, which is (0)).  It cannot see the -1 of the zero
+    module."""
+    for i in range((M.ring.m, M.ring.n)["PQ".index(theory)], 0, -1):
+        if not local_coh_table(M, theory, i, window).is_zero():
+            return i
+    return 0
+
+
+def _mod_by_y(N):
+    """N / (y)N, the mirror of tame._mod_by_irrelevant: append the columns
+    y_v * e_k."""
+    ring = N.ring
+    pairs = [(k, v) for k in range(len(N.gens))
+             for v in range(ring.m, ring.nvars)]
+    rels = tuple(N.gens[k] + ring.variable_degree(v) for k, v in pairs)
+    matrix = tuple(tuple(row) + tuple(ring.variable(v) if k == kk
+                                      else ring.zero() for k, v in pairs)
+                   for kk, row in enumerate(N.matrix))
+    return Presentation(ring, N.gens, N.rels + rels, matrix)
+
+
 def test_cd_estimate_examples(ring, S, q_torsion, hypersurface):
     window = Window(-4, 4, -4, 4)
-    assert cd_estimate(S, window) == 2
-    assert cd_estimate(q_torsion, window) == 0
-    assert cd_estimate(hypersurface, window) == 2
+    assert cd_estimate(S, "Q", window) == 2
+    assert cd_estimate(q_torsion, "Q", window) == 0
+    assert cd_estimate(hypersurface, "Q", window) == 2
+
+
+def _cd_modules(p):
+    """The named fixtures, the generalized CM fixture and six random
+    quotients for each of five ring shapes: 35 modules per prime."""
+    ring = standard_ring(p)
+    return (list(named_fixtures(ring).values()) + [gencm_fixture(ring)]
+            + [M for shape in ((2, 2), (3, 1), (1, 3), (2, 1), (3, 2))
+               for M in random_quotients(RingSpec(*shape, p), 6, 2026)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_cohomological_dimension_matches_window_and_quotient(p):
+    # cd(Q, M) = dim M/PM and cd(P, M) = dim M/QM on every module, and
+    # both equal the largest nonzero H^i on a window of 13 x 13 cells
+    window = Window(-6, 6, -6, 6)
+    for M in _cd_modules(p):
+        for theory, quotient in (("Q", _mod_by_irrelevant(M)),
+                                 ("P", _mod_by_y(M))):
+            cd = cohomological_dimension(M, theory)
+            assert cd == cd_estimate(M, theory, window) == \
+                initial_module(quotient).krull_dim(), (str(M), theory)
+
+
+def test_cohomological_dimension_edge_cases():
+    # an ideal without variables is (0), so cd is 0 on a nonzero module;
+    # the zero module has cd -1, where the window referee reads 0
+    window = Window(-6, 6, -6, 6)
+    for m, n in ((0, 2), (2, 0)):
+        ring = RingSpec(m, n)
+        M = quotient_by_polys(ring, [ring.gens()[0]])
+        for theory, quotient in (("Q", _mod_by_irrelevant(M)),
+                                 ("P", _mod_by_y(M))):
+            assert cohomological_dimension(M, theory) == \
+                cd_estimate(M, theory, window) == \
+                initial_module(quotient).krull_dim() == \
+                (0 if (m, n)["PQ".index(theory)] == 0 else 1), (m, n, theory)
+        zero = zero_presentation(ring)
+        assert [cohomological_dimension(zero, t) for t in "PQ"] == [-1, -1]
+    with pytest.raises(BadTheoryError):
+        cohomological_dimension(named_fixtures()["S"], "R+")
 
 
 def test_ext_into_free_matches_canonical_route(ring, hypersurface,

@@ -1,15 +1,23 @@
 import pytest
 
 from bicoh.errors import BadTheoryError
+from bicoh.fixtures import (
+    gencm_fixture,
+    named_fixtures,
+    random_quotients,
+    standard_ring,
+)
 from bicoh.poly import RingSpec, block_dim
 from bicoh.resolution import (
     Presentation,
+    ext_presentation,
     free_presentation,
     hilbert_dim,
+    profile,
     quotient_by_polys,
     resolve,
 )
-from bicoh.strands import strand, strand_dim
+from bicoh.strands import strand, strand_dim, strand_range
 
 
 def test_x_strand_of_ring_is_free(S):
@@ -91,3 +99,22 @@ def test_strands_over_an_empty_variable_block_are_rejected():
         for fn in (strand, strand_dim):
             with pytest.raises(BadTheoryError, match="need at least one"):
                 fn(N, k, 0)
+
+
+def test_strand_range_holds_every_dimension_that_matters():
+    # below lo every strand is zero, and past c_0 no strand is larger than
+    # the generic dimension read on c_0..hi, which it keeps far out; the
+    # modules and their dualized tops, over both blocks
+    modules = [M for p in (3, 32003) for M in (
+        list(named_fixtures(standard_ring(p)).values())
+        + [gencm_fixture(standard_ring(p))]
+        + random_quotients(RingSpec(3, 2, p), 4, 2026))]
+    modules += [ext_presentation(M, M.ring.nvars - profile(M).dim)
+                for M in modules]
+    for N in modules:
+        for k in (0, 1):
+            lo, c_0, hi = strand_range(N, k)
+            assert all(strand_dim(N, k, c) < 0 for c in range(lo - 6, lo))
+            generic = max(strand_dim(N, k, c) for c in range(c_0, hi + 1))
+            far = [strand_dim(N, k, c) for c in range(c_0, c_0 + 30)]
+            assert max(far) == generic == far[-1], (str(N), k)
