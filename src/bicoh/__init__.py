@@ -18,7 +18,6 @@ from .resolution import (
     ext_presentation,
     free_presentation,
     hilbert_table,
-    kernel_presentation,
     minimal_presentation,
     profile,
     quotient_by_polys,
@@ -62,7 +61,6 @@ __all__ = [
     "free_presentation",
     "hilbert_table",
     "homology_dim",
-    "kernel_presentation",
     "limit_profile_check",
     "local_coh_table",
     "matlis_flip",

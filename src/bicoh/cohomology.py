@@ -171,7 +171,7 @@ def cohomological_dimension(M: Presentation, theory: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hom complexes: Ext into any module, and the Koszul-limit oracle
+# Hom complexes on the standard monomials, and the Koszul-limit oracle
 
 
 def _spot(layer, d, shifts):

@@ -3,14 +3,14 @@ derived invariants.
 
 A module M is always carried as the cokernel of a shift-decorated matrix
 between free modules.  Its graded dimensions, Krull dimension and standard
-monomials come from one object per presentation, initial_module(P): F/U
-and F/in(U) share their Hilbert function (Macaulay), so the lead terms of
-one Groebner basis of the relations decide all three; the Krull dimension
-is the pole order at t = 1 of the Hilbert series (Hilbert-Serre).  Every
-table of graded dimensions, Ext and local-cohomology tables included,
-reads it.
-resolve(P), which takes no options, is the minimal free resolution: one
-Buchberger run on the relations, their units pruned, then one kernel
+monomials come from one object per presentation, initial_module(P): its
+relations lose their units, and F/U and F/in(U) share their Hilbert
+function (Macaulay), so the lead terms of the one Groebner basis of the
+relations decide all three; the Krull dimension is the pole order at
+t = 1 of the Hilbert series (Hilbert-Serre).  Every table of graded
+dimensions, Ext and local-cohomology tables included, reads it.
+resolve(P), which takes no options, is the minimal free resolution: it
+starts from the basis of initial_module(P), then takes one kernel
 Groebner basis per level (the graph construction of groebner.kernel_basis),
 each level the minimal generators that groebner.minimal_elements reads off
 the leads of its basis.  From it we read off graded Betti numbers,
@@ -19,7 +19,7 @@ dimensions and Krull dimension of every Ext^j(M, omega), from the Hilbert
 numerators of the cokernels of the dual maps (FreeResolution);
 ext_presentation builds the Ext module itself where a caller needs more
 than its dimensions.  Units are eliminated by one routine, _prune: the
-relations that resolve starts from and the Ext subquotients.
+relations of initial_module and the Ext subquotients.
 minimal_presentation reads the first map F_1 -> F_0 off resolve(P).
 hilbert_dim, which ranks the degree-restricted relation matrix, is kept as
 an independent referee of the initial-module dimensions; no table reads it.
@@ -222,20 +222,71 @@ def _krull_dim(ring, numerator):
     return _pole_order(total, ring.nvars)
 
 
+def _prune(columns, rank):
+    """Unit elimination on the matrix with the given columns, each a
+    sequence of `rank` Polynomials, one per generator of the target.
+
+    While some entry (k, l) is a nonzero constant c, every other column s
+    with s[k] != 0 becomes s - (s[k]/c) * column l, and column l and
+    generator k are dropped: the split summand S(-d) --c--> S(-d) leaves
+    the complex.  The pivot is the unit of least Markowitz cost (Markowitz
+    1957), (nonzeros in row k - 1) * (nonzeros in column l - 1), the most
+    entries the step can fill in; ties go to the first by generator, then
+    by column.  The column operations are the Schur complement, computed
+    only where s[k] and column l are nonzero; they change the next map
+    only in the row of column l, and the row operations that clear column
+    l change the previous map only in the column of generator k, both
+    dropped with the summand.  Returns (rows, cols, pruned): the indices of
+    the surviving generators and columns, ascending, and the surviving
+    columns on the surviving generators."""
+    live = {l: list(col) for l, col in enumerate(columns)}
+    rows = list(range(rank))
+    while True:
+        in_row = dict.fromkeys(rows, 0)
+        # (k, l, nonzeros in column l) of the constant entries; monomial 0
+        # is the least, so an entry led by it is a constant
+        units = []
+        for l, col in live.items():
+            support = [k for k in rows if col[k].terms]
+            for k in support:
+                in_row[k] += 1
+            units += [(k, l, len(support)) for k in support
+                      if col[k].terms[0][0] == 0]
+        if not units:
+            break
+        _, k, l = min(((in_row[k] - 1) * (n - 1), k, l) for k, l, n in units)
+        pivot = live.pop(l)
+        rows.remove(k)
+        cinv = pow(pivot[k].terms[0][1], -1, pivot[k].ring.p)
+        rest = [(kp, pivot[kp]) for kp in rows if not pivot[kp].is_zero()]
+        for col in live.values():
+            if not col[k].is_zero():
+                lam = col[k].scale(cinv)
+                for kp, entry in rest:
+                    col[kp] = col[kp].sub_mul(lam, entry)
+    return rows, list(live), [[col[k] for k in rows]
+                              for col in live.values()]
+
+
 class InitialModule:
     """F/in(U) for a presentation F/U: the reduced Groebner basis of the
-    relations and its lead terms.  F/U and F/in(U) share their Hilbert
-    function (Macaulay), and the monomials of F that no lead term divides,
-    the standard monomials, are a K-basis of each piece of F/U.  Bases are
-    filled in on first use, and the normal form of a monomial outside
-    them once, when it is first asked for."""
+    relations and its lead terms.  The presentation's nonzero columns lose
+    their units first (_prune), an isomorphism, so F is `target`, the
+    surviving generators, and the relations left lie in m*F.  F/U and
+    F/in(U) share their Hilbert function (Macaulay), and the monomials of F
+    that no lead term divides, the standard monomials, are a K-basis of
+    each piece of F/U.  Bases are filled in on first use, and the normal
+    form of a monomial outside them once, when it is first asked for."""
 
     def __init__(self, P: Presentation):
-        self.P = P
         self.ring = P.ring
-        cols = [c for c in P.columns() if c]
-        self.gb = (buchberger(cols, module=P.target) if cols
-                   else GroebnerBasis(P.target, ()))
+        rows, _, pruned = _prune([col.coords for col in P.columns() if col],
+                                 len(P.gens))
+        self.target = FreeModule(P.ring, tuple(P.gens[k] for k in rows))
+        relations = [e for e in (ModuleElement(self.target, col)
+                                 for col in pruned) if e]
+        self.gb = (buchberger(relations, module=self.target) if relations
+                   else GroebnerBasis(self.target, ()))
         self.leads = self.gb.lead_terms()
         self._bases = {}    # d -> {(generator, monomial): position}
         self._nfs = {}      # (generator, monomial) -> {position: coeff}
@@ -246,7 +297,7 @@ class InitialModule:
         over positions k of S(-shift_k)/J_k, J_k the monomial ideal of the
         lead terms in position k."""
         out = {}
-        for k, shift in enumerate(self.P.gens):
+        for k, shift in enumerate(self.target.shifts):
             ideal = [mono for kk, mono, _ in self.leads if kk == k]
             for s, c in _numerator(self.ring, ideal).items():
                 out[shift + s] = out.get(shift + s, 0) + c
@@ -265,7 +316,7 @@ class InitialModule:
         {(generator, monomial): position}."""
         basis = self._bases.get(d)
         if basis is None:
-            standard = (key for key in self.P.target.basis_at(d)
+            standard = (key for key in self.target.basis_at(d)
                         if not any(gk == key[0] and mono_divides(gm, key[1])
                                    for gk, gm, _ in self.leads))
             basis = self._bases[d] = {key: i
@@ -278,7 +329,7 @@ class InitialModule:
         computed once, then read off the table."""
         out = self._nfs.get((k, mono))
         if out is None:
-            ring, target = self.ring, self.P.target
+            ring, target = self.ring, self.target
             coords = [ring.zero()] * target.rank
             coords[k] = Polynomial(ring, ((mono, 1),))
             rem = normal_form(ModuleElement(target, tuple(coords)), self.gb)
@@ -374,77 +425,26 @@ class FreeResolution:
         return _krull_dim(self.ring, self._ext_numerator(j))
 
 
-def _prune(columns, rank):
-    """Unit elimination on the matrix with the given columns, each a
-    sequence of `rank` Polynomials, one per generator of the target.
-
-    While some entry (k, l) is a nonzero constant c, every other column s
-    with s[k] != 0 becomes s - (s[k]/c) * column l, and column l and
-    generator k are dropped: the split summand S(-d) --c--> S(-d) leaves
-    the complex.  The pivot is the unit of least Markowitz cost (Markowitz
-    1957), (nonzeros in row k - 1) * (nonzeros in column l - 1), the most
-    entries the step can fill in; ties go to the first by generator, then
-    by column.  The column operations are the Schur complement, computed
-    only where s[k] and column l are nonzero; they change the next map
-    only in the row of column l, and the row operations that clear column
-    l change the previous map only in the column of generator k, both
-    dropped with the summand.  Returns (rows, cols, pruned): the indices of
-    the surviving generators and columns, ascending, and the surviving
-    columns on the surviving generators."""
-    live = {l: list(col) for l, col in enumerate(columns)}
-    rows = list(range(rank))
-    while True:
-        in_row = dict.fromkeys(rows, 0)
-        # (k, l, nonzeros in column l) of the constant entries; monomial 0
-        # is the least, so an entry led by it is a constant
-        units = []
-        for l, col in live.items():
-            support = [k for k in rows if col[k].terms]
-            for k in support:
-                in_row[k] += 1
-            units += [(k, l, len(support)) for k in support
-                      if col[k].terms[0][0] == 0]
-        if not units:
-            break
-        _, k, l = min(((in_row[k] - 1) * (n - 1), k, l) for k, l, n in units)
-        pivot = live.pop(l)
-        rows.remove(k)
-        cinv = pow(pivot[k].terms[0][1], -1, pivot[k].ring.p)
-        rest = [(kp, pivot[kp]) for kp in rows if not pivot[kp].is_zero()]
-        for col in live.values():
-            if not col[k].is_zero():
-                lam = col[k].scale(cinv)
-                for kp, entry in rest:
-                    col[kp] = col[kp].sub_mul(lam, entry)
-    return rows, list(live), [[col[k] for k in rows]
-                              for col in live.values()]
-
-
 @lru_cache(maxsize=None)
 def resolve(P: Presentation) -> FreeResolution:
     """The minimal free resolution of coker(P), one kernel Groebner basis
     per level.
 
-    The presentation's own nonzero columns lose their units first; only
-    they can hold any (strands, module files), and the relations left lie
-    in m*F_0.  Each level keeps, of the reduced Groebner basis of its span,
+    It starts from initial_module(P): F_0 is its target, the generators
+    that survive the pruning of units, and the relations left lie in
+    m*F_0.  Each level keeps, of the reduced Groebner basis of its span,
     the elements whose leads are not leads of m times the span
     (groebner.minimal_elements): minimal generators, in the basis's order.
-    At the first level that basis is one Buchberger run on the relations;
-    every later one is the reduced Groebner basis of the syzygies of the
-    previous level's columns, by the graph construction
-    (groebner.kernel_basis).  Syzygies of minimal generators lie in m*F
-    again, so no level meets a unit, and each level lists its shifts in the
-    order of the leads of a reduced Groebner basis."""
+    At the first level that basis is the initial module's; every later one
+    is the reduced Groebner basis of the syzygies of the previous level's
+    columns, by the graph construction (groebner.kernel_basis).  Syzygies
+    of minimal generators lie in m*F again, so no level meets a unit, and
+    each level lists its shifts in the order of the leads of a reduced
+    Groebner basis."""
     ring = P.ring
-    rows, _, pruned = _prune([col.coords for col in P.columns() if col],
-                             len(P.gens))
-    shifts = [tuple(P.gens[k] for k in rows)]
-    ambient = FreeModule(ring, shifts[0])
-    relations = [e for e in (ModuleElement(ambient, col) for col in pruned)
-                 if e]
-    basis = (buchberger(relations, module=ambient) if relations
-             else GroebnerBasis(ambient, ()))
+    module = initial_module(P)
+    basis = module.gb
+    shifts = [module.target.shifts]
     maps = []       # the columns of each map
     while True:
         keep = minimal_elements(basis)
@@ -520,10 +520,10 @@ def profile(P: Presentation) -> ModuleProfile:
 # Hom_S(S(-s), S(-c)) = S(s - c) for the canonical twist c = (m, n):
 # dualizing a resolution transposes each matrix and replaces each generator
 # degree s by c - s (FreeResolution.dual).  Ext^j is then ker(B)/im(A) at
-# the dual of F_j.  The
-# kernel comes as one reduced Groebner basis G (the unit basis when j = pd,
-# where no map leaves), and the subquotient is presented on the elements of
-# G: by Schreyer's theorem the syzygies of the Schreyer frame of G (see
+# the dual of F_j.  The kernel comes as one reduced Groebner basis G, from
+# groebner.kernel_basis at every j (at j = pd no map leaves, and G is the
+# unit basis), and the subquotient is presented on the elements of G: by
+# Schreyer's theorem the syzygies of the Schreyer frame of G (see
 # groebner.syzygies) generate all relations among them, and the division
 # quotients of each column of A by G express the image.
 
@@ -541,6 +541,11 @@ def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:
             raise InvariantError(
                 "submodule generator outside the ambient span")
         columns.append(ModuleElement(src, tuple(quotients)))
+    # the relations among the span's elements from its Schreyer frame: one
+    # kernel_basis of those elements instead made ext_presentation slower,
+    # 0.53-0.70 s against 0.38-0.42 s for five passes over the Ext modules
+    # of the euler and ext_window benchmark inputs at seeds 3, 5 and 11
+    # (2-vCPU host)
     columns.extend(syzygies(span))
     # unit pruning, then without the columns it leaves zero
     rows, cols, pruned = _prune([c.coords for c in columns], src.rank)
@@ -552,29 +557,15 @@ def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:
                               for i in range(len(rows))))
 
 
-def kernel_presentation(src: FreeModule, tgt: FreeModule,
-                        matrix) -> Presentation:
-    """Presentation of the kernel of the bihomogeneous map src -> tgt."""
-    columns = [ModuleElement(tgt, tuple(matrix[k][l]
-                                        for k in range(tgt.rank)))
-               for l in range(src.rank)]
-    return quotient_presentation([], kernel_basis(columns, src))
-
-
 @lru_cache(maxsize=None)
 def ext_presentation(P: Presentation, j: int) -> Presentation:
-    """Ext^j(M, omega) as a minimal presentation: the Matlis dual of
-    H^(m+n-j) at the maximal ideal, which is finitely generated.  The zero
+    """Ext^j(M, omega), the Matlis dual of H^(m+n-j) at the maximal ideal,
+    which is finitely generated: presented on the kernel basis of delta_j
+    with its units pruned, which can leave a redundant relation.  The zero
     presentation for j outside 0..pd."""
-    ring = P.ring
     res = resolve(P)
     if j < 0 or j > res.length:
-        return zero_presentation(ring)
+        return zero_presentation(P.ring)
     delta = res.dual(j)
-    mid = delta.source
-    if j < res.length:
-        kernel = kernel_basis(delta.columns(), mid)
-    else:
-        kernel = GroebnerBasis(mid, tuple(mid.unit_element(k)
-                                          for k in range(mid.rank)))
-    return quotient_presentation(res.dual(j - 1).columns(), kernel)
+    return quotient_presentation(res.dual(j - 1).columns(),
+                                 kernel_basis(delta.columns(), delta.source))

@@ -234,6 +234,52 @@ def test_oracle_equals_duality_path(ring, hypersurface, two_relations):
                         (M.ring.p, theory, i, tuple(d))
 
 
+# unit entries on the generators (1,0) and (0,1), both redundant
+_UNIT_MODULE = """\
+p=3
+m=2
+n=2
+gens=(0,0),(1,0),(0,1)
+rels=(1,0): x1, -1, 0
+rels=(0,1): y2, 0, 1
+rels=(1,1): x2*y1, y1, x1
+rels=(2,1): 0, x2*y1, 0
+"""
+
+
+def _unit_presentations(tmp_path):
+    """The redundant-generator presentation and a module file with unit
+    entries: presentations whose initial module prunes generators."""
+    path = tmp_path / "units.mod"
+    path.write_text(_UNIT_MODULE)
+    return [_redundant_generator(standard_ring()), load_module(path)]
+
+
+def test_oracle_equals_duality_path_with_unit_relations(tmp_path):
+    # the oracle multiplies in the standard monomials of the generators
+    # that survive the pruning of units
+    window = Window(-3, 3, -3, 3)
+    nonzero = 0
+    for M in _unit_presentations(tmp_path):
+        assert initial_module(M).target.rank < len(M.gens)
+        for theory in ("P", "Q", "R+"):
+            for i in range(0, 5 if theory == "R+" else 3):
+                table = local_coh_table(M, theory, i, window)
+                assert oracle_table(M, theory, i, window).cells == \
+                    table.cells, (str(M), theory, i)
+                nonzero += not table.is_zero()
+    assert nonzero
+
+
+def test_initial_module_dims_with_unit_relations(tmp_path):
+    # hilbert_dim ranks P's own matrix, so it referees the initial module
+    # of the pruned relations independently of _prune
+    for M in _unit_presentations(tmp_path):
+        for d in Window(-2, 4, -2, 4).cells():
+            assert initial_module(M).dim_at(d) == hilbert_dim(M, d), \
+                (str(M), tuple(d))
+
+
 def _block_change(P, seed):
     """P after a seeded invertible linear change of coordinates within each
     variable block, so its relations get generic coefficients."""
@@ -324,7 +370,7 @@ def _step(layer, var, d):
     mat = _steps.get((layer, var, d))
     if mat is not None:
         return mat
-    ring, target = layer.ring, layer.P.target
+    ring, target = layer.ring, layer.target
     index = layer.basis(d + ring.variable_degree(var))
     unit = ring.variable(var).terms[0][0]
     cols = []
@@ -516,11 +562,12 @@ def test_oracle_normal_forms_each_monomial_once(p, monkeypatch):
             if not M.rels:
                 assert not calls
         layer = layers[M]
+        target = layer.target
         for k, mono in layer._nfs:
-            rem = normal_form_(ModuleElement(M.target, tuple(
+            rem = normal_form_(ModuleElement(target, tuple(
                 Polynomial(ring, ((mono, 1),)) if kk == k else ring.zero()
-                for kk in range(len(M.gens)))), layer.gb)
-            index = layer.basis(M.gens[k] + mono_bidegree(ring, mono))
+                for kk in range(target.rank))), layer.gb)
+            index = layer.basis(target.shifts[k] + mono_bidegree(ring, mono))
             assert layer.nf(k, mono) == {
                 index[(kk, mm)]: c for kk, poly in enumerate(rem.coords)
                 for mm, c in poly.terms}
@@ -1104,17 +1151,26 @@ def test_ext_table_resolution_independent(ring, two_relations):
                     (str(M), j, tuple(d))
 
 
-def test_second_q_table_reuses_strand_ext_modules(two_relations,
-                                                  monkeypatch):
+def test_second_q_table_builds_no_new_resolution(two_relations,
+                                                 monkeypatch):
     # a second Q table over the same strands (same a range, new b range)
-    # builds no Ext module and eliminates no matrix: it reads the strand
-    # Ext modules cached by the first
+    # resolves no new strand, builds no new initial module and eliminates
+    # no matrix: it reads the dual-cokernel numerators of the strand
+    # resolutions cached by the first.  Neither table presents an Ext
+    # module, through this binding or any other (the cache counts every
+    # call)
+    monkeypatch.setattr(resolution, "ext_presentation",
+                        lambda *args: pytest.fail("built an Ext module"))
+    calls = ext_presentation.cache_info()
     local_coh_table(two_relations, "Q", 2, Window(-2, 2, -2, 2))
-    misses = ext_presentation.cache_info().misses
+    misses = (resolve.cache_info().misses,
+              initial_module.cache_info().misses)
     monkeypatch.setattr(linalg, "_echelon",
                         lambda *args, **kw: pytest.fail("eliminated"))
     table = local_coh_table(two_relations, "Q", 2, Window(-2, 2, -5, 4))
-    assert ext_presentation.cache_info().misses == misses
+    assert (resolve.cache_info().misses,
+            initial_module.cache_info().misses) == misses
+    assert ext_presentation.cache_info()[:2] == calls[:2]
     assert not table.is_zero()
 
 

@@ -37,7 +37,11 @@ from bicoh.poly import (
     monomial_basis,
     parse_poly,
 )
-from bicoh.resolution import hilbert_dim, kernel_presentation, restrict_matrix
+from bicoh.resolution import (
+    hilbert_dim,
+    quotient_presentation,
+    restrict_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +56,16 @@ def _zero_element(F):
 def _poly_mul(v, f):
     """The element f * v."""
     return ModuleElement(v.module, tuple(f * a for a in v.coords))
+
+
+def _kernel_presentation(src: FreeModule, tgt: FreeModule, matrix):
+    """Presentation of the kernel of the bihomogeneous map src -> tgt: the
+    quotient presentation of its kernel basis.  No bicoh code presents a
+    kernel on its own; the tests build them here."""
+    columns = [ModuleElement(tgt, tuple(matrix[k][l]
+                                        for k in range(tgt.rank)))
+               for l in range(src.rank)]
+    return quotient_presentation([], kernel_basis(columns, src))
 
 
 def elem(module, *texts):
@@ -647,7 +661,7 @@ def test_kernel_basis_random_maps(p):
             assert buchberger(kernel.elements, module=src) == kernel
         matrix = tuple(tuple(c.coords[k] for c in columns)
                        for k in range(tgt.rank))
-        P = kernel_presentation(src, tgt, matrix)
+        P = _kernel_presentation(src, tgt, matrix)
         for a in range(4):
             for b in range(4):
                 arr = restrict_matrix(ring, tgt, src, matrix, (a, b))

@@ -42,7 +42,6 @@ from bicoh.resolution import (
     hilbert_dim,
     hilbert_table,
     initial_module,
-    kernel_presentation,
     minimal_presentation,
     profile,
     quotient_by_polys,
@@ -53,7 +52,7 @@ from bicoh.resolution import (
 )
 from bicoh.strands import strand, strand_dim
 from bicoh.tables import Window
-from test_groebner import _all_pairs_syzygies
+from test_groebner import _all_pairs_syzygies, _kernel_presentation
 
 
 def test_presentation_validates_degrees(ring):
@@ -279,8 +278,10 @@ def test_resolve_matches_the_frame_referee():
 
 
 def test_resolve_takes_one_kernel_basis_per_level(monkeypatch):
-    # one Buchberger run on the relations, then one graph Buchberger run
-    # per level, the last of which finds no syzygies; no Schreyer frame
+    # one Buchberger run on the relations, in the initial module that
+    # resolve starts from (built afresh here, so no cached one hides the
+    # run), then one graph Buchberger run per level, the last of which
+    # finds no syzygies; no Schreyer frame
     calls = []
 
     def counted(name, run):
@@ -297,6 +298,7 @@ def test_resolve_takes_one_kernel_basis_per_level(monkeypatch):
     monkeypatch.setattr(resolution, "buchberger",
                         counted("relations", buchberger))
     monkeypatch.setattr(resolution, "syzygies", forbidden)
+    monkeypatch.setattr(resolution, "initial_module", resolution.InitialModule)
     ring = RingSpec(2, 2, 3)
     modules = _random_modules(3) + [_redundant_generator(ring), _killed(ring)]
     modules += [strand(M, 0, 1) for M in _random_modules(3)]
@@ -305,6 +307,29 @@ def test_resolve_takes_one_kernel_basis_per_level(monkeypatch):
         res = resolve.__wrapped__(M)
         assert calls == ["relations"] * bool(res.length) + \
             ["kernel"] * res.length, str(M)
+
+
+def test_resolve_and_the_tables_share_one_relations_basis(monkeypatch):
+    # resolve starts from the module's initial module, so resolving a
+    # module and then reading its Hilbert and oracle tables runs Buchberger
+    # on its relations once in all, pruned of their units on the redundant
+    # generator.  The prime, which no other test uses, keeps these
+    # presentations out of the session caches
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(resolution, "buchberger", counted)
+    ring = standard_ring(23)
+    window = Window(-2, 2, -2, 2)
+    for M in (gencm_fixture(ring), _redundant_generator(ring)):
+        runs.clear()
+        resolve(M)
+        hilbert_table(M, window)
+        cohomology.oracle_table(M, "Q", 1, window)
+        assert len(runs) == 1, str(M)
 
 
 def test_resolution_degreewise_exactness_random(ring):
@@ -457,9 +482,10 @@ def _prune_every_entry(columns, rank):
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
 def test_unit_elimination_matches_every_entry_referee(p, monkeypatch):
-    # every pruning inside resolve, and of each map of the raw Schreyer
-    # chains (units at every level), replayed by the referee on a
-    # row-major copy, keeps the same generators, columns and entries
+    # every pruning of an initial module's relations (built afresh, not
+    # read from the cache), and of each map of the raw Schreyer chains
+    # (units at every level), replayed by the referee on a row-major copy,
+    # keeps the same generators, columns and entries
     prune = resolution._prune
     eliminated = []
 
@@ -480,7 +506,7 @@ def test_unit_elimination_matches_every_entry_referee(p, monkeypatch):
     ring = RingSpec(2, 2, p)
     modules = _random_modules(p) + [_redundant_generator(ring)]
     modules += [strand(M, k, 1) for M in modules[:-1] for k in (0, 1)]
-    totals = dict.fromkeys((resolve.__wrapped__, prune_raw), 0)
+    totals = dict.fromkeys((resolution.InitialModule, prune_raw), 0)
     for M in modules:
         for run in totals:
             eliminated.clear()
@@ -576,10 +602,10 @@ def _numerator_krull_dim(P):
 def _support_scan_krull_dim(P):
     """The lead-term route, kept as the referee of krull_dim: dim S/J_k is
     the largest number of variables whose set contains the support of no
-    lead term of J_k, and the module's is the largest over the positions;
-    -1 for the zero module."""
+    lead term of J_k, and the module's is the largest over the positions
+    of the initial module's target; -1 for the zero module."""
     module = initial_module(P)
-    supports = [set() for _ in P.gens]
+    supports = [set() for _ in module.target.shifts]
     for k, mono, _ in module.leads:
         supports[k].add(sum(1 << v for v, e in
                             enumerate(P.ring.exponents(mono)) if e))
@@ -707,7 +733,7 @@ def test_profile_of_fresh_gencm_module_resolves_only_the_module():
 def test_kernel_of_injective_map_is_zero(ring):
     src = FreeModule(ring, ((1, 0),))
     tgt = FreeModule(ring, ((0, 0),))
-    P = kernel_presentation(src, tgt, ((parse_poly("x1", ring),),))
+    P = _kernel_presentation(src, tgt, ((parse_poly("x1", ring),),))
     assert resolve(P).betti(0) == 0
 
 
@@ -715,7 +741,7 @@ def test_kernel_of_koszul_pair(ring):
     src = FreeModule(ring, ((1, 0), (0, 1)))
     tgt = FreeModule(ring, ((0, 0),))
     matrix = ((parse_poly("x1", ring), parse_poly("y1", ring)),)
-    P = kernel_presentation(src, tgt, matrix)
+    P = _kernel_presentation(src, tgt, matrix)
     assert len(P.gens) == 1
     assert P.gens[0] == Bidegree(1, 1)
     assert not P.rels
@@ -777,9 +803,9 @@ def test_minimal_presentation_drops_units(ring):
 
 
 def test_each_ext_module_runs_one_buchberger(monkeypatch):
-    # the kernel of the outgoing map is the only Groebner basis: the
-    # subquotient reads its relations off that basis, and at j = pd, where
-    # no map leaves, the kernel is the unit basis
+    # the kernel of the outgoing map is the only Groebner basis, one graph
+    # run at every j: the subquotient reads its relations off that basis,
+    # and at j = pd, where no map leaves, the run returns the unit basis
     M = gencm_fixture(standard_ring(7))
     assert resolve(M).length == 3
     calls = []
@@ -790,10 +816,27 @@ def test_each_ext_module_runs_one_buchberger(monkeypatch):
 
     monkeypatch.setattr(groebner, "buchberger", counted)
     monkeypatch.setattr(resolution, "buchberger", counted)
-    for j, (runs, gens) in enumerate([(1, 0), (1, 0), (1, 2), (0, 1)]):
+    for j, (runs, gens) in enumerate([(1, 0), (1, 0), (1, 2), (1, 1)]):
         calls.clear()
         E = ext_presentation.__wrapped__(M, j)
         assert (len(calls), len(E.gens)) == (runs, gens)
+
+
+def test_kernel_of_the_last_dual_map_is_the_unit_basis():
+    # at j = pd, delta_pd is the zero map into G^(pd+1) = 0, and its kernel
+    # basis is the unit basis of G^pd in the order of its generators, so
+    # ext_presentation needs no branch there
+    modules = [M for p in (2, 3, 32003) for M in _random_modules(p)]
+    modules += _unit_inputs()
+    several = 0
+    for M in modules:
+        res = resolve(M)
+        delta = res.dual(res.length)
+        mid = delta.source
+        several += mid.rank > 1
+        assert kernel_basis(delta.columns(), mid) == GroebnerBasis(
+            mid, tuple(mid.unit_element(k) for k in range(mid.rank))), str(M)
+    assert several
 
 
 def _ext_referee(N, j):
