@@ -11,10 +11,9 @@ Ext over K[x] versus y-strands with Ext over K[y], flipped) and print all
 three tables.
 """
 
-from bicoh import RingSpec, Window, free_presentation, matlis_flip
+from bicoh import DimTable, RingSpec, Window, free_presentation, matlis_flip
 from bicoh.checks import check_lemma_simple, closed_form_canonical
 from bicoh.cohomology import local_coh_table
-from bicoh.tables import CohomologyTable
 
 ring = RingSpec(2, 2)
 window = Window(-6, 0, 0, 6)
@@ -24,10 +23,10 @@ ring_module = free_presentation(ring, [(0, 0)])
 
 lhs = local_coh_table(omega, "P", ring.m, window)
 rhs = matlis_flip(local_coh_table(ring_module, "Q", ring.n, -window))
-closed = CohomologyTable(
+closed = DimTable(
     window=window,
     cells={tuple(d): closed_form_canonical(ring, d) for d in window.cells()},
-    p=ring.p, theory="Q", index=ring.n, dual_flipped=True)
+    p=ring.p)
 
 print(lhs.render(f"H^{ring.m} for P of the canonical module (p={ring.p}):"))
 print()

@@ -33,7 +33,7 @@ from .cohomology import (
     local_coh_table,
     oracle_table,
 )
-from .tables import CohomologyTable, DimTable, Window, matlis_flip
+from .tables import DimTable, Window, matlis_flip
 from .tame import limit_profile_check, reg_scan, strand_nonvanishing, tame_scan
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BicohError",
     "Bidegree",
-    "CohomologyTable",
     "DEFAULT_PRIME",
     "DimTable",
     "FreeModule",

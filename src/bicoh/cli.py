@@ -239,7 +239,7 @@ def _dispatch(args) -> int:
         window = Window.parse(args.window)
         table = local_coh_table(M, args.theory, args.index, window)
         label = (f"H^{args.index} for theory {args.theory} "
-                 f"(p={M.ring.p}, flipped={table.dual_flipped})")
+                 f"(p={M.ring.p}, flipped={args.theory == 'R+'})")
         _emit_table(table, label, args.csv)
         return 0
 

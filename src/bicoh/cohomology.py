@@ -69,7 +69,7 @@ from .linalg import Matrix, homology_dim
 from .poly import Bidegree, Polynomial, mono_bidegree
 from .resolution import Presentation, initial_module, resolve
 from .strands import strand, strand_dim, strand_range
-from .tables import CohomologyTable, DimTable, Window
+from .tables import DimTable, Window
 
 THEORIES = ("P", "Q", "R+")
 
@@ -91,17 +91,10 @@ def _blocks(ring, theory):
 # Ext tables against the canonical module
 
 
-def _ext_hilbert(N: Presentation, j: int, degrees) -> list:
-    """dim_K Ext^j(N, omega)_d for each d in degrees, read off the Hilbert
-    numerators of the dual cokernels of resolve(N).  Zero for j outside
-    0..pd, where the Ext module is zero."""
-    return resolve(N).ext_dims(j, degrees)
-
-
 def ext_table(M: Presentation, j: int, window: Window) -> DimTable:
     """Graded dimensions of Ext^j(M, omega) over the window."""
     degrees = list(window.cells())
-    dims = _ext_hilbert(M, j, degrees)
+    dims = resolve(M).ext_dims(j, degrees)
     return DimTable(window=window, cells=dict(zip(map(tuple, degrees), dims)),
                     p=M.ring.p)
 
@@ -124,7 +117,7 @@ def _decided(M: Presentation, dim: int, i: int, degrees):
 
 
 def local_coh_table(M: Presentation, theory: str, i: int,
-                    window: Window) -> CohomologyTable:
+                    window: Window) -> DimTable:
     """Exact dimensions of H^i_theory(M) over the window, zero for i
     outside 0..(variables of the ideal).  For P and Q one Ext module per
     strand that its dimension leaves undecided; a strand ring has one
@@ -135,7 +128,7 @@ def local_coh_table(M: Presentation, theory: str, i: int,
         degrees = list(window.cells())
         dims = _decided(M, initial_module(M).krull_dim(), i, degrees)
         if dims is None:
-            dims = _ext_hilbert(M, ring.nvars - i, [-d for d in degrees])
+            dims = resolve(M).ext_dims(ring.nvars - i, [-d for d in degrees])
         cells = dict(zip(map(tuple, degrees), dims))
     else:
         k, = blocks
@@ -146,13 +139,10 @@ def local_coh_table(M: Presentation, theory: str, i: int,
             line = [(d, c) if k == 0 else (c, d) for d in ranges[k]]
             dims = _decided(M, strand_dim(M, k, c), i, line)
             if dims is None:
-                dims = _ext_hilbert(strand(M, k, c), spot,
-                                    [(-d, 0) if k == 0 else (0, -d)
-                                     for d in ranges[k]])
+                dims = resolve(strand(M, k, c)).ext_dims(
+                    spot, [(-d, 0) if k == 0 else (0, -d) for d in ranges[k]])
             cells.update(zip(line, dims))
-    return CohomologyTable(window=window, cells=cells, p=ring.p,
-                           theory=theory, index=i,
-                           dual_flipped=(theory == "R+"))
+    return DimTable(window=window, cells=cells, p=ring.p)
 
 
 def cohomological_dimension(M: Presentation, theory: str) -> int:

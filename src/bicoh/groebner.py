@@ -37,9 +37,10 @@ the live pairs, and a popped pair missing from it is skipped.
 
 Division reads a `_Divisors` table, each divisor's lead and tail, built
 once per basis: `buchberger` extends its table as elements are appended,
-and a `GroebnerBasis` builds its own on first use.  Interreduction reuses
-one table of the minimal basis for every element's tail: no lead divides a
-monomial smaller than itself, so an element is never reduced by itself.
+and a `GroebnerBasis` builds its own on first use.  Interreduction divides
+every element's tail by the table `buchberger` built, which holds the
+minimal basis: no lead divides a monomial smaller than itself, so an
+element is never reduced by itself.
 Division pops terms in descending order, so its remainders and quotients
 are term lists sorted by construction.
 
@@ -49,8 +50,9 @@ minimally generates (u_ij : j < i), one per equal u_ij.  Their syzygies
 are a Groebner basis of the syzygy module under the Schreyer order, so
 they generate it, and their S-pairs alone still certify the basis.
 `minimal_elements` divides the frame S-pairs of the bidegrees of basis
-elements only, and keeps their constant quotients: the elements whose
-leads are not leads of mU, a minimal generating set of the span U.
+elements only, and eliminates their constant quotients with the step of
+`linalg._echelon`: the elements whose leads are not leads of mU, a minimal
+generating set of the span U, are those left without a pivot.
 """
 
 import heapq
@@ -65,6 +67,7 @@ from .errors import (
     RingMismatchError,
     ZeroElementError,
 )
+from .linalg import _insert
 from .poly import (
     GUARDS,
     Bidegree,
@@ -456,18 +459,18 @@ def buchberger(gens, module=None) -> GroebnerBasis:
             continue
         if f:
             append(f)
-    return _reduce_basis(module, basis)
+    return _reduce_basis(module, table)
 
 
-def _reduce_basis(module, basis):
-    """Interreduce a minimal Groebner basis (no lead divides another) to
-    the unique reduced (monic) one in one pass of tail reduction.  A lead
-    divides no smaller monomial and every tail term lies below its own
-    lead, so each tail divides by one table of the whole basis."""
-    table = _Divisors(basis)
+def _reduce_basis(module, table):
+    """Interreduce the minimal Groebner basis of a `_Divisors` table (no
+    lead divides another) to the unique reduced (monic) one in one pass of
+    tail reduction.  A lead divides no smaller monomial and every tail
+    term lies below its own lead, so each tail divides by the table of the
+    whole basis."""
     ring = module.ring
     reduced = []
-    for g in basis:
+    for g in table.elements:
         k, mono, coeff = g.lead()
         coords = list(g.coords)
         coords[k] = Polynomial(ring, coords[k].terms[1:])
@@ -553,18 +556,17 @@ def minimal_elements(G: GroebnerBasis):
     bidegree d.  The frame syzygies (see syzygies) generate all of them,
     so the constant quotients of the frame S-pairs of bidegree d span the
     vectors: only those S-pairs are divided, and only where some element
-    has their bidegree.  Elimination on each bidegree's vectors, pivoting
-    on the element of largest lead, leaves the dropped elements as its
-    pivots."""
+    has their bidegree.  Elimination on each bidegree's vectors
+    (linalg._insert), pivoting on the element of largest lead, leaves the
+    dropped elements as its pivots."""
     elems = G.elements
     table = G._divisors
     ring = G.module.ring
-    p = ring.p
     degrees = G.shifts
     of_degree = {}
     for k, d in enumerate(degrees):
         of_degree.setdefault(d, []).append(k)
-    pivots = {d: {} for d in of_degree}    # d -> {pivot: reduced vector}
+    pivots = {d: {} for d in of_degree}    # d -> {pivot: monic rest}
     for i in range(len(elems)):
         for j, ui, uj in _frame_pairs(table, i):
             d = degrees[i] + mono_bidegree(ring, ui)
@@ -572,23 +574,8 @@ def minimal_elements(G: GroebnerBasis):
             if ks is None or len(pivots[d]) == len(ks):
                 continue
             quotients, _ = _divide(_spair(table, i, j, ui, uj), table, True)
-            vec = {k: quotients[k].terms[0][1] for k in ks
-                   if quotients[k].terms}
-            rows = pivots[d]
-            while vec:
-                k = min(vec)
-                row = rows.get(k)
-                if row is None:
-                    inv = pow(vec[k], -1, p)
-                    rows[k] = {kk: c * inv % p for kk, c in vec.items()}
-                    break
-                c = vec[k]
-                for kk, rc in row.items():
-                    new = (vec.get(kk, 0) - c * rc) % p
-                    if new:
-                        vec[kk] = new
-                    else:
-                        vec.pop(kk, None)
+            _insert(pivots[d], {k: quotients[k].terms[0][1] for k in ks
+                                if quotients[k].terms}, ring.p)
     dropped = {k for rows in pivots.values() for k in rows}
     return [k for k in range(len(elems)) if k not in dropped]
 

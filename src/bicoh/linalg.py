@@ -5,7 +5,9 @@ matrices over F_p.  A Matrix is stored by columns, each a {row: value}
 dict of its nonzero entries, Python ints reduced mod p; the modulus is
 passed alongside.  The degree pieces of Koszul and relation maps are
 mostly zero, so elimination touches nonzero entries only (Dumas &
-Villard 2002, sparse elimination over finite fields).
+Villard 2002, sparse elimination over finite fields).  One step,
+_insert, reduces a vector against a table of pivots and adds what is
+left: it serves _echelon here and groebner.minimal_elements.
 """
 
 from math import isqrt
@@ -65,28 +67,29 @@ def _subtract(v, f, w, p):
             v.pop(i, None)
 
 
-def _echelon(mat, p):
-    """Eliminate the columns of mat from left to right against a table
-    {pivot row: monic column without its pivot}, and return the table,
-    whose size is the rank.
+def _insert(table, v, p):
+    """Reduce the {index: value} vector v in place against the table
+    {pivot: monic vector without its pivot}, at its smallest index while
+    that index holds a pivot.  If anything is left, it is scaled to 1
+    there and becomes the pivot of that index."""
+    while v:
+        r = min(v)
+        pivot = table.get(r)
+        if pivot is None:
+            inv = pow(v.pop(r), -1, p)
+            table[r] = ({i: x * inv % p for i, x in v.items()} if inv != 1
+                        else v)
+            return
+        _subtract(v, v.pop(r), pivot, p)
 
-    A column is reduced at its smallest row while that row holds a pivot;
-    if anything is left, it is scaled to 1 there and becomes the pivot of
-    that row."""
+
+def _echelon(mat, p):
+    """Eliminate the columns of mat from left to right (_insert), and
+    return the table {pivot row: monic column without its pivot}, whose
+    size is the rank."""
     table = {}
     for col in mat.cols:
-        v = dict(col)
-        while v:
-            r = min(v)
-            pivot = table.get(r)
-            if pivot is None:
-                break
-            _subtract(v, v.pop(r), pivot, p)
-        if v:
-            inv = pow(v.pop(r), -1, p)
-            if inv != 1:
-                v = {i: x * inv % p for i, x in v.items()}
-            table[r] = v
+        _insert(table, dict(col), p)
     return table
 
 

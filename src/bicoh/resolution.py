@@ -3,23 +3,26 @@ derived invariants.
 
 A module M is always carried as the cokernel of a shift-decorated matrix
 between free modules.  Its graded dimensions, Krull dimension and standard
-monomials come from one object per presentation, initial_module(P): its
-relations lose their units, and F/U and F/in(U) share their Hilbert
-function (Macaulay), so the lead terms of the one Groebner basis of the
-relations decide all three; the Krull dimension is the pole order at
-t = 1 of the Hilbert series (Hilbert-Serre).  Every table of graded
-dimensions, Ext and local-cohomology tables included, reads it.
+monomials come from one object per presentation, initial_module(P): the
+relations lose their units there, and InitialModule(target, relations)
+runs the one Groebner basis of what is left.  F/U and F/in(U) share their
+Hilbert function (Macaulay), so the lead terms of that basis decide all
+three; the Krull dimension is the pole order at t = 1 of the Hilbert
+series (Hilbert-Serre).  Every table of graded dimensions, Ext and
+local-cohomology tables included, reads it.
 resolve(P), which takes no options, is the minimal free resolution: it
 starts from the basis of initial_module(P), then takes one kernel
 Groebner basis per level (the graph construction of groebner.kernel_basis),
 each level the minimal generators that groebner.minimal_elements reads off
-the leads of its basis.  From it we read off graded Betti numbers,
-projective dimension and depth (Auslander-Buchsbaum), and the graded
-dimensions and Krull dimension of every Ext^j(M, omega), from the Hilbert
-numerators of the cokernels of the dual maps (FreeResolution);
+the leads of its basis.  From it we read off graded Betti numbers (the
+shifts of each level), projective dimension and depth
+(Auslander-Buchsbaum), and the graded dimensions and Krull dimension of
+every Ext^j(M, omega), from the Hilbert numerators of the cokernels of the
+dual maps: FreeResolution.dual(j) hands the rows of maps[j] to
+InitialModule as they stand, as a minimal resolution has no unit entry.
 ext_presentation builds the Ext module itself where a caller needs more
-than its dimensions.  Units are eliminated by one routine, _prune: the
-relations of initial_module and the Ext subquotients.
+than its dimensions.  Units are eliminated by one routine, _prune: in
+initial_module and in the Ext subquotients.
 minimal_presentation reads the first map F_1 -> F_0 off resolve(P).
 hilbert_dim, which ranks the degree-restricted relation matrix, is kept as
 an independent referee of the initial-module dimensions; no table reads it.
@@ -269,24 +272,20 @@ def _prune(columns, rank):
 
 
 class InitialModule:
-    """F/in(U) for a presentation F/U: the reduced Groebner basis of the
-    relations and its lead terms.  The presentation's nonzero columns lose
-    their units first (_prune), an isomorphism, so F is `target`, the
-    surviving generators, and the relations left lie in m*F.  F/U and
-    F/in(U) share their Hilbert function (Macaulay), and the monomials of F
-    that no lead term divides, the standard monomials, are a K-basis of
-    each piece of F/U.  Bases are filled in on first use, and the normal
-    form of a monomial outside them once, when it is first asked for."""
+    """F/in(U) for F = target and U the span of the relations, elements of
+    F: the reduced Groebner basis of the relations and its lead terms.
+    F/U and F/in(U) share their Hilbert function (Macaulay), and the
+    monomials of F that no lead term divides, the standard monomials, are
+    a K-basis of each piece of F/U.  Bases are filled in on first use, and
+    the normal form of a monomial outside them once, when it is first
+    asked for."""
 
-    def __init__(self, P: Presentation):
-        self.ring = P.ring
-        rows, _, pruned = _prune([col.coords for col in P.columns() if col],
-                                 len(P.gens))
-        self.target = FreeModule(P.ring, tuple(P.gens[k] for k in rows))
-        relations = [e for e in (ModuleElement(self.target, col)
-                                 for col in pruned) if e]
-        self.gb = (buchberger(relations, module=self.target) if relations
-                   else GroebnerBasis(self.target, ()))
+    def __init__(self, target: FreeModule, relations):
+        self.ring = target.ring
+        self.target = target
+        relations = [e for e in relations if e]
+        self.gb = (buchberger(relations, module=target) if relations
+                   else GroebnerBasis(target, ()))
         self.leads = self.gb.lead_terms()
         self._bases = {}    # d -> {(generator, monomial): position}
         self._nfs = {}      # (generator, monomial) -> {position: coeff}
@@ -342,8 +341,15 @@ class InitialModule:
 
 @lru_cache(maxsize=None)
 def initial_module(P: Presentation) -> InitialModule:
-    """The initial module of P, built once per presentation."""
-    return InitialModule(P)
+    """The initial module of coker(P), built once per presentation.  Its
+    nonzero columns lose their units first (_prune), an isomorphism, so
+    the target is the surviving generators and the relations left lie in
+    m*F."""
+    rows, _, pruned = _prune([col.coords for col in P.columns() if col],
+                             len(P.gens))
+    target = FreeModule(P.ring, tuple(P.gens[k] for k in rows))
+    return InitialModule(target, [ModuleElement(target, col)
+                                  for col in pruned])
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +368,9 @@ class FreeResolution:
     dim Ext^j_d = dim coker(delta_j)_d + dim coker(delta_(j-1))_d
     - dim G^(j+1)_d, with coker(delta_(-1)) = G^0 and coker(delta_len) = 0.
     The Hilbert numerator of each coker(delta_j) comes from one initial
-    module, built on first use and kept here."""
+    module on the columns of delta_j, the rows of maps[j] as they stand:
+    a minimal resolution has no unit entry, so nothing is pruned.  It is
+    built on first use and kept here."""
 
     ring: object
     modules: tuple
@@ -377,31 +385,28 @@ class FreeResolution:
     def shifts(self, i):
         return self.modules[i].shifts if 0 <= i <= self.length else ()
 
-    def betti(self, i):
-        return self.modules[i].rank if 0 <= i <= self.length else 0
-
     def alternating_dim(self, d):
         return sum((-1) ** i * mod.dim_at(d)
                    for i, mod in enumerate(self.modules))
 
-    def dual(self, j) -> Presentation:
-        """delta_j : G^j -> G^(j+1) as the presentation of its cokernel:
-        generator degrees c - s over the shifts s of F_(j+1), relation
-        degrees c - s over those of F_j, and the transpose of maps[j],
-        whose column l is row l of maps[j].  The zero map outside
+    def dual(self, j):
+        """delta_j : G^j -> G^(j+1) as (G^(j+1), its columns), the target
+        and relations of coker(delta_j): G^(j+1) has the degrees c - s
+        over the shifts s of F_(j+1), and column l, of degree c - s_l over
+        the shifts of F_j, is row l of maps[j].  The zero map outside
         0..len-1, so coker(delta_(-1)) = G^0 and coker(delta_len) = 0."""
         c = self.ring.canonical_degree
-        gens = tuple(c - s for s in self.shifts(j + 1))
-        rels = tuple(c - s for s in self.shifts(j))
-        matrix = (tuple(zip(*self.maps[j])) if 0 <= j < self.length
-                  else tuple(() for _ in gens))
-        return Presentation(self.ring, gens, rels, matrix)
+        target = FreeModule(self.ring,
+                            tuple(c - s for s in self.shifts(j + 1)))
+        rows = (self.maps[j] if 0 <= j < self.length
+                else [() for _ in self.shifts(j)])
+        return target, [ModuleElement(target, row) for row in rows]
 
     def _dual_cokernel(self, j):
         """The Hilbert numerator of coker(delta_j)."""
         out = self._cokernels.get(j)
         if out is None:
-            out = self._cokernels[j] = InitialModule(self.dual(j)).numerator
+            out = self._cokernels[j] = InitialModule(*self.dual(j)).numerator
         return out
 
     def _ext_numerator(self, j):
@@ -520,7 +525,8 @@ def profile(P: Presentation) -> ModuleProfile:
 # Hom_S(S(-s), S(-c)) = S(s - c) for the canonical twist c = (m, n):
 # dualizing a resolution transposes each matrix and replaces each generator
 # degree s by c - s (FreeResolution.dual).  Ext^j is then ker(B)/im(A) at
-# the dual of F_j.  The kernel comes as one reduced Groebner basis G, from
+# the dual G^j of F_j, A the columns of delta_(j-1) and B those of
+# delta_j.  The kernel comes as one reduced Groebner basis G, from
 # groebner.kernel_basis at every j (at j = pd no map leaves, and G is the
 # unit basis), and the subquotient is presented on the elements of G: by
 # Schreyer's theorem the syzygies of the Schreyer frame of G (see
@@ -566,6 +572,5 @@ def ext_presentation(P: Presentation, j: int) -> Presentation:
     res = resolve(P)
     if j < 0 or j > res.length:
         return zero_presentation(P.ring)
-    delta = res.dual(j)
-    return quotient_presentation(res.dual(j - 1).columns(),
-                                 kernel_basis(delta.columns(), delta.source))
+    g_j, image = res.dual(j - 1)
+    return quotient_presentation(image, kernel_basis(res.dual(j)[1], g_j))

@@ -96,27 +96,11 @@ class DimTable:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class CohomologyTable(DimTable):
-    """Dimension table of one local cohomology module H^i_theory(M).
-
-    dual_flipped records that cell (a, b) was produced as the (-a, -b)
-    cell of an underlying table (the Matlis rule)."""
-
-    theory: str = "Q"
-    index: int = 0
-    dual_flipped: bool = False
-
-
-def matlis_flip(T: DimTable) -> CohomologyTable:
+def matlis_flip(T: DimTable) -> DimTable:
     """Graded K-dual at table level: cell (a,b) of the flip is cell (-a,-b)
-    of the input; the window is negated and the flip flag toggled."""
+    of the input, over the negated window."""
     flipped = {(-a, -b): v for (a, b), v in T.cells.items()}
-    return CohomologyTable(window=-T.window, cells=flipped, p=T.p,
-                           theory=getattr(T, "theory", ""),
-                           index=getattr(T, "index", 0),
-                           dual_flipped=not getattr(T, "dual_flipped",
-                                                    False))
+    return DimTable(window=-T.window, cells=flipped, p=T.p)
 
 
 def write_csv(table: DimTable, path):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,10 +9,11 @@ import pytest
 from bicoh import cli
 from bicoh.cli import main
 from bicoh.errors import DegreeMismatchError, FormatError, InvariantError
-from bicoh.fixtures import named_fixtures
+from bicoh.fixtures import gencm_fixture, named_fixtures, random_quotients
 from bicoh.groebner import buchberger
 from bicoh.linalg import DEFAULT_PRIME
 from bicoh.modfile import load_module, save_module
+from bicoh.poly import RingSpec
 from bicoh.resolution import (
     Presentation,
     hilbert_table,
@@ -215,8 +217,8 @@ def test_cli_emit_writes_minimal_basis_elements(tmp_path, capsys):
     window = Window(0, 4, 0, 4)
     assert hilbert_table(emitted, window) == hilbert_table(M, window)
     res, again = resolve(M), resolve(emitted)
-    assert [again.betti(i) for i in range(again.length + 1)] == \
-        [res.betti(i) for i in range(res.length + 1)] == [1, 3, 4, 2]
+    assert [len(again.shifts(i)) for i in range(again.length + 1)] == \
+        [len(res.shifts(i)) for i in range(res.length + 1)] == [1, 3, 4, 2]
     assert [again.shifts(i) for i in range(again.length + 1)] == \
         [res.shifts(i) for i in range(res.length + 1)]
 
@@ -393,3 +395,80 @@ def test_cli_profile_rejects_a_window(hyper_path, capsys):
         main(["profile", "--module", hyper_path, "--window", "-4:4,-4:4"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --window" in capsys.readouterr().err
+
+
+# a unit entry (generator 1 is x1 times generator 0) and a relation that
+# is x1 times another
+UNITS_AND_REDUNDANT = """\
+p=32003
+m=2
+n=2
+gens=(0,0),(1,0),(0,1)
+rels=(1,0): x1, -1, 0
+rels=(1,1): x1*y1, y1, x1
+rels=(2,1): x1^2*y1, x1*y1, x1^2
+rels=(1,2): x2*y2^2, y1*y2, 0
+"""
+
+DIGEST_WINDOW = "-3:3,-3:3"
+DIGEST_JWINDOW = "-3:3"
+MODULE_SUITES = ("free", "euler", "cm", "corner", "gencm", "dimle1",
+                 "structure", "fiveterm", "depthles")
+
+# sha256 over every op of test_cli_output_digest: exit code, stdout and
+# stderr with the module path replaced, and each --emit file
+CLI_OUTPUT_SHA256 = (
+    "062fff84b8013fcca4f3f1aa24623a276043dc56e1833baeebebdb36bfacf760")
+
+
+def _digest_modules(tmp_path):
+    """The module files of the digest: the named fixtures, gencm_fixture,
+    UNITS_AND_REDUNDANT and three random quotients over F_3."""
+    modules = list(named_fixtures().values()) + [gencm_fixture()]
+    modules += random_quotients(RingSpec(2, 2, 3), 3, seed=2811)
+    paths = []
+    for t, M in enumerate(modules):
+        paths.append(tmp_path / f"m{t}.mod")
+        save_module(paths[-1], M)
+    paths.append(tmp_path / f"m{len(modules)}.mod")
+    paths[-1].write_text(UNITS_AND_REDUNDANT)
+    return [str(path) for path in paths]
+
+
+def _digest_ops(path, emit):
+    module, window = ["--module", path], ["--window", DIGEST_WINDOW]
+    yield ["hilbert", *module, *window]
+    yield ["resolve", *module, "--emit", emit]
+    yield ["profile", *module]
+    for command in ("locoh", "oracle"):
+        for theory in ("P", "Q", "R+"):
+            for i in range(4):
+                yield [command, *module, *window, "--theory", theory,
+                       "-i", str(i)]
+    for suite in MODULE_SUITES:
+        yield ["check", "--suite", suite, *module, *window]
+    for k in range(-1, 4):
+        yield ["tame", *module, "--k", str(k), "--jwindow", DIGEST_JWINDOW]
+    yield ["regscan", *module, "--jwindow", DIGEST_JWINDOW]
+
+
+def test_cli_output_digest(tmp_path, capsys):
+    # every subcommand on every digest module prints what it printed when
+    # the digest was recorded: a refactor that keeps the numbers keeps the
+    # bytes, and any change to a printed table, verdict or count shows here
+    digest = hashlib.sha256()
+    ops = 0
+    for path in _digest_modules(tmp_path):
+        emit = str(tmp_path / "emitted.mod")
+        for argv in _digest_ops(path, emit):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            for part in (str(code), out, err):
+                digest.update(part.replace(path, "<module>")
+                              .replace(emit, "<emit>").encode())
+                digest.update(b"\0")
+            ops += 1
+        with open(emit, "rb") as fh:
+            digest.update(fh.read())
+    assert ops == 9 * 42
+    assert digest.hexdigest() == CLI_OUTPUT_SHA256

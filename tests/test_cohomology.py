@@ -7,6 +7,7 @@ import pytest
 
 from bicoh import cohomology, linalg, resolution
 from bicoh.checks import check_gencm_les
+from bicoh.cli import main
 from bicoh.cohomology import (
     cech_oracle,
     cohomological_dimension,
@@ -44,7 +45,7 @@ from bicoh.resolution import (
     restrict_matrix,
     zero_presentation,
 )
-from bicoh.modfile import load_module
+from bicoh.modfile import load_module, save_module
 from bicoh.strands import strand, strand_dim
 from bicoh.tables import Window, matlis_flip
 from bicoh.tame import _mod_by_irrelevant
@@ -81,7 +82,7 @@ def test_ext_presentation_examples(ring, S, hypersurface):
     assert e0.gens == (ring.canonical_degree,) and not e0.rels
     e1 = ext_presentation(hypersurface, 1)
     assert len(e1.gens) == 1 and len(e1.rels) == 1
-    assert resolve(ext_presentation(hypersurface, 2)).betti(0) == 0
+    assert not resolve(ext_presentation(hypersurface, 2)).shifts(0)
     window = Window(-2, 2, -2, 2)
     assert hilbert_table(e1, window).cells == \
         ext_table(hypersurface, 1, window).cells
@@ -162,11 +163,24 @@ def test_lower_q_cohomology_of_free_vanishes(ring, S):
         assert local_coh_table(S, "Q", i, window).is_zero()
 
 
-def test_top_maximal_ideal_cohomology(ring, S):
+def _locoh_label(M, theory, i, window, tmp_path, capsys):
+    """The label that `bicoh locoh` prints above the table of M."""
+    path = tmp_path / "module.mod"
+    save_module(path, M)
+    assert main(["locoh", "--module", str(path), "--theory", theory,
+                 "-i", str(i), "--window", str(window)]) == 0
+    return capsys.readouterr().out.splitlines()[0]
+
+
+def test_top_maximal_ideal_cohomology(ring, S, tmp_path, capsys):
     window = Window(-4, -2, -4, -2)
     table = local_coh_table(S, "R+", ring.nvars, window)
     assert table[(-3, -3)] == 4
-    assert table.dual_flipped
+    # the R+ table is a Matlis flip, and its label says so
+    assert _locoh_label(S, "R+", ring.nvars, window, tmp_path, capsys) == \
+        f"H^{ring.nvars} for theory R+ (p={ring.p}, flipped=True)"
+    assert _locoh_label(S, "Q", ring.n, window, tmp_path, capsys) == \
+        f"H^{ring.n} for theory Q (p={ring.p}, flipped=False)"
 
 
 def test_matlis_flip_involution_and_values(ring, S):
@@ -542,7 +556,7 @@ def test_oracle_normal_forms_each_monomial_once(p, monkeypatch):
 
     def fresh(P):
         if P not in layers:
-            layers[P] = resolution.InitialModule(P)
+            layers[P] = resolution.initial_module.__wrapped__(P)
         return layers[P]
 
     monkeypatch.setattr(resolution, "normal_form", counted)
@@ -767,7 +781,7 @@ def test_oracle_on_a_random_quotient_inside_the_window():
     # S/(y1, x2*l) with l linear: H^1_P at (-5, b) is 2 for b = 0..5,
     # where the Koszul levels below t_0 still read 0
     M = random_quotients(RingSpec(2, 2), 3, 11)[1]
-    assert resolve(M).betti(1) == 2
+    assert len(resolve(M).shifts(1)) == 2
     window = Window(-5, -5, 0, 5)
     assert local_coh_table(M, "P", 1, window).cells == \
         oracle_table(M, "P", 1, window).cells == \
@@ -923,11 +937,12 @@ def test_lead_term_bound_gives_the_same_tables(monkeypatch):
     assert moved
 
 
-def test_r_plus_oracle_reads_each_flipped_cell_where_it_lands():
-    # the R+ table reads H^i_R+(M)_d off Ext^(m+n-i)(M, omega)_(-d) and
-    # records the flip; the oracle computes H^i_R+(M)_d with no dual, so
-    # it checks each cell where the flip puts it.  Read unflipped, the Ext
-    # table differs from the oracle inside the window
+def test_r_plus_oracle_reads_each_flipped_cell_where_it_lands(tmp_path,
+                                                              capsys):
+    # the R+ table reads H^i_R+(M)_d off Ext^(m+n-i)(M, omega)_(-d), and
+    # `bicoh locoh` labels it flipped; the oracle computes H^i_R+(M)_d
+    # with no dual, so it checks each cell where the flip puts it.  Read
+    # unflipped, the Ext table differs from the oracle inside the window
     ring = standard_ring()
     fixtures = named_fixtures(ring)
     modules = list(fixtures.values())
@@ -941,7 +956,8 @@ def test_r_plus_oracle_reads_each_flipped_cell_where_it_lands():
             table = local_coh_table(M, "R+", i, window)
             ext = ext_table(M, ring.nvars - i, -window)
             oracle = oracle_table(M, "R+", i, window)
-            assert table.dual_flipped
+            assert _locoh_label(M, "R+", i, window, tmp_path, capsys) \
+                .endswith(", flipped=True)")
             for d in window.cells():
                 assert oracle[d] == table[d] == ext[-d], (str(M), i, d)
                 nonzero += oracle[d] > 0
@@ -1003,7 +1019,7 @@ def test_strands_decided_by_their_dimension_match_their_ext(p):
                             [(c, b) for b in window.b_range])[k]
                     degrees = [(-d[0], 0) if k == 0 else (0, -d[1])
                                for d in line]
-                    ext = cohomology._ext_hilbert(N, length - i, degrees)
+                    ext = resolve(N).ext_dims(length - i, degrees)
                     assert [table[d] for d in line] == ext, \
                         (theory, i, str(M), c)
                     seen["finite" if dims[c] == 0 and i == 0 and any(ext)
@@ -1141,7 +1157,8 @@ def test_ext_table_resolution_independent(ring, two_relations):
     # gives the Ext tables read off the pruned resolution
     window = Window(-2, 2, -2, 2)
     redundant = _redundant_generator(ring)
-    assert _raw_resolution(redundant).betti(0) > resolve(redundant).betti(0)
+    assert len(_raw_resolution(redundant).shifts(0)) > \
+        len(resolve(redundant).shifts(0))
     for M in (two_relations, redundant):
         raw = _raw_resolution(M)
         for j in range(0, raw.length + 1):
@@ -1287,7 +1304,7 @@ def test_ext_into_non_free_module_matches_restrict_and_rank(p):
     e, s = Bidegree(1, 1), Bidegree(1, 0)
     M = quotient_by_polys(ring, [f])
     twice = Presentation(ring, ((0, 0), s), (e, e + s), ((f, zero), (zero, f)))
-    assert [resolve(N).betti(1) for N in (M, twice)] == [1, 2]
+    assert [len(resolve(N).shifts(1)) for N in (M, twice)] == [1, 2]
     window = Window(-2, 2, -2, 2)
     nonzero = set()
     for k, P in enumerate(named_fixtures(ring).values()):

@@ -164,7 +164,8 @@ def _all_pairs_buchberger(gens, module=None):
                          basis)
         if nf:
             append(nf)
-    return groebner._reduce_basis(module, _minimal(basis))
+    return groebner._reduce_basis(module,
+                                  groebner._Divisors(_minimal(basis)))
 
 
 def _minimal(basis):
@@ -388,7 +389,38 @@ def test_padded_generators_give_the_all_pairs_basis(data, p):
         _spy(mp, "_reduce_basis", seen)
         gb = buchberger(padded, module=F)
     assert gb.elements == _all_pairs_buchberger(gens, module=F).elements
-    assert all(_minimal(basis) == basis for _, basis in seen)
+    assert all(_minimal(table.elements) == table.elements
+               for _, table in seen)
+
+
+def test_buchberger_builds_one_division_table(monkeypatch):
+    # the interreduction divides by the table that buchberger extended as
+    # elements entered: one append per element of the basis, over random
+    # generators in modules of rank 1-2 over F_29, a prime no other test
+    # uses
+    rng = random.Random(29)
+    ring = RingSpec(2, 2, p=29)
+    appended = []
+    append = groebner._Divisors.append
+
+    def counted(table, g):
+        appended.append(g)
+        append(table, g)
+
+    monkeypatch.setattr(groebner._Divisors, "append", counted)
+    sizes = []
+    for _ in range(20):
+        F = FreeModule(ring, tuple((rng.randint(0, 1), rng.randint(0, 1))
+                                   for _ in range(rng.randint(1, 2))))
+        gens = [random_element(rng, F, F.shifts[rng.randrange(F.rank)]
+                               + Bidegree(rng.randint(0, 2),
+                                          rng.randint(0, 2)))
+                for _ in range(rng.randint(1, 3))]
+        appended.clear()
+        gb = buchberger(gens, module=F)
+        assert len(appended) == len(gb.elements)
+        sizes.append(len(gb.elements))
+    assert max(sizes) > 3, sizes
 
 
 @settings(max_examples=40)

@@ -297,9 +297,9 @@ def test_one_table_interreduction_matches_per_element(p, monkeypatch):
     reduce_basis = groebner._reduce_basis
     seen = []
 
-    def spy(module, basis):
-        seen.append((module, list(basis)))
-        return reduce_basis(module, basis)
+    def spy(module, table):
+        seen.append((module, list(table.elements)))
+        return reduce_basis(module, table)
 
     monkeypatch.setattr(groebner, "_reduce_basis", spy)
     for _, _, gens in seeded_modules(p):
@@ -307,5 +307,5 @@ def test_one_table_interreduction_matches_per_element(p, monkeypatch):
     assert seen
     assert all(_minimal(basis) == basis for _, basis in seen)
     for module, basis in seen:
-        assert reduce_basis(module, basis).elements == \
+        assert reduce_basis(module, groebner._Divisors(basis)).elements == \
             reduce_basis_per_element(module, basis).elements

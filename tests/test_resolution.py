@@ -152,9 +152,9 @@ def test_no_unit_entries_in_minimal_resolution(ring, xy):
         assert not any(_has_unit(A) for A in res.maps), str(N)
         rows, _, _ = resolution._prune([c.coords for c in N.columns()],
                                        len(N.gens))
-        assert res.betti(0) == len(rows), str(N)
+        assert len(res.shifts(0)) == len(rows), str(N)
     for p in (2, 3, 32003):
-        assert resolve(_killed(standard_ring(p))).betti(0) == 0
+        assert not resolve(_killed(standard_ring(p))).shifts(0)
 
 
 def test_hilbert_table_of_ring(S):
@@ -298,7 +298,8 @@ def test_resolve_takes_one_kernel_basis_per_level(monkeypatch):
     monkeypatch.setattr(resolution, "buchberger",
                         counted("relations", buchberger))
     monkeypatch.setattr(resolution, "syzygies", forbidden)
-    monkeypatch.setattr(resolution, "initial_module", resolution.InitialModule)
+    monkeypatch.setattr(resolution, "initial_module",
+                        resolution.initial_module.__wrapped__)
     ring = RingSpec(2, 2, 3)
     modules = _random_modules(3) + [_redundant_generator(ring), _killed(ring)]
     modules += [strand(M, 0, 1) for M in _random_modules(3)]
@@ -398,7 +399,8 @@ def _check_rung(shape, degrees=((1, 1), (1, 2), (2, 1))):
     alternating sum is the Hilbert table."""
     P = _dense_quotient(shape, degrees)
     res = resolve(P)
-    assert [res.betti(i) for i in range(res.length + 1)] == [1, 3, 3, 1]
+    assert [len(res.shifts(i)) for i in range(res.length + 1)] == \
+        [1, 3, 3, 1]
     window = Window(0, 4, 0, 4)
     table = hilbert_table(P, window)
     for d in window.cells():
@@ -506,7 +508,8 @@ def test_unit_elimination_matches_every_entry_referee(p, monkeypatch):
     ring = RingSpec(2, 2, p)
     modules = _random_modules(p) + [_redundant_generator(ring)]
     modules += [strand(M, k, 1) for M in modules[:-1] for k in (0, 1)]
-    totals = dict.fromkeys((resolution.InitialModule, prune_raw), 0)
+    totals = dict.fromkeys((resolution.initial_module.__wrapped__,
+                            prune_raw), 0)
     for M in modules:
         for run in totals:
             eliminated.clear()
@@ -562,7 +565,7 @@ def test_zero_module_rejected():
         profile(zero_presentation(ring))
     one = parse_poly("1", ring)
     killed = Presentation(ring, ((0, 0),), ((0, 0),), ((one,),))
-    assert resolve(killed).betti(0) == 0
+    assert not resolve(killed).shifts(0)
     with pytest.raises(ZeroModuleError):
         profile(killed)
 
@@ -734,7 +737,7 @@ def test_kernel_of_injective_map_is_zero(ring):
     src = FreeModule(ring, ((1, 0),))
     tgt = FreeModule(ring, ((0, 0),))
     P = _kernel_presentation(src, tgt, ((parse_poly("x1", ring),),))
-    assert resolve(P).betti(0) == 0
+    assert not resolve(P).shifts(0)
 
 
 def test_kernel_of_koszul_pair(ring):
@@ -831,10 +834,10 @@ def test_kernel_of_the_last_dual_map_is_the_unit_basis():
     several = 0
     for M in modules:
         res = resolve(M)
-        delta = res.dual(res.length)
-        mid = delta.source
+        mid, _ = res.dual(res.length - 1)
+        _, columns = res.dual(res.length)
         several += mid.rank > 1
-        assert kernel_basis(delta.columns(), mid) == GroebnerBasis(
+        assert kernel_basis(columns, mid) == GroebnerBasis(
             mid, tuple(mid.unit_element(k) for k in range(mid.rank))), str(M)
     assert several
 
@@ -858,13 +861,12 @@ def test_dual_cokernels_match_the_ext_presentation_referee(
     # and the gencm suite (on gencm_fixture) read, at every j from -1 to
     # pd + 1: the dimensions over a window and the Krull dimension
     reached = set()
-    ext_hilbert = cohomology._ext_hilbert
 
-    def recorded(N, j, degrees):
+    def recorded(N):
         reached.add(N)
-        return ext_hilbert(N, j, degrees)
+        return resolve(N)
 
-    monkeypatch.setattr(cohomology, "_ext_hilbert", recorded)
+    monkeypatch.setattr(cohomology, "resolve", recorded)
     window = Window(-4, 4, -4, 4)
     euler = [S, hypersurface, two_relations]
     euler += [_dense_quotient((2, 2), degrees, seed)
@@ -898,3 +900,57 @@ def test_ext_tables_resolve_no_ext_module():
     assert ext_presentation.cache_info().misses == ext_misses
     resolve(M)
     assert resolve.cache_info().misses - misses == 1
+
+
+def _count_builds(monkeypatch):
+    """Counters of the Presentations built and the _prune calls made from
+    now on."""
+    counts = dict.fromkeys(("presentations", "prunes"), 0)
+    post_init, prune = Presentation.__post_init__, resolution._prune
+
+    def built(self):
+        counts["presentations"] += 1
+        post_init(self)
+
+    def pruned(*args):
+        counts["prunes"] += 1
+        return prune(*args)
+
+    monkeypatch.setattr(Presentation, "__post_init__", built)
+    monkeypatch.setattr(resolution, "_prune", pruned)
+    return counts
+
+
+def _guard_modules():
+    """Random modules, gencm_fixture and the redundant-generator
+    presentation over F_29, a prime no other test uses, so that none of
+    them is in the session caches."""
+    ring = standard_ring(29)
+    return _random_modules(29) + [gencm_fixture(ring),
+                                  _redundant_generator(ring)]
+
+
+def test_ext_dimensions_build_no_presentation(monkeypatch):
+    # the dual cokernels take the rows of the resolution's maps as they
+    # stand: reading every Ext dimension and Krull dimension builds no
+    # Presentation and prunes nothing, as a minimal resolution has no unit
+    for M in _guard_modules():
+        res = resolve(M)
+        with monkeypatch.context() as mp:
+            counts = _count_builds(mp)
+            for j in range(-1, res.length + 2):
+                res.ext_dims(j, list(Window(-3, 3, -3, 3).cells()))
+                res.ext_krull_dim(j)
+        assert counts == {"presentations": 0, "prunes": 0}, str(M)
+
+
+def test_ext_presentation_builds_one_presentation(monkeypatch):
+    # the subquotient is built on the dual maps' columns, so the only
+    # Presentation is the Ext module's own
+    for M in _guard_modules():
+        res = resolve(M)
+        for j in range(res.length + 1):
+            with monkeypatch.context() as mp:
+                counts = _count_builds(mp)
+                ext_presentation.__wrapped__(M, j)
+            assert counts["presentations"] == 1, (str(M), j)
