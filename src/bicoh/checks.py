@@ -93,13 +93,9 @@ def _q_dual_table(M, u, window):
 
 
 def _dual(M, u):
-    """D_u = Ext^(m+n-u)(M, omega), the Matlis dual of H^u_max(M)."""
+    """D_u = Ext^(m+n-u)(M, omega), the Matlis dual of H^u_max(M), built
+    afresh: a suite that reads one D_u twice keeps it."""
     return ext_presentation(M, M.ring.nvars - u)
-
-
-def _hp(M, u, k, window):
-    """Table of H^k_P(D_u) over the window."""
-    return local_coh_table(_dual(M, u), "P", k, window)
 
 
 def _equal(window, *pairs):
@@ -245,13 +241,16 @@ def check_corner(M: Presentation, window: Window) -> CheckReport:
     ring = M.ring
     prof = profile(M)
     t, s = prof.depth, prof.dim
+    D = {u: _dual(M, u) for u in {t, s}}
 
     def rows():
         yield from _equal(
             window,
-            (_hp(M, t, ring.m, window), _q_dual_table(M, t - ring.m, window),
+            (local_coh_table(D[t], "P", ring.m, window),
+             _q_dual_table(M, t - ring.m, window),
              "corner (t,0): H^m_P(dual H^t) vs dual H^(t-m)_Q"),
-            (_hp(M, s, 0, window), _q_dual_table(M, s, window),
+            (local_coh_table(D[s], "P", 0, window),
+             _q_dual_table(M, s, window),
              "corner (s,m): H^0_P(dual H^s) vs dual H^s_Q"))
         for i in range(0, t - ring.m):
             yield from _alternating(
@@ -308,10 +307,11 @@ def check_dim_r0_le1(M: Presentation, window: Window) -> CheckReport:
                 f"i={i}: H^i_max vs H^i_Q (m=0)"))
 
     def rows_m1():
+        D = [_dual(M, u) for u in range(ring.nvars + 2)]
         for i in range(0, ring.nvars + 1):
             q = _q_dual_table(M, i, window)
-            h1 = _hp(M, i + 1, 1, window)
-            h0 = _hp(M, i, 0, window)
+            h1 = local_coh_table(D[i + 1], "P", 1, window)
+            h0 = local_coh_table(D[i], "P", 0, window)
             pieces = {d: h1[d] + h0[d] for d in window.cells()}
             yield from _equal(window, (
                 q, pieces, f"i={i}: dual H^i_Q vs H^1_P + H^0_P pieces"))
@@ -379,19 +379,19 @@ def check_five_term(M: Presentation, window: Window) -> CheckReport:
     ring = M.ring
     prof = profile(M)
     t, s = prof.depth, prof.dim
-    d_t, d_s = _dual(M, t), _dual(M, s)
+    D = {u: _dual(M, u) for u in {t, t + 1, s - 1, s}}
     seq1 = [
         ("dual H^(t+2-m)_Q", _q_dual_table(M, t + 2 - ring.m, window)),
-        ("H^(m-2)_P(D_t)", local_coh_table(d_t, "P", ring.m - 2, window)),
-        ("H^m_P(D_(t+1))", _hp(M, t + 1, ring.m, window)),
+        ("H^(m-2)_P(D_t)", local_coh_table(D[t], "P", ring.m - 2, window)),
+        ("H^m_P(D_(t+1))", local_coh_table(D[t + 1], "P", ring.m, window)),
         ("dual H^(t+1-m)_Q", _q_dual_table(M, t + 1 - ring.m, window)),
-        ("H^(m-1)_P(D_t)", local_coh_table(d_t, "P", ring.m - 1, window)),
+        ("H^(m-1)_P(D_t)", local_coh_table(D[t], "P", ring.m - 1, window)),
     ]
     seq2 = [
-        ("H^1_P(D_s)", local_coh_table(d_s, "P", 1, window)),
+        ("H^1_P(D_s)", local_coh_table(D[s], "P", 1, window)),
         ("dual H^(s-1)_Q", _q_dual_table(M, s - 1, window)),
-        ("H^0_P(D_(s-1))", _hp(M, s - 1, 0, window)),
-        ("H^2_P(D_s)", local_coh_table(d_s, "P", 2, window)),
+        ("H^0_P(D_(s-1))", local_coh_table(D[s - 1], "P", 0, window)),
+        ("H^2_P(D_s)", local_coh_table(D[s], "P", 2, window)),
         ("dual H^(s-2)_Q", _q_dual_table(M, s - 2, window)),
     ]
 

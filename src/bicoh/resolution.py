@@ -21,8 +21,9 @@ every Ext^j(M, omega), from the Hilbert numerators of the cokernels of the
 dual maps: FreeResolution.dual(j) hands the rows of maps[j] to
 InitialModule as they stand, as a minimal resolution has no unit entry.
 ext_presentation builds the Ext module itself where a caller needs more
-than its dimensions.  Units are eliminated by one routine, _prune: in
-initial_module and in the Ext subquotients.
+than its dimensions, as a subquotient that keeps its units.  Units are
+eliminated in one place, _prune in initial_module, which every reader of a
+presentation goes through.
 minimal_presentation reads the first map F_1 -> F_0 off resolve(P).
 hilbert_dim, which ranks the degree-restricted relation matrix, is kept as
 an independent referee of the initial-module dimensions; no table reads it.
@@ -241,7 +242,8 @@ def _prune(columns, rank):
     l change the previous map only in the column of generator k, both
     dropped with the summand.  Returns (rows, cols, pruned): the indices of
     the surviving generators and columns, ascending, and the surviving
-    columns on the surviving generators."""
+    columns on the surviving generators.  initial_module is its one
+    caller, so a presentation loses its units there and nowhere else."""
     live = {l: list(col) for l, col in enumerate(columns)}
     rows = list(range(rank))
     while True:
@@ -283,9 +285,7 @@ class InitialModule:
     def __init__(self, target: FreeModule, relations):
         self.ring = target.ring
         self.target = target
-        relations = [e for e in relations if e]
-        self.gb = (buchberger(relations, module=target) if relations
-                   else GroebnerBasis(target, ()))
+        self.gb = buchberger(relations, module=target)
         self.leads = self.gb.lead_terms()
         self._bases = {}    # d -> {(generator, monomial): position}
         self._nfs = {}      # (generator, monomial) -> {position: coeff}
@@ -536,7 +536,10 @@ def profile(P: Presentation) -> ModuleProfile:
 
 def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:
     """Presentation of span / span(sub_elements), the span given by its
-    Groebner basis; sub must lie in the span."""
+    Groebner basis; sub must lie in the span.  Generated by the elements of
+    the basis, with the division quotients of the sub elements and the
+    Schreyer frame of the basis as relations, as they stand: units are left
+    to initial_module."""
     src = FreeModule(span.module.ring, span.shifts)
     columns = []
     for s in sub_elements:
@@ -553,22 +556,17 @@ def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:
     # of the euler and ext_window benchmark inputs at seeds 3, 5 and 11
     # (2-vCPU host)
     columns.extend(syzygies(span))
-    # unit pruning, then without the columns it leaves zero
-    rows, cols, pruned = _prune([c.coords for c in columns], src.rank)
-    keep = [(columns[l].bidegree(), col) for l, col in zip(cols, pruned)
-            if any(not e.is_zero() for e in col)]
-    return Presentation(src.ring, tuple(src.shifts[k] for k in rows),
-                        tuple(rel for rel, _ in keep),
-                        tuple(tuple(col[i] for _, col in keep)
-                              for i in range(len(rows))))
+    return Presentation(src.ring, src.shifts,
+                        tuple(c.bidegree() for c in columns),
+                        tuple(tuple(c.coords[k] for c in columns)
+                              for k in range(src.rank)))
 
 
-@lru_cache(maxsize=None)
 def ext_presentation(P: Presentation, j: int) -> Presentation:
     """Ext^j(M, omega), the Matlis dual of H^(m+n-j) at the maximal ideal,
-    which is finitely generated: presented on the kernel basis of delta_j
-    with its units pruned, which can leave a redundant relation.  The zero
-    presentation for j outside 0..pd."""
+    which is finitely generated: presented on the kernel basis of delta_j,
+    units and redundant relations included.  The zero presentation for j
+    outside 0..pd.  Built afresh on each call."""
     res = resolve(P)
     if j < 0 or j > res.length:
         return zero_presentation(P.ring)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import CellFailure, CheckReport
+from .cohomology import cohomological_dimension
 from .errors import NotCohenMacaulayError, UnsupportedIndexError
-from .poly import Bidegree
 from .resolution import (
     Presentation,
     ext_presentation,
@@ -148,24 +148,6 @@ def tame_scan(M: Presentation, k: int, jwindow) -> TameReport:
                       limit_dim=limit_dim)
 
 
-def _mod_by_irrelevant(N: Presentation) -> Presentation:
-    """N / (x)N over the full ring: append the columns x_i * e_k."""
-    ring = N.ring
-    gens = N.gens
-    new_rels = list(N.rels)
-    new_cols = []
-    for k, s in enumerate(gens):
-        for var in range(ring.m):
-            col = [ring.zero()] * len(gens)
-            col[k] = ring.variable(var)
-            new_cols.append(tuple(col))
-            new_rels.append(Bidegree(*s) + ring.variable_degree(var))
-    matrix = tuple(tuple(list(N.matrix[kk]) +
-                         [new_cols[c][kk] for c in range(len(new_cols))])
-                   for kk in range(len(gens)))
-    return Presentation(ring, gens, tuple(new_rels), matrix)
-
-
 def limit_profile_check(N: Presentation, jwindow) -> CheckReport:
     """Stabilization of (depth, dim) of the strands N_j for large j, and
     for CM N the exact limit-depth identity
@@ -195,8 +177,9 @@ def limit_profile_check(N: Presentation, jwindow) -> CheckReport:
             notes.append(f"stable strand profile: depth {depth_limit}, "
                          f"dim {dim_limit}")
             if profile(N).is_cm:
-                expected = (initial_module(N).krull_dim() - initial_module(
-                    _mod_by_irrelevant(N)).krull_dim())
+                # dim N/(x)N = cd(Q, N), read off N's numerator
+                expected = (initial_module(N).krull_dim()
+                            - cohomological_dimension(N, "Q"))
                 if depth_limit != expected:
                     failure = CellFailure(
                         (0, hi), depth_limit, expected,

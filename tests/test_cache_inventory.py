@@ -1,7 +1,12 @@
+import contextlib
 import importlib
+import io
 import pkgutil
+import sys
+from pathlib import Path
 
 import bicoh
+from bicoh import cli
 from bicoh.cohomology import (
     cech_oracle,
     ext_table,
@@ -13,26 +18,56 @@ from bicoh.resolution import free_presentation, hilbert_table, profile
 from bicoh.tables import Window
 from test_cohomology import ext_into_dim
 
+# the benchmark's workload builders, read only
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
 
 def _submodules():
     for info in pkgutil.iter_modules(bicoh.__path__):
         yield info.name, importlib.import_module(f"bicoh.{info.name}")
 
 
+def _caches():
+    """{"module.function": function} of every lru_cache defined in a bicoh
+    submodule."""
+    return {f"{name}.{attr}": obj for name, module in _submodules()
+            for attr, obj in vars(module).items()
+            if hasattr(obj, "cache_info")
+            and getattr(obj, "__module__", None) == module.__name__}
+
+
 def test_process_wide_caches_are_inventoried():
-    # every lru_cache defined in a bicoh submodule; a new one must join
-    # the inventory of the process-wide caches rather than slip in.
-    # hilbert_dim is the restrict+rank referee of the initial-module
-    # dimensions: no table reads it, but the benchmark's tracer test does
-    found = set()
-    for name, module in _submodules():
-        for attr, obj in vars(module).items():
-            if (hasattr(obj, "cache_info")
-                    and getattr(obj, "__module__", None) == module.__name__):
-                found.add(f"{name}.{attr}")
-    assert found == {"resolution.initial_module", "resolution.resolve",
-                     "resolution.ext_presentation", "resolution.hilbert_dim",
-                     "strands.strand"}
+    # a new lru_cache must join the inventory of the process-wide caches
+    # rather than slip in.  ext_presentation has none: a suite that reads
+    # one D_u twice keeps it, and no workload reads one Ext module in two
+    # calls.  hilbert_dim is the restrict+rank referee of
+    # the initial-module dimensions: no table reads it, but the benchmark's
+    # tracer test does
+    assert set(_caches()) == {"resolution.initial_module",
+                              "resolution.resolve", "resolution.hilbert_dim",
+                              "strands.strand"}
+
+
+def test_every_cache_earns_hits_on_a_workload(tmp_path):
+    # each benchmark workload at seed 5, its operations run in-process
+    # through cli.main from empty caches: every cache but hilbert_dim, which
+    # no table reads (it is kept for the benchmark's tracer test), has a
+    # hit on some workload
+    caches = _caches()
+    hits = dict.fromkeys(caches, 0)
+    for name in workloads.NAMES:
+        (tmp_path / name).mkdir()
+        workload = workloads.build(name, 5, tmp_path / name)
+        for cache in caches.values():
+            cache.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert [cli.main(op) for op in workload.ops] == \
+                [0] * len(workload.ops), name
+        for key, cache in caches.items():
+            hits[key] += cache.cache_info().hits
+    assert {key for key, n in hits.items() if not n} == \
+        {"resolution.hilbert_dim"}, hits
 
 
 def test_no_module_level_container_grows():

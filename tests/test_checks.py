@@ -28,6 +28,7 @@ from bicoh.groebner import FreeModule
 from bicoh.poly import RingSpec
 from bicoh.resolution import free_presentation, quotient_by_polys
 from bicoh.tables import Window
+from test_resolution import count_ext_builds
 
 
 def test_closed_form_values(ring):
@@ -223,6 +224,30 @@ def test_suites_on_three_x_variables():
     report = check_euler(M, w)
     assert report.passed, report
     assert check_corner(M, w).passed
+
+
+def test_each_suite_builds_each_ext_module_once(monkeypatch, hypersurface,
+                                                two_relations):
+    # a suite that reads one D_u twice keeps it, so one call builds each
+    # Ext module at most once: corner and fiveterm on a CM module (t = s),
+    # fiveterm and depthles at depth = dim - 1 (t + 1 = s), dimle1 at m = 1
+    # (D_i read at i and at i + 1), and every other suite that reads a dual
+    r12 = RingSpec(1, 2)
+    x1, y1, y2 = r12.gens()
+    gencm = gencm_fixture()
+    cases = [(check_corner, hypersurface), (check_corner, two_relations),
+             (check_five_term, hypersurface), (check_five_term, two_relations),
+             (check_dim_r0_le1, free_presentation(r12, [(0, 0)])),
+             (check_dim_r0_le1, quotient_by_polys(r12, [x1 * y1, x1 * y2])),
+             (check_euler, gencm), (check_gencm_les, gencm),
+             (check_cm_degeneration, hypersurface),
+             (check_structure1, hypersurface),
+             (check_depth_sminus1_les, two_relations)]
+    for suite, M in cases:
+        with monkeypatch.context() as mp:
+            built = count_ext_builds(mp)
+            assert suite(M, Window(-2, 2, -2, 2)).passed
+        assert built and max(built.values()) == 1, (suite.__name__, str(M))
 
 
 def test_spectral_grid_support(two_relations, ring):

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from itertools import accumulate, product
 
 import pytest
@@ -280,8 +282,9 @@ def test_resolve_matches_the_frame_referee():
 def test_resolve_takes_one_kernel_basis_per_level(monkeypatch):
     # one Buchberger run on the relations, in the initial module that
     # resolve starts from (built afresh here, so no cached one hides the
-    # run), then one graph Buchberger run per level, the last of which
-    # finds no syzygies; no Schreyer frame
+    # run; on no relations at all for S/(1), whose one relation is a unit),
+    # then one graph Buchberger run per level, the last of which finds no
+    # syzygies; no Schreyer frame
     calls = []
 
     def counted(name, run):
@@ -306,8 +309,7 @@ def test_resolve_takes_one_kernel_basis_per_level(monkeypatch):
     for M in modules:
         calls.clear()
         res = resolve.__wrapped__(M)
-        assert calls == ["relations"] * bool(res.length) + \
-            ["kernel"] * res.length, str(M)
+        assert calls == ["relations"] + ["kernel"] * res.length, str(M)
 
 
 def test_resolve_and_the_tables_share_one_relations_basis(monkeypatch):
@@ -819,10 +821,14 @@ def test_each_ext_module_runs_one_buchberger(monkeypatch):
 
     monkeypatch.setattr(groebner, "buchberger", counted)
     monkeypatch.setattr(resolution, "buchberger", counted)
-    for j, (runs, gens) in enumerate([(1, 0), (1, 0), (1, 2), (1, 1)]):
+    # the generators are the kernel basis's elements, none pruned, and the
+    # module has the Hilbert series that the dual cokernels give
+    for j, (runs, gens) in enumerate([(1, 0), (1, 1), (1, 6), (1, 1)]):
         calls.clear()
-        E = ext_presentation.__wrapped__(M, j)
+        E = ext_presentation(M, j)
         assert (len(calls), len(E.gens)) == (runs, gens)
+        assert initial_module.__wrapped__(E).numerator == \
+            resolve(M)._ext_numerator(j), j
 
 
 def test_kernel_of_the_last_dual_map_is_the_unit_basis():
@@ -887,17 +893,34 @@ def test_dual_cokernels_match_the_ext_presentation_referee(
     assert len(reached) > 50 and pairs > 4 * len(reached)
 
 
-def test_ext_tables_resolve_no_ext_module():
+def count_ext_builds(monkeypatch):
+    """Counter {(presentation, j): builds} of the Ext modules built from
+    now on, through every binding of ext_presentation in bicoh."""
+    built = Counter()
+
+    def counted(P, j):
+        built[(P, j)] += 1
+        return ext_presentation(P, j)
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "bicoh"
+                and getattr(module, "ext_presentation", None)
+                is ext_presentation):
+            monkeypatch.setattr(module, "ext_presentation", counted)
+    return built
+
+
+def test_ext_tables_resolve_no_ext_module(monkeypatch):
     # every Ext table reads the dual cokernels of the resolution of M, so
     # it builds no Ext presentation and resolves nothing but M; the prime,
     # which no other test uses, keeps M out of the session caches
     M = gencm_fixture(standard_ring(17))
     misses = resolve.cache_info().misses
-    ext_misses = ext_presentation.cache_info().misses
+    built = count_ext_builds(monkeypatch)
     for j in range(-1, 5):
         ext_table(M, j, Window(-3, 3, -3, 3))
     assert resolve.cache_info().misses - misses == 1
-    assert ext_presentation.cache_info().misses == ext_misses
+    assert not built
     resolve(M)
     assert resolve.cache_info().misses - misses == 1
 
@@ -952,5 +975,25 @@ def test_ext_presentation_builds_one_presentation(monkeypatch):
         for j in range(res.length + 1):
             with monkeypatch.context() as mp:
                 counts = _count_builds(mp)
-                ext_presentation.__wrapped__(M, j)
+                ext_presentation(M, j)
             assert counts["presentations"] == 1, (str(M), j)
+
+
+def test_quotient_presentation_never_prunes(monkeypatch):
+    # the subquotient keeps its units, which initial_module prunes: every
+    # Ext module of the guard modules, and a span / sub whose first sub
+    # element is a basis element, so that its division quotient is a unit
+    # column.  The resolutions are built first, as resolve prunes
+    lengths = [(M, resolve(M).length) for M in _guard_modules()]
+    monkeypatch.setattr(resolution, "_prune", lambda *args: pytest.fail(
+        "quotient_presentation pruned"))
+    units = sum(_has_unit(ext_presentation(M, j).matrix)
+                for M, pd in lengths for j in range(pd + 1))
+    assert units
+    ring = standard_ring(29)
+    x1, _, y1, _ = ring.gens()
+    F = FreeModule(ring, ((0, 0),))
+    span = buchberger([ModuleElement(F, (x1,)), ModuleElement(F, (y1,))])
+    P = quotient_presentation([span.elements[0]], span)
+    assert _has_unit(P.matrix)
+    assert (len(P.gens), len(P.rels)) == (2, 2)
