@@ -32,7 +32,7 @@ from .resolution import (
     profile,
     resolve,
 )
-from .strands import strand
+from .strands import strand, strand_dim
 from .tables import Window, matlis_flip
 
 
@@ -168,21 +168,19 @@ class SpectralGrid:
     abutment: dict
 
 
-def build_spectral_grid(M: Presentation, window: Window,
-                        i_range=None) -> SpectralGrid:
+def build_spectral_grid(M: Presentation, window: Window) -> SpectralGrid:
     ring = M.ring
     prof = profile(M)
-    if i_range is None:
-        i_range = (prof.depth, prof.dim)
     tables = {}
-    for i in range(i_range[0], i_range[1] + 1):
+    for i in range(prof.depth, prof.dim + 1):
         dual = _dual(M, i)
         for j in range(0, ring.m + 1):
             tables[(i, j)] = local_coh_table(dual, "P", ring.m - j, window)
     abutment = {}
     for u in range(prof.depth - ring.m, ring.n + 1):
         abutment[u] = _q_dual_table(M, u, window)
-    return SpectralGrid(module=M, window=window, i_range=tuple(i_range),
+    return SpectralGrid(module=M, window=window,
+                        i_range=(prof.depth, prof.dim),
                         j_range=(0, ring.m), tables=tables,
                         abutment=abutment)
 
@@ -324,7 +322,8 @@ def check_structure1(M: Presentation, window: Window) -> CheckReport:
     """For CM M: every y-strand of the dualized top cohomology satisfies
     Ext^(m-k)(strand_j, omega over K[x]) = H^(s-k)_Q(M) in row -j (the
     strand index negates under the dual), and the Krull dimension of that
-    Ext is at most k."""
+    Ext is at most k.  A zero strand is not built: its Ext is zero, of
+    Krull dimension -1."""
     ring = M.ring
     prof = profile(M)
     if not prof.is_cm:
@@ -338,14 +337,17 @@ def check_structure1(M: Presentation, window: Window) -> CheckReport:
         for k in range(0, ring.m + 1):
             qtab = local_coh_table(M, "Q", s - k, qwin)
             for j in window.b_range:
-                N = strand(dual_top, 0, j)
-                row = ext_table(N, ring.m - k, row_win)
+                if strand_dim(dual_top, 0, j) < 0:
+                    row, dim = {}, -1
+                else:
+                    N = strand(dual_top, 0, j)
+                    row = ext_table(N, ring.m - k, row_win).cells
+                    dim = resolve(N).ext_krull_dim(ring.m - k)
                 for i in window.a_range:
-                    lhs, rhs = row[(i, 0)], qtab[(i, -j)]
+                    lhs, rhs = row.get((i, 0), 0), qtab[(i, -j)]
                     yield ((i, j), lhs == rhs, lhs, rhs,
                            f"k={k}, strand j={j}: Ext over K[x] vs "
                            "Q-table row -j")
-                dim = resolve(N).ext_krull_dim(ring.m - k)
                 yield ((0, j), dim <= k, dim, k,
                        f"k={k}, strand j={j}: Krull dim bound")
 

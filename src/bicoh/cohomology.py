@@ -56,17 +56,19 @@ Three computation paths, all exact per bidegree:
 
 _spot lays out Hom(F, W)_d with one piece per generator of a free module
 F, and _hom_piece fills in the map Hom(F, W)_d -> Hom(G, W)_d induced by
-G -> F on the standard monomials of W's initial module: for the oracle,
-W is M and F, G are terms of K(v^t).  It writes every column directly: a
-product that is standard is read off the target piece's basis, any other
-one off the initial module's table of normal forms.
+G -> F on the standard monomials of W's initial module.  W is M, F and G
+are terms of K(v^t), and every entry of G -> F is one signed monomial
++-v_j^t, passed as a packed monomial and a coefficient.  It writes every
+column directly: a product that is standard is read off the target
+piece's basis, any other one off the initial module's table of normal
+forms.
 """
 
 from itertools import combinations
 
 from .errors import BadTheoryError
 from .linalg import Matrix, homology_dim
-from .poly import Bidegree, Polynomial, mono_bidegree
+from .poly import Bidegree, mono_bidegree
 from .resolution import Presentation, initial_module, resolve
 from .strands import strand, strand_dim, strand_range
 from .tables import DimTable, Window
@@ -178,60 +180,42 @@ def _spot(layer, d, shifts):
 def _hom_piece(layer, src, tgt, entries):
     """Matrix of Hom(F, W)_d -> Hom(G, W)_d, from the spot src of F to the
     spot tgt of G, induced by the map G -> F with the nonzero entries
-    (k, l, f): block (l, k) is multiplication by f from the k-th piece of
-    src to the l-th of tgt.  Entries are read only if both spots are
-    nonzero.  Each term c*u of f sends the standard monomial m*e_g to c
-    times the basis element (g, m*u) when that is standard, else to c
-    times the initial module's normal form of m*u*e_g.  A one-term entry
-    writes its block directly; the terms of a longer one are summed
-    before the block is reduced mod p."""
+    (k, l, u, c), c times the packed monomial u: block (l, k) is
+    multiplication by c*u from the k-th piece of src to the l-th of tgt.
+    Entries are read only if both spots are nonzero.  The standard
+    monomial m*e_g goes to c times the basis element (g, m*u) when that
+    is standard, else to c times the initial module's normal form of
+    m*u*e_g."""
     pieces, src_dims, src_off = src
     tgt_pieces, tgt_dims, tgt_off = tgt
     mat = Matrix.zeros(tgt_off[-1], src_off[-1])
     if not (src_off[-1] and tgt_off[-1]):
         return mat
     p, nf = layer.ring.p, layer.nf
-    for k, l, f in entries:
+    for k, l, mono, c in entries:
         if not (src_dims[k] and tgt_dims[l]):
             continue
         row, index = tgt_off[l], layer.basis(tgt_pieces[l])
-        cols = mat.cols[src_off[k]:src_off[k + 1]]
-        basis = layer.basis(pieces[k])
-        if len(f.terms) == 1:
-            (mono, c), = f.terms
-            for col, (g, m) in zip(cols, basis):
-                i = index.get((g, m + mono))
-                if i is not None:
-                    col[row + i] = c
-                else:
-                    for i, x in nf(g, m + mono).items():
-                        col[row + i] = c * x % p
-            continue
-        sums = [{} for _ in cols]
-        for mono, c in f.terms:
-            for acc, (g, m) in zip(sums, basis):
-                i = index.get((g, m + mono))
-                if i is not None:
-                    acc[i] = acc.get(i, 0) + c
-                else:
-                    for i, x in nf(g, m + mono).items():
-                        acc[i] = acc.get(i, 0) + c * x
-        for col, acc in zip(cols, sums):
-            for i, v in acc.items():
-                if r := v % p:
-                    col[row + i] = r
+        for col, (g, m) in zip(mat.cols[src_off[k]:src_off[k + 1]],
+                               layer.basis(pieces[k])):
+            i = index.get((g, m + mono))
+            if i is not None:
+                col[row + i] = c
+            else:
+                for i, x in nf(g, m + mono).items():
+                    col[row + i] = c * x % p
     return mat
 
 
 def _koszul_differential(ring, units, t, src, tgt):
-    """The entries (k, l, +-v_j^t) of the Koszul differential K_(q+1) ->
-    K_q, v_j the packed monomial units[j]: src lists the q-subsets T of the
-    variables (by index), tgt the (q+1)-subsets, and e_(T+j) has
-    (-1)^#{u in T : u < j} v_j^t at e_T."""
+    """The entries (k, l, t * v_j, +-1 mod p) of the Koszul differential
+    K_(q+1) -> K_q, v_j the packed monomial units[j], so t * v_j is v_j^t:
+    src lists the q-subsets T of the variables (by index), tgt the
+    (q+1)-subsets, and e_(T+j) has (-1)^#{u in T : u < j} v_j^t at e_T."""
     signs = (1, ring.p - 1)
     tgt_index = {T: l for l, T in enumerate(tgt)}
-    return [(k, tgt_index[tuple(sorted(T + (j,)))], Polynomial(
-                ring, ((t * unit, signs[sum(u < j for u in T) % 2]),)))
+    return [(k, tgt_index[tuple(sorted(T + (j,)))], t * unit,
+             signs[sum(u < j for u in T) % 2])
             for k, T in enumerate(src)
             for j, unit in enumerate(units) if j not in T]
 

@@ -69,10 +69,6 @@ class DimTable:
         a, b = d
         return self.cells[(a, b)]
 
-    def get(self, d, default=0):
-        a, b = d
-        return self.cells.get((a, b), default)
-
     def is_zero(self):
         return all(v == 0 for v in self.cells.values())
 

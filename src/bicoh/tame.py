@@ -36,8 +36,9 @@ def strand_nonvanishing(N: Presentation, k: int, j: int) -> bool:
     """Whether the local cohomology H^k at the maximal ideal of K[x] of
     the strand N_j is nonzero, decided by the Hilbert series of the dual
     Ext (no degree window involved): it is zero exactly when the series
-    is."""
-    return resolve(strand(N, 0, j)).ext_krull_dim(N.ring.m - k) >= 0
+    is.  A zero strand is not built."""
+    return (strand_dim(N, 0, j) >= 0
+            and resolve(strand(N, 0, j)).ext_krull_dim(N.ring.m - k) >= 0)
 
 
 def _strand_profile(N, j):

@@ -93,7 +93,10 @@ def test_no_module_level_container_grows():
     for theory in ("P", "Q", "R+"):
         cech_oracle(M, theory, 1, (0, 0))
         oracle_table(M, theory, 1, window)
-    # the Hom builder reads the initial module's tables and keeps nothing
+    # the Hom builder reads the initial module's tables and keeps nothing;
+    # the oracle calls above are what run it.  ext_into_dim builds its maps
+    # with a test-local builder, and resolves M and reads the initial
+    # module of S
     S = free_presentation(M.ring, [(0, 0)])
     for j in range(3):
         ext_into_dim(M, S, j, (0, 0))

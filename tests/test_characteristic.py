@@ -56,7 +56,7 @@ def test_suites_over_small_prime(small_ring):
     assert check_euler(M, w).passed
     for d in ((0, -2), (1, -3), (-1, 0)):
         assert cech_oracle(M, "Q", 2, d) == \
-            local_coh_table(M, "Q", 2, w).get(d)
+            local_coh_table(M, "Q", 2, w)[d]
     scan = tame_scan(M, 3, (-8, 8))
     assert scan.overall == "eventually-zero"
 

@@ -26,7 +26,13 @@ from bicoh.errors import (
 from bicoh.fixtures import gencm_fixture
 from bicoh.groebner import FreeModule
 from bicoh.poly import RingSpec
-from bicoh.resolution import free_presentation, quotient_by_polys
+from bicoh.cohomology import local_coh_table
+from bicoh.resolution import (
+    ext_presentation,
+    free_presentation,
+    profile,
+    quotient_by_polys,
+)
 from bicoh.tables import Window
 from test_resolution import count_ext_builds
 
@@ -251,14 +257,16 @@ def test_each_suite_builds_each_ext_module_once(monkeypatch, hypersurface,
 
 
 def test_spectral_grid_support(two_relations, ring):
-    from bicoh.resolution import profile
+    # the grid spans i = depth..dim, and E2[i, j] = H^(m-j)_P(D_i) vanishes
+    # on the columns just outside it, i = depth - 1 and i = dim + 1
     w = Window(-3, 3, -3, 3)
     prof = profile(two_relations)
-    grid = build_spectral_grid(two_relations, w,
-                               i_range=(prof.depth - 1, prof.dim + 1))
-    for (i, j), table in grid.tables.items():
-        if i < prof.depth or i > prof.dim:
-            assert table.is_zero(), (i, j)
+    grid = build_spectral_grid(two_relations, w)
+    assert grid.i_range == (prof.depth, prof.dim)
+    for i in (prof.depth - 1, prof.dim + 1):
+        D = ext_presentation(two_relations, ring.nvars - i)
+        for j in range(ring.m + 1):
+            assert local_coh_table(D, "P", ring.m - j, w).is_zero(), (i, j)
 
 
 def test_window_monotone(hypersurface):

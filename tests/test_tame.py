@@ -1,7 +1,10 @@
 import hashlib
+import sys
 
 import pytest
 
+from bicoh import strands
+from bicoh.checks import check_structure1
 from bicoh.cohomology import local_coh_table
 from bicoh.errors import NotCohenMacaulayError, UnsupportedIndexError
 from bicoh.fixtures import named_fixtures, random_quotients, standard_ring
@@ -250,3 +253,40 @@ def test_strand_consumers_are_pinned():
     assert len(lines) == 100
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "d96e0bd6c6207ee6ae855cbdc94231e0de70ec3556b542874de2c71c7a486b49")
+
+
+def test_zero_strands_are_never_built(ring, monkeypatch):
+    # a strand whose Hilbert series is zero (strand_dim -1) has no
+    # cohomology and a zero Ext: tame_scan at k = dim and k = depth - m and
+    # the structure suite read it off strand_dim and build nothing for it
+    real_strand, real_dim = strands.strand, strands.strand_dim
+    zeros = []
+
+    def guarded(N, k, c):
+        assert real_dim(N, k, c) >= 0, ("zero strand built", str(N), k, c)
+        return real_strand(N, k, c)
+
+    def counted(N, k, c):
+        dim = real_dim(N, k, c)
+        if dim < 0:
+            zeros.append((N, k, c))
+        return dim
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "bicoh":
+            if getattr(module, "strand", None) is real_strand:
+                monkeypatch.setattr(module, "strand", guarded)
+            if getattr(module, "strand_dim", None) is real_dim:
+                monkeypatch.setattr(module, "strand_dim", counted)
+    scanned = structured = 0
+    for name, M in named_fixtures(ring).items():
+        prof = profile(M)
+        for k in {prof.dim, prof.depth - ring.m}:
+            tame_scan(M, k, (-6, 6))
+        scanned += len(zeros)
+        zeros.clear()
+        if prof.is_cm:
+            assert check_structure1(M, Window(-2, 2, -4, 4)).passed, name
+            structured += len(zeros)
+            zeros.clear()
+    assert scanned and structured, (scanned, structured)
