@@ -18,11 +18,13 @@ DEFAULT_PRIME = 32003
 
 
 def _check_prime(p):
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        raise BadRingError(f"modulus {p} is not prime")
+    # the bound first: trial division up to sqrt(p) would not end on a
+    # modulus like 2^61 - 1
     if p >= 1 << 20:
         raise BadRingError(f"modulus {p} too large: primes below 2^20 "
                            f"are supported")
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise BadRingError(f"modulus {p} is not prime")
 
 
 class Matrix:

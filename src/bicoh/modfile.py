@@ -35,40 +35,45 @@ def _parse_shift_list(value, lineno):
 
 
 def load_module(path) -> Presentation:
-    """Read and validate a presentation; raises FormatError on structural
-    problems and DegreeMismatchError when an entry violates the shifts."""
+    """Read and validate a presentation; raises FormatError on a file that
+    is not UTF-8 and on structural problems, and DegreeMismatchError when
+    an entry violates the shifts."""
     params = {}
     seen = {}   # key -> line of the keys that may appear once
     gens = None
     rel_lines = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"line {lineno}: expected key=value, "
-                                  f"got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key in ("p", "m", "n", "gens"):
-                if key in seen:
-                    raise FormatError(
-                        f"line {lineno}: repeated key {key!r}, first given "
-                        f"on line {seen[key]}")
-                seen[key] = lineno
-            if key in ("p", "m", "n"):
-                try:
-                    params[key] = int(value.strip())
-                except ValueError as exc:
-                    raise FormatError(
-                        f"line {lineno}: {key} must be an integer") from exc
-            elif key == "gens":
-                gens = _parse_shift_list(value, lineno)
-            elif key == "rels":
-                rel_lines.append((lineno, value.strip()))
-            else:
-                raise FormatError(f"line {lineno}: unknown key {key!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"line {lineno}: expected key=value, "
+                              f"got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in ("p", "m", "n", "gens"):
+            if key in seen:
+                raise FormatError(
+                    f"line {lineno}: repeated key {key!r}, first given "
+                    f"on line {seen[key]}")
+            seen[key] = lineno
+        if key in ("p", "m", "n"):
+            try:
+                params[key] = int(value.strip())
+            except ValueError as exc:
+                raise FormatError(
+                    f"line {lineno}: {key} must be an integer") from exc
+        elif key == "gens":
+            gens = _parse_shift_list(value, lineno)
+        elif key == "rels":
+            rel_lines.append((lineno, value.strip()))
+        else:
+            raise FormatError(f"line {lineno}: unknown key {key!r}")
     for need in ("m", "n"):
         if need not in params:
             raise FormatError(f"missing required key {need}=")

@@ -39,16 +39,15 @@ from .groebner import (
     GroebnerBasis,
     ModuleElement,
     _divide,
+    _terms,
     buchberger,
     kernel_basis,
     minimal_elements,
-    normal_form,
     syzygies,
 )
 from .linalg import Matrix, rank_of_array
 from .poly import (
     Bidegree,
-    Polynomial,
     mono_bidegree,
     mono_div,
     mono_divides,
@@ -329,9 +328,8 @@ class InitialModule:
         out = self._nfs.get((k, mono))
         if out is None:
             ring, target = self.ring, self.target
-            coords = [ring.zero()] * target.rank
-            coords[k] = Polynomial(ring, ((mono, 1),))
-            rem = normal_form(ModuleElement(target, tuple(coords)), self.gb)
+            rem = _divide(target, {k << ring.width | mono: 1},
+                          self.gb._divisors)[1]
             index = self.basis(target.shifts[k] + mono_bidegree(ring, mono))
             out = self._nfs[(k, mono)] = {
                 index[(kk, mm)]: coeff for kk, poly in enumerate(rem.coords)
@@ -545,7 +543,7 @@ def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:
     for s in sub_elements:
         if not s:
             continue
-        quotients, rem = _divide(s, span._divisors, True)
+        quotients, rem = _divide(s.module, _terms(s), span._divisors, True)
         if rem:
             raise InvariantError(
                 "submodule generator outside the ambient span")

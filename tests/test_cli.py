@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,28 @@ def test_cli_missing_file_exit_2(capsys):
     code = main(["hilbert", "--module", "/nonexistent.mod",
                  "--window", "0:1,0:1"])
     assert code == 2
+
+
+def test_cli_module_file_not_utf8_exit_2(tmp_path, capsys):
+    # a UTF-16 file is malformed input, exit 2 with one error line, not a
+    # traceback (exit 1 means a counterexample)
+    path = tmp_path / "utf16.mod"
+    path.write_bytes(b"\xff\xfe" + HYPERSURFACE.encode("utf-16-le"))
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_module(path)
+    assert main(["profile", "--module", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_cli_huge_modulus_exit_2_at_once(tmp_path, capsys):
+    # 2^61 - 1 is refused by its size before any trial division
+    path = tmp_path / "huge.mod"
+    path.write_text(f"p={2**61 - 1}\nm=1\nn=1\ngens=(0,0)\n")
+    start = time.perf_counter()
+    assert main(["profile", "--module", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "too large" in capsys.readouterr().err
 
 
 def test_cli_emit_roundtrip(two_path, tmp_path, capsys):

@@ -52,6 +52,7 @@ from bicoh.strands import strand, strand_dim
 from bicoh.tables import Window, matlis_flip
 from test_linalg import compose, tracked_echelon
 from test_resolution import (
+    _ext_referee,
     _raw_resolution,
     _redundant_generator,
     count_ext_builds,
@@ -505,19 +506,19 @@ def _block_hom_piece(layer, src, tgt, entries):
 @pytest.mark.parametrize("p", [2, 3, 32003])
 def test_oracle_normal_forms_each_monomial_once(p, monkeypatch):
     # over the oracle_table calls of one module, a product that leaves the
-    # standard monomials goes through normal_form once per (position,
-    # monomial) and is read off the initial module's table after that; the
-    # free
-    # module has no such product.  Each presentation gets an initial
-    # module of its own, so no earlier call has filled its table
+    # standard monomials is divided once per (position, monomial), as the
+    # one-term dict {k << width | mono: 1}, and is read off the initial
+    # module's table after that; the free module has no such product.
+    # Each presentation gets an initial module of its own, so no earlier
+    # call has filled its table
     calls = []
-    normal_form_ = resolution.normal_form
+    divide = resolution._divide
 
-    def counted(v, G):
-        (k, poly), = [(k, c) for k, c in enumerate(v.coords) if c.terms]
-        (mono, _), = poly.terms
-        calls.append((k, mono))
-        return normal_form_(v, G)
+    def counted(module, work, table, with_quotients=False):
+        (key, coeff), = work.items()
+        assert coeff == 1 and not with_quotients
+        calls.append(key)
+        return divide(module, work, table, with_quotients)
 
     layers = {}
 
@@ -526,7 +527,7 @@ def test_oracle_normal_forms_each_monomial_once(p, monkeypatch):
             layers[P] = resolution.initial_module.__wrapped__(P)
         return layers[P]
 
-    monkeypatch.setattr(resolution, "normal_form", counted)
+    monkeypatch.setattr(resolution, "_divide", counted)
     monkeypatch.setattr(cohomology, "initial_module", fresh)
     ring = standard_ring(p)
     fixtures = named_fixtures(ring)
@@ -544,8 +545,10 @@ def test_oracle_normal_forms_each_monomial_once(p, monkeypatch):
                 assert not calls
         layer = layers[M]
         target = layer.target
+        assert sorted(calls) == sorted(k << ring.width | mono
+                                       for k, mono in layer._nfs)
         for k, mono in layer._nfs:
-            rem = normal_form_(ModuleElement(target, tuple(
+            rem = normal_form(ModuleElement(target, tuple(
                 Polynomial(ring, ((mono, 1),)) if kk == k else ring.zero()
                 for kk in range(target.rank))), layer.gb)
             index = layer.basis(target.shifts[k] + mono_bidegree(ring, mono))
@@ -1309,6 +1312,34 @@ def test_oracle_equals_the_duality_path_on_random_presentations(data):
                 assert oracle_table(M, theory, i, window).cells == \
                     local_coh_table(M, theory, i, window).cells, \
                     (str(M), theory, i, str(window))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_dual_cokernels_match_the_ext_referee_on_random_presentations(data):
+    # the Ext dimensions read off the dual cokernels equal those of the
+    # initial module of ext_presentation (_ext_referee), whose relations
+    # are division quotients and Schreyer syzygies, at every j from -1 to
+    # pd + 1: over a 13 x 13 window and for the Krull dimension
+    M = _drawn_presentation(data)
+    res = resolve(M)
+    cells = list(Window(-6, 6, -6, 6).cells())
+    for j in range(-1, res.length + 2):
+        referee = _ext_referee(M, j)
+        assert res.ext_dims(j, cells) == \
+            [referee.dim_at(d) for d in cells], (str(M), j)
+        assert res.ext_krull_dim(j) == referee.krull_dim(), (str(M), j)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_euler_identity_on_random_presentations(data):
+    # the alternating sum of the ranks of resolve(M) equals the dimension
+    # read off the initial module's Hilbert numerator
+    M = _drawn_presentation(data)
+    res, layer = resolve(M), initial_module(M)
+    for d in Window(-2, 6, -2, 6).cells():
+        assert res.alternating_dim(d) == layer.dim_at(d), (str(M), tuple(d))
 
 
 def test_ext_into_free_matches_canonical_route(ring, hypersurface,

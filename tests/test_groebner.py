@@ -194,7 +194,8 @@ def _all_pairs_syzygies(G):
                 continue
             _, ui, uj = data
             spair = elems[i].term_mul(1, ui) - elems[j].term_mul(1, uj)
-            quotients, rem = groebner._divide(spair, G._divisors, True)
+            quotients, rem = groebner._divide(
+                spair.module, groebner._terms(spair), G._divisors, True)
             assert rem.is_zero()
             coords = [-q for q in quotients]
             coords[i] = coords[i] + Polynomial(ring, ((ui, 1),))
@@ -308,9 +309,9 @@ def test_pair_criteria_on_the_rung_divide_less(monkeypatch):
     calls = []
     divide = groebner._divide
 
-    def counted(v, table):
+    def counted(module, work, table):
         calls.append(1)
-        return divide(v, table)
+        return divide(module, work, table)
 
     monkeypatch.setattr(groebner, "_divide", counted)
     gb = buchberger(columns, module=target)
@@ -450,7 +451,8 @@ def test_degree_decrease_raises(r22, monkeypatch):
     # the S-pair of x1^2 and x1*x2 lies in degree 3; an element of degree 1
     # in its place would break the order that keeps the basis minimal
     F = FreeModule(r22, ((0, 0),))
-    monkeypatch.setattr(groebner, "_spair", lambda *args: elem(F, "y1"))
+    monkeypatch.setattr(groebner, "_spair",
+                        lambda *args: groebner._terms(elem(F, "y1")))
     with pytest.raises(InvariantError, match="lower degree"):
         buchberger([elem(F, "x1^2"), elem(F, "x1*x2")])
 

@@ -43,7 +43,7 @@ def test_invalid_ring_is_a_typed_error():
     # a bad ring is both a BicohError (one error line, exit 2) and the
     # ValueError that callers catch
     for m, n, p in ((0, 0, 32003), (-1, 2, 32003), (2, 2, 10),
-                    (2, 2, 1048583)):
+                    (2, 2, 1048583), (1, 1, 2**61 - 1)):
         with pytest.raises(BadRingError) as caught:
             RingSpec(m, n, p)
         assert isinstance(caught.value, BicohError)

@@ -23,6 +23,7 @@ from bicoh.groebner import (
     ModuleElement,
     buchberger,
     kernel_basis,
+    minimal_elements,
     syzygies,
 )
 from bicoh.linalg import Matrix, homology_dim, rank_of_array
@@ -54,7 +55,11 @@ from bicoh.resolution import (
 )
 from bicoh.strands import strand, strand_dim
 from bicoh.tables import Window
-from test_groebner import _all_pairs_syzygies, _kernel_presentation
+from test_groebner import (
+    _all_pairs_syzygies,
+    _kernel_presentation,
+    _rung_relations,
+)
 
 
 def test_presentation_validates_degrees(ring):
@@ -891,6 +896,53 @@ def test_dual_cokernels_match_the_ext_presentation_referee(
             assert res.ext_krull_dim(j) == referee.krull_dim(), (str(N), j)
             pairs += 1
     assert len(reached) > 50 and pairs > 4 * len(reached)
+
+
+def test_division_builds_only_its_remainder(monkeypatch):
+    # S-pairs, interreduction tails, input generators and the initial
+    # module's monomials reach groebner._divide as packed term dicts, so
+    # over the euler-shaped dense quotients (resolutions, Ext modules and
+    # the normal forms of lead monomials) and the (3,3) rung (basis, frame
+    # syzygies, minimal elements) the one element each division builds is
+    # its remainder, and every S-pair is a dict
+    counts = Counter()
+    spair_types = set()
+    divide, spair = groebner._divide, groebner._spair
+    from_positions = groebner._from_positions
+
+    def counted_divide(*args):
+        counts["_divide"] += 1
+        return divide(*args)
+
+    def counted_from_positions(*args):
+        counts["_from_positions"] += 1
+        return from_positions(*args)
+
+    def typed_spair(*args):
+        out = spair(*args)
+        spair_types.add(type(out))
+        return out
+
+    for module, name, fn in ((groebner, "_divide", counted_divide),
+                             (resolution, "_divide", counted_divide),
+                             (groebner, "_from_positions",
+                              counted_from_positions),
+                             (groebner, "_spair", typed_spair)):
+        monkeypatch.setattr(module, name, fn)
+    for seed, degrees in enumerate(_EULER_PATTERNS):
+        M = _dense_quotient((2, 2), degrees, seed)
+        layer = initial_module.__wrapped__(M)
+        for k, mono, _ in layer.leads:
+            layer.nf(k, mono)
+        res = resolve.__wrapped__(M)
+        for j in range(res.length + 1):
+            ext_presentation(M, j)
+    columns, target = _rung_relations()
+    gb = buchberger(columns, module=target)
+    syzygies(gb)
+    minimal_elements(gb)
+    assert counts["_divide"] == counts["_from_positions"] > 0, counts
+    assert spair_types == {dict}
 
 
 def count_ext_builds(monkeypatch):
