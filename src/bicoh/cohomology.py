@@ -70,7 +70,7 @@ from .errors import BadTheoryError
 from .linalg import Matrix, homology_dim
 from .poly import Bidegree, mono_bidegree
 from .resolution import Presentation, initial_module, resolve
-from .strands import strand, strand_dim, strand_range
+from .strands import strand, strand_dim
 from .tables import DimTable, Window
 
 THEORIES = ("P", "Q", "R+")
@@ -150,16 +150,19 @@ def local_coh_table(M: Presentation, theory: str, i: int,
 def cohomological_dimension(M: Presentation, theory: str) -> int:
     """cd(theory, M) for theory P or Q, -1 for the zero module: as
     H^i_Q(M)_(a,*) = H^i_(y)(strand(M, 1, a)), cd(Q, M) is the largest
-    strand dimension (Grothendieck), taken over strand_range; P is the
-    mirror image.  An ideal without variables is (0), so H^0 = M."""
+    strand dimension (Grothendieck), read at max(r, 1) degrees from each
+    shift (see strands); P is the mirror image.  An ideal without
+    variables is (0), so H^0 = M."""
     k = {"P": 0, "Q": 1}.get(theory)
     if k is None:
         raise BadTheoryError(f"no cohomological dimension for theory "
                              f"{theory!r}; use P or Q")
-    if not (M.ring.m, M.ring.n)[k]:
-        return 0 if initial_module(M).numerator else -1
-    lo, c_0, hi = strand_range(M, k)
-    return max(strand_dim(M, k, c) for c in range(lo, max(c_0, hi) + 1))
+    sizes, numerator = (M.ring.m, M.ring.n), initial_module(M).numerator
+    if not sizes[k]:
+        return 0 if numerator else -1
+    lines = {s[1 - k] + t for s in numerator
+             for t in range(max(sizes[1 - k], 1))}
+    return max((strand_dim(M, k, c) for c in lines), default=-1)
 
 
 # ---------------------------------------------------------------------------

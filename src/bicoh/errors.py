@@ -17,8 +17,8 @@ class NotBihomogeneousError(BicohError):
     """A polynomial or module element mixes several bidegrees."""
 
 
-class RingMismatchError(BicohError):
-    """Operands live over different rings."""
+class RingMismatchError(BicohError, ValueError):
+    """Operands live over different rings or free modules."""
 
 
 class ParseError(BicohError):

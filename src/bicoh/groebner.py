@@ -35,16 +35,14 @@ dividing an earlier one would have no larger degree, so it would equal it.
 A degree decrease raises InvariantError.  B_k deletes lazily: a dict holds
 the live pairs, and a popped pair missing from it is skipped.
 
-Division works on one form, a dict of packed terms, and reads a
-`_Divisors` table, each divisor's lead and its tail as one flat list of
-packed terms, built once per basis: `buchberger` extends its table as
-elements are appended, and a `GroebnerBasis` builds its own on first use.
-S-pairs come out of the table as term dicts, and interreduction divides a
-copy of every element's tail by the table `buchberger` built, which holds
-the minimal basis: no lead divides a monomial smaller than itself, so an
-element is never reduced by itself.  Division pops terms in descending
-order, so its remainders and quotients are term lists sorted by
-construction, and only the remainder becomes an element.
+The Buchberger loop runs on packed terms alone: generators and S-pairs
+are term dicts, and `_divide` returns each remainder as a descending term
+list, in the order its heap pops the terms.  The loop's `_Divisors` table,
+each divisor's lead and its tail as one such list, grows as elements
+enter, and interreduction divides a copy of every tail by it: it holds the
+minimal basis, and no lead divides a monomial smaller than itself, so an
+element is never reduced by itself.  Elements are built only for the bases
+returned, by `buchberger` and, of the kernel's part, by `kernel_basis`.
 
 `syzygies` returns Schreyer's frame: of the same-position pairs (i, j),
 j < i, only those whose multiplier u_ij = lcm(lt g_i, lt g_j)/lt g_i
@@ -157,10 +155,6 @@ class ModuleElement:
     def __neg__(self):
         return ModuleElement(self.module, tuple(-a for a in self.coords))
 
-    def scale(self, c):
-        return ModuleElement(self.module,
-                             tuple(a.scale(c) for a in self.coords))
-
     def term_mul(self, coeff, mono):
         return ModuleElement(self.module,
                              tuple(a.term_mul(coeff, mono)
@@ -230,12 +224,7 @@ class GroebnerBasis:
 
     @cached_property
     def _divisors(self):
-        return _Divisors(self.elements)
-
-
-def _element_sort_key(g):
-    k, mono, _ = g.lead()
-    return (-k, mono)
+        return _Divisors(self.module, self.elements)
 
 
 # Division works on terms keyed by one int, position << width | monomial
@@ -243,7 +232,8 @@ def _element_sort_key(g):
 # dict.  Keys order by position, then monomial, and adding a monomial u
 # multiplies the term by x^u.  POT descends by ascending position and
 # descending monomial, so the min-heap holds key ^ (2^width - 1), which
-# flips the monomial bits only.
+# flips the monomial bits only.  A term list holds (key, coeff) pairs in
+# descending order.
 
 
 def _terms(v):
@@ -254,29 +244,36 @@ def _terms(v):
             for k, poly in enumerate(v.coords) for mono, coeff in poly.terms}
 
 
+def _element(module, terms):
+    """The element of `module` with the term list `terms`."""
+    coords = [[] for _ in module.shifts]
+    for key, coeff in terms:
+        k, mono = divmod(key, 1 << module.ring.width)
+        coords[k].append((mono, coeff))
+    return ModuleElement(module, tuple(Polynomial(module.ring, tuple(t))
+                                       for t in coords))
+
+
 class _Divisors:
-    """Division table of monic elements, extended in place: each element's
-    lead and tail, and per lead position the (index, lead key) of the
-    elements leading there, in ascending index.  A tail is one flat list
-    of the (key, coeff) pairs of the terms after the lead."""
+    """Division table of monic elements of `module`, extended in place by
+    their descending term lists: each element's lead (position, monomial,
+    coefficient) and its tail, a term list, and per lead position the
+    (index, lead key) of the elements leading there, in ascending index."""
 
-    __slots__ = ("elements", "leads", "tails", "by_position")
+    __slots__ = ("module", "leads", "tails", "by_position")
 
-    def __init__(self, elements=()):
-        self.elements = []
-        self.leads = []
-        self.tails = []
-        self.by_position = {}
+    def __init__(self, module, elements=()):
+        self.module = module
+        self.leads, self.tails, self.by_position = [], [], {}
         for g in elements:
-            self.append(g)
+            self.append(list(_terms(g).items()))
 
-    def append(self, g):
-        lead = g.lead()
-        self.by_position.setdefault(lead[0], []).append(
-            (len(self.elements), lead[0] << g.module.ring.width | lead[1]))
-        self.elements.append(g)
-        self.leads.append(lead)
-        self.tails.append(list(_terms(g).items())[1:])
+    def append(self, terms):
+        key, coeff = terms[0]
+        k, mono = divmod(key, 1 << self.module.ring.width)
+        self.by_position.setdefault(k, []).append((len(self.leads), key))
+        self.leads.append((k, mono, coeff))
+        self.tails.append(terms[1:])
 
 
 def _divide(module, work, table, with_quotients=False):
@@ -284,14 +281,15 @@ def _divide(module, work, table, with_quotients=False):
     the elements of a `_Divisors` table; `work` is consumed.
 
     Returns (quotients, remainder): the element v whose terms `work` holds
-    is sum q_i * elements[i] + remainder, no remainder term divisible by
-    any lead term of the divisors; each term goes to the first divisor
-    whose lead divides it.  The quotients (Polynomials) are built only on
-    request, else None.  A lazy-deletion heap over the dict's keys
-    (Monagan & Pearce, CASC 2007) makes each reduction step one pass over
-    a divisor's tail, not a renormalization.  Terms pop in strictly
-    descending order, and each divisor's multipliers with them, so
-    remainder and quotients need no sort.
+    is sum q_i * g_i + remainder over the table's elements g_i, no
+    remainder term divisible by any lead term of the divisors; each term
+    goes to the first divisor whose lead divides it.  The remainder is a
+    term list, empty when v reduces to zero, and the quotients
+    (Polynomials) are built only on request, else None.  A lazy-deletion
+    heap over the dict's keys (Monagan & Pearce, CASC 2007) makes each
+    reduction step one pass over a divisor's tail, not a renormalization.
+    Terms pop in strictly descending order, and each divisor's multipliers
+    with them, so remainder and quotients need no sort.
     """
     ring = module.ring
     p, width = ring.p, ring.width
@@ -302,18 +300,17 @@ def _divide(module, work, table, with_quotients=False):
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     quotients = [[] for _ in tails] if with_quotients else None
-    remainder = [[] for _ in range(module.rank)]
+    remainder = []
     while heap:
         key = pop(heap) ^ flip
         coeff = work.pop(key, 0)
         if not coeff:
             continue
-        k = key >> width
-        for i, lead in by_position.get(k, ()):
+        for i, lead in by_position.get(key >> width, ()):
             if not (key - lead) & GUARDS:
                 break
         else:
-            remainder[k].append((key & flip, coeff))
+            remainder.append((key, coeff))
             continue
         u = key - lead
         if quotients is not None:
@@ -332,24 +329,14 @@ def _divide(module, work, table, with_quotients=False):
                     del work[t]
     if quotients is not None:
         quotients = [Polynomial(ring, tuple(q)) for q in quotients]
-    return quotients, _from_positions(module, remainder)
-
-
-def _from_positions(module, positions):
-    """The element whose coordinate k has the term list positions[k],
-    already descending."""
-    ring = module.ring
-    zero = ring.zero()
-    return ModuleElement(module, tuple(Polynomial(ring, tuple(terms))
-                                       if terms else zero
-                                       for terms in positions))
+    return quotients, remainder
 
 
 def _spair(table, i, j, ui, uj):
     """The term dict of the S-pair ui*g_i - uj*g_j of two monic table
     elements, whose leads cancel: their shifted tails merged, unsorted,
     since `_divide` orders the terms by its heap."""
-    p = table.elements[i].module.ring.p
+    p = table.module.ring.p
     work = {t + ui: c for t, c in table.tails[i]}
     for t, c in table.tails[j]:
         t += uj
@@ -364,48 +351,60 @@ def _spair(table, i, j, ui, uj):
 def normal_form(v: ModuleElement, G) -> ModuleElement:
     """Remainder of v on division by G (a GroebnerBasis or a sequence of
     monic elements); no term divisible by a lead of G."""
-    G = G._divisors if isinstance(G, GroebnerBasis) else _Divisors(G)
-    if not G.elements:
+    if isinstance(G, GroebnerBasis):
+        G, table = G.elements, G._divisors
+    else:
+        table = _Divisors(v.module, G)
+    if not G:
         return v
-    if G.elements[0].module != v.module:
+    if G[0].module != v.module:
         raise RingMismatchError("element and basis in different modules")
-    return _divide(v.module, _terms(v), G)[1]
-
-
-def _make_monic(g):
-    _, _, coeff = g.lead()
-    if coeff == 1:
-        return g
-    return g.scale(pow(coeff, -1, g.module.ring.p))
-
-
-def _single_position(g):
-    return sum(1 for c in g.coords if not c.is_zero()) == 1
+    return _element(v.module, _divide(v.module, _terms(v), table)[1])
 
 
 def buchberger(gens, module=None) -> GroebnerBasis:
-    """Groebner basis of the submodule generated by bihomogeneous gens."""
+    """Groebner basis of the submodule generated by bihomogeneous gens,
+    elements of `module` when it is given."""
     gens = [g for g in gens if g]
     if module is None:
         if not gens:
             raise NoGeneratorsError(
                 "no generators and no ambient module given")
         module = gens[0].module
+    for g in gens:
+        if g.module != module:
+            raise RingMismatchError("generator of another free module")
+        g.bidegree()    # raises NotBihomogeneousError on mixed input
+    return GroebnerBasis(module, tuple(
+        _element(module, terms)
+        for terms in _buchberger(module, [_terms(g) for g in gens])))
+
+
+def _buchberger(module, gens):
+    """The reduced Groebner basis of the submodule of `module` generated
+    by the consumed nonzero term dicts `gens`, bihomogeneous and descending
+    (see _terms): its term lists, monic, in descending order of leads."""
     ring = module.ring
+    p, width = ring.p, ring.width
+    flip = (1 << width) - 1
     shifts = [s.total for s in module.shifts]
-    table = _Divisors()
-    basis, leads, by_position = table.elements, table.leads, table.by_position
-    single = []   # single[i]: basis[i] lives in its lead position alone
+    table = _Divisors(module)
+    leads, by_position = table.leads, table.by_position
+    single = []   # single[i]: element i lives in its lead position alone
     live = {}     # (i, j) -> (lead position, lcm) of the pairs not deleted
     # (degree, -1, t) for gens[t], (degree, i, j, ui, uj) for an S-pair;
-    # bidegree() raises NotBihomogeneousError on mixed input
-    queue = [(g.bidegree().total, -1, t) for t, g in enumerate(gens)]
+    # a generator's degree is that of its lead, its first key
+    queue = [(mono_degree(ring, key & flip) + shifts[key >> width], -1, t)
+             for t, key in enumerate(next(iter(f)) for f in gens)]
     heapq.heapify(queue)
 
-    def append(f):
-        f = _make_monic(f)
-        h = len(basis)
-        hk, hm, _ = f.lead()
+    def append(terms):
+        key, coeff = terms[0]
+        if coeff != 1:
+            inv = pow(coeff, -1, p)
+            terms = [(t, c * inv % p) for t, c in terms]
+        h = len(leads)
+        hk, hm = key >> width, key & flip
         if h and (mono_degree(ring, hm) + shifts[hk]
                   < mono_degree(ring, leads[-1][1]) + shifts[leads[-1][0]]):
             raise InvariantError("Groebner basis element of lower degree "
@@ -415,7 +414,7 @@ def buchberger(gens, module=None) -> GroebnerBasis:
                     and mono_lcm(ring, leads[i][1], hm) != w
                     and mono_lcm(ring, leads[j][1], hm) != w):
                 del live[(i, j)]
-        h_single = _single_position(f)
+        h_single = terms[-1][0] >> width == hk
         new = [(mono_lcm(ring, hm, leads[g][1]), g, h_single and single[g]
                 and mono_coprime(ring, hm, leads[g][1]))
                for g, _ in by_position.get(hk, ())]
@@ -431,16 +430,16 @@ def buchberger(gens, module=None) -> GroebnerBasis:
                                        g, mono_div(w, hm),
                                        mono_div(w, leads[g][1])))
         single.append(h_single)
-        table.append(f)
+        table.append(terms)
 
     while queue:
         _, i, j, *u = heapq.heappop(queue)
         if i < 0:     # gens[j], divided only when a basis lead divides
-            f = gens[j]
-            k, m, _ = f.lead()
-            if any(mono_divides(leads[g][1], m)
-                   for g, _ in by_position.get(k, ())):
-                f = _divide(module, _terms(f), table)[1]
+            key = next(iter(gens[j]))
+            f = (_divide(module, gens[j], table)[1]
+                 if any(not (key - lead) & GUARDS
+                        for _, lead in by_position.get(key >> width, ()))
+                 else list(gens[j].items()))
         elif live.pop((i, j), None) is not None:
             f = _divide(module, _spair(table, i, j, *u), table)[1]
         else:
@@ -453,17 +452,16 @@ def buchberger(gens, module=None) -> GroebnerBasis:
 def _reduce_basis(module, table):
     """Interreduce the minimal Groebner basis of a `_Divisors` table (no
     lead divides another) to the unique reduced (monic) one in one pass of
-    tail reduction.  A lead divides no smaller monomial and every tail
-    term lies below its own lead, so each tail divides by the table of the
-    whole basis."""
-    ring = module.ring
-    reduced = []
-    for (k, mono, coeff), tail in zip(table.leads, table.tails):
-        coords = list(_divide(module, dict(tail), table)[1].coords)
-        coords[k] = Polynomial(ring, ((mono, coeff),) + coords[k].terms)
-        reduced.append(ModuleElement(module, coords))
-    reduced.sort(key=_element_sort_key, reverse=True)
-    return GroebnerBasis(module, tuple(reduced))
+    tail reduction, as descending term lists in descending order of their
+    leads.  A lead divides no smaller monomial and every tail term lies
+    below its own lead, so each tail divides by the table of the whole
+    basis."""
+    width = module.ring.width
+    return sorted(([(k << width | mono, coeff)]
+                   + _divide(module, dict(tail), table)[1]
+                   for (k, mono, coeff), tail in zip(table.leads,
+                                                     table.tails)),
+                  key=lambda terms: (terms[0][0] >> width, -terms[0][0]))
 
 
 def _frame_pairs(table, i):
@@ -472,7 +470,7 @@ def _frame_pairs(table, i):
     monomial ideal (u_ij : j < i, same lead position), the smallest j
     among equal ones.  Returns (j, u_ij, u_ji) in ascending j."""
     k, mi, _ = table.leads[i]
-    ring = table.elements[i].module.ring
+    ring = table.module.ring
     cands = []
     for j, _ in table.by_position[k]:
         if j >= i:
@@ -517,7 +515,7 @@ def syzygies(G: GroebnerBasis):
             quotients, rem = _divide(G.module,
                                      _spair(G._divisors, i, j, ui, uj),
                                      G._divisors, True)
-            if not rem.is_zero():
+            if rem:
                 raise InvariantError(
                     "S-pair of a Groebner basis did not reduce")
             coords = [-q for q in quotients]
@@ -581,18 +579,16 @@ def minimal_elements(G: GroebnerBasis):
 
 def kernel_basis(columns, src: FreeModule) -> GroebnerBasis:
     """Reduced Groebner basis of the kernel of the map F_src -> F_tgt whose
-    l-th column is columns[l]."""
+    l-th column is columns[l], of bidegree src.shifts[l].  The graph
+    generators reach the Buchberger loop as term dicts, and only the basis
+    elements that lead past F_tgt are built, shifted down to F_src."""
     if not columns:
         return GroebnerBasis(src, ())
-    ring = src.ring
-    rt = columns[0].module.rank
-    big = FreeModule(ring, columns[0].module.shifts + src.shifts)
-    graph = []
-    for l, col in enumerate(columns):
-        coords = list(col.coords) + [ring.zero()] * src.rank
-        coords[rt + l] = ring.one()
-        graph.append(ModuleElement(big, tuple(coords)))
+    width, rt = src.ring.width, columns[0].module.rank
+    big = FreeModule(src.ring, columns[0].module.shifts + src.shifts)
+    graph = [_terms(col) | {(rt + l) << width: 1}
+             for l, col in enumerate(columns)]
+    low = rt << width
     return GroebnerBasis(src, tuple(
-        ModuleElement(src, g.coords[rt:])
-        for g in buchberger(graph, module=big).elements
-        if all(c.is_zero() for c in g.coords[:rt])))
+        _element(src, [(key - low, coeff) for key, coeff in terms])
+        for terms in _buchberger(big, graph) if terms[0][0] >= low))

@@ -332,8 +332,8 @@ class InitialModule:
                           self.gb._divisors)[1]
             index = self.basis(target.shifts[k] + mono_bidegree(ring, mono))
             out = self._nfs[(k, mono)] = {
-                index[(kk, mm)]: coeff for kk, poly in enumerate(rem.coords)
-                for mm, coeff in poly.terms}
+                index[divmod(key, 1 << ring.width)]: coeff
+                for key, coeff in rem}
         return out
 
 
@@ -343,7 +343,7 @@ def initial_module(P: Presentation) -> InitialModule:
     nonzero columns lose their units first (_prune), an isomorphism, so
     the target is the surviving generators and the relations left lie in
     m*F."""
-    rows, _, pruned = _prune([col.coords for col in P.columns() if col],
+    rows, _, pruned = _prune([col for col in zip(*P.matrix) if any(col)],
                              len(P.gens))
     target = FreeModule(P.ring, tuple(P.gens[k] for k in rows))
     return InitialModule(target, [ModuleElement(target, col)

@@ -10,15 +10,16 @@ relations are the other-block monomial expansions of the S-relations.
 Its Krull dimension is read off N's Hilbert series, with no strand built.
 
 Only finitely many strand dimensions need to be read.  Let r be the size
-of the other block and c_0 the largest other-block shift in N's
-numerator.  The strand at c is zero below the least such shift, and for
-c >= c_0 each term of the strand numerator carries dim K[other]_(c - s),
-a polynomial in c of degree r - 1, so every Taylor coefficient at t = 1
-is a polynomial in c of degree below r.  The least order whose
-coefficient is not the zero polynomial fixes one generic dimension g for
-all c >= c_0 but at most r - 1 roots, where the dimension is smaller;
-so g is the largest dimension on c_0..c_0 + r - 1 (strand_range).  With
-r = 0 the strands above c_0 are zero, and g = -1.
+of the other block.  The strand at c is zero below the least other-block
+shift in N's numerator.  Between two consecutive shifts s < s' (or past
+the largest, c_0), the terms of shift at most s are the ones that count,
+each carrying dim K[other]_(c - s), a polynomial in c of degree r - 1, so
+every Taylor coefficient at t = 1 is a polynomial in c of degree below r.
+The least order whose coefficient is not the zero polynomial fixes one
+dimension for all c in s..s' - 1 but at most r - 1 roots, where it is
+smaller: the largest dimension there is reached on s..s + max(r, 1) - 1,
+which cohomological_dimension reads at each shift, and the generic one g
+past c_0 on c_0..c_0 + r - 1 (strand_range); with r = 0, g = -1.
 """
 
 from functools import lru_cache

@@ -4,7 +4,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bicoh import cohomology, linalg, resolution
@@ -1250,6 +1250,28 @@ def test_cohomological_dimension_edge_cases():
         cohomological_dimension(named_fixtures()["S"], "R+")
 
 
+def test_cohomological_dimension_reads_few_strands_far_apart(
+        tmp_path, monkeypatch, capsys):
+    # S/(x1^D * y1) at D = 10^7 has x-shifts 0 and D in its numerator:
+    # cd(Q) is read at two x-degrees per shift, not at every degree up to D
+    D = 10 ** 7
+    path = tmp_path / "far.mod"
+    path.write_text(f"p=32003\nm=2\nn=2\ngens=(0,0)\n"
+                    f"rels=({D},1): x1^{D}*y1\n")
+    calls = []
+    real = cohomology.strand_dim
+
+    def counted(N, k, c):
+        calls.append(c)
+        return real(N, k, c)
+
+    monkeypatch.setattr(cohomology, "strand_dim", counted)
+    assert main(["profile", "--module", str(path)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(", cd=2")
+    assert 0 < len(calls) <= 2 * len(initial_module(load_module(path))
+                                     .numerator), calls
+
+
 def _drawn_presentation(data):
     """A random bihomogeneous presentation drawn from the hypothesis data:
     1-3 generators of bidegree <= (1, 1), 0-3 relations of bidegree <=
@@ -1340,6 +1362,24 @@ def test_euler_identity_on_random_presentations(data):
     res, layer = resolve(M), initial_module(M)
     for d in Window(-2, 6, -2, 6).cells():
         assert res.alternating_dim(d) == layer.dim_at(d), (str(M), tuple(d))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_auslander_buchsbaum_and_grade_on_random_presentations(data):
+    # the least j with Ext^j(M, omega) != 0 is nvars - dim M (the grade),
+    # where it has dimension dim M, the largest is pd M = nvars - depth M
+    # (Auslander-Buchsbaum), and Ext^(nvars - i) has dimension at most i
+    M = _drawn_presentation(data)
+    d = initial_module(M).krull_dim()
+    assume(d >= 0)
+    res, nvars = resolve(M), M.ring.nvars
+    nonzero = [j for j in range(-1, nvars + 2) if res.ext_krull_dim(j) >= 0]
+    assert max(nonzero) == res.length, str(M)
+    assert min(nonzero) == nvars - d, str(M)
+    assert res.ext_krull_dim(nvars - d) == d, str(M)
+    assert all(res.ext_krull_dim(nvars - i) <= i
+               for i in range(nvars + 1)), str(M)
 
 
 def test_ext_into_free_matches_canonical_route(ring, hypersurface,

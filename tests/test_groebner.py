@@ -11,6 +11,7 @@ from bicoh.errors import (
     CoordinateCountError,
     InvariantError,
     NoGeneratorsError,
+    RingMismatchError,
     ZeroElementError,
 )
 from bicoh.fixtures import random_quotients
@@ -134,6 +135,25 @@ def _spair_data(f, g):
     return w, mono_div(w, fm), mono_div(w, gm)
 
 
+def _monic(g):
+    """g divided by its lead coefficient."""
+    inv = pow(g.lead()[2], -1, g.module.ring.p)
+    return ModuleElement(g.module, tuple(c.scale(inv) for c in g.coords))
+
+
+def _single_position(g):
+    """Whether g has exactly one nonzero coordinate."""
+    return sum(1 for c in g.coords if c) == 1
+
+
+def _reduced(module, basis):
+    """The reduced basis that groebner._reduce_basis makes of a minimal
+    basis, as elements."""
+    terms = groebner._reduce_basis(module, groebner._Divisors(module, basis))
+    return GroebnerBasis(module, tuple(groebner._element(module, t)
+                                       for t in terms))
+
+
 def _all_pairs_buchberger(gens, module=None):
     """Referee: Buchberger with every same-position S-pair queued, pruned
     by the product criterion alone (for single-position elements)."""
@@ -142,15 +162,14 @@ def _all_pairs_buchberger(gens, module=None):
     basis, pairs = [], []
 
     def append(f):
-        f = groebner._make_monic(f)
+        f = _monic(f)
         for t, g in enumerate(basis):
             data = _spair_data(f, g)
             if data is None:
                 continue
             w, uf, ug = data
             if (mono_coprime(module.ring, f.lead()[1], g.lead()[1])
-                    and groebner._single_position(f)
-                    and groebner._single_position(g)):
+                    and _single_position(f) and _single_position(g)):
                 continue
             heapq.heappush(pairs, (mono_degree(module.ring, w), len(basis), t,
                                    uf, ug))
@@ -164,15 +183,15 @@ def _all_pairs_buchberger(gens, module=None):
                          basis)
         if nf:
             append(nf)
-    return groebner._reduce_basis(module,
-                                  groebner._Divisors(_minimal(basis)))
+    return _reduced(module, [basis[i] for i in
+                             _minimal([g.lead() for g in basis])])
 
 
-def _minimal(basis):
-    """The elements whose lead no other lead divides; of equal leads the
-    earliest: the minimal basis that _reduce_basis interreduces."""
-    leads = [g.lead() for g in basis]
-    return [g for i, (g, (k, m, _)) in enumerate(zip(basis, leads))
+def _minimal(leads):
+    """The indices of the leads (position, monomial, coefficient) that no
+    other lead divides; of equal leads the earliest: the minimal basis
+    that _reduce_basis interreduces."""
+    return [i for i, (k, m, _) in enumerate(leads)
             if not any(j != i and k2 == k and mono_divides(m2, m)
                        and (m2 != m or j < i)
                        for j, (k2, m2, _) in enumerate(leads))]
@@ -196,7 +215,7 @@ def _all_pairs_syzygies(G):
             spair = elems[i].term_mul(1, ui) - elems[j].term_mul(1, uj)
             quotients, rem = groebner._divide(
                 spair.module, groebner._terms(spair), G._divisors, True)
-            assert rem.is_zero()
+            assert not rem
             coords = [-q for q in quotients]
             coords[i] = coords[i] + Polynomial(ring, ((ui, 1),))
             coords[j] = coords[j] - Polynomial(ring, ((uj, 1),))
@@ -246,11 +265,19 @@ def test_lead_is_position_over_term(r22):
 
 def test_bad_arguments_are_typed_errors(r22):
     # each is a BicohError (one error line, exit 2) and the ValueError
-    # that callers catch
+    # that callers catch; buchberger refuses a generator of another free
+    # module: of another rank, another shift or another field
     F = FreeModule(r22, ((0, 0), (1, 0)))
+    S = FreeModule(r22, ((0, 0),))
+    f = elem(S, "x1*y1")
+    over_3 = FreeModule(RingSpec(2, 2, p=3), ((0, 0),))
     cases = ((CoordinateCountError, lambda: ModuleElement(F, (r22.one(),))),
              (ZeroElementError, lambda: _zero_element(F).lead()),
-             (NoGeneratorsError, lambda: buchberger([])))
+             (NoGeneratorsError, lambda: buchberger([])),
+             (RingMismatchError, lambda: buchberger([f], module=F)),
+             (RingMismatchError, lambda: buchberger(
+                 [f], module=FreeModule(r22, ((1, 0),)))),
+             (RingMismatchError, lambda: buchberger([f], module=over_3)))
     for error, call in cases:
         with pytest.raises(error) as caught:
             call()
@@ -390,7 +417,7 @@ def test_padded_generators_give_the_all_pairs_basis(data, p):
         _spy(mp, "_reduce_basis", seen)
         gb = buchberger(padded, module=F)
     assert gb.elements == _all_pairs_buchberger(gens, module=F).elements
-    assert all(_minimal(table.elements) == table.elements
+    assert all(_minimal(table.leads) == list(range(len(table.leads)))
                for _, table in seen)
 
 
@@ -437,7 +464,8 @@ def test_generator_reducing_to_zero_forms_no_s_pair(data, p):
         _spy(mp, "_spair", plain)
         gb = buchberger(gens, module=F)
     top = max([g.bidegree().total for g in gens]
-              + [mono_degree(ring, ui) + table.elements[i].bidegree().total
+              + [mono_degree(ring, ui) + mono_degree(ring, table.leads[i][1])
+                 + F.shifts[table.leads[i][0]].total
                  for table, i, _, ui, _ in plain])
     u = ring.monomial((top, 0, 0, 0))
     with pytest.MonkeyPatch.context() as mp:

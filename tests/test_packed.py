@@ -27,7 +27,7 @@ from bicoh.poly import (
     mono_lcm,
     monomial_basis,
 )
-from test_groebner import _minimal, random_element
+from test_groebner import _minimal, _monic, _reduced, random_element
 
 LIMIT = 2 ** 31
 PRIMES = (2, 3, 32003)
@@ -265,7 +265,7 @@ def seeded_modules(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_normal_form_matches_tuple_division(p):
     for rng, F, gens in seeded_modules(p):
-        monic = [groebner._make_monic(g) for g in gens]
+        monic = [_monic(g) for g in gens]
         gb = buchberger(gens)
         for _ in range(4):
             k = rng.randrange(F.rank)
@@ -287,7 +287,7 @@ def reduce_basis_per_element(module, basis):
     kept = list(basis)
     for i in range(len(kept)):
         kept[i] = normal_form(kept[i], kept[:i] + kept[i + 1:])
-    kept.sort(key=groebner._element_sort_key, reverse=True)
+    kept.sort(key=lambda g: (-g.lead()[0], g.lead()[1]), reverse=True)
     return GroebnerBasis(module, tuple(kept))
 
 
@@ -298,14 +298,19 @@ def test_one_table_interreduction_matches_per_element(p, monkeypatch):
     seen = []
 
     def spy(module, table):
-        seen.append((module, list(table.elements)))
+        width = module.ring.width
+        seen.append((module, table.leads, [
+            groebner._element(module, [(k << width | mono, coeff)] + tail)
+            for (k, mono, coeff), tail in zip(table.leads, table.tails)]))
         return reduce_basis(module, table)
 
     monkeypatch.setattr(groebner, "_reduce_basis", spy)
     for _, _, gens in seeded_modules(p):
         buchberger(gens)
+    monkeypatch.undo()
     assert seen
-    assert all(_minimal(basis) == basis for _, basis in seen)
-    for module, basis in seen:
-        assert reduce_basis(module, groebner._Divisors(basis)).elements == \
+    assert all(_minimal(leads) == list(range(len(leads)))
+               for _, leads, _ in seen)
+    for module, _, basis in seen:
+        assert _reduced(module, basis).elements == \
             reduce_basis_per_element(module, basis).elements

@@ -814,18 +814,19 @@ def test_minimal_presentation_drops_units(ring):
 
 def test_each_ext_module_runs_one_buchberger(monkeypatch):
     # the kernel of the outgoing map is the only Groebner basis, one graph
-    # run at every j: the subquotient reads its relations off that basis,
-    # and at j = pd, where no map leaves, the run returns the unit basis
+    # run of the Buchberger loop at every j: the subquotient reads its
+    # relations off that basis, and at j = pd, where no map leaves, the
+    # run returns the unit basis
     M = gencm_fixture(standard_ring(7))
     assert resolve(M).length == 3
     calls = []
+    loop = groebner._buchberger
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return buchberger(*args, **kwargs)
+        return loop(*args)
 
-    monkeypatch.setattr(groebner, "buchberger", counted)
-    monkeypatch.setattr(resolution, "buchberger", counted)
+    monkeypatch.setattr(groebner, "_buchberger", counted)
     # the generators are the kernel basis's elements, none pruned, and the
     # module has the Hilbert series that the dual cokernels give
     for j, (runs, gens) in enumerate([(1, 0), (1, 1), (1, 6), (1, 1)]):
@@ -898,36 +899,55 @@ def test_dual_cokernels_match_the_ext_presentation_referee(
     assert len(reached) > 50 and pairs > 4 * len(reached)
 
 
-def test_division_builds_only_its_remainder(monkeypatch):
+def test_only_the_returned_bases_become_elements(monkeypatch):
     # S-pairs, interreduction tails, input generators and the initial
-    # module's monomials reach groebner._divide as packed term dicts, so
-    # over the euler-shaped dense quotients (resolutions, Ext modules and
-    # the normal forms of lead monomials) and the (3,3) rung (basis, frame
-    # syzygies, minimal elements) the one element each division builds is
-    # its remainder, and every S-pair is a dict
-    counts = Counter()
-    spair_types = set()
-    divide, spair = groebner._divide, groebner._spair
-    from_positions = groebner._from_positions
+    # module's monomials reach groebner._divide as packed term dicts and
+    # leave it as term lists, so over the euler-shaped dense quotients
+    # (resolutions, Ext modules and the normal forms of lead monomials)
+    # and the (3,3) rung (basis, frame syzygies, minimal elements) the
+    # Buchberger loop builds no element, and buchberger and kernel_basis
+    # build one per element of the basis they return
+    built = [0]
+    init = ModuleElement.__init__
 
-    def counted_divide(*args):
-        counts["_divide"] += 1
-        return divide(*args)
+    def counted_init(self, module, coords):
+        built[0] += 1
+        init(self, module, coords)
 
-    def counted_from_positions(*args):
-        counts["_from_positions"] += 1
-        return from_positions(*args)
+    calls = []      # (name, elements built, elements returned)
 
-    def typed_spair(*args):
-        out = spair(*args)
-        spair_types.add(type(out))
-        return out
+    def spied(name, fn):
+        def spy(*args, **kwargs):
+            before = built[0]
+            out = fn(*args, **kwargs)
+            calls.append((name, built[0] - before,
+                          len(out.elements) if name != "loop" else 0))
+            return out
+        return spy
 
-    for module, name, fn in ((groebner, "_divide", counted_divide),
-                             (resolution, "_divide", counted_divide),
-                             (groebner, "_from_positions",
-                              counted_from_positions),
-                             (groebner, "_spair", typed_spair)):
+    kinds = set()
+
+    def typed(name, fn, part):
+        def spy(*args):
+            out = fn(*args)
+            kinds.add((name, type(part(out))))
+            return out
+        return spy
+
+    monkeypatch.setattr(ModuleElement, "__init__", counted_init)
+    for module, name, fn in (
+            (groebner, "_buchberger", spied("loop", groebner._buchberger)),
+            (groebner, "buchberger", spied("buchberger", buchberger)),
+            (resolution, "buchberger", spied("buchberger", buchberger)),
+            (groebner, "kernel_basis", spied("kernel_basis", kernel_basis)),
+            (resolution, "kernel_basis",
+             spied("kernel_basis", kernel_basis)),
+            (groebner, "_divide",
+             typed("_divide", groebner._divide, lambda out: out[1])),
+            (resolution, "_divide",
+             typed("_divide", groebner._divide, lambda out: out[1])),
+            (groebner, "_spair",
+             typed("_spair", groebner._spair, lambda out: out))):
         monkeypatch.setattr(module, name, fn)
     for seed, degrees in enumerate(_EULER_PATTERNS):
         M = _dense_quotient((2, 2), degrees, seed)
@@ -938,11 +958,13 @@ def test_division_builds_only_its_remainder(monkeypatch):
         for j in range(res.length + 1):
             ext_presentation(M, j)
     columns, target = _rung_relations()
-    gb = buchberger(columns, module=target)
+    gb = groebner.buchberger(columns, module=target)
     syzygies(gb)
     minimal_elements(gb)
-    assert counts["_divide"] == counts["_from_positions"] > 0, counts
-    assert spair_types == {dict}
+    assert {name for name, _, _ in calls} == \
+        {"loop", "buchberger", "kernel_basis"}
+    assert all(made == size for _, made, size in calls), calls
+    assert kinds == {("_divide", list), ("_spair", dict)}
 
 
 def count_ext_builds(monkeypatch):
