@@ -35,14 +35,14 @@ dividing an earlier one would have no larger degree, so it would equal it.
 A degree decrease raises InvariantError.  B_k deletes lazily: a dict holds
 the live pairs, and a popped pair missing from it is skipped.
 
-The Buchberger loop runs on packed terms alone: generators and S-pairs
-are term dicts, and `_divide` returns each remainder as a descending term
-list, in the order its heap pops the terms.  The loop's `_Divisors` table,
-each divisor's lead and its tail as one such list, grows as elements
-enter, and interreduction divides a copy of every tail by it: it holds the
-minimal basis, and no lead divides a monomial smaller than itself, so an
-element is never reduced by itself.  Elements are built only for the bases
-returned, by `buchberger` and, of the kernel's part, by `kernel_basis`.
+A ModuleElement is its descending list of packed terms, and the layer
+runs on such lists alone: generators and S-pairs are term dicts, and
+`_divide` returns each remainder as a term list, in the order its heap
+pops the terms.  The loop's `_Divisors` table, each divisor's lead and its
+tail as one such list, grows as elements enter, and interreduction
+divides a copy of every tail by it: it holds the minimal basis, and no
+lead divides a monomial smaller than itself, so an element is never
+reduced by itself.  Only `ModuleElement.coords` builds polynomials.
 
 `syzygies` returns Schreyer's frame: of the same-position pairs (i, j),
 j < i, only those whose multiplier u_ij = lcm(lt g_i, lt g_j)/lt g_i
@@ -61,6 +61,7 @@ from functools import cached_property
 
 from .errors import (
     CoordinateCountError,
+    DegreeMismatchError,
     InvariantError,
     NoGeneratorsError,
     NotBihomogeneousError,
@@ -72,6 +73,7 @@ from .poly import (
     GUARDS,
     Bidegree,
     Polynomial,
+    _x_degree,
     mono_bidegree,
     mono_coprime,
     mono_degree,
@@ -106,93 +108,84 @@ class FreeModule:
         """Ordered basis of the graded piece: (generator index, monomial),
         generators ascending, monomials descending."""
         d = Bidegree(*d)
-        out = []
-        for k, s in enumerate(self.shifts):
-            for mono in monomial_basis(self.ring, d - s):
-                out.append((k, mono))
-        return out
-
-    def unit_element(self, k):
-        coords = [self.ring.zero()] * self.rank
-        coords[k] = self.ring.one()
-        return ModuleElement(self, tuple(coords))
+        return [(k, mono) for k, s in enumerate(self.shifts)
+                for mono in monomial_basis(self.ring, d - s)]
 
 
 class ModuleElement:
-    """Element of a FreeModule: one polynomial coordinate per generator."""
+    """Element of a FreeModule, held as its terms: a tuple of (position <<
+    width | monomial, coefficient) pairs in descending order (see
+    _divide).  Built from one polynomial per generator, or by `_of` from
+    the terms; `coords` decodes the polynomials."""
 
-    __slots__ = ("module", "coords", "_hash")
+    __slots__ = ("module", "terms", "_hash")
 
     def __init__(self, module, coords):
         if len(coords) != module.rank:
             raise CoordinateCountError("coordinate count != rank")
+        width = module.ring.width
         self.module = module
-        self.coords = tuple(coords)
+        self.terms = tuple((k << width | mono, coeff)
+                           for k, poly in enumerate(coords)
+                           for mono, coeff in poly.terms)
         self._hash = None
 
+    @classmethod
+    def _of(cls, module, terms):
+        """The element of `module` with the descending term list `terms`."""
+        v = cls.__new__(cls)
+        v.module, v.terms, v._hash = module, tuple(terms), None
+        return v
+
+    @property
+    def coords(self):
+        """One polynomial per generator."""
+        module = self.module
+        width = module.ring.width
+        coords = [[] for _ in module.shifts]
+        for key, coeff in self.terms:
+            coords[key >> width].append((key & (1 << width) - 1, coeff))
+        return tuple(Polynomial(module.ring, tuple(t)) for t in coords)
+
     def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
+        return not self.terms
 
     def __bool__(self):
-        return not self.is_zero()
-
-    def _check(self, other):
-        if self.module != other.module:
-            raise RingMismatchError("elements of different free modules")
-
-    def __add__(self, other):
-        self._check(other)
-        return ModuleElement(self.module,
-                             tuple(a + b for a, b in
-                                   zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return ModuleElement(self.module,
-                             tuple(a - b for a, b in
-                                   zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return ModuleElement(self.module, tuple(-a for a in self.coords))
-
-    def term_mul(self, coeff, mono):
-        return ModuleElement(self.module,
-                             tuple(a.term_mul(coeff, mono)
-                                   for a in self.coords))
+        return bool(self.terms)
 
     def lead(self):
         """Largest term (position k, monomial, coefficient) under POT: the
-        first term of the first nonzero coordinate.  Position over term
-        puts every term of a lower position above every term of a higher
-        one, and each coordinate keeps its terms in descending order."""
-        for k, poly in enumerate(self.coords):
-            if poly.terms:
-                mono, coeff = poly.terms[0]
-                return k, mono, coeff
-        raise ZeroElementError("zero element has no lead term")
+        first term."""
+        if not self.terms:
+            raise ZeroElementError("zero element has no lead term")
+        key, coeff = self.terms[0]
+        k, mono = divmod(key, 1 << self.module.ring.width)
+        return k, mono, coeff
 
     def bidegree(self):
-        """Common bidegree d: coordinate k is bihomogeneous of d - shift_k."""
-        deg = None
-        for k, poly in enumerate(self.coords):
-            if poly.is_zero():
-                continue
-            d = poly.bidegree() + self.module.shifts[k]
+        """Common bidegree d: coordinate k is bihomogeneous of d - shift_k;
+        None for the zero element.  Compares (total, x) degrees per term."""
+        ring, shifts = self.module.ring, self.module.shifts
+        width, deg = ring.width, None
+        for key, _ in self.terms:
+            k, mono = divmod(key, 1 << width)
+            a, b = shifts[k]
+            d = (mono_degree(ring, mono) + a + b, _x_degree(ring, mono) + a)
             if deg is None:
                 deg = d
             elif deg != d:
                 raise NotBihomogeneousError(
-                    f"coordinates of bidegrees {deg} and {d}")
-        return deg  # None for the zero element
+                    f"terms of (total, x) degrees {deg} and {d}")
+        return deg and Bidegree(deg[1], deg[0] - deg[1])
 
     def __eq__(self, other):
         if not isinstance(other, ModuleElement):
             return NotImplemented
-        return self.module == other.module and self.coords == other.coords
+        return self.module == other.module and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.module, self.coords))
+            self._hash = hash((self.module, self.terms))
         return self._hash
 
     def __str__(self):
@@ -233,32 +226,15 @@ class GroebnerBasis:
 # multiplies the term by x^u.  POT descends by ascending position and
 # descending monomial, so the min-heap holds key ^ (2^width - 1), which
 # flips the monomial bits only.  A term list holds (key, coeff) pairs in
-# descending order.
-
-
-def _terms(v):
-    """The term dict {position << width | monomial: coeff} of an element,
-    in descending order."""
-    width = v.module.ring.width
-    return {k << width | mono: coeff
-            for k, poly in enumerate(v.coords) for mono, coeff in poly.terms}
-
-
-def _element(module, terms):
-    """The element of `module` with the term list `terms`."""
-    coords = [[] for _ in module.shifts]
-    for key, coeff in terms:
-        k, mono = divmod(key, 1 << module.ring.width)
-        coords[k].append((mono, coeff))
-    return ModuleElement(module, tuple(Polynomial(module.ring, tuple(t))
-                                       for t in coords))
+# descending order, as ModuleElement.terms does.
 
 
 class _Divisors:
-    """Division table of monic elements of `module`, extended in place by
-    their descending term lists: each element's lead (position, monomial,
-    coefficient) and its tail, a term list, and per lead position the
-    (index, lead key) of the elements leading there, in ascending index."""
+    """Division table of the monic multiples of nonzero elements of
+    `module`, extended in place by their descending term lists: each
+    element's lead (position, monomial, 1) and its tail, a term list, and
+    per lead position the (index, lead key) of the elements leading
+    there, in ascending index."""
 
     __slots__ = ("module", "leads", "tails", "by_position")
 
@@ -266,13 +242,17 @@ class _Divisors:
         self.module = module
         self.leads, self.tails, self.by_position = [], [], {}
         for g in elements:
-            self.append(list(_terms(g).items()))
+            self.append(g.terms)
 
     def append(self, terms):
+        ring = self.module.ring
         key, coeff = terms[0]
-        k, mono = divmod(key, 1 << self.module.ring.width)
+        if coeff != 1:
+            inv = pow(coeff, -1, ring.p)
+            terms = [(t, c * inv % ring.p) for t, c in terms]
+        k, mono = divmod(key, 1 << ring.width)
         self.by_position.setdefault(k, []).append((len(self.leads), key))
-        self.leads.append((k, mono, coeff))
+        self.leads.append((k, mono, 1))
         self.tails.append(terms[1:])
 
 
@@ -284,8 +264,9 @@ def _divide(module, work, table, with_quotients=False):
     is sum q_i * g_i + remainder over the table's elements g_i, no
     remainder term divisible by any lead term of the divisors; each term
     goes to the first divisor whose lead divides it.  The remainder is a
-    term list, empty when v reduces to zero, and the quotients
-    (Polynomials) are built only on request, else None.  A lazy-deletion
+    term list, empty when v reduces to zero, and the quotients, one
+    descending (monomial, coeff) list per divisor, are kept only on
+    request, else None.  A lazy-deletion
     heap over the dict's keys (Monagan & Pearce, CASC 2007) makes each
     reduction step one pass over a divisor's tail, not a renormalization.
     Terms pop in strictly descending order, and each divisor's multipliers
@@ -327,8 +308,6 @@ def _divide(module, work, table, with_quotients=False):
                     work[t] = new
                 else:
                     del work[t]
-    if quotients is not None:
-        quotients = [Polynomial(ring, tuple(q)) for q in quotients]
     return quotients, remainder
 
 
@@ -350,16 +329,17 @@ def _spair(table, i, j, ui, uj):
 
 def normal_form(v: ModuleElement, G) -> ModuleElement:
     """Remainder of v on division by G (a GroebnerBasis or a sequence of
-    monic elements); no term divisible by a lead of G."""
-    if isinstance(G, GroebnerBasis):
-        G, table = G.elements, G._divisors
-    else:
-        table = _Divisors(v.module, G)
-    if not G:
-        return v
-    if G[0].module != v.module:
-        raise RingMismatchError("element and basis in different modules")
-    return _element(v.module, _divide(v.module, _terms(v), table)[1])
+    nonzero elements of v's module); no term divisible by a lead of G.
+    Dividing by the monic multiples of G leaves the same remainder."""
+    basis = isinstance(G, GroebnerBasis)
+    for g in G.elements if basis else G:
+        if g.module != v.module:
+            raise RingMismatchError("element and divisor in different modules")
+        if not g:
+            raise ZeroElementError("division by the zero element")
+    table = G._divisors if basis else _Divisors(v.module, G)
+    return ModuleElement._of(v.module,
+                             _divide(v.module, dict(v.terms), table)[1])
 
 
 def buchberger(gens, module=None) -> GroebnerBasis:
@@ -376,16 +356,17 @@ def buchberger(gens, module=None) -> GroebnerBasis:
             raise RingMismatchError("generator of another free module")
         g.bidegree()    # raises NotBihomogeneousError on mixed input
     return GroebnerBasis(module, tuple(
-        _element(module, terms)
-        for terms in _buchberger(module, [_terms(g) for g in gens])))
+        ModuleElement._of(module, terms)
+        for terms in _buchberger(module, [dict(g.terms) for g in gens])))
 
 
 def _buchberger(module, gens):
     """The reduced Groebner basis of the submodule of `module` generated
     by the consumed nonzero term dicts `gens`, bihomogeneous and descending
-    (see _terms): its term lists, monic, in descending order of leads."""
+    (see ModuleElement.terms): its term lists, monic, in descending order
+    of leads."""
     ring = module.ring
-    p, width = ring.p, ring.width
+    width = ring.width
     flip = (1 << width) - 1
     shifts = [s.total for s in module.shifts]
     table = _Divisors(module)
@@ -399,10 +380,7 @@ def _buchberger(module, gens):
     heapq.heapify(queue)
 
     def append(terms):
-        key, coeff = terms[0]
-        if coeff != 1:
-            inv = pow(coeff, -1, p)
-            terms = [(t, c * inv % p) for t, c in terms]
+        key = terms[0][0]
         h = len(leads)
         hk, hm = key >> width, key & flip
         if h and (mono_degree(ring, hm) + shifts[hk]
@@ -503,14 +481,16 @@ def syzygies(G: GroebnerBasis):
     of G, so by Buchberger's criterion on that generating set, each of
     their S-pairs reducing to zero proves that G is a Groebner basis; a
     remainder raises InvariantError.
+
+    Every term of the S-pair, so every quotient term q*lt g_k, lies below
+    u_ij*lt g_i = u_ji*lt g_j, so u_ij and -u_ji lead their positions of
+    S_ij, above the negated quotients.
     """
-    elems = G.elements
-    if not elems:
-        return []
     ring = G.module.ring
+    p, width = ring.p, ring.width
     syz_module = FreeModule(ring, G.shifts)
     out = []
-    for i in range(len(elems)):
+    for i in range(len(G.elements)):
         for j, ui, uj in _frame_pairs(G._divisors, i):
             quotients, rem = _divide(G.module,
                                      _spair(G._divisors, i, j, ui, uj),
@@ -518,12 +498,15 @@ def syzygies(G: GroebnerBasis):
             if rem:
                 raise InvariantError(
                     "S-pair of a Groebner basis did not reduce")
-            coords = [-q for q in quotients]
-            coords[i] = coords[i] + Polynomial(ring, ((ui, 1),))
-            coords[j] = coords[j] - Polynomial(ring, ((uj, 1),))
-            s = ModuleElement(syz_module, tuple(coords))
-            if s:
-                out.append(s)
+            terms = []
+            for k, q in enumerate(quotients):
+                pos = k << width
+                if k == i:
+                    terms.append((pos | ui, 1))
+                elif k == j:
+                    terms.append((pos | uj, p - 1))
+                terms += [(pos | mono, p - c) for mono, c in q]
+            out.append(ModuleElement._of(syz_module, terms))
     return out
 
 
@@ -562,8 +545,8 @@ def minimal_elements(G: GroebnerBasis):
                 continue
             quotients, _ = _divide(G.module, _spair(table, i, j, ui, uj),
                                    table, True)
-            _insert(pivots[d], {k: quotients[k].terms[0][1] for k in ks
-                                if quotients[k].terms}, ring.p)
+            _insert(pivots[d], {k: quotients[k][0][1] for k in ks
+                                if quotients[k]}, ring.p)
     dropped = {k for rows in pivots.values() for k in rows}
     return [k for k in range(len(elems)) if k not in dropped]
 
@@ -581,14 +564,27 @@ def kernel_basis(columns, src: FreeModule) -> GroebnerBasis:
     """Reduced Groebner basis of the kernel of the map F_src -> F_tgt whose
     l-th column is columns[l], of bidegree src.shifts[l].  The graph
     generators reach the Buchberger loop as term dicts, and only the basis
-    elements that lead past F_tgt are built, shifted down to F_src."""
+    elements that lead past F_tgt are built, shifted down to F_src.  The
+    input is checked: one column per shift (else CoordinateCountError), in
+    one free module over src's ring (RingMismatchError), each nonzero one
+    of the bidegree of its shift (DegreeMismatchError)."""
+    if len(columns) != src.rank:
+        raise CoordinateCountError(
+            f"{len(columns)} columns for {src.rank} generators")
     if not columns:
         return GroebnerBasis(src, ())
-    width, rt = src.ring.width, columns[0].module.rank
-    big = FreeModule(src.ring, columns[0].module.shifts + src.shifts)
-    graph = [_terms(col) | {(rt + l) << width: 1}
+    tgt = columns[0].module
+    if tgt.ring != src.ring or any(col.module != tgt for col in columns):
+        raise RingMismatchError("columns of different free modules")
+    for col, shift in zip(columns, src.shifts):
+        if col and col.bidegree() != shift:
+            raise DegreeMismatchError(
+                f"column of bidegree {col.bidegree()} for the shift {shift}")
+    width, rt = src.ring.width, tgt.rank
+    big = FreeModule(src.ring, tgt.shifts + src.shifts)
+    graph = [dict(col.terms) | {(rt + l) << width: 1}
              for l, col in enumerate(columns)]
     low = rt << width
     return GroebnerBasis(src, tuple(
-        _element(src, [(key - low, coeff) for key, coeff in terms])
+        ModuleElement._of(src, [(key - low, coeff) for key, coeff in terms])
         for terms in _buchberger(big, graph) if terms[0][0] >= low))

@@ -18,8 +18,8 @@ the leads of its basis.  From it we read off graded Betti numbers (the
 shifts of each level), projective dimension and depth
 (Auslander-Buchsbaum), and the graded dimensions and Krull dimension of
 every Ext^j(M, omega), from the Hilbert numerators of the cokernels of the
-dual maps: FreeResolution.dual(j) hands the rows of maps[j] to
-InitialModule as they stand, as a minimal resolution has no unit entry.
+dual maps: FreeResolution.dual(j) regroups the terms of the columns of
+maps[j] into rows for InitialModule, as a minimal resolution has no unit.
 ext_presentation builds the Ext module itself where a caller needs more
 than its dimensions, as a subquotient that keeps its units.  Units are
 eliminated in one place, _prune in initial_module, which every reader of a
@@ -39,7 +39,6 @@ from .groebner import (
     GroebnerBasis,
     ModuleElement,
     _divide,
-    _terms,
     buchberger,
     kernel_basis,
     minimal_elements,
@@ -101,12 +100,6 @@ class Presentation:
     @property
     def source(self):
         return FreeModule(self.ring, self.rels)
-
-    def columns(self):
-        tgt = self.target
-        return [ModuleElement(tgt, tuple(self.matrix[k][l]
-                                         for k in range(len(self.gens))))
-                for l in range(len(self.rels))]
 
     def __str__(self):
         return (f"presentation over {self.ring}: {len(self.gens)} gens "
@@ -356,8 +349,9 @@ def initial_module(P: Presentation) -> InitialModule:
 
 @dataclass(frozen=True)
 class FreeResolution:
-    """F_0 <- F_1 <- ... <- F_len with maps[i] : modules[i+1] -> modules[i];
-    coker(maps[0]) is the resolved module.
+    """F_0 <- F_1 <- ... <- F_len with maps[i] : modules[i+1] -> modules[i],
+    held as its columns, elements of modules[i]; coker(maps[0]) is the
+    resolved module.
 
     Ext^j(M, omega) is the cohomology at G^j of the dual complex G^j =
     Hom(F_j, omega) = (+) S(s - c) over the shifts s of F_j, c the
@@ -366,9 +360,9 @@ class FreeResolution:
     dim Ext^j_d = dim coker(delta_j)_d + dim coker(delta_(j-1))_d
     - dim G^(j+1)_d, with coker(delta_(-1)) = G^0 and coker(delta_len) = 0.
     The Hilbert numerator of each coker(delta_j) comes from one initial
-    module on the columns of delta_j, the rows of maps[j] as they stand:
-    a minimal resolution has no unit entry, so nothing is pruned.  It is
-    built on first use and kept here."""
+    module on the columns of delta_j: a minimal resolution has no unit
+    entry, so nothing is pruned.  It is built on first use and kept
+    here."""
 
     ring: object
     modules: tuple
@@ -390,15 +384,20 @@ class FreeResolution:
     def dual(self, j):
         """delta_j : G^j -> G^(j+1) as (G^(j+1), its columns), the target
         and relations of coker(delta_j): G^(j+1) has the degrees c - s
-        over the shifts s of F_(j+1), and column l, of degree c - s_l over
-        the shifts of F_j, is row l of maps[j].  The zero map outside
-        0..len-1, so coker(delta_(-1)) = G^0 and coker(delta_len) = 0."""
+        over the shifts s of F_(j+1), and column k, of degree c - s_k over
+        the shifts of F_j, is row k of maps[j]: the terms in position k of
+        the columns l of maps[j], moved to position l, which in ascending l
+        come out descending.  The zero map outside 0..len-1, so
+        coker(delta_(-1)) = G^0 and coker(delta_len) = 0."""
         c = self.ring.canonical_degree
         target = FreeModule(self.ring,
                             tuple(c - s for s in self.shifts(j + 1)))
-        rows = (self.maps[j] if 0 <= j < self.length
-                else [() for _ in self.shifts(j)])
-        return target, [ModuleElement(target, row) for row in rows]
+        width, rows = self.ring.width, [[] for _ in self.shifts(j)]
+        for l, col in enumerate(self.maps[j] if 0 <= j < self.length else ()):
+            for key, coeff in col.terms:
+                k = key >> width
+                rows[k].append((key + (l - k << width), coeff))
+        return target, [ModuleElement._of(target, row) for row in rows]
 
     def _dual_cokernel(self, j):
         """The Hilbert numerator of coker(delta_j)."""
@@ -456,14 +455,11 @@ def resolve(P: Presentation) -> FreeResolution:
         if len(maps) >= ring.nvars + _RESOLUTION_LENGTH_SLACK:
             raise InvariantError("resolution did not terminate; "
                                  "syzygy chain exceeded the variable bound")
-        maps.append([basis.elements[l] for l in keep])
+        maps.append(tuple(basis.elements[l] for l in keep))
         shifts.append(tuple(basis.shifts[l] for l in keep))
         basis = kernel_basis(maps[-1], FreeModule(ring, shifts[-1]))
-    modules = tuple(FreeModule(ring, s) for s in shifts)
-    return FreeResolution(ring, modules, tuple(
-        tuple(tuple(col.coords[k] for col in columns)
-              for k in range(len(target)))
-        for columns, target in zip(maps, shifts)))
+    return FreeResolution(ring, tuple(FreeModule(ring, s) for s in shifts),
+                          tuple(maps))
 
 
 def minimal_presentation(P: Presentation) -> Presentation:
@@ -471,9 +467,10 @@ def minimal_presentation(P: Presentation) -> Presentation:
     no unit entry and no redundant relation.  Nonzero iff the result has a
     generator."""
     res = resolve(P)
+    columns = [col.coords for col in res.maps[0]] if res.maps else []
     return Presentation(P.ring, res.shifts(0), res.shifts(1),
-                        res.maps[0] if res.maps
-                        else tuple(() for _ in res.shifts(0)))
+                        tuple(tuple(col[k] for col in columns)
+                              for k in range(len(res.shifts(0)))))
 
 
 # ---------------------------------------------------------------------------
@@ -539,24 +536,29 @@ def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:
     Schreyer frame of the basis as relations, as they stand: units are left
     to initial_module."""
     src = FreeModule(span.module.ring, span.shifts)
+    width = src.ring.width
     columns = []
     for s in sub_elements:
         if not s:
             continue
-        quotients, rem = _divide(s.module, _terms(s), span._divisors, True)
+        quotients, rem = _divide(s.module, dict(s.terms), span._divisors,
+                                 True)
         if rem:
             raise InvariantError(
                 "submodule generator outside the ambient span")
-        columns.append(ModuleElement(src, tuple(quotients)))
+        columns.append(ModuleElement._of(src, [
+            (k << width | mono, coeff)
+            for k, q in enumerate(quotients) for mono, coeff in q]))
     # the relations among the span's elements from its Schreyer frame: one
     # kernel_basis of those elements instead made ext_presentation slower,
     # 0.53-0.70 s against 0.38-0.42 s for five passes over the Ext modules
     # of the euler and ext_window benchmark inputs at seeds 3, 5 and 11
     # (2-vCPU host)
     columns.extend(syzygies(span))
+    coords = [c.coords for c in columns]
     return Presentation(src.ring, src.shifts,
                         tuple(c.bidegree() for c in columns),
-                        tuple(tuple(c.coords[k] for c in columns)
+                        tuple(tuple(col[k] for col in coords)
                               for k in range(src.rank)))
 
 

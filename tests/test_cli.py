@@ -22,6 +22,7 @@ from bicoh.resolution import (
     resolve,
 )
 from bicoh.tables import Window
+from test_groebner import _columns
 from test_resolution import _dense_quotient
 
 
@@ -233,9 +234,9 @@ def test_cli_emit_writes_minimal_basis_elements(tmp_path, capsys):
     save_module(path, redundant)
     assert main(["resolve", "--module", str(path), "--emit", str(out)]) == 0
     emitted = load_module(out)
-    basis = buchberger(M.columns(), module=M.target)
+    basis = buchberger(_columns(M), module=M.target)
     assert len(emitted.rels) == 3
-    assert {str(c) for c in emitted.columns()} <= \
+    assert {str(c) for c in _columns(emitted)} <= \
         {str(g) for g in basis.elements}
     window = Window(0, 4, 0, 4)
     assert hilbert_table(emitted, window) == hilbert_table(M, window)

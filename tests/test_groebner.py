@@ -9,6 +9,7 @@ import bicoh.groebner as groebner
 from bicoh.errors import (
     BicohError,
     CoordinateCountError,
+    DegreeMismatchError,
     InvariantError,
     NoGeneratorsError,
     RingMismatchError,
@@ -57,6 +58,35 @@ def _zero_element(F):
 def _poly_mul(v, f):
     """The element f * v."""
     return ModuleElement(v.module, tuple(f * a for a in v.coords))
+
+
+def _term_mul(v, coeff, mono):
+    """The element coeff * x^mono * v."""
+    return ModuleElement(v.module, tuple(a.term_mul(coeff, mono)
+                                         for a in v.coords))
+
+
+def _add(v, w):
+    return ModuleElement(v.module, tuple(a + b for a, b in
+                                         zip(v.coords, w.coords)))
+
+
+def _sub(v, w):
+    return ModuleElement(v.module, tuple(a - b for a, b in
+                                         zip(v.coords, w.coords)))
+
+
+def _unit_element(F, k):
+    """The k-th generator e_k of the free module F."""
+    coords = [F.ring.zero()] * F.rank
+    coords[k] = F.ring.one()
+    return ModuleElement(F, tuple(coords))
+
+
+def _columns(P):
+    """The columns of a presentation's matrix, elements of its target."""
+    return [ModuleElement(P.target, tuple(row[l] for row in P.matrix))
+            for l in range(len(P.rels))]
 
 
 def _kernel_presentation(src: FreeModule, tgt: FreeModule, matrix):
@@ -150,7 +180,7 @@ def _reduced(module, basis):
     """The reduced basis that groebner._reduce_basis makes of a minimal
     basis, as elements."""
     terms = groebner._reduce_basis(module, groebner._Divisors(module, basis))
-    return GroebnerBasis(module, tuple(groebner._element(module, t)
+    return GroebnerBasis(module, tuple(ModuleElement._of(module, t)
                                        for t in terms))
 
 
@@ -179,8 +209,8 @@ def _all_pairs_buchberger(gens, module=None):
         append(g)
     while pairs:
         _, i, j, ui, uj = heapq.heappop(pairs)
-        nf = normal_form(basis[i].term_mul(1, ui) - basis[j].term_mul(1, uj),
-                         basis)
+        nf = normal_form(_sub(_term_mul(basis[i], 1, ui),
+                              _term_mul(basis[j], 1, uj)), basis)
         if nf:
             append(nf)
     return _reduced(module, [basis[i] for i in
@@ -212,11 +242,12 @@ def _all_pairs_syzygies(G):
             if data is None:
                 continue
             _, ui, uj = data
-            spair = elems[i].term_mul(1, ui) - elems[j].term_mul(1, uj)
+            spair = _sub(_term_mul(elems[i], 1, ui),
+                         _term_mul(elems[j], 1, uj))
             quotients, rem = groebner._divide(
-                spair.module, groebner._terms(spair), G._divisors, True)
+                spair.module, dict(spair.terms), G._divisors, True)
             assert not rem
-            coords = [-q for q in quotients]
+            coords = [-Polynomial(ring, tuple(q)) for q in quotients]
             coords[i] = coords[i] + Polynomial(ring, ((ui, 1),))
             coords[j] = coords[j] - Polynomial(ring, ((uj, 1),))
             s = ModuleElement(syz_module, tuple(coords))
@@ -251,7 +282,7 @@ def _rung_relations():
     """The relations of the (3,3) rung of the scale ladder."""
     (P,) = random_quotients(RingSpec(3, 3), 1, 7, max_rels=4,
                             max_degree=(3, 2))
-    return P.columns(), P.target
+    return _columns(P), P.target
 
 
 def test_lead_is_position_over_term(r22):
@@ -266,7 +297,8 @@ def test_lead_is_position_over_term(r22):
 def test_bad_arguments_are_typed_errors(r22):
     # each is a BicohError (one error line, exit 2) and the ValueError
     # that callers catch; buchberger refuses a generator of another free
-    # module: of another rank, another shift or another field
+    # module: of another rank, another shift or another field; normal_form
+    # checks every divisor, not only the first
     F = FreeModule(r22, ((0, 0), (1, 0)))
     S = FreeModule(r22, ((0, 0),))
     f = elem(S, "x1*y1")
@@ -277,7 +309,10 @@ def test_bad_arguments_are_typed_errors(r22):
              (RingMismatchError, lambda: buchberger([f], module=F)),
              (RingMismatchError, lambda: buchberger(
                  [f], module=FreeModule(r22, ((1, 0),)))),
-             (RingMismatchError, lambda: buchberger([f], module=over_3)))
+             (RingMismatchError, lambda: buchberger([f], module=over_3)),
+             (ZeroElementError, lambda: normal_form(f, [_zero_element(S)])),
+             (RingMismatchError, lambda: normal_form(
+                 f, [elem(S, "x1"), elem(F, "x1", "0")])))
     for error, call in cases:
         with pytest.raises(error) as caught:
             call()
@@ -406,10 +441,10 @@ def test_padded_generators_give_the_all_pairs_basis(data, p):
     # that reaches the interreduction is minimal
     rng, F, gens = _drawn_gens(data, p)
     ring = F.ring
-    padding = [g.term_mul(rng.randrange(1, p), rng.choice(monomial_basis(
+    padding = [_term_mul(g, rng.randrange(1, p), rng.choice(monomial_basis(
                    ring, (rng.randint(0, 1), rng.randint(0, 1)))))
                for g in gens]
-    padding += [a + b for a in gens for b in gens
+    padding += [_add(a, b) for a in gens for b in gens
                 if a.bidegree() == b.bidegree()]
     padded = data.draw(st.permutations(gens + padding + gens))
     seen = []
@@ -470,7 +505,7 @@ def test_generator_reducing_to_zero_forms_no_s_pair(data, p):
     u = ring.monomial((top, 0, 0, 0))
     with pytest.MonkeyPatch.context() as mp:
         _spy(mp, "_spair", padded)
-        assert buchberger(gens + [g.term_mul(1, u) for g in gens],
+        assert buchberger(gens + [_term_mul(g, 1, u) for g in gens],
                           module=F) == gb
     assert [args[1:] for args in padded] == [args[1:] for args in plain]
 
@@ -480,7 +515,7 @@ def test_degree_decrease_raises(r22, monkeypatch):
     # in its place would break the order that keeps the basis minimal
     F = FreeModule(r22, ((0, 0),))
     monkeypatch.setattr(groebner, "_spair",
-                        lambda *args: groebner._terms(elem(F, "y1")))
+                        lambda *args: dict(elem(F, "y1").terms))
     with pytest.raises(InvariantError, match="lower degree"):
         buchberger([elem(F, "x1^2"), elem(F, "x1*x2")])
 
@@ -528,6 +563,37 @@ def test_membership_through_normal_form(r22):
         others = gb.elements[:i] + gb.elements[i + 1:]
         assert normal_form(g, others) == g
         assert normal_form(g, gb).is_zero()
+
+
+def test_normal_form_divides_by_the_monic_multiples():
+    # the remainder on division by 2*x1 + x2 over F_7 is that on division
+    # by its monic multiple x1 + 4*x2, the reduced basis it spans
+    ring = RingSpec(2, 2, p=7)
+    F = FreeModule(ring, ((0, 0),))
+    v, g = elem(F, "x1*y1 + x2*y1"), elem(F, "2*x1 + x2")
+    assert normal_form(v, [g]) == elem(F, "-3*x2*y1") == \
+        normal_form(v, buchberger([g]))
+
+
+def test_kernel_basis_checks_its_input(r22):
+    # one shift per column, one free module over the ring of the source,
+    # and each nonzero column of the bidegree of its shift
+    F = FreeModule(r22, ((0, 0),))
+    columns = [elem(F, "x1"), elem(F, "y1")]
+    over_3 = FreeModule(RingSpec(2, 2, p=3), ((1, 0), (0, 1)))
+    cases = ((CoordinateCountError, columns, FreeModule(r22, ((1, 0),))),
+             (RingMismatchError, columns, over_3),
+             (RingMismatchError,
+              [columns[0], elem(FreeModule(r22, ((1, 0),)), "x1")],
+              FreeModule(r22, ((1, 0), (2, 0)))),
+             (DegreeMismatchError, columns,
+              FreeModule(r22, ((0, 0), (0, 0)))))
+    for error, cols, src in cases:
+        with pytest.raises(error):
+            kernel_basis(cols, src)
+    assert kernel_basis([_zero_element(F), columns[1]],
+                        FreeModule(r22, ((5, 5), (0, 1)))).elements == \
+        (elem(FreeModule(r22, ((5, 5), (0, 1))), "1", "0"),)
 
 
 def test_normal_form_idempotent(r22):
@@ -583,7 +649,7 @@ def test_syzygies_compose_to_zero_generally(r22):
     for s in syzygies(gb):
         acc = _zero_element(F)
         for coeff, g in zip(s.coords, gb.elements):
-            acc = acc + _poly_mul(g, coeff)
+            acc = _add(acc, _poly_mul(g, coeff))
         assert acc.is_zero()
 
 
@@ -642,7 +708,8 @@ def _leads_of_m_times_span(gb, d):
         if e == d:
             continue
         for u in monomial_basis(ring, d - e):
-            v = {(k, m): c for k, poly in enumerate(g.term_mul(1, u).coords)
+            v = {(k, m): c
+                 for k, poly in enumerate(_term_mul(g, 1, u).coords)
                  for m, c in poly.terms}
             while v:
                 top = min(v, key=lambda t: (t[0], -t[1]))
@@ -717,7 +784,7 @@ def test_kernel_basis_random_maps(p):
         for v in kernel.elements:
             image = _zero_element(tgt)
             for coeff, col in zip(v.coords, columns):
-                image = image + _poly_mul(col, coeff)
+                image = _add(image, _poly_mul(col, coeff))
             assert image.is_zero()
         if kernel.elements:
             assert buchberger(kernel.elements, module=src) == kernel

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 import bicoh.groebner as groebner
 from bicoh.cli import main
 from bicoh.errors import DegreeOverflowError
-from bicoh.groebner import FreeModule, GroebnerBasis, buchberger, normal_form
+from bicoh.groebner import (
+    FreeModule,
+    GroebnerBasis,
+    ModuleElement,
+    buchberger,
+    normal_form,
+)
 from bicoh.poly import (
     Bidegree,
     Polynomial,
@@ -300,7 +306,7 @@ def test_one_table_interreduction_matches_per_element(p, monkeypatch):
     def spy(module, table):
         width = module.ring.width
         seen.append((module, table.leads, [
-            groebner._element(module, [(k << width | mono, coeff)] + tail)
+            ModuleElement._of(module, [(k << width | mono, coeff)] + tail)
             for (k, mono, coeff), tail in zip(table.leads, table.tails)]))
         return reduce_basis(module, table)
 

@@ -23,7 +23,6 @@ from bicoh.groebner import (
     ModuleElement,
     buchberger,
     kernel_basis,
-    minimal_elements,
     syzygies,
 )
 from bicoh.linalg import Matrix, homology_dim, rank_of_array
@@ -57,8 +56,9 @@ from bicoh.strands import strand, strand_dim
 from bicoh.tables import Window
 from test_groebner import (
     _all_pairs_syzygies,
+    _columns,
     _kernel_presentation,
-    _rung_relations,
+    _unit_element,
 )
 
 
@@ -90,8 +90,8 @@ def test_resolution_two_relations(two_relations):
 def _assert_composites_vanish(res):
     """d_i o d_(i+1) = 0 for every pair of consecutive maps."""
     for i in range(1, res.length):
-        upper = res.maps[i]
-        lower = res.maps[i - 1]
+        upper = [col.coords for col in res.maps[i]]
+        lower = [col.coords for col in res.maps[i - 1]]
         rows = res.modules[i - 1].rank
         mid = res.modules[i].rank
         cols = res.modules[i + 1].rank
@@ -99,7 +99,7 @@ def _assert_composites_vanish(res):
             for c in range(cols):
                 acc = res.ring.zero()
                 for k in range(mid):
-                    acc = acc + lower[r][k] * upper[k][c]
+                    acc = acc + lower[k][r] * upper[c][k]
                 assert acc.is_zero(), (i, r, c)
 
 
@@ -149,6 +149,10 @@ def _has_unit(matrix):
                for row in matrix for e in row)
 
 
+def _has_unit_column(columns):
+    return _has_unit([col.coords for col in columns])
+
+
 def test_no_unit_entries_in_minimal_resolution(ring, xy):
     x1, x2, y1, y2 = xy
     M = quotient_by_polys(ring, [x1 * y1 + x2 * y2, x1 * y2, x2 * y1])
@@ -156,8 +160,8 @@ def test_no_unit_entries_in_minimal_resolution(ring, xy):
     assert any(_has_unit(N.matrix) for N in modules)
     for N in modules:
         res = resolve(N)
-        assert not any(_has_unit(A) for A in res.maps), str(N)
-        rows, _, _ = resolution._prune([c.coords for c in N.columns()],
+        assert not any(_has_unit_column(A) for A in res.maps), str(N)
+        rows, _, _ = resolution._prune([c.coords for c in _columns(N)],
                                        len(N.gens))
         assert len(res.shifts(0)) == len(rows), str(N)
     for p in (2, 3, 32003):
@@ -202,7 +206,10 @@ def test_alternating_sums_match_hilbert(ring, xy, two_relations):
 
 def _map_data(res, i):
     """(source module, target module, matrix) of d_i : F_i -> F_{i-1}."""
-    return res.modules[i], res.modules[i - 1], res.maps[i - 1]
+    tgt = res.modules[i - 1]
+    columns = [col.coords for col in res.maps[i - 1]]
+    return res.modules[i], tgt, tuple(tuple(col[k] for col in columns)
+                                      for k in range(tgt.rank))
 
 
 def _raw_resolution(P):
@@ -211,11 +218,10 @@ def _raw_resolution(P):
     referees every number read off the pruned resolution."""
     ring = P.ring
     modules, maps = [P.target], []
-    elements = [c for c in P.columns() if c]
+    elements = [c for c in _columns(P) if c]
     while elements:
         gb = buchberger(elements, module=modules[-1])
-        maps.append(tuple(tuple(g.coords[k] for g in gb.elements)
-                          for k in range(modules[-1].rank)))
+        maps.append(gb.elements)
         modules.append(FreeModule(ring, gb.shifts))
         elements = syzygies(gb)
     return FreeResolution(ring, tuple(modules), tuple(maps))
@@ -230,7 +236,7 @@ def _resolve_by_frames(P, frame=syzygies):
     ambient = P.target
     shifts = [P.gens]
     maps = []
-    elements = [c for c in P.columns() if c]
+    elements = [c for c in _columns(P) if c]
     while elements:
         gb = buchberger(elements, module=ambient)
         rows, cols, basis = resolution._prune(
@@ -247,8 +253,8 @@ def _resolve_by_frames(P, frame=syzygies):
         shifts.pop()
     modules = tuple(FreeModule(ring, s) for s in shifts)
     return FreeResolution(ring, modules, tuple(
-        tuple(tuple(col[k] for col in columns) for k in range(len(target)))
-        for columns, target in zip(maps, shifts)))
+        tuple(ModuleElement(target, col) for col in columns)
+        for columns, target in zip(maps, modules)))
 
 
 def _shift_lists(res):
@@ -279,7 +285,7 @@ def test_resolve_matches_the_frame_referee():
     for N in referee_set:
         res, ref = resolve.__wrapped__(N), _resolve_by_frames(N)
         assert _shift_lists(res) == _shift_lists(ref), str(N)
-        assert not any(_has_unit(A) for A in res.maps), str(N)
+        assert not any(_has_unit_column(A) for A in res.maps), str(N)
         _assert_composites_vanish(res)
     assert len(referee_set) == 557
 
@@ -770,7 +776,7 @@ def _span_rank(ambient, elements, d):
 def test_quotient_presentation_dims(ring, hypersurface):
     tgt = FreeModule(ring, ((0, 0),))
     sub = [ModuleElement(tgt, (parse_poly("x1*y1", ring),))]
-    full = buchberger([tgt.unit_element(0)])
+    full = buchberger([_unit_element(tgt, 0)])
     P = quotient_presentation(sub, full)
     assert hilbert_dim(P, (1, 1)) == 3
     for d in Window(0, 3, 0, 3).cells():
@@ -850,7 +856,7 @@ def test_kernel_of_the_last_dual_map_is_the_unit_basis():
         _, columns = res.dual(res.length)
         several += mid.rank > 1
         assert kernel_basis(columns, mid) == GroebnerBasis(
-            mid, tuple(mid.unit_element(k) for k in range(mid.rank))), str(M)
+            mid, tuple(_unit_element(mid, k) for k in range(mid.rank))), str(M)
     assert several
 
 
@@ -899,72 +905,31 @@ def test_dual_cokernels_match_the_ext_presentation_referee(
     assert len(reached) > 50 and pairs > 4 * len(reached)
 
 
-def test_only_the_returned_bases_become_elements(monkeypatch):
-    # S-pairs, interreduction tails, input generators and the initial
-    # module's monomials reach groebner._divide as packed term dicts and
-    # leave it as term lists, so over the euler-shaped dense quotients
-    # (resolutions, Ext modules and the normal forms of lead monomials)
-    # and the (3,3) rung (basis, frame syzygies, minimal elements) the
-    # Buchberger loop builds no element, and buchberger and kernel_basis
-    # build one per element of the basis they return
+def test_resolution_and_ext_dimensions_build_no_polynomial(monkeypatch):
+    # resolve keeps each map as its column elements, which hold packed
+    # term lists, and the dual maps regroup their keys, so over the
+    # euler-shaped dense quotients the resolution and every Ext dimension
+    # and Krull dimension read off its dual cokernels build no Polynomial
     built = [0]
-    init = ModuleElement.__init__
+    init = Polynomial.__init__
 
-    def counted_init(self, module, coords):
+    def counted(self, ring, terms):
         built[0] += 1
-        init(self, module, coords)
+        init(self, ring, terms)
 
-    calls = []      # (name, elements built, elements returned)
-
-    def spied(name, fn):
-        def spy(*args, **kwargs):
-            before = built[0]
-            out = fn(*args, **kwargs)
-            calls.append((name, built[0] - before,
-                          len(out.elements) if name != "loop" else 0))
-            return out
-        return spy
-
-    kinds = set()
-
-    def typed(name, fn, part):
-        def spy(*args):
-            out = fn(*args)
-            kinds.add((name, type(part(out))))
-            return out
-        return spy
-
-    monkeypatch.setattr(ModuleElement, "__init__", counted_init)
-    for module, name, fn in (
-            (groebner, "_buchberger", spied("loop", groebner._buchberger)),
-            (groebner, "buchberger", spied("buchberger", buchberger)),
-            (resolution, "buchberger", spied("buchberger", buchberger)),
-            (groebner, "kernel_basis", spied("kernel_basis", kernel_basis)),
-            (resolution, "kernel_basis",
-             spied("kernel_basis", kernel_basis)),
-            (groebner, "_divide",
-             typed("_divide", groebner._divide, lambda out: out[1])),
-            (resolution, "_divide",
-             typed("_divide", groebner._divide, lambda out: out[1])),
-            (groebner, "_spair",
-             typed("_spair", groebner._spair, lambda out: out))):
-        monkeypatch.setattr(module, name, fn)
-    for seed, degrees in enumerate(_EULER_PATTERNS):
-        M = _dense_quotient((2, 2), degrees, seed)
-        layer = initial_module.__wrapped__(M)
-        for k, mono, _ in layer.leads:
-            layer.nf(k, mono)
+    modules = [_dense_quotient((2, 2), degrees, seed)
+               for seed, degrees in enumerate(_EULER_PATTERNS)]
+    cells = list(Window(-4, 4, -4, 4).cells())
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    counts = []
+    for M in modules:
+        built[0] = 0
         res = resolve.__wrapped__(M)
-        for j in range(res.length + 1):
-            ext_presentation(M, j)
-    columns, target = _rung_relations()
-    gb = groebner.buchberger(columns, module=target)
-    syzygies(gb)
-    minimal_elements(gb)
-    assert {name for name, _, _ in calls} == \
-        {"loop", "buchberger", "kernel_basis"}
-    assert all(made == size for _, made, size in calls), calls
-    assert kinds == {("_divide", list), ("_spair", dict)}
+        for j in range(-1, res.length + 2):
+            res.ext_dims(j, cells)
+            res.ext_krull_dim(j)
+        counts.append(built[0])
+    assert counts == [0] * len(modules)
 
 
 def count_ext_builds(monkeypatch):
