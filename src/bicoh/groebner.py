@@ -115,14 +115,16 @@ class FreeModule:
 class ModuleElement:
     """Element of a FreeModule, held as its terms: a tuple of (position <<
     width | monomial, coefficient) pairs in descending order (see
-    _divide).  Built from one polynomial per generator, or by `_of` from
-    the terms; `coords` decodes the polynomials."""
+    _divide).  Built from one polynomial per generator, each over the
+    module's ring, or by `_of` from the terms; `coords` decodes them."""
 
     __slots__ = ("module", "terms", "_hash")
 
     def __init__(self, module, coords):
         if len(coords) != module.rank:
             raise CoordinateCountError("coordinate count != rank")
+        if any(poly.ring != module.ring for poly in coords):
+            raise RingMismatchError("coordinate over another ring")
         width = module.ring.width
         self.module = module
         self.terms = tuple((k << width | mono, coeff)

@@ -8,14 +8,16 @@
     rels=(1,1): x1*y1, 0
 
 `gens=` lists one (a,b) shift per generator; each `rels=` line is one
-relation: its source shift, a colon, then one polynomial per generator,
-comma separated.  An absent or empty rels section gives a free module.
+relation column: its source shift, a colon, then one polynomial per
+generator, comma separated, and nothing after the colon when there is no
+generator.  An absent or empty rels section gives a free module.
 `p`, `m`, `n` and `gens` appear at most once; `rels=` may repeat.
 """
 
 import re
 
 from .errors import FormatError, ParseError
+from .groebner import FreeModule, ModuleElement
 from .linalg import DEFAULT_PRIME
 from .poly import Bidegree, RingSpec, parse_poly
 from .resolution import Presentation
@@ -84,6 +86,7 @@ def load_module(path) -> Presentation:
         raise FormatError(str(exc)) from exc
     if gens is None:
         raise FormatError("missing gens= line")
+    target = FreeModule(ring, gens)
     rels = []
     columns = []
     for lineno, body in rel_lines:
@@ -95,7 +98,7 @@ def load_module(path) -> Presentation:
         if len(shift) != 1:
             raise FormatError(f"line {lineno}: exactly one source shift "
                               "per relation")
-        entries = entries_part.split(",")
+        entries = entries_part.split(",") if entries_part.strip() else []
         if len(entries) != len(gens):
             raise FormatError(
                 f"line {lineno}: {len(entries)} entries for "
@@ -105,18 +108,16 @@ def load_module(path) -> Presentation:
         except ParseError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
         rels.append(shift[0])
-        columns.append(column)
-    matrix = tuple(tuple(columns[l][k] for l in range(len(rels)))
-                   for k in range(len(gens)))
-    return Presentation(ring, tuple(gens), tuple(rels), matrix)
+        columns.append(ModuleElement(target, column))
+    return Presentation(ring, target.shifts, tuple(rels), columns)
 
 
 def save_module(path, P: Presentation):
     ring = P.ring
     lines = [f"p={ring.p}", f"m={ring.m}", f"n={ring.n}"]
     lines.append("gens=" + ",".join(f"({g.a},{g.b})" for g in P.gens))
-    for l, shift in enumerate(P.rels):
-        entries = ", ".join(str(P.matrix[k][l]) for k in range(len(P.gens)))
+    for shift, col in zip(P.rels, P.columns):
+        entries = ", ".join(map(str, col.coords))
         lines.append(f"rels=({shift.a},{shift.b}): {entries}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

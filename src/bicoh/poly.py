@@ -330,22 +330,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def sub_mul(self, f, g):
-        """self - f*g in one pass over the products, with no intermediate
-        polynomial."""
-        self._check_ring(f)
-        f._check_ring(g)
-        if not (f.terms and g.terms):
-            return self
-        _check_degree(self.ring, f.terms[0][0] + g.terms[0][0])
-        d = dict(self.terms)
-        get = d.get
-        for e1, c1 in f.terms:
-            for e2, c2 in g.terms:
-                e = e1 + e2
-                d[e] = get(e, 0) - c1 * c2
-        return Polynomial.from_dict(self.ring, d)
-
     def scale(self, c):
         c %= self.ring.p
         if c == 0:
@@ -355,17 +339,6 @@ class Polynomial:
         p = self.ring.p
         return Polynomial(self.ring,
                           tuple((e, (k * c) % p) for e, k in self.terms))
-
-    def term_mul(self, coeff, mono):
-        """Multiply by the single term coeff * x^mono."""
-        coeff %= self.ring.p
-        if coeff == 0 or not self.terms:
-            return self.ring.zero()
-        _check_degree(self.ring, self.terms[0][0] + mono)
-        p = self.ring.p
-        return Polynomial(self.ring,
-                          tuple((e + mono, (c * coeff) % p)
-                                for e, c in self.terms))
 
     def lead(self):
         """(monomial, coefficient) of the leading term."""

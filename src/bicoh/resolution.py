@@ -1,11 +1,12 @@
 """Presentations, initial modules, minimal bigraded free resolutions, and
 derived invariants.
 
-A module M is always carried as the cokernel of a shift-decorated matrix
-between free modules.  Its graded dimensions, Krull dimension and standard
-monomials come from one object per presentation, initial_module(P): the
-relations lose their units there, and InitialModule(target, relations)
-runs the one Groebner basis of what is left.  F/U and F/in(U) share their
+A module M is carried as the cokernel of its relation columns, packed
+elements of the free module on its generators (Presentation).  Its graded
+dimensions, Krull dimension and standard monomials come from one object
+per presentation, initial_module(P): the relations lose their units there
+(_prune, and nowhere else), and InitialModule(target, relations) runs the
+one Groebner basis of what is left.  F/U and F/in(U) share their
 Hilbert function (Macaulay), so the lead terms of that basis decide all
 three; the Krull dimension is the pole order at t = 1 of the Hilbert
 series (Hilbert-Serre).  Every table of graded dimensions, Ext and
@@ -19,21 +20,25 @@ shifts of each level), projective dimension and depth
 (Auslander-Buchsbaum), and the graded dimensions and Krull dimension of
 every Ext^j(M, omega), from the Hilbert numerators of the cokernels of the
 dual maps: FreeResolution.dual(j) regroups the terms of the columns of
-maps[j] into rows for InitialModule, as a minimal resolution has no unit.
+maps[j] by position for InitialModule, as a minimal resolution has no unit.
 ext_presentation builds the Ext module itself where a caller needs more
-than its dimensions, as a subquotient that keeps its units.  Units are
-eliminated in one place, _prune in initial_module, which every reader of a
-presentation goes through.
-minimal_presentation reads the first map F_1 -> F_0 off resolve(P).
-hilbert_dim, which ranks the degree-restricted relation matrix, is kept as
-an independent referee of the initial-module dimensions; no table reads it.
+than its dimensions, as a subquotient that keeps its units.
+minimal_presentation takes the first map F_1 -> F_0 of resolve(P) as its
+columns.  hilbert_dim, which ranks the degree-restricted relation columns,
+is kept as an independent referee of the initial-module dimensions.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
 
-from .errors import DegreeMismatchError, InvariantError, ZeroModuleError
+from .errors import (
+    DegreeMismatchError,
+    InvariantError,
+    NotBihomogeneousError,
+    RingMismatchError,
+    ZeroModuleError,
+)
 from .groebner import (
     FreeModule,
     GroebnerBasis,
@@ -60,38 +65,42 @@ _RESOLUTION_LENGTH_SLACK = 8
 
 @dataclass(frozen=True)
 class Presentation:
-    """M = coker(matrix : (+) S(-rels[l]) -> (+) S(-gens[k])).
-
-    matrix[k][l] is bihomogeneous of bidegree rels[l] - gens[k] (or zero)."""
+    """M = coker((+) S(-rels[l]) -> (+) S(-gens[k])), the map held as its
+    relation columns: columns[l] is an element of FreeModule(ring, gens),
+    zero or of bidegree rels[l]."""
 
     ring: object
     gens: tuple
     rels: tuple
-    matrix: tuple
+    columns: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "gens",
-                           tuple(Bidegree(*g) for g in self.gens))
-        object.__setattr__(self, "rels",
-                           tuple(Bidegree(*r) for r in self.rels))
-        if len(self.matrix) != len(self.gens):
+        target = self.target
+        object.__setattr__(self, "gens", target.shifts)
+        object.__setattr__(self, "rels", self.source.shifts)
+        object.__setattr__(self, "columns", tuple(self.columns))
+        if len(self.columns) != len(self.rels):
             raise DegreeMismatchError(
-                f"matrix has {len(self.matrix)} rows for {len(self.gens)} "
-                "generators")
-        for k, row in enumerate(self.matrix):
-            if len(row) != len(self.rels):
-                raise DegreeMismatchError(
-                    f"row {k} has {len(row)} entries for {len(self.rels)} "
-                    "relations")
-            for l, entry in enumerate(row):
-                if entry.is_zero():
-                    continue
-                want = self.rels[l] - self.gens[k]
-                got = entry.bidegree()
-                if got != want:
-                    raise DegreeMismatchError(
-                        f"entry ({k},{l}) has bidegree {got}, shifts force "
-                        f"{want}")
+                f"{len(self.columns)} columns for {len(self.rels)} "
+                "relations")
+        for l, (col, shift) in enumerate(zip(self.columns, self.rels)):
+            if col.module != target:
+                raise RingMismatchError(f"column {l} of another module")
+            try:
+                got = col.bidegree()
+            except NotBihomogeneousError as exc:
+                raise DegreeMismatchError(f"column {l}: {exc}") from exc
+            if got not in (None, shift):
+                raise DegreeMismatchError(f"column {l} has bidegree {got}, "
+                                          f"its shift is {shift}")
+
+    @property
+    def matrix(self):
+        """The map as rows of polynomials, matrix[k][l] the coordinate k
+        of columns[l]: a read-only view, which nothing in bicoh reads."""
+        coords = [col.coords for col in self.columns]
+        return tuple(tuple(c[k] for c in coords)
+                     for k in range(len(self.gens)))
 
     @property
     def target(self):
@@ -107,8 +116,7 @@ class Presentation:
 
 
 def free_presentation(ring, shifts) -> Presentation:
-    shifts = tuple(Bidegree(*s) for s in shifts)
-    return Presentation(ring, shifts, (), tuple(() for _ in shifts))
+    return Presentation(ring, tuple(shifts), (), ())
 
 
 def zero_presentation(ring) -> Presentation:
@@ -118,24 +126,26 @@ def zero_presentation(ring) -> Presentation:
 def quotient_by_polys(ring, polys) -> Presentation:
     """S / (f_1, ..., f_r) for bihomogeneous f_i."""
     polys = [f for f in polys if not f.is_zero()]
-    rels = tuple(f.bidegree() for f in polys)
-    return Presentation(ring, (Bidegree(0, 0),), rels, (tuple(polys),))
+    target = FreeModule(ring, ((0, 0),))
+    return Presentation(ring, target.shifts, [f.bidegree() for f in polys],
+                        [ModuleElement(target, (f,)) for f in polys])
 
 
 # ---------------------------------------------------------------------------
 # degree restriction
 
 
-def restrict_matrix(ring, tgt: FreeModule, src: FreeModule, matrix, d):
-    """The linalg.Matrix of the degree-d piece of the map, over the ordered
-    monomial bases of source and target."""
+def restrict_matrix(tgt: FreeModule, src: FreeModule, columns, d):
+    """The linalg.Matrix of the degree-d piece of the map F_src -> F_tgt
+    with the columns `columns`, elements of tgt, over the ordered monomial
+    bases: x^u e_l goes to x^u columns[l], a term of key t to row t + u."""
     d = Bidegree(*d)
-    index = {key: i for i, key in enumerate(tgt.basis_at(d))}
+    width = tgt.ring.width
+    index = {k << width | mono: i for i, (k, mono) in
+             enumerate(tgt.basis_at(d))}
     src_basis = src.basis_at(d)
-    # distinct terms of one entry land on distinct rows, and entries of
-    # one column on distinct generators, so no two terms share a row
-    cols = [{index[(k, mono + u)]: coeff
-             for k in range(tgt.rank) for mono, coeff in matrix[k][l].terms}
+    # distinct terms of one column land on distinct rows
+    cols = [{index[key + u]: coeff for key, coeff in columns[l].terms}
             for l, u in src_basis]
     return Matrix((len(index), len(src_basis)), cols)
 
@@ -151,7 +161,7 @@ def hilbert_dim(P: Presentation, d) -> int:
         return 0
     if not P.rels:
         return free_dim
-    arr = restrict_matrix(P.ring, P.target, P.source, P.matrix, d)
+    arr = restrict_matrix(P.target, P.source, P.columns, d)
     return free_dim - rank_of_array(arr, P.ring.p)
 
 
@@ -218,51 +228,69 @@ def _krull_dim(ring, numerator):
     return _pole_order(total, ring.nvars)
 
 
-def _prune(columns, rank):
-    """Unit elimination on the matrix with the given columns, each a
-    sequence of `rank` Polynomials, one per generator of the target.
+def _descending(terms, width):
+    """The (key, coeff) pairs `terms` as a descending term list (see
+    ModuleElement.terms): ascending once the monomial bits are flipped."""
+    flip = (1 << width) - 1
+    return sorted(terms, key=lambda term: term[0] ^ flip)
 
-    While some entry (k, l) is a nonzero constant c, every other column s
-    with s[k] != 0 becomes s - (s[k]/c) * column l, and column l and
-    generator k are dropped: the split summand S(-d) --c--> S(-d) leaves
-    the complex.  The pivot is the unit of least Markowitz cost (Markowitz
-    1957), (nonzeros in row k - 1) * (nonzeros in column l - 1), the most
-    entries the step can fill in; ties go to the first by generator, then
-    by column.  The column operations are the Schur complement, computed
-    only where s[k] and column l are nonzero; they change the next map
-    only in the row of column l, and the row operations that clear column
-    l change the previous map only in the column of generator k, both
-    dropped with the summand.  Returns (rows, cols, pruned): the indices of
-    the surviving generators and columns, ascending, and the surviving
-    columns on the surviving generators.  initial_module is its one
-    caller, so a presentation loses its units there and nowhere else."""
-    live = {l: list(col) for l, col in enumerate(columns)}
-    rows = list(range(rank))
+
+def _prune(columns, module):
+    """Unit elimination on the relation columns `columns`, bihomogeneous
+    nonzero elements of `module`, as term dicts.
+
+    While some column l has a nonzero constant c at generator k, every
+    other column s with a coordinate s_k != 0 becomes s - (s_k/c) * column
+    l, and column l and generator k are dropped: the split summand S(-d)
+    --c--> S(-d) leaves the complex.  The pivot is the unit of least
+    Markowitz cost (Markowitz 1957), (nonzeros in row k - 1) * (nonzeros
+    in column l - 1), the most entries the step can fill in; ties go to
+    the first by generator, then by column.  The column operations are the
+    Schur complement, computed only where s_k and column l are nonzero;
+    they change the next map only in the row of column l, and the row
+    operations that clear column l change the previous map only in the
+    column of generator k, both dropped with the summand.  Returns (rows,
+    {l: terms}): the surviving generators, ascending, and the descending
+    term lists of the surviving columns l on them, rows[i] renumbered i.
+    initial_module is its one caller, so a presentation loses its units
+    there and nowhere else."""
+    width, p = module.ring.width, module.ring.p
+    live = {l: dict(col.terms) for l, col in enumerate(columns)}
+    rows = list(range(module.rank))
     while True:
         in_row = dict.fromkeys(rows, 0)
-        # (k, l, nonzeros in column l) of the constant entries; monomial 0
-        # is the least, so an entry led by it is a constant
+        # (k, l, nonzeros in column l) of the constant entries: a
+        # bihomogeneous coordinate with a term of monomial 0 is that term
         units = []
         for l, col in live.items():
-            support = [k for k in rows if col[k].terms]
+            support = {key >> width for key in col}
             for k in support:
                 in_row[k] += 1
             units += [(k, l, len(support)) for k in support
-                      if col[k].terms[0][0] == 0]
+                      if k << width in col]
         if not units:
             break
         _, k, l = min(((in_row[k] - 1) * (n - 1), k, l) for k, l, n in units)
         pivot = live.pop(l)
         rows.remove(k)
-        cinv = pow(pivot[k].terms[0][1], -1, pivot[k].ring.p)
-        rest = [(kp, pivot[kp]) for kp in rows if not pivot[kp].is_zero()]
+        low = k << width
+        cinv = pow(pivot.pop(low), -1, p)
         for col in live.values():
-            if not col[k].is_zero():
-                lam = col[k].scale(cinv)
-                for kp, entry in rest:
-                    col[kp] = col[kp].sub_mul(lam, entry)
-    return rows, list(live), [[col[k] for k in rows]
-                              for col in live.values()]
+            lam = [(key - low, coeff * cinv % p) for key, coeff in col.items()
+                   if key >> width == k]
+            for u, c in lam:
+                del col[u + low]
+                for key, coeff in pivot.items():
+                    t = key + u
+                    new = (col.get(t, 0) - c * coeff) % p
+                    if new:
+                        col[t] = new
+                    else:
+                        del col[t]
+    moves = {k: (i - k) << width for i, k in enumerate(rows)}
+    return rows, {l: _descending([(key + moves[key >> width], coeff)
+                                  for key, coeff in col.items()], width)
+                  for l, col in live.items()}
 
 
 class InitialModule:
@@ -336,11 +364,10 @@ def initial_module(P: Presentation) -> InitialModule:
     nonzero columns lose their units first (_prune), an isomorphism, so
     the target is the surviving generators and the relations left lie in
     m*F."""
-    rows, _, pruned = _prune([col for col in zip(*P.matrix) if any(col)],
-                             len(P.gens))
+    rows, pruned = _prune([col for col in P.columns if col], P.target)
     target = FreeModule(P.ring, tuple(P.gens[k] for k in rows))
-    return InitialModule(target, [ModuleElement(target, col)
-                                  for col in pruned])
+    return InitialModule(target, [ModuleElement._of(target, terms)
+                                  for terms in pruned.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +494,8 @@ def minimal_presentation(P: Presentation) -> Presentation:
     no unit entry and no redundant relation.  Nonzero iff the result has a
     generator."""
     res = resolve(P)
-    columns = [col.coords for col in res.maps[0]] if res.maps else []
     return Presentation(P.ring, res.shifts(0), res.shifts(1),
-                        tuple(tuple(col[k] for col in columns)
-                              for k in range(len(res.shifts(0)))))
+                        res.maps[0] if res.maps else ())
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +580,8 @@ def quotient_presentation(sub_elements, span: GroebnerBasis) -> Presentation:
     # of the euler and ext_window benchmark inputs at seeds 3, 5 and 11
     # (2-vCPU host)
     columns.extend(syzygies(span))
-    coords = [c.coords for c in columns]
     return Presentation(src.ring, src.shifts,
-                        tuple(c.bidegree() for c in columns),
-                        tuple(tuple(col[k] for col in coords)
-                              for k in range(src.rank)))
+                        tuple(c.bidegree() for c in columns), columns)
 
 
 def ext_presentation(P: Presentation, j: int) -> Presentation:

@@ -25,8 +25,9 @@ past c_0 on c_0..c_0 + r - 1 (strand_range); with r = 0, g = -1.
 from functools import lru_cache
 
 from .errors import BadTheoryError
-from .poly import Bidegree, Polynomial, RingSpec, block_dim, monomial_basis
-from .resolution import Presentation, _pole_order, initial_module
+from .groebner import FreeModule, ModuleElement
+from .poly import Bidegree, RingSpec, block_dim, monomial_basis
+from .resolution import Presentation, _descending, _pole_order, initial_module
 
 
 def _on(k, v):
@@ -44,7 +45,8 @@ def _check_block(ring, k):
 @lru_cache(maxsize=None)
 def strand(N: Presentation, k: int, c: int) -> Presentation:
     """The strand of N over the variable block k (x 0, y 1) at degree c of
-    the other block, as a module over F_p[block k]."""
+    the other block, as a module over F_p[block k]: x^e e_g in relation l
+    at w lands at generator (g, w * x^e_other), if any, one key per term."""
     ring = N.ring
     _check_block(ring, k)
     sizes, p = (ring.m, ring.n), ring.p
@@ -63,21 +65,19 @@ def strand(N: Presentation, k: int, c: int) -> Presentation:
 
     gens, rels = pieces(N.gens), pieces(N.rels)
     gen_index = {key: i for i, (key, _) in enumerate(gens)}
-    rows = [[{} for _ in rels] for _ in gens]
-    for col, ((l, w), _) in enumerate(rels):
-        for g, entries in enumerate(N.matrix):
-            for mono, coeff in entries[l].terms:
-                e = ring.exponents(mono)
-                target = other.monomial(e[blocks[1 - k]]) + w if other else w
-                row = gen_index.get((g, target))
-                if row is not None:
-                    kept = sub.monomial(e[blocks[k]])
-                    acc = rows[row][col]
-                    acc[kept] = (acc.get(kept, 0) + coeff) % p
-    return Presentation(
-        sub, tuple(d for _, d in gens), tuple(d for _, d in rels),
-        tuple(tuple(Polynomial.from_dict(sub, acc) for acc in row)
-              for row in rows))
+    target = FreeModule(sub, tuple(d for _, d in gens))
+    width, columns = sub.width, []
+    for (l, w), _ in rels:
+        terms = []
+        for key, coeff in N.columns[l].terms:
+            e = ring.exponents(key)     # the fields below the position
+            owner = other.monomial(e[blocks[1 - k]]) + w if other else w
+            row = gen_index.get((key >> ring.width, owner))
+            if row is not None:
+                terms.append((row << width | sub.monomial(e[blocks[k]]),
+                              coeff))
+        columns.append(ModuleElement._of(target, _descending(terms, width)))
+    return Presentation(sub, target.shifts, [d for _, d in rels], columns)
 
 
 def strand_dim(N: Presentation, k: int, c: int) -> int:

@@ -34,6 +34,7 @@ from bicoh.resolution import (
     quotient_by_polys,
 )
 from bicoh.tables import Window
+from test_groebner import _rows_presentation
 from test_resolution import count_ext_builds
 
 
@@ -106,7 +107,7 @@ def test_gencm_with_nonvacuous_low_range(ring):
     # of dimension 4 and depth 0, so the identification of the Q- and
     # maximal-ideal cohomologies below s - m covers i = 0, 1 for real
     from bicoh.poly import parse_poly
-    from bicoh.resolution import Presentation, profile
+    from bicoh.resolution import profile
     z = ring.zero()
     gens = ((0, 0), (1, 1))
     rels = ((2, 1), (2, 1), (1, 2), (1, 2))
@@ -115,7 +116,7 @@ def test_gencm_with_nonvacuous_low_range(ring):
         (parse_poly("x1", ring), parse_poly("x2", ring),
          parse_poly("y1", ring), parse_poly("y2", ring)),
     )
-    M = Presentation(ring, gens, rels, matrix)
+    M = _rows_presentation(ring, gens, rels, matrix)
     prof = profile(M)
     assert (prof.dim, prof.depth) == (4, 0)
     assert prof.is_gencm and not prof.is_cm

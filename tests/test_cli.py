@@ -2,19 +2,22 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicoh import cli
 from bicoh.cli import main
 from bicoh.errors import DegreeMismatchError, FormatError, InvariantError
 from bicoh.fixtures import gencm_fixture, named_fixtures, random_quotients
-from bicoh.groebner import buchberger
+from bicoh.groebner import FreeModule, ModuleElement, buchberger
 from bicoh.linalg import DEFAULT_PRIME
 from bicoh.modfile import load_module, save_module
-from bicoh.poly import RingSpec
+from bicoh.poly import Bidegree, Polynomial, RingSpec, monomial_basis
 from bicoh.resolution import (
     Presentation,
     hilbert_table,
@@ -22,7 +25,7 @@ from bicoh.resolution import (
     resolve,
 )
 from bicoh.tables import Window
-from test_groebner import _columns
+from test_groebner import _rows_presentation
 from test_resolution import _dense_quotient
 
 
@@ -79,10 +82,12 @@ def test_load_module_without_p_takes_the_default_prime(tmp_path):
 
 
 def test_load_module_degree_mismatch(tmp_path):
+    # an entry of the wrong bidegree, and one that mixes bidegrees
     path = tmp_path / "bad.mod"
-    path.write_text("m=2\nn=2\ngens=(0,0)\nrels=(1,1): x1*x2\n")
-    with pytest.raises(DegreeMismatchError):
-        load_module(path)
+    for entry in ("x1*x2", "x1*y1 + x1"):
+        path.write_text(f"m=2\nn=2\ngens=(0,0)\nrels=(1,1): {entry}\n")
+        with pytest.raises(DegreeMismatchError):
+            load_module(path)
 
 
 def test_load_module_format_errors(tmp_path):
@@ -134,6 +139,44 @@ def test_roundtrip_negative_shifts_and_many_generators(tmp_path):
     out = tmp_path / "again.mod"
     save_module(out, M)
     assert load_module(out) == M
+
+
+def test_roundtrip_of_a_relation_on_no_generators(tmp_path):
+    # the zero module with a relation: the entry list after the colon is
+    # empty, and reads back as no entries
+    M = Presentation(RingSpec(2, 2), (), ((1, 1),),
+                     (ModuleElement(FreeModule(RingSpec(2, 2), ()), ()),))
+    out = tmp_path / "zero.mod"
+    save_module(out, M)
+    assert out.read_text().endswith("rels=(1,1): \n")
+    assert load_module(out) == M
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_roundtrip_of_random_presentations(data):
+    # 0-3 generators, negative shifts included, and 0-3 relations with
+    # random entries (zero where the bidegree leaves no monomial)
+    p = data.draw(st.sampled_from([2, 3, 32003]))
+    m, n = data.draw(st.sampled_from([(2, 2), (1, 2), (2, 0)]))
+    ring = RingSpec(m, n, p)
+
+    def shift(low, high):
+        return Bidegree(data.draw(st.integers(low, high)),
+                        data.draw(st.integers(low, high)))
+
+    gens = [shift(-2, 1) for _ in range(data.draw(st.integers(0, 3)))]
+    rels = [shift(-2, 3) for _ in range(data.draw(st.integers(0, 3)))]
+    target = FreeModule(ring, gens)
+    M = Presentation(ring, gens, rels, [ModuleElement(target, tuple(
+        Polynomial.from_dict(ring, {
+            mono: data.draw(st.integers(0, p - 1))
+            for mono in monomial_basis(ring, r - g)}) for g in gens))
+        for r in rels])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "random.mod"
+        save_module(path, M)
+        assert load_module(path) == M
 
 
 def test_cli_simple_suite_passes(capsys):
@@ -227,16 +270,16 @@ def test_cli_emit_writes_minimal_basis_elements(tmp_path, capsys):
     # basis of the relations, the redundant relation dropped, and presents
     # the same module
     M = _dense_quotient((3, 2), ((1, 1), (1, 2), (2, 1)))
-    f = M.matrix[0]
-    redundant = Presentation(M.ring, M.gens, M.rels + ((2, 1),),
-                             ((*f, f[0] * M.ring.gens()[0]),))
+    f = [col.coords[0] for col in M.columns]
+    redundant = _rows_presentation(M.ring, M.gens, M.rels + ((2, 1),),
+                                   ((*f, f[0] * M.ring.gens()[0]),))
     path, out = tmp_path / "dense.mod", tmp_path / "emitted.mod"
     save_module(path, redundant)
     assert main(["resolve", "--module", str(path), "--emit", str(out)]) == 0
     emitted = load_module(out)
-    basis = buchberger(_columns(M), module=M.target)
+    basis = buchberger(M.columns, module=M.target)
     assert len(emitted.rels) == 3
-    assert {str(c) for c in _columns(emitted)} <= \
+    assert {str(c) for c in emitted.columns} <= \
         {str(g) for g in basis.elements}
     window = Window(0, 4, 0, 4)
     assert hilbert_table(emitted, window) == hilbert_table(M, window)
@@ -541,3 +584,30 @@ def test_cli_output_digest_off_the_standard_ring(tmp_path, capsys):
         paths[-1].write_text(text)
     assert _digest([str(path) for path in paths], tmp_path, capsys) == (
         OFF_STANDARD_SHA256, 2 * 42)
+
+
+# generators (0,0), (1,0), (0,0) and the relation e0 + e2, a unit at each
+# end: the Markowitz pivot of unit pruning eliminates generator 2, whose
+# row has fewer entries, so F_0 prints (0,0) (1,0); a pivot taken by
+# generator order would keep generator 2 and print (1,0) (0,0)
+PIVOT_MODULE = """\
+p=32003
+m=2
+n=2
+gens=(0,0),(1,0),(0,0)
+rels=(0,0): 1, 0, 1
+rels=(1,1): x1*y1, y1, 0
+rels=(1,2): x1*y2^2, y1*y2, 0
+"""
+
+# sha256 over every op of test_cli_output_digest_pins_the_pruning_pivot,
+# hashed as in test_cli_output_digest
+PIVOT_SHA256 = (
+    "6e29c052197280e062ea647c621419bfd4cfd1ee2bd3774edaf0f3049658c11d")
+
+
+def test_cli_output_digest_pins_the_pruning_pivot(tmp_path, capsys):
+    # which generator of equal shift survives shows in the printed order
+    path = tmp_path / "pivot.mod"
+    path.write_text(PIVOT_MODULE)
+    assert _digest([str(path)], tmp_path, capsys) == (PIVOT_SHA256, 42)

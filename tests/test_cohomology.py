@@ -50,6 +50,7 @@ from bicoh.resolution import (
 from bicoh.modfile import load_module, save_module
 from bicoh.strands import strand, strand_dim
 from bicoh.tables import Window, matlis_flip
+from test_groebner import _rows_presentation
 from test_linalg import compose, tracked_echelon
 from test_resolution import (
     _ext_referee,
@@ -112,8 +113,8 @@ def _random_presentation(rng, ring):
             column.append(Polynomial.from_dict(ring, terms))
         rels.append(rel)
         columns.append(column)
-    return Presentation(ring, tuple(gens), tuple(rels),
-                        tuple(zip(*columns)))
+    return _rows_presentation(ring, tuple(gens), tuple(rels),
+                              tuple(zip(*columns)))
 
 
 def test_ext_presentation_table_agreement(ring, two_relations):
@@ -235,7 +236,7 @@ def _two_generators(p):
     (1,0), relations in (1,1), (2,1) and (1,2)."""
     ring = RingSpec(2, 2, p)
     x1, x2, y1, y2 = ring.gens()
-    return Presentation(
+    return _rows_presentation(
         ring, ((0, 0), (1, 0)), ((1, 1), (2, 1), (1, 2)),
         ((x1 * y1, x1 * x2 * y2, x2 * y1 * y2),
          (y2, x1 * y1 + x2 * y2, ring.zero())))
@@ -328,7 +329,8 @@ def _block_change(P, seed):
         return out
 
     return Presentation(ring, P.gens, P.rels, tuple(
-        tuple(substitute(f) for f in row) for row in P.matrix))
+        ModuleElement(P.target, tuple(map(substitute, col.coords)))
+        for col in P.columns))
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
@@ -340,8 +342,8 @@ def test_oracle_equals_duality_path_generic_coefficients(p):
     generic = 0
     for k, (name, P) in enumerate(named_fixtures(standard_ring(p)).items()):
         M = _block_change(P, seed=p + k)
-        generic += any(c not in (1, p - 1) for row in M.matrix
-                       for f in row for _, c in f.terms)
+        generic += any(c not in (1, p - 1) for col in M.columns
+                       for _, c in col.terms)
         for theory in ("P", "Q", "R+"):
             for i in range(0, 5 if theory == "R+" else 3):
                 table = local_coh_table(M, theory, i, window)
@@ -1050,9 +1052,12 @@ def _swap_blocks(P):
             swapped.monomial(e[ring.m:] + e[:ring.m]): c
             for e, c in ((ring.exponents(mono), c) for mono, c in f.terms)})
 
-    return Presentation(swapped, tuple((b, a) for a, b in P.gens),
+    target = FreeModule(swapped, tuple((b, a) for a, b in P.gens))
+    return Presentation(swapped, target.shifts,
                         tuple((b, a) for a, b in P.rels),
-                        tuple(tuple(map(swap, row)) for row in P.matrix))
+                        tuple(ModuleElement(target, tuple(map(swap,
+                                                              col.coords)))
+                              for col in P.columns))
 
 
 @pytest.mark.parametrize("p", [3, 32003])
@@ -1113,12 +1118,18 @@ def _restricted_ext_dim(res, j, d):
     c = ring.canonical_degree
     before, mid, after = (FreeModule(ring, tuple(c - s for s in res.shifts(i)))
                           for i in (j - 1, j, j + 1))
-    # the dual of a map is its transpose
-    into = tuple(col.coords for col in res.maps[j - 1]) if j else ()
-    out = (tuple(col.coords for col in res.maps[j]) if j < res.length
-           else ())
-    return homology_dim(restrict_matrix(ring, mid, before, into, d),
-                        restrict_matrix(ring, after, mid, out, d), ring.p)
+
+    def transpose(i, target, source):
+        """The columns of the dual of maps[i], zero outside 0..len-1: the
+        dual of a map is its transpose."""
+        coords = ([col.coords for col in res.maps[i]]
+                  if 0 <= i < res.length else [])
+        return [ModuleElement(target, tuple(c[l] for c in coords))
+                for l in range(source.rank)]
+
+    return homology_dim(
+        restrict_matrix(mid, before, transpose(j - 1, mid, before), d),
+        restrict_matrix(after, mid, transpose(j, after, mid), d), ring.p)
 
 
 def test_ext_table_resolution_independent(ring, two_relations):
@@ -1183,12 +1194,10 @@ def _mod_by_irrelevant(N):
         for var in range(ring.m):
             col = [ring.zero()] * len(gens)
             col[k] = ring.variable(var)
-            new_cols.append(tuple(col))
+            new_cols.append(ModuleElement(N.target, tuple(col)))
             new_rels.append(Bidegree(*s) + ring.variable_degree(var))
-    matrix = tuple(tuple(list(N.matrix[kk]) +
-                         [new_cols[c][kk] for c in range(len(new_cols))])
-                   for kk in range(len(gens)))
-    return Presentation(ring, gens, tuple(new_rels), matrix)
+    return Presentation(ring, gens, tuple(new_rels),
+                        N.columns + tuple(new_cols))
 
 
 def _mod_by_y(N):
@@ -1198,10 +1207,10 @@ def _mod_by_y(N):
     pairs = [(k, v) for k in range(len(N.gens))
              for v in range(ring.m, ring.nvars)]
     rels = tuple(N.gens[k] + ring.variable_degree(v) for k, v in pairs)
-    matrix = tuple(tuple(row) + tuple(ring.variable(v) if k == kk
-                                      else ring.zero() for k, v in pairs)
-                   for kk, row in enumerate(N.matrix))
-    return Presentation(ring, N.gens, N.rels + rels, matrix)
+    columns = tuple(ModuleElement(N.target, tuple(
+        ring.variable(v) if k == kk else ring.zero()
+        for kk in range(len(N.gens)))) for k, v in pairs)
+    return Presentation(ring, N.gens, N.rels + rels, N.columns + columns)
 
 
 def test_cd_estimate_examples(ring, S, q_torsion, hypersurface):
@@ -1296,9 +1305,9 @@ def _drawn_presentation(data):
 
     gens = [bidegree(1) for _ in range(data.draw(st.integers(1, 3)))]
     rels = [bidegree(3) for _ in range(data.draw(st.integers(0, 3)))]
-    return Presentation(ring, tuple(gens), tuple(rels),
-                        tuple(tuple(entry(r - g) for r in rels)
-                              for g in gens))
+    return _rows_presentation(ring, tuple(gens), tuple(rels),
+                              tuple(tuple(entry(r - g) for r in rels)
+                                    for g in gens))
 
 
 @settings(max_examples=60)
@@ -1481,7 +1490,8 @@ def test_ext_into_non_free_module_matches_restrict_and_rank(p):
     f, zero = x1 * y1 + (x2 * y2).scale(3), ring.zero()
     e, s = Bidegree(1, 1), Bidegree(1, 0)
     M = quotient_by_polys(ring, [f])
-    twice = Presentation(ring, ((0, 0), s), (e, e + s), ((f, zero), (zero, f)))
+    twice = _rows_presentation(ring, ((0, 0), s), (e, e + s),
+                               ((f, zero), (zero, f)))
     assert [len(resolve(N).shifts(1)) for N in (M, twice)] == [1, 2]
     window = Window(-2, 2, -2, 2)
     nonzero = set()
@@ -1489,9 +1499,10 @@ def test_ext_into_non_free_module_matches_restrict_and_rank(p):
         W = _block_change(P, seed=p + k)
         r = len(W.gens)
         WfW = Presentation(ring, W.gens, W.rels + tuple(g + e for g in W.gens),
-                           tuple(row + tuple(f if c == g else zero
-                                             for c in range(r))
-                                 for g, row in enumerate(W.matrix)))
+                           W.columns + tuple(
+                               ModuleElement(W.target, tuple(
+                                   f if c == g else zero for c in range(r)))
+                               for g in range(r)))
 
         def ext(j, d):
             """dim Ext^j(M, W)_d by restrict and rank."""

@@ -40,7 +40,9 @@ from bicoh.poly import (
     parse_poly,
 )
 from bicoh.resolution import (
+    Presentation,
     hilbert_dim,
+    quotient_by_polys,
     quotient_presentation,
     restrict_matrix,
 )
@@ -62,8 +64,8 @@ def _poly_mul(v, f):
 
 def _term_mul(v, coeff, mono):
     """The element coeff * x^mono * v."""
-    return ModuleElement(v.module, tuple(a.term_mul(coeff, mono)
-                                         for a in v.coords))
+    term = Polynomial.from_dict(v.module.ring, {mono: coeff})
+    return ModuleElement(v.module, tuple(term * a for a in v.coords))
 
 
 def _add(v, w):
@@ -83,19 +85,20 @@ def _unit_element(F, k):
     return ModuleElement(F, tuple(coords))
 
 
-def _columns(P):
-    """The columns of a presentation's matrix, elements of its target."""
-    return [ModuleElement(P.target, tuple(row[l] for row in P.matrix))
-            for l in range(len(P.rels))]
+def _rows_presentation(ring, gens, rels, rows):
+    """The Presentation whose map has the rows of polynomials `rows`,
+    rows[k][l] the coordinate k of relation column l."""
+    target = FreeModule(ring, gens)
+    return Presentation(ring, gens, rels, tuple(
+        ModuleElement(target, tuple(row[l] for row in rows))
+        for l in range(len(rels))))
 
 
-def _kernel_presentation(src: FreeModule, tgt: FreeModule, matrix):
-    """Presentation of the kernel of the bihomogeneous map src -> tgt: the
-    quotient presentation of its kernel basis.  No bicoh code presents a
-    kernel on its own; the tests build them here."""
-    columns = [ModuleElement(tgt, tuple(matrix[k][l]
-                                        for k in range(tgt.rank)))
-               for l in range(src.rank)]
+def _kernel_presentation(src: FreeModule, columns):
+    """Presentation of the kernel of the bihomogeneous map from src whose
+    l-th column is columns[l]: the quotient presentation of its kernel
+    basis.  No bicoh code presents a kernel on its own; the tests build
+    them here."""
     return quotient_presentation([], kernel_basis(columns, src))
 
 
@@ -282,7 +285,7 @@ def _rung_relations():
     """The relations of the (3,3) rung of the scale ladder."""
     (P,) = random_quotients(RingSpec(3, 3), 1, 7, max_rels=4,
                             max_degree=(3, 2))
-    return _columns(P), P.target
+    return list(P.columns), P.target
 
 
 def test_lead_is_position_over_term(r22):
@@ -298,12 +301,22 @@ def test_bad_arguments_are_typed_errors(r22):
     # each is a BicohError (one error line, exit 2) and the ValueError
     # that callers catch; buchberger refuses a generator of another free
     # module: of another rank, another shift or another field; normal_form
-    # checks every divisor, not only the first
+    # checks every divisor, not only the first; an element refuses a
+    # coordinate over another ring, and a presentation a column outside the
+    # free module on its generators
     F = FreeModule(r22, ((0, 0), (1, 0)))
     S = FreeModule(r22, ((0, 0),))
     f = elem(S, "x1*y1")
     over_3 = FreeModule(RingSpec(2, 2, p=3), ((0, 0),))
+    over_7 = RingSpec(2, 2, p=7)
+    small = RingSpec(1, 1, p=7)
     cases = ((CoordinateCountError, lambda: ModuleElement(F, (r22.one(),))),
+             (RingMismatchError, lambda: ModuleElement(over_3, (
+                 parse_poly("x1*y1 + 5*x2*y2", over_7),))),
+             (RingMismatchError, lambda: quotient_by_polys(
+                 over_7, [parse_poly("x1*y1", small)])),
+             (RingMismatchError, lambda: Presentation(
+                 r22, ((0, 0),), ((1, 1),), (elem(F, "x1*y1", "y1"),))),
              (ZeroElementError, lambda: _zero_element(F).lead()),
              (NoGeneratorsError, lambda: buchberger([])),
              (RingMismatchError, lambda: buchberger([f], module=F)),
@@ -788,11 +801,9 @@ def test_kernel_basis_random_maps(p):
             assert image.is_zero()
         if kernel.elements:
             assert buchberger(kernel.elements, module=src) == kernel
-        matrix = tuple(tuple(c.coords[k] for c in columns)
-                       for k in range(tgt.rank))
-        P = _kernel_presentation(src, tgt, matrix)
+        P = _kernel_presentation(src, columns)
         for a in range(4):
             for b in range(4):
-                arr = restrict_matrix(ring, tgt, src, matrix, (a, b))
+                arr = restrict_matrix(tgt, src, columns, (a, b))
                 assert hilbert_dim(P, (a, b)) == \
                     src.dim_at((a, b)) - rank_of_array(arr, p)

@@ -56,8 +56,8 @@ from bicoh.strands import strand, strand_dim
 from bicoh.tables import Window
 from test_groebner import (
     _all_pairs_syzygies,
-    _columns,
     _kernel_presentation,
+    _rows_presentation,
     _unit_element,
 )
 
@@ -65,7 +65,7 @@ from test_groebner import (
 def test_presentation_validates_degrees(ring):
     f = parse_poly("x1*x2", ring)
     with pytest.raises(DegreeMismatchError):
-        Presentation(ring, ((0, 0),), ((1, 1),), ((f,),))
+        _rows_presentation(ring, ((0, 0),), ((1, 1),), ((f,),))
 
 
 def test_resolution_of_free_module(S):
@@ -121,13 +121,13 @@ def test_resolution_length_bound(ring, xy):
 def _redundant_generator(ring):
     """Two generators, one of them redundant through a unit relation."""
     one, x1 = ring.one(), ring.gens()[0]
-    return Presentation(ring, ((0, 0), (0, 0)), ((0, 0), (1, 0)),
-                        ((one, x1), (one, ring.zero())))
+    return _rows_presentation(ring, ((0, 0), (0, 0)), ((0, 0), (1, 0)),
+                              ((one, x1), (one, ring.zero())))
 
 
 def _killed(ring):
     """S/(1), the zero module on one generator."""
-    return Presentation(ring, ((0, 0),), ((0, 0),), ((ring.one(),),))
+    return _rows_presentation(ring, ((0, 0),), ((0, 0),), ((ring.one(),),))
 
 
 def _unit_inputs():
@@ -144,25 +144,21 @@ def _unit_inputs():
     return out
 
 
-def _has_unit(matrix):
-    return any(len(e.terms) == 1 and e.terms[0][0] == 0
-               for row in matrix for e in row)
-
-
-def _has_unit_column(columns):
-    return _has_unit([col.coords for col in columns])
+def _has_unit(columns):
+    """Some column has a constant coordinate: a term of monomial 0."""
+    return any(not key & (1 << col.module.ring.width) - 1
+               for col in columns for key, _ in col.terms)
 
 
 def test_no_unit_entries_in_minimal_resolution(ring, xy):
     x1, x2, y1, y2 = xy
     M = quotient_by_polys(ring, [x1 * y1 + x2 * y2, x1 * y2, x2 * y1])
     modules = [M] + _unit_inputs()
-    assert any(_has_unit(N.matrix) for N in modules)
+    assert any(_has_unit(N.columns) for N in modules)
     for N in modules:
         res = resolve(N)
-        assert not any(_has_unit_column(A) for A in res.maps), str(N)
-        rows, _, _ = resolution._prune([c.coords for c in _columns(N)],
-                                       len(N.gens))
+        assert not any(_has_unit(A) for A in res.maps), str(N)
+        rows, _ = resolution._prune(N.columns, N.target)
         assert len(res.shifts(0)) == len(rows), str(N)
     for p in (2, 3, 32003):
         assert not resolve(_killed(standard_ring(p))).shifts(0)
@@ -205,11 +201,8 @@ def test_alternating_sums_match_hilbert(ring, xy, two_relations):
 
 
 def _map_data(res, i):
-    """(source module, target module, matrix) of d_i : F_i -> F_{i-1}."""
-    tgt = res.modules[i - 1]
-    columns = [col.coords for col in res.maps[i - 1]]
-    return res.modules[i], tgt, tuple(tuple(col[k] for col in columns)
-                                      for k in range(tgt.rank))
+    """(source module, target module, columns) of d_i : F_i -> F_{i-1}."""
+    return res.modules[i], res.modules[i - 1], res.maps[i - 1]
 
 
 def _raw_resolution(P):
@@ -218,7 +211,7 @@ def _raw_resolution(P):
     referees every number read off the pruned resolution."""
     ring = P.ring
     modules, maps = [P.target], []
-    elements = [c for c in _columns(P) if c]
+    elements = [c for c in P.columns if c]
     while elements:
         gb = buchberger(elements, module=modules[-1])
         maps.append(gb.elements)
@@ -236,24 +229,27 @@ def _resolve_by_frames(P, frame=syzygies):
     ambient = P.target
     shifts = [P.gens]
     maps = []
-    elements = [c for c in _columns(P) if c]
+    elements = [c for c in P.columns if c]
     while elements:
         gb = buchberger(elements, module=ambient)
-        rows, cols, basis = resolution._prune(
-            [g.coords for g in gb.elements], ambient.rank)
+        rows, basis = resolution._prune(gb.elements, ambient)
         shifts[-1] = [shifts[-1][k] for k in rows]
-        syz = [[s.coords[l] for l in cols] for s in frame(gb)]
-        rows, _, syz = resolution._prune(syz, len(cols))
+        cols, basis = list(basis), list(basis.values())
+        kept = FreeModule(ring, [gb.shifts[l] for l in cols])
+        syz = [ModuleElement(kept, tuple(s.coords[l] for l in cols))
+               for s in frame(gb)]
+        rows, syz = resolution._prune(syz, kept)
         maps.append([basis[k] for k in rows])
         shifts.append([gb.shifts[cols[k]] for k in rows])
         ambient = FreeModule(ring, shifts[-1])
-        elements = [e for e in (ModuleElement(ambient, s) for s in syz) if e]
+        elements = [e for e in (ModuleElement._of(ambient, s)
+                                for s in syz.values()) if e]
     while maps and not shifts[-1]:
         maps.pop()
         shifts.pop()
     modules = tuple(FreeModule(ring, s) for s in shifts)
     return FreeResolution(ring, modules, tuple(
-        tuple(ModuleElement(target, col) for col in columns)
+        tuple(ModuleElement._of(target, col) for col in columns)
         for columns, target in zip(maps, modules)))
 
 
@@ -285,7 +281,7 @@ def test_resolve_matches_the_frame_referee():
     for N in referee_set:
         res, ref = resolve.__wrapped__(N), _resolve_by_frames(N)
         assert _shift_lists(res) == _shift_lists(ref), str(N)
-        assert not any(_has_unit_column(A) for A in res.maps), str(N)
+        assert not any(_has_unit(A) for A in res.maps), str(N)
         _assert_composites_vanish(res)
     assert len(referee_set) == 557
 
@@ -357,12 +353,12 @@ def test_resolution_degreewise_exactness_random(ring):
         res = build(M)
         p = M.ring.p
         for i in range(1, res.length + 1):
-            src, tgt, matrix = _map_data(res, i)
+            src, tgt, columns = _map_data(res, i)
             for d in Window(-1, 3, -1, 3).cells():
-                B = restrict_matrix(M.ring, tgt, src, matrix, d)
+                B = restrict_matrix(tgt, src, columns, d)
                 if i < res.length:
-                    up_src, up_tgt, up_matrix = _map_data(res, i + 1)
-                    A = restrict_matrix(M.ring, up_tgt, up_src, up_matrix, d)
+                    up_src, up_tgt, up_columns = _map_data(res, i + 1)
+                    A = restrict_matrix(up_tgt, up_src, up_columns, d)
                 else:
                     A = Matrix.zeros(B.shape[1], 0)
                 assert homology_dim(A, B, p) == 0, (str(M), i, tuple(d))
@@ -379,6 +375,7 @@ def _random_modules(p, count=6):
         gens = [(rng.randint(0, 1), rng.randint(0, 1))
                 for _ in range(rng.randint(1, 3))]
         top = (max(a for a, _ in gens), max(b for _, b in gens))
+        target = FreeModule(ring, gens)
         rels, columns = [], []
         for _ in range(rng.randint(2, 3)):
             up = rng.choice([(1, 0), (0, 1), (1, 1)])
@@ -390,9 +387,8 @@ def _random_modules(p, count=6):
                          if rng.random() < 0.6}
                 column.append(Polynomial.from_dict(ring, terms))
             rels.append(rel)
-            columns.append(column)
-        out.append(Presentation(ring, tuple(gens), tuple(rels),
-                                tuple(zip(*columns))))
+            columns.append(ModuleElement(target, tuple(column)))
+        out.append(Presentation(ring, tuple(gens), tuple(rels), columns))
     return out
 
 
@@ -504,18 +500,22 @@ def test_unit_elimination_matches_every_entry_referee(p, monkeypatch):
     prune = resolution._prune
     eliminated = []
 
-    def compared(columns, rank):
-        out = prune(columns, rank)
-        assert out == _prune_every_entry(columns, rank)
-        eliminated.append(rank - len(out[0]))
+    def compared(columns, module):
+        out = prune(columns, module)
+        rows, cols, pruned = _prune_every_entry(
+            [col.coords for col in columns], module.rank)
+        target = FreeModule(module.ring, [module.shifts[k] for k in rows])
+        assert (out[0], list(out[1])) == (rows, cols)
+        assert [ModuleElement._of(target, terms) for terms in out[1].values()
+                ] == [ModuleElement(target, col) for col in pruned]
+        eliminated.append(module.rank - len(out[0]))
         return out
 
     def prune_raw(M):
         raw = _raw_resolution(M)
         for i in range(1, raw.length + 1):
-            src, tgt, matrix = _map_data(raw, i)
-            compared([tuple(row[l] for row in matrix)
-                      for l in range(src.rank)], tgt.rank)
+            src, tgt, columns = _map_data(raw, i)
+            compared(columns, tgt)
 
     monkeypatch.setattr(resolution, "_prune", compared)
     ring = RingSpec(2, 2, p)
@@ -529,13 +529,16 @@ def test_unit_elimination_matches_every_entry_referee(p, monkeypatch):
             run(M)
             totals[run] += sum(eliminated)
     assert all(totals.values()), totals
-    # two units, whose eliminations in generator-first and column-first
-    # order keep different generators
-    x1, x2, y1, _ = ring.gens()
-    assert compared([(x1, ring.one()), (ring.one(), y1)], 2)[0] == [1]
-    # the unit at (1, 1) costs 1 * 1, the first one, at (0, 0), 2 * 1
-    one, zero = ring.one(), ring.zero()
-    assert compared([(one, x1), (y1, one), (x2, zero)], 2)[0] == [0]
+    # the units at (2, 0) and (0, 1) cost 0 * 1, and eliminations in
+    # generator-first and column-first order keep different generators
+    one, zero, x1 = ring.one(), ring.zero(), ring.gens()[0]
+    F = FreeModule(ring, ((0, 0),) * 3)
+    assert compared([ModuleElement(F, col) for col in
+                     ((zero, one, one), (-one, one, zero))], F)[0] == [2]
+    # the unit at (1, 0) costs 0 * 1, the first one, at (0, 0), 1 * 1
+    F = FreeModule(ring, ((0, 0),) * 2)
+    assert compared([ModuleElement(F, col) for col in
+                     ((one, one), (x1, zero))], F)[0] == [0]
 
 
 def test_profile_of_ring(S):
@@ -576,8 +579,7 @@ def test_zero_module_rejected():
     ring = RingSpec(2, 2)
     with pytest.raises(ZeroModuleError):
         profile(zero_presentation(ring))
-    one = parse_poly("1", ring)
-    killed = Presentation(ring, ((0, 0),), ((0, 0),), ((one,),))
+    killed = _killed(ring)
     assert not resolve(killed).shifts(0)
     with pytest.raises(ZeroModuleError):
         profile(killed)
@@ -666,8 +668,8 @@ def test_krull_dim_reads_each_position_on_its_own(ring, xy):
     # (dim 3).  Pooling the leads of both positions gives (x1, x2) and 2;
     # dropping the S-pair leaves position 1 free and gives 4.
     x1, x2, y1, y2 = xy
-    M = Presentation(ring, ((0, 1), (1, 0)), ((1, 1), (1, 1)),
-                     ((x1, x2), (y1, ring.zero())))
+    M = _rows_presentation(ring, ((0, 1), (1, 0)), ((1, 1), (1, 1)),
+                           ((x1, x2), (y1, ring.zero())))
     assert _numerator_krull_dim(M) == _support_scan_krull_dim(M) == 3
     assert initial_module(M).krull_dim() == 3
 
@@ -718,8 +720,7 @@ def test_pole_order_of_laurent_numerators():
 
 
 def test_initial_module_of_zero_free_and_killed_modules(ring):
-    one = parse_poly("1", ring)
-    killed = Presentation(ring, ((0, 0),), ((0, 0),), ((one,),))
+    killed = _killed(ring)
     free = free_presentation(ring, [(1, 0), (0, 2)])
     assert initial_module(zero_presentation(ring)).numerator == {}
     assert initial_module(killed).numerator == {}
@@ -749,15 +750,16 @@ def test_profile_of_fresh_gencm_module_resolves_only_the_module():
 def test_kernel_of_injective_map_is_zero(ring):
     src = FreeModule(ring, ((1, 0),))
     tgt = FreeModule(ring, ((0, 0),))
-    P = _kernel_presentation(src, tgt, ((parse_poly("x1", ring),),))
+    P = _kernel_presentation(src, [ModuleElement(tgt, (
+        parse_poly("x1", ring),))])
     assert not resolve(P).shifts(0)
 
 
 def test_kernel_of_koszul_pair(ring):
     src = FreeModule(ring, ((1, 0), (0, 1)))
     tgt = FreeModule(ring, ((0, 0),))
-    matrix = ((parse_poly("x1", ring), parse_poly("y1", ring)),)
-    P = _kernel_presentation(src, tgt, matrix)
+    P = _kernel_presentation(src, [ModuleElement(tgt, (parse_poly(t, ring),))
+                                   for t in ("x1", "y1")])
     assert len(P.gens) == 1
     assert P.gens[0] == Bidegree(1, 1)
     assert not P.rels
@@ -767,10 +769,7 @@ def _span_rank(ambient, elements, d):
     """dim of the degree-d piece of span(elements), by restrict and rank."""
     ring = ambient.ring
     src = FreeModule(ring, tuple(e.bidegree() for e in elements))
-    matrix = tuple(tuple(e.coords[k] for e in elements)
-                   for k in range(ambient.rank))
-    return rank_of_array(restrict_matrix(ring, ambient, src, matrix, d),
-                         ring.p)
+    return rank_of_array(restrict_matrix(ambient, src, elements, d), ring.p)
 
 
 def test_quotient_presentation_dims(ring, hypersurface):
@@ -810,8 +809,8 @@ def test_minimal_presentation_drops_units(ring):
     one = parse_poly("1", ring)
     x1 = parse_poly("x1", ring)
     # two generators, one of them redundant through a unit relation
-    P = Presentation(ring, ((0, 0), (0, 0)), ((0, 0), (1, 0)),
-                     ((one, x1), (one, ring.zero())))
+    P = _rows_presentation(ring, ((0, 0), (0, 0)), ((0, 0), (1, 0)),
+                           ((one, x1), (one, ring.zero())))
     minimal = minimal_presentation(P)
     assert len(minimal.gens) == 1
     for d in Window(0, 2, 0, 2).cells():
@@ -932,6 +931,32 @@ def test_resolution_and_ext_dimensions_build_no_polynomial(monkeypatch):
     assert counts == [0] * len(modules)
 
 
+def test_presentations_build_no_polynomial(monkeypatch):
+    # a presentation is its relation columns from the module file to Ext:
+    # the strands and their resolutions, the Ext modules with their
+    # initial modules, and the minimal presentation build no Polynomial.
+    # The caches start empty, so nothing is read from an earlier test
+    modules = [gencm_fixture()] + random_quotients(standard_ring(), 4, 11)
+    for cache in (strand, resolve, initial_module):
+        cache.cache_clear()
+    built = Counter()
+    init = Polynomial.__init__
+
+    def counted(self, *args):
+        built[t] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    for t, M in enumerate(modules):
+        for k, c in product((0, 1), range(4)):
+            if strand_dim(M, k, c) >= 0:
+                resolve(strand(M, k, c))
+        for j in range(5):
+            initial_module(ext_presentation(M, j))
+        minimal_presentation(M)
+    assert not built, built
+
+
 def count_ext_builds(monkeypatch):
     """Counter {(presentation, j): builds} of the Ext modules built from
     now on, through every binding of ext_presentation in bicoh."""
@@ -1026,7 +1051,7 @@ def test_quotient_presentation_never_prunes(monkeypatch):
     lengths = [(M, resolve(M).length) for M in _guard_modules()]
     monkeypatch.setattr(resolution, "_prune", lambda *args: pytest.fail(
         "quotient_presentation pruned"))
-    units = sum(_has_unit(ext_presentation(M, j).matrix)
+    units = sum(_has_unit(ext_presentation(M, j).columns)
                 for M, pd in lengths for j in range(pd + 1))
     assert units
     ring = standard_ring(29)
@@ -1034,5 +1059,6 @@ def test_quotient_presentation_never_prunes(monkeypatch):
     F = FreeModule(ring, ((0, 0),))
     span = buchberger([ModuleElement(F, (x1,)), ModuleElement(F, (y1,))])
     P = quotient_presentation([span.elements[0]], span)
-    assert _has_unit(P.matrix)
+    assert _has_unit(P.columns)
     assert (len(P.gens), len(P.rels)) == (2, 2)
+

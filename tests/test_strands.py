@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicoh.errors import BadTheoryError
 from bicoh.fixtures import (
@@ -7,9 +9,14 @@ from bicoh.fixtures import (
     random_quotients,
     standard_ring,
 )
-from bicoh.poly import RingSpec, block_dim
+from bicoh.poly import (
+    Bidegree,
+    Polynomial,
+    RingSpec,
+    block_dim,
+    monomial_basis,
+)
 from bicoh.resolution import (
-    Presentation,
     ext_presentation,
     free_presentation,
     hilbert_dim,
@@ -17,7 +24,46 @@ from bicoh.resolution import (
     quotient_by_polys,
     resolve,
 )
-from bicoh.strands import strand, strand_dim, strand_range
+from bicoh.strands import _on, strand, strand_dim, strand_range
+from test_cohomology import _drawn_presentation
+from test_groebner import _rows_presentation
+
+
+def _strand_by_rows(N, k, c):
+    """The route strand took before it built relation columns, kept as its
+    referee: one Polynomial per (generator, relation) entry of the strand,
+    accumulated from the entries of N's relation columns, assembled by
+    rows."""
+    ring = N.ring
+    sizes, p = (ring.m, ring.n), ring.p
+    sub = RingSpec(*_on(k, sizes[k]), p)
+    other = RingSpec(*_on(1 - k, sizes[1 - k]), p) if sizes[1 - k] else None
+    blocks = (slice(0, ring.m), slice(ring.m, None))
+
+    def pieces(shifts):
+        return [((g, w), Bidegree(*_on(k, s[k])))
+                for g, s in enumerate(shifts)
+                for w in (monomial_basis(other, _on(1 - k, c - s[1 - k]))
+                          if other else [0] * (c == s[1 - k]))]
+
+    gens, rels = pieces(N.gens), pieces(N.rels)
+    gen_index = {key: i for i, (key, _) in enumerate(gens)}
+    coords = [col.coords for col in N.columns]
+    rows = [[{} for _ in rels] for _ in gens]
+    for col, ((l, w), _) in enumerate(rels):
+        for g, entry in enumerate(coords[l]):
+            for mono, coeff in entry.terms:
+                e = ring.exponents(mono)
+                target = other.monomial(e[blocks[1 - k]]) + w if other else w
+                row = gen_index.get((g, target))
+                if row is not None:
+                    kept = sub.monomial(e[blocks[k]])
+                    acc = rows[row][col]
+                    acc[kept] = (acc.get(kept, 0) + coeff) % p
+    return _rows_presentation(
+        sub, tuple(d for _, d in gens), tuple(d for _, d in rels),
+        tuple(tuple(Polynomial.from_dict(sub, acc) for acc in row)
+              for row in rows))
 
 
 def test_x_strand_of_ring_is_free(S):
@@ -32,7 +78,7 @@ def test_x_strand_of_hypersurface(hypersurface):
     st = strand(hypersurface, 0, 1)
     assert len(st.gens) == 2
     assert len(st.rels) == 1
-    entries = [str(st.matrix[k][0]) for k in range(2)]
+    entries = [str(f) for f in st.columns[0].coords]
     assert sorted(entries) == ["0", "x1"]
 
 
@@ -70,7 +116,7 @@ def test_strand_additive_on_direct_sums(ring, xy):
     A = quotient_by_polys(ring, [x1 * y1])
     f = x1 * y1
     # A (+) S(-1,-1) assembled as one presentation
-    direct = Presentation(
+    direct = _rows_presentation(
         ring, ((0, 0), (1, 1)), ((1, 1),),
         ((f, ), (ring.zero(),)))
     for j in range(0, 4):
@@ -118,3 +164,20 @@ def test_strand_range_holds_every_dimension_that_matters():
             generic = max(strand_dim(N, k, c) for c in range(c_0, hi + 1))
             far = [strand_dim(N, k, c) for c in range(c_0, c_0 + 30)]
             assert max(far) == generic == far[-1], (str(N), k)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_strand_matches_the_row_referee(data):
+    # over every nonempty block and every degree within one of a
+    # generator or relation shift, the strand's relation columns are the
+    # ones the row-wise route assembled
+    M = _drawn_presentation(data)
+    sizes = (M.ring.m, M.ring.n)
+    for k in (0, 1):
+        if not sizes[k]:
+            continue
+        degrees = {s[1 - k] + step for s in M.gens + M.rels
+                   for step in (-1, 0, 1)}
+        for c in sorted(degrees):
+            assert strand(M, k, c) == _strand_by_rows(M, k, c), (k, c)
