@@ -5,10 +5,17 @@ Elements live in F = (+)_k S(-shift_k); the order is position-over-term
 bihomogeneous, so every S-pair and normal form stays bihomogeneous and the
 shift bookkeeping for Schreyer syzygies is automatic.
 
-Only elements whose leads share a position form S-pairs.  `buchberger`
-puts each new element h through the pair update of Gebauer & Moeller
-(1988, "On an installation of Buchberger's algorithm"), which runs within
-that position:
+The work is split in two.  The pair loop, `_minimal_basis`, returns a
+minimal Groebner basis as its division table (below), and
+`_reduce_basis` interreduces that to the reduced basis; `buchberger` and
+`kernel_basis` run both, while a caller that needs only the leads, such
+as the Hilbert numerator of a cokernel, runs the loop alone: a minimal
+basis has the leads of the reduced one.
+
+Only elements whose leads share a position form S-pairs.  The loop puts
+each new element h through the pair update of Gebauer & Moeller (1988,
+"On an installation of Buchberger's algorithm"), which runs within that
+position:
 
 - criterion B_k deletes a queued pair (i, j) when lt(h) divides its lcm
   and neither lcm(i, h) nor lcm(j, h) equals it;
@@ -42,7 +49,9 @@ pops the terms.  The loop's `_Divisors` table, each divisor's lead and its
 tail as one such list, grows as elements enter, and interreduction
 divides a copy of every tail by it: it holds the minimal basis, and no
 lead divides a monomial smaller than itself, so an element is never
-reduced by itself.  Only `ModuleElement.coords` builds polynomials.
+reduced by itself.  Lcms, coprimality and degrees are read off the packed
+monomials (see poly), and only `ModuleElement.coords` builds
+polynomials.
 
 `syzygies` returns Schreyer's frame: of the same-position pairs (i, j),
 j < i, only those whose multiplier u_ij = lcm(lt g_i, lt g_j)/lt g_i
@@ -70,10 +79,11 @@ from .errors import (
 )
 from .linalg import _insert
 from .poly import (
+    _FIELD_MASK,
+    FIELD_BITS,
     GUARDS,
     Bidegree,
     Polynomial,
-    _x_degree,
     mono_bidegree,
     mono_coprime,
     mono_degree,
@@ -166,19 +176,8 @@ class ModuleElement:
 
     def bidegree(self):
         """Common bidegree d: coordinate k is bihomogeneous of d - shift_k;
-        None for the zero element.  Compares (total, x) degrees per term."""
-        ring, shifts = self.module.ring, self.module.shifts
-        width, deg = ring.width, None
-        for key, _ in self.terms:
-            k, mono = divmod(key, 1 << width)
-            a, b = shifts[k]
-            d = (mono_degree(ring, mono) + a + b, _x_degree(ring, mono) + a)
-            if deg is None:
-                deg = d
-            elif deg != d:
-                raise NotBihomogeneousError(
-                    f"terms of (total, x) degrees {deg} and {d}")
-        return deg and Bidegree(deg[1], deg[0] - deg[1])
+        None for the zero element."""
+        return _bidegree(self.module, self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, ModuleElement):
@@ -196,6 +195,27 @@ class ModuleElement:
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
+
+
+def _bidegree(module, terms):
+    """The common bidegree of the term list `terms` of an element of
+    `module`, None when it is empty.  Compares the (total, x) degrees of
+    the terms, read off each key: the top field of its monomial, and the
+    sum of its x-fields, plus the shift of its position."""
+    ring, shifts = module.ring, module.shifts
+    width, xmask = ring.width, ring._xmask
+    top = width - FIELD_BITS
+    deg = None
+    for key, _ in terms:
+        a, b = shifts[key >> width]
+        d = ((key >> top & _FIELD_MASK) + a + b,
+             (key & xmask) % _FIELD_MASK + a)
+        if deg is None:
+            deg = d
+        elif deg != d:
+            raise NotBihomogeneousError(
+                f"terms of (total, x) degrees {deg} and {d}")
+    return deg and Bidegree(deg[1], deg[0] - deg[1])
 
 
 @dataclass(frozen=True)
@@ -357,16 +377,18 @@ def buchberger(gens, module=None) -> GroebnerBasis:
         if g.module != module:
             raise RingMismatchError("generator of another free module")
         g.bidegree()    # raises NotBihomogeneousError on mixed input
+    table = _minimal_basis(module, [dict(g.terms) for g in gens])
     return GroebnerBasis(module, tuple(
         ModuleElement._of(module, terms)
-        for terms in _buchberger(module, [dict(g.terms) for g in gens])))
+        for terms in _reduce_basis(module, table)))
 
 
-def _buchberger(module, gens):
-    """The reduced Groebner basis of the submodule of `module` generated
-    by the consumed nonzero term dicts `gens`, bihomogeneous and descending
-    (see ModuleElement.terms): its term lists, monic, in descending order
-    of leads."""
+def _minimal_basis(module, gens):
+    """The pair loop: a minimal Groebner basis of the submodule of `module`
+    generated by the consumed nonzero term dicts `gens`, bihomogeneous and
+    descending (see ModuleElement.terms), as the `_Divisors` table of its
+    monic elements in the order they entered.  Its leads are those of the
+    reduced basis, which `_reduce_basis` makes of it."""
     ring = module.ring
     width = ring.width
     flip = (1 << width) - 1
@@ -426,7 +448,7 @@ def _buchberger(module, gens):
             continue
         if f:
             append(f)
-    return _reduce_basis(module, table)
+    return table
 
 
 def _reduce_basis(module, table):
@@ -589,4 +611,5 @@ def kernel_basis(columns, src: FreeModule) -> GroebnerBasis:
     low = rt << width
     return GroebnerBasis(src, tuple(
         ModuleElement._of(src, [(key - low, coeff) for key, coeff in terms])
-        for terms in _buchberger(big, graph) if terms[0][0] >= low))
+        for terms in _reduce_basis(big, _minimal_basis(big, graph))
+        if terms[0][0] >= low))

@@ -10,21 +10,39 @@ _insert, reduces a vector against a table of pivots and adds what is
 left: it serves _echelon here and groebner.minimal_elements.
 """
 
-from math import isqrt
-
 from .errors import BadRingError, ComposeError
 
 DEFAULT_PRIME = 32003
 
 
 def _check_prime(p):
-    # the bound first: trial division up to sqrt(p) would not end on a
-    # modulus like 2^61 - 1
+    # the bound first: it is what makes the test below exact
     if p >= 1 << 20:
         raise BadRingError(f"modulus {p} too large: primes below 2^20 "
                            f"are supported")
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if not _is_prime(p):
         raise BadRingError(f"modulus {p} is not prime")
+
+
+def _is_prime(p):
+    """Miller-Rabin on the bases 2 and 3, which is exact below 1,373,653
+    (Pomerance, Selfridge & Wagstaff 1980), so for every p < 2^20."""
+    if p < 5:
+        return p in (2, 3)
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 3):
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Matrix:

@@ -21,10 +21,19 @@ of 2^31 or more is the one way to reach a guard: `RingSpec.monomial` and
 every product check it and raise DegreeOverflowError, so a monomial never
 wraps.  One GUARDS mask serves rings of up to MAX_VARS variables.
 
+The low N fields, e, give the rest field-wise with no tuple ("SIMD within
+a register"): adding 2^(FIELD_BITS - 1) - 1 to every field sets the guard
+of the nonzero ones, and `((e | G) - f) & G`, G their guards, marks the
+fields where e_i >= f_i, so coprimality and the lcm are a few int
+operations.  Modulo 2^FIELD_BITS - 1 every field weighs one, so that
+remainder of the low fields is their sum, and the middle fields follow as
+T * (1 + 2^FIELD_BITS + ...) - e.  `RingSpec.block_part` cuts the part of
+a monomial in one variable block out as a monomial of that block's ring
+the same way.
+
 Exponent tuples appear only where monomials enter or leave, through
 `RingSpec.monomial(e)` and `RingSpec.exponents(mono)`: the parser and
-printer, monomial bases, the strand split, the Krull dimension, products
-by a monomial in the initial module, and lcm and coprimality tests.
+printer, the variables and monomial bases.
 """
 
 import itertools
@@ -74,6 +83,15 @@ class Bidegree(NamedTuple):
         return f"({self.a},{self.b})"
 
 
+def _fields(count):
+    """(bits, mask, ones, guards) of a run of `count` fields from field 0:
+    its width, its mask, the int with a 1 in each field, their guards."""
+    bits = FIELD_BITS * count
+    mask = (1 << bits) - 1
+    ones = mask // _FIELD_MASK
+    return bits, mask, ones, ones << FIELD_BITS - 1
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """S = F_p[x_1..x_m, y_1..y_n], standard bigraded: deg x_i = (1,0),
@@ -99,6 +117,11 @@ class RingSpec:
         object.__setattr__(self, "_shifts", tuple(
             range(0, FIELD_BITS * self.nvars, FIELD_BITS)))
         object.__setattr__(self, "_xmask", (1 << FIELD_BITS * self.m) - 1)
+        bits, mask, ones, guards = _fields(self.nvars)
+        object.__setattr__(self, "_low",
+                           (bits, mask, ones, guards, guards - ones))
+        object.__setattr__(self, "_blocks", (
+            (0,) + _fields(self.m), (FIELD_BITS * self.m,) + _fields(self.n)))
 
     @property
     def nvars(self):
@@ -134,6 +157,15 @@ class RingSpec:
     def exponents(self, mono):
         """The exponent tuple of a packed monomial."""
         return tuple(mono >> s & _FIELD_MASK for s in self._shifts)
+
+    def block_part(self, mono, k):
+        """The part of the packed monomial mono (bits above the monomial
+        ignored) in the variable block k (x 0, y 1), packed as a monomial of
+        F_p[block k]; 0, the monomial 1, when the block is empty."""
+        start, bits, mask, ones, _ = self._blocks[k]
+        low = mono >> start & mask
+        total = low % _FIELD_MASK
+        return (total << bits | total * ones - low) << bits | low
 
     def variable(self, i):
         e = [0] * self.nvars
@@ -174,13 +206,26 @@ def mono_degree(ring, e):
 
 
 def mono_lcm(ring, e, f):
-    return ring.monomial(tuple(map(max, ring.exponents(e),
-                                   ring.exponents(f))))
+    """lcm(x^e, x^f), field-wise on the low fields (see the module
+    docstring); DegreeOverflowError at total degree 2^31 or more."""
+    bits, mask, ones, guards, _ = ring._low
+    b = f & mask
+    ge = ((e | guards) - b) & guards      # the guards of the e_i >= f_i
+    low = b ^ ((e ^ f) & (ge - (ge >> FIELD_BITS - 1)))
+    # a sum of at most 2 * (2^31 - 1), below the modulus
+    total = low % _FIELD_MASK
+    if total >= _DEGREE_LIMIT:
+        raise DegreeOverflowError(
+            f"an lcm reaches total degree {total}, beyond the limit "
+            f"{_DEGREE_LIMIT - 1}")
+    return (total << bits | total * ones - low) << bits | low
 
 
 def mono_coprime(ring, e, f):
-    return not any(a and b for a, b in zip(ring.exponents(e),
-                                           ring.exponents(f)))
+    """True if no variable divides both x^e and x^f: adding 2^31 - 1 to
+    each low field sets its guard exactly when the field is nonzero."""
+    _, _, _, guards, nonzero = ring._low
+    return not (e + nonzero) & (f + nonzero) & guards
 
 
 def _x_degree(ring, e):

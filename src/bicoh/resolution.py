@@ -19,8 +19,10 @@ the leads of its basis.  From it we read off graded Betti numbers (the
 shifts of each level), projective dimension and depth
 (Auslander-Buchsbaum), and the graded dimensions and Krull dimension of
 every Ext^j(M, omega), from the Hilbert numerators of the cokernels of the
-dual maps: FreeResolution.dual(j) regroups the terms of the columns of
-maps[j] by position for InitialModule, as a minimal resolution has no unit.
+dual maps: FreeResolution regroups the terms of the columns of maps[j] by
+position and reads each numerator off the leads of a minimal Groebner
+basis of them, with the initial module's helper (_lead_numerator), as a
+minimal resolution has no unit.
 ext_presentation builds the Ext module itself where a caller needs more
 than its dimensions, as a subquotient that keeps its units.
 minimal_presentation takes the first map F_1 -> F_0 of resolve(P) as its
@@ -43,7 +45,9 @@ from .groebner import (
     FreeModule,
     GroebnerBasis,
     ModuleElement,
+    _bidegree,
     _divide,
+    _minimal_basis,
     buchberger,
     kernel_basis,
     minimal_elements,
@@ -51,12 +55,14 @@ from .groebner import (
 )
 from .linalg import Matrix, rank_of_array
 from .poly import (
+    GUARDS,
     Bidegree,
+    _x_degree,
+    block_dim,
     mono_bidegree,
-    mono_div,
+    mono_degree,
     mono_divides,
     mono_lcm,
-    piece_dim,
 )
 from .tables import DimTable, Window
 
@@ -93,6 +99,12 @@ class Presentation:
             if got not in (None, shift):
                 raise DegreeMismatchError(f"column {l} has bidegree {got}, "
                                           f"its shift is {shift}")
+        # every cache lookup of a presentation hashes it: once here
+        object.__setattr__(self, "_hash", hash(
+            (self.ring, self.gens, self.rels, self.columns)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def matrix(self):
@@ -176,21 +188,41 @@ def hilbert_table(P: Presentation, window: Window) -> DimTable:
 
 
 def _numerator(ring, monos):
-    """Hilbert-series numerator {bidegree: coefficient} of S/J for the
+    """Hilbert-series numerator {(a, b): coefficient} of S/J for the
     monomial ideal J = (monos).  Adding the minimal generators one at a
     time, N(J + (m)) = N(J) - t^deg(m) N(J : m) (Bigatti 1997), where J : m
     is generated by the lcm(g, m) / m.  Ascending int order puts every
     divisor of m before m."""
-    gens, out = [], {Bidegree(0, 0): 1}
+    gens, out = [], {(0, 0): 1}
     for m in sorted(set(monos)):
-        if any(mono_divides(g, m) for g in gens):
+        if any(not (m - g) & GUARDS for g in gens):
             continue
-        deg = mono_bidegree(ring, m)
-        colon = [mono_div(mono_lcm(ring, g, m), m) for g in gens]
-        for s, c in _numerator(ring, colon).items():
-            out[s + deg] = out.get(s + deg, 0) - c
+        a = _x_degree(ring, m)
+        b = mono_degree(ring, m) - a
+        colon = [mono_lcm(ring, g, m) - m for g in gens]
+        for (sa, sb), c in _numerator(ring, colon).items():
+            key = (sa + a, sb + b)
+            out[key] = out.get(key, 0) - c
         gens.append(m)
     return out
+
+
+def _lead_numerator(target, leads):
+    """The Hilbert numerator {s: c} of F/U, dim (F/U)_d = sum c * dim
+    S_(d - s), from the leads (k, monomial, coeff) of a minimal or reduced
+    Groebner basis of U in F = target: F/in(U) is the sum over positions k
+    of S(-shift_k)/J_k, J_k the monomial ideal of the leads in position
+    k, and F/U shares its Hilbert function (Macaulay)."""
+    ideals = {}
+    for k, mono, _ in leads:
+        ideals.setdefault(k, []).append(mono)
+    out = {}
+    for k, (a, b) in enumerate(target.shifts):
+        for (sa, sb), c in _numerator(target.ring,
+                                      ideals.get(k, ())).items():
+            key = (a + sa, b + sb)
+            out[key] = out.get(key, 0) + c
+    return {Bidegree(*s): c for s, c in out.items() if c}
 
 
 def _pole_order(numerator, length):
@@ -214,8 +246,10 @@ def _pole_order(numerator, length):
 def _dim_at(ring, numerator, d):
     """sum c * dim S_(d - s) over the numerator {s: c} of a Hilbert series:
     dim_K M_d for the module with that numerator."""
-    d = Bidegree(*d)
-    return sum(c * piece_dim(ring, d - s) for s, c in numerator.items())
+    a, b = d
+    m, n = ring.m, ring.n
+    return sum(c * block_dim(a - sa, m) * block_dim(b - sb, n)
+               for (sa, sb), c in numerator.items())
 
 
 def _krull_dim(ring, numerator):
@@ -312,15 +346,8 @@ class InitialModule:
 
     @cached_property
     def numerator(self):
-        """{s: c} with dim M_d = sum c * dim S_(d - s): F/in(U) is the sum
-        over positions k of S(-shift_k)/J_k, J_k the monomial ideal of the
-        lead terms in position k."""
-        out = {}
-        for k, shift in enumerate(self.target.shifts):
-            ideal = [mono for kk, mono, _ in self.leads if kk == k]
-            for s, c in _numerator(self.ring, ideal).items():
-                out[shift + s] = out.get(shift + s, 0) + c
-        return {s: c for s, c in out.items() if c}
+        """{s: c} with dim M_d = sum c * dim S_(d - s)."""
+        return _lead_numerator(self.target, self.leads)
 
     def dim_at(self, d) -> int:
         """dim_K M_d, from the numerator: no basis is enumerated."""
@@ -386,10 +413,12 @@ class FreeResolution:
     of maps[j].  From 0 -> ker -> G^j -> G^(j+1) -> coker(delta_j) -> 0,
     dim Ext^j_d = dim coker(delta_j)_d + dim coker(delta_(j-1))_d
     - dim G^(j+1)_d, with coker(delta_(-1)) = G^0 and coker(delta_len) = 0.
-    The Hilbert numerator of each coker(delta_j) comes from one initial
-    module on the columns of delta_j: a minimal resolution has no unit
-    entry, so nothing is pruned.  It is built on first use and kept
-    here."""
+    The Hilbert numerator of each coker(delta_j) is read off the leads of
+    a minimal Groebner basis of the columns of delta_j, the pair loop of
+    groebner._minimal_basis on their term lists: a minimal resolution has
+    no unit entry, so nothing is pruned, and a minimal basis has the leads
+    of the reduced one, so no basis is reduced and no element built.  It
+    is computed on first use and kept here."""
 
     ring: object
     modules: tuple
@@ -408,14 +437,14 @@ class FreeResolution:
         return sum((-1) ** i * mod.dim_at(d)
                    for i, mod in enumerate(self.modules))
 
-    def dual(self, j):
-        """delta_j : G^j -> G^(j+1) as (G^(j+1), its columns), the target
-        and relations of coker(delta_j): G^(j+1) has the degrees c - s
-        over the shifts s of F_(j+1), and column k, of degree c - s_k over
-        the shifts of F_j, is row k of maps[j]: the terms in position k of
-        the columns l of maps[j], moved to position l, which in ascending l
-        come out descending.  The zero map outside 0..len-1, so
-        coker(delta_(-1)) = G^0 and coker(delta_len) = 0."""
+    def _dual_rows(self, j):
+        """delta_j : G^j -> G^(j+1) as (G^(j+1), its columns as term
+        lists): G^(j+1) has the degrees c - s over the shifts s of F_(j+1),
+        and column k, of degree c - s_k over the shifts of F_j, is row k of
+        maps[j]: the terms in position k of the columns l of maps[j], moved
+        to position l, which in ascending l come out descending.  The zero
+        map outside 0..len-1, so coker(delta_(-1)) = G^0 and
+        coker(delta_len) = 0."""
         c = self.ring.canonical_degree
         target = FreeModule(self.ring,
                             tuple(c - s for s in self.shifts(j + 1)))
@@ -424,13 +453,32 @@ class FreeResolution:
             for key, coeff in col.terms:
                 k = key >> width
                 rows[k].append((key + (l - k << width), coeff))
+        return target, rows
+
+    def dual(self, j):
+        """delta_j as (G^(j+1), its columns), elements of G^(j+1): the
+        target and relations of coker(delta_j) (see _dual_rows)."""
+        target, rows = self._dual_rows(j)
         return target, [ModuleElement._of(target, row) for row in rows]
 
     def _dual_cokernel(self, j):
-        """The Hilbert numerator of coker(delta_j)."""
+        """The Hilbert numerator of coker(delta_j), off the leads of a
+        minimal Groebner basis of its columns.  Each column is checked to
+        be zero or of its degree c - s_k, else InvariantError."""
         out = self._cokernels.get(j)
         if out is None:
-            out = self._cokernels[j] = InitialModule(*self.dual(j)).numerator
+            target, rows = self._dual_rows(j)
+            c = self.ring.canonical_degree
+            for k, (row, s) in enumerate(zip(rows, self.shifts(j))):
+                try:
+                    got = _bidegree(target, row)
+                except NotBihomogeneousError as exc:
+                    raise InvariantError(f"dual column {k}: {exc}") from exc
+                if got not in (None, c - s):
+                    raise InvariantError(f"dual column {k} of bidegree {got} "
+                                         f"for the degree {c - s}")
+            table = _minimal_basis(target, [dict(row) for row in rows if row])
+            out = self._cokernels[j] = _lead_numerator(target, table.leads)
         return out
 
     def _ext_numerator(self, j):

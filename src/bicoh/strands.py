@@ -52,7 +52,6 @@ def strand(N: Presentation, k: int, c: int) -> Presentation:
     sizes, p = (ring.m, ring.n), ring.p
     sub = RingSpec(*_on(k, sizes[k]), p)
     other = RingSpec(*_on(1 - k, sizes[1 - k]), p) if sizes[1 - k] else None
-    blocks = (slice(0, ring.m), slice(ring.m, None))
 
     def pieces(shifts):
         """((owner g, other-block monomial), shift over F_p[block k]) for
@@ -70,12 +69,10 @@ def strand(N: Presentation, k: int, c: int) -> Presentation:
     for (l, w), _ in rels:
         terms = []
         for key, coeff in N.columns[l].terms:
-            e = ring.exponents(key)     # the fields below the position
-            owner = other.monomial(e[blocks[1 - k]]) + w if other else w
-            row = gen_index.get((key >> ring.width, owner))
+            row = gen_index.get((key >> ring.width,
+                                 ring.block_part(key, 1 - k) + w))
             if row is not None:
-                terms.append((row << width | sub.monomial(e[blocks[k]]),
-                              coeff))
+                terms.append((row << width | ring.block_part(key, k), coeff))
         columns.append(ModuleElement._of(target, _descending(terms, width)))
     return Presentation(sub, target.shifts, [d for _, d in rels], columns)
 

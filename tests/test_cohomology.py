@@ -54,6 +54,7 @@ from test_groebner import _rows_presentation
 from test_linalg import compose, tracked_echelon
 from test_resolution import (
     _ext_referee,
+    assert_lead_only_cokernels,
     _raw_resolution,
     _redundant_generator,
     count_ext_builds,
@@ -1362,6 +1363,53 @@ def test_dual_cokernels_match_the_ext_referee_on_random_presentations(data):
         assert res.ext_dims(j, cells) == \
             [referee.dim_at(d) for d in cells], (str(M), j)
         assert res.ext_krull_dim(j) == referee.krull_dim(), (str(M), j)
+
+
+def _padded(data, M):
+    """M with, as drawn, a redundant relation (a monomial multiple of a
+    relation, of degree at most one, appended) and a unit entry (a new
+    generator of the degree of an old one times at most one variable,
+    equal to a drawn element of the others through a relation with
+    coefficient 1 on it): an isomorphic module."""
+    ring = M.ring
+    width = ring.width
+    steps = [Bidegree(0, 0)] + [Bidegree(*d) for d, size in
+                                (((1, 0), ring.m), ((0, 1), ring.n)) if size]
+    gens, rels = list(M.gens), list(M.rels)
+    columns = [col.terms for col in M.columns]
+    nonzero = [l for l, col in enumerate(columns) if col]
+    if nonzero and data.draw(st.sampled_from([True, False])):
+        l = data.draw(st.sampled_from(nonzero))
+        step = data.draw(st.sampled_from(steps))
+        u = data.draw(st.sampled_from(monomial_basis(ring, step)))
+        rels.append(rels[l] + step)
+        columns.append(tuple((key + u, coeff) for key, coeff in columns[l]))
+    if data.draw(st.sampled_from([True, False])):
+        d = data.draw(st.sampled_from(gens)) + data.draw(
+            st.sampled_from(steps))
+        other = FreeModule(ring, gens)
+        terms = [(k << width | mono, c) for k, mono in other.basis_at(d)
+                 if (c := data.draw(st.integers(0, ring.p - 1)))]
+        columns.append(tuple(terms) + ((len(gens) << width, 1),))
+        gens.append(d)
+        rels.append(d)
+    target = FreeModule(ring, gens)
+    return Presentation(ring, tuple(gens), tuple(rels),
+                        [ModuleElement._of(target, t) for t in columns])
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_lead_only_cokernels_on_random_presentations(data):
+    # the numerators of the dual cokernels read off the leads of minimal
+    # bases equal those of the initial modules of the dual columns
+    # (assert_lead_only_cokernels), on random presentations
+    # (_drawn_presentation) with a redundant relation and a unit entry
+    # drawn in (_padded)
+    M = _drawn_presentation(data)
+    P = _padded(data, M)
+    assert initial_module(P).numerator == initial_module(M).numerator
+    assert_lead_only_cokernels(P)
 
 
 @settings(max_examples=40)

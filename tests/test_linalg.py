@@ -1,13 +1,16 @@
 import random
+from itertools import chain
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bicoh.errors import ComposeError
+from bicoh.errors import BadRingError, ComposeError
 from bicoh.linalg import (
     Matrix,
+    _check_prime,
     _subtract,
     homology_dim,
     rank_of_array,
@@ -260,3 +263,28 @@ def test_sparse_elimination_matches_dense_referee_property(data):
     density = data.draw(st.sampled_from([1.0, 0.3, 0.05]))
     rng = data.draw(st.randoms(use_true_random=False))
     _agrees_with_dense_referee(_random_array(rng, rows, cols, p, density), p)
+
+
+def _trial_division_prime(p):
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def test_prime_check_matches_trial_division():
+    # every p below 2^16, the numbers next to 2^20, the base-2 strong
+    # pseudoprimes 2047, 3277, 4033, 4681, 8321 and the Carmichael numbers
+    # 561, 1105, 1729, against trial division; 2^20 and above are refused
+    # as too large, primes among them too
+    special = (2047, 3277, 4033, 4681, 8321, 561, 1105, 1729)
+    refused = []
+    for p in chain(range(-3, 1 << 16), range((1 << 20) - 300, 1 << 20),
+                   special):
+        try:
+            _check_prime(p)
+        except BadRingError as exc:
+            assert "not prime" in str(exc), p
+            refused.append(p)
+        assert (refused[-1:] != [p]) == _trial_division_prime(p), p
+    assert set(special) <= set(refused)
+    for p in (1 << 20, (1 << 20) + 7, 2 ** 61 - 1):
+        with pytest.raises(BadRingError, match="too large"):
+            _check_prime(p)

@@ -22,6 +22,7 @@ from bicoh.groebner import (
     buchberger,
     normal_form,
 )
+from bicoh.errors import NotBihomogeneousError
 from bicoh.poly import (
     Bidegree,
     Polynomial,
@@ -33,7 +34,14 @@ from bicoh.poly import (
     mono_lcm,
     monomial_basis,
 )
-from test_groebner import _minimal, _monic, _reduced, random_element
+from bicoh.resolution import _numerator, quotient_by_polys
+from test_groebner import (
+    _minimal,
+    _monic,
+    _reduced,
+    _rows_presentation,
+    random_element,
+)
 
 LIMIT = 2 ** 31
 PRIMES = (2, 3, 32003)
@@ -118,6 +126,135 @@ def test_products_past_the_degree_limit_raise(data):
         g * f
     with pytest.raises(DegreeOverflowError):
         ring.monomial(tuple(a + b for a, b in zip(e1, e2)))
+
+
+@given(st.data())
+def test_lcm_past_the_degree_limit_raises(data):
+    # two monomials below the limit, in different variables, whose lcm
+    # reaches total degree 2^31 or more
+    ring = data.draw(rings().filter(lambda r: r.nvars > 1))
+    i, j = data.draw(st.permutations(range(ring.nvars)))[:2]
+    d1 = data.draw(st.integers(1, LIMIT - 1))
+    d2 = data.draw(st.integers(LIMIT - d1, LIMIT - 1))
+    a = ring.monomial(tuple(d1 if v == i else 0 for v in range(ring.nvars)))
+    b = ring.monomial(tuple(d2 if v == j else 0 for v in range(ring.nvars)))
+    with pytest.raises(DegreeOverflowError):
+        mono_lcm(ring, a, b)
+    with pytest.raises(DegreeOverflowError):
+        mono_lcm(ring, b, a)
+
+
+def test_lcm_at_the_degree_limit():
+    # one below the limit, at it, and the largest lcm of two monomials
+    # below it, 2 * (2^31 - 1), on small rings and the largest one
+    for ring in (RingSpec(1, 1), RingSpec(2, 0), RingSpec(32, 32)):
+        def power(i, d):
+            return ring.monomial(tuple(d if v == i else 0
+                                       for v in range(ring.nvars)))
+
+        last = ring.nvars - 1
+        assert mono_lcm(ring, power(0, LIMIT - 2), power(last, 1)) == \
+            power(0, LIMIT - 2) + power(last, 1)
+        assert mono_lcm(ring, power(0, LIMIT - 1), power(0, 5)) == \
+            power(0, LIMIT - 1)
+        for d in (1, LIMIT - 1):
+            with pytest.raises(DegreeOverflowError):
+                mono_lcm(ring, power(0, LIMIT - 1), power(last, d))
+
+
+@given(st.data())
+def test_block_part_matches_the_block_rings(data):
+    # the part of a monomial in each block, with any position above it,
+    # packed in that block's own ring; 0 for an empty block
+    ring = data.draw(st.one_of(rings(), st.sampled_from(
+        [RingSpec(32, 32), RingSpec(64, 0), RingSpec(0, 64)])))
+    e = data.draw(exponents_of(ring))
+    key = data.draw(st.integers(0, 5)) << ring.width | ring.monomial(e)
+    m, n = ring.m, ring.n
+    assert ring.block_part(key, 0) == (RingSpec(m, 0).monomial(e[:m])
+                                       if m else 0)
+    assert ring.block_part(key, 1) == (RingSpec(0, n).monomial(e[m:])
+                                       if n else 0)
+
+
+def _tuple_bidegree(v):
+    """Referee: the bidegree of each term from its exponent tuple and the
+    shift of its position, None for zero, an error on mixed terms."""
+    ring = v.module.ring
+    degrees = {Bidegree(sum(e[:ring.m]) + s.a, sum(e[ring.m:]) + s.b)
+               for k, poly in enumerate(v.coords)
+               for s in (v.module.shifts[k],)
+               for e in map(ring.exponents, (mono for mono, _ in poly.terms))}
+    if len(degrees) > 1:
+        raise NotBihomogeneousError(sorted(degrees))
+    return degrees.pop() if degrees else None
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_element_bidegree_matches_exponent_tuples(p):
+    # elements of random bidegrees over modules with negative shifts, and
+    # the terms of two of them of different bidegrees merged into one,
+    # also of one total degree
+    rng = random.Random(53 + p)
+    for m, n in ((2, 2), (3, 1), (1, 0), (0, 2)):
+        ring = RingSpec(m, n, p)
+        flip = (1 << ring.width) - 1
+        steps = [Bidegree(1, 0) if m else Bidegree(0, 1)]
+        steps += [Bidegree(1, -1)] if m and n else []
+        for _ in range(10):
+            F = FreeModule(ring, tuple(
+                (rng.randint(-2, 2), rng.randint(-2, 2))
+                for _ in range(rng.randint(1, 3))))
+            d = F.shifts[rng.randrange(F.rank)] + Bidegree(
+                rng.randint(0, 2) if m else 0, rng.randint(1, 2) if n else 0)
+            v = random_element(rng, F, d)
+            assert v.bidegree() == _tuple_bidegree(v) == d
+            for step in steps:
+                w = random_element(rng, F, d + step)
+                assert w.bidegree() == _tuple_bidegree(w) == d + step
+                mixed = ModuleElement._of(F, sorted(
+                    v.terms + w.terms, key=lambda term: term[0] ^ flip))
+                with pytest.raises(NotBihomogeneousError):
+                    _tuple_bidegree(mixed)
+                with pytest.raises(NotBihomogeneousError):
+                    mixed.bidegree()
+    assert ModuleElement._of(F, ()).bidegree() is None
+
+
+def bidegree_numerator(ring, monos):
+    """The Bigatti recursion on Bidegree keys, as it stood before the
+    packed one: N(J + (m)) = N(J) - t^deg(m) N(J : m)."""
+    gens, out = [], {Bidegree(0, 0): 1}
+    for m in sorted(set(monos)):
+        if any(mono_divides(g, m) for g in gens):
+            continue
+        deg = mono_bidegree(ring, m)
+        colon = [mono_div(mono_lcm(ring, g, m), m) for g in gens]
+        for s, c in bidegree_numerator(ring, colon).items():
+            out[s + deg] = out.get(s + deg, 0) - c
+        gens.append(m)
+    return out
+
+
+@given(st.data())
+def test_numerator_matches_the_bidegree_recursion(data):
+    ring = data.draw(rings())
+    ideal = [ring.monomial(e) for e in data.draw(st.lists(
+        exponents_of(ring, small=True), max_size=7))]
+    assert _numerator(ring, ideal) == bidegree_numerator(ring, ideal)
+
+
+def test_equal_presentations_built_apart_hash_equal():
+    ring = RingSpec(2, 2, 7)
+    x1, x2, y1, y2 = ring.gens()
+    rows = ((x1 * y1 + x2 * y2, x1 * x2 * y1), (y2, x2 * y2))
+    built = [quotient_by_polys(RingSpec(2, 2, 7), [x1 * y1, x2 * y2 - x1 * y2])
+             for _ in range(2)]
+    built += [_rows_presentation(RingSpec(2, 2, 7), ((0, 0), (1, 0)),
+                                 ((1, 1), (2, 1)), rows) for _ in range(2)]
+    for a, b in (built[:2], built[2:]):
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert built[0] != built[2]
 
 
 def test_ring_size_is_bounded():

@@ -36,6 +36,7 @@ from bicoh.poly import (
 )
 from bicoh.resolution import (
     FreeResolution,
+    InitialModule,
     Presentation,
     _numerator,
     _pole_order,
@@ -825,13 +826,13 @@ def test_each_ext_module_runs_one_buchberger(monkeypatch):
     M = gencm_fixture(standard_ring(7))
     assert resolve(M).length == 3
     calls = []
-    loop = groebner._buchberger
+    loop = groebner._minimal_basis
 
     def counted(*args):
         calls.append(1)
         return loop(*args)
 
-    monkeypatch.setattr(groebner, "_buchberger", counted)
+    monkeypatch.setattr(groebner, "_minimal_basis", counted)
     # the generators are the kernel basis's elements, none pruned, and the
     # module has the Hilbert series that the dual cokernels give
     for j, (runs, gens) in enumerate([(1, 0), (1, 1), (1, 6), (1, 1)]):
@@ -929,6 +930,73 @@ def test_resolution_and_ext_dimensions_build_no_polynomial(monkeypatch):
             res.ext_krull_dim(j)
         counts.append(built[0])
     assert counts == [0] * len(modules)
+
+
+def assert_lead_only_cokernels(M):
+    """The numerator of each coker(delta_j), j from -1 to pd + 1, read off
+    the leads of a minimal basis equals that of the initial module of the
+    dual columns, the route before it, on a fresh resolution of M."""
+    res = resolve.__wrapped__(M)
+    for j in range(-1, res.length + 2):
+        assert res._dual_cokernel(j) == \
+            InitialModule(*res.dual(j)).numerator, (str(M), j)
+
+
+def test_lead_only_cokernels_on_euler_patterns():
+    for seed, degrees in enumerate(_EULER_PATTERNS):
+        assert_lead_only_cokernels(_dense_quotient((2, 2), degrees, seed))
+    assert_lead_only_cokernels(gencm_fixture(standard_ring(3)))
+
+
+def test_lead_only_cokernels_build_no_element(monkeypatch):
+    # the dual cokernels run the pair loop on term lists: no element is
+    # built, no basis reduced and no initial module made; the spies do
+    # count the route before it
+    modules = [_dense_quotient((2, 2), degrees, seed)
+               for seed, degrees in enumerate(_EULER_PATTERNS)]
+    modules.append(gencm_fixture())
+    resolutions = [resolve.__wrapped__(M) for M in modules]
+    counts = Counter()
+
+    def spy(name, original):
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        return counted
+
+    of = ModuleElement._of.__func__
+    monkeypatch.setattr(ModuleElement, "__init__",
+                        spy("__init__", ModuleElement.__init__))
+    monkeypatch.setattr(ModuleElement, "_of", classmethod(spy("_of", of)))
+    monkeypatch.setattr(groebner, "_reduce_basis",
+                        spy("_reduce_basis", groebner._reduce_basis))
+    monkeypatch.setattr(resolution.InitialModule, "__init__", spy(
+        "InitialModule", resolution.InitialModule.__init__))
+    loops = 0
+    for res in resolutions:
+        for j in range(-1, res.length + 2):
+            res._dual_cokernel(j)
+            loops += 1
+    assert not counts, counts
+    InitialModule(*resolutions[0].dual(1))
+    assert set(counts) == {"_of", "_reduce_basis", "InitialModule"}
+    assert loops > 5 * len(modules)
+
+
+def test_dual_cokernel_checks_the_dual_columns(ring, xy):
+    # a map column off the shift of its generator, or of mixed
+    # bidegrees, gives dual columns off their degrees: an InvariantError,
+    # not a numerator
+    x1, x2, y1, y2 = xy
+    F0 = FreeModule(ring, ((0, 0),))
+    F1 = FreeModule(ring, ((1, 1),))
+    for column in (x1, x1 * y1 + x2):
+        res = FreeResolution(ring, (F0, F1),
+                             ((ModuleElement(F0, (column,)),),))
+        with pytest.raises(InvariantError):
+            res._dual_cokernel(0)
+    res = FreeResolution(ring, (F0, F1), ((ModuleElement(F0, (x1 * y1,)),),))
+    assert res._dual_cokernel(0) == {(1, 1): 1, (2, 2): -1}
 
 
 def test_presentations_build_no_polynomial(monkeypatch):
